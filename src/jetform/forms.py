@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
+from .multiindex import sort_with_sign
 from .symexpr import Scalar
 
 @dataclass(frozen=True)
@@ -37,27 +38,11 @@ class Context:
 
 
 def _cov_key(cov):
+    # dy (input notation only) sorts after every omega, so the key is
+    # injective and equal keys mean a repeated covector
     if cov[0] == 'dx':
         return (0, cov[1], 0, ())
-    return (1, cov[1], len(cov[2]), cov[2])
-
-
-def canonical_wedge(covs):
-    """Sort covectors into canonical order; returns (wedge, sign), sign 0 on repeats."""
-    keys = [_cov_key(c) for c in covs]
-    arr = list(range(len(covs)))
-    perm_sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and keys[arr[j - 1]] > keys[arr[j]]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            perm_sign = -perm_sign
-            j -= 1
-    wedge = tuple(covs[t] for t in arr)
-    for t in range(1, len(wedge)):
-        if wedge[t - 1] == wedge[t]:
-            return wedge, 0
-    return wedge, perm_sign
+    return (1 if cov[0] == 'w' else 2, cov[1], len(cov[2]), cov[2])
 
 
 class Form:
@@ -90,7 +75,7 @@ class Form:
     def _accumulate(self, covs, c: Scalar) -> None:
         if c.is_zero():
             return
-        wedge, sign = canonical_wedge(tuple(covs))
+        wedge, sign = sort_with_sign(covs, _cov_key)
         if sign == 0:
             return
         val = self.terms.get(wedge, Scalar.zero()) + (c if sign == 1 else -c)
@@ -112,8 +97,11 @@ class Form:
                 out.terms[w] = val
         return out
 
+    def __neg__(self) -> "Form":
+        return Form(self.ctx, {w: -v for w, v in self.terms.items()})
+
     def __sub__(self, other: "Form") -> "Form":
-        return self + other.scale(-1)
+        return self + (-other)
 
     def scale(self, c) -> "Form":
         c = c if isinstance(c, Scalar) else Scalar.from_fraction(Fraction(c))
@@ -143,9 +131,6 @@ class Form:
 
     def contact_degree(self) -> int:
         return max((sum(1 for c in w if c[0] == 'w') for w in self.terms), default=0)
-
-    def horizontal_degree(self) -> int:
-        return max((sum(1 for c in w if c[0] == 'dx') for w in self.terms), default=0)
 
     def degrees(self):
         """Set of (horizontal, contact) bidegrees present."""
@@ -228,10 +213,6 @@ def wedge_all(*forms: Form) -> Form:
     return out
 
 
-def scalar_form(ctx: Context, c) -> Form:
-    return Form.from_scalar(ctx, c)
-
-
 # -- contact decomposition -----------------------------------------------------
 
 def to_contact_basis(ctx: Context, raw_terms) -> Form:
@@ -266,10 +247,6 @@ def p_k(rho: Form, k: int) -> Form:
     out = {w: c for w, c in rho.terms.items()
            if sum(1 for cov in w if cov[0] == 'w') == k}
     return Form(rho.ctx, out)
-
-
-def horizontalization(rho: Form) -> Form:
-    return p_k(rho, 0)
 
 
 def contact_split(rho: Form) -> dict:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .forms import (Form, as_ds_block, contract_omega, d_H, ds_block,
                     omega, p_k, total_derivative_form_multi, wedge)
-from .multiindex import sort_with_sign, tuple_multiplicity
+from .multiindex import signed_get, signed_permutations, tuple_multiplicity
 from .symexpr import Scalar
 
 
@@ -107,26 +107,14 @@ class XiFamily:
 
     def chi_at(self, block, M_sorted) -> Form:
         """Signed chi lookup for an arbitrarily ordered block."""
-        sblock, sign = sort_with_sign(block)
-        if sign == 0:
-            return Form.zero(self.ctx)
-        val = self.chi.get((sblock, M_sorted))
-        if val is None:
-            return Form.zero(self.ctx)
-        return val.scale(sign)
+        return signed_get(self.chi, block, (M_sorted,), Form.zero(self.ctx))
 
     def chi_antisym(self, block, i: int, I_sorted) -> Form:
         """chi^{[block i] I}: normalized antisymmetrization over block + i."""
         idxs = tuple(block) + (i,)
         p = len(idxs)
         out = Form.zero(self.ctx)
-        for perm in itertools.permutations(range(p)):
-            sign = 1
-            for a in range(p):
-                for b in range(a + 1, p):
-                    if perm[a] > perm[b]:
-                        sign = -sign
-            arranged = tuple(idxs[t] for t in perm)
+        for arranged, sign in signed_permutations(idxs):
             val = self.chi_at(arranged[:-1], tuple(sorted((arranged[-1],) + I_sorted)))
             if not val.is_zero():
                 out = out + val.scale(Fraction(sign, math.factorial(p)))

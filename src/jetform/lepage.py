@@ -16,11 +16,15 @@ the coefficient) is first-order leads the decomposition when the remaining
 factors still carry a first-order contact form, and every other term is
 parked on an order-zero factor, where it cannot enter the residual.
 
-Normalization of the closed formulas: sums here run over fully ordered
-slot tuples.  A q-fold pure-contact correction built from a slot-symmetric
-coefficient collapses q! equal orderings, so the familiar 1/q! (taken per
-sorted slot tuple) becomes 1/(q!)^2 in the fully ordered sum; mixed sums
-whose slots are distinguishable keep their literal weight.
+The closed formulas are truncations of one pure-contact tower, built by
+``_closed_equivalent(lam, f1_slots, p2_slots)``: the Poincare-Cartan form
+is (1, 1), the first-order Krupka-Betounes equivalent (n, 0), and the
+second-order plain and generalized variants (1, n) and (n, n).  Sums there
+run over fully ordered slot tuples.  A q-fold pure-contact correction
+built from a slot-symmetric coefficient collapses q! equal orderings, so
+the familiar 1/q! (taken per sorted slot tuple) becomes 1/(q!)^2 in the
+fully ordered sum; mixed sums whose slots are distinguishable keep their
+literal weight.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
-from .forms import (Context, Form, ds_block, exterior_d, omega, p_k,
-                    volume, wedge)
+from .forms import Context, Form, ds_block, exterior_d, p_k, volume
 from .interior_euler import eta_decompose, interior_euler, residual_lower, residual_top
 from .multiindex import tuple_multiplicity
 from .symexpr import Scalar
@@ -97,18 +100,8 @@ def generic_lagrangian(ctx: Context, order: int, name: str = "L") -> Lagrangian:
 
 
 def poincare_cartan_closed(lam: Lagrangian) -> Form:
-    """The chart formulas: L ds + p^i w ds_i, plus second-order corrections."""
-    ctx = lam.ctx
-    out = lam.form()
-    for sigma in range(1, ctx.m + 1):
-        for j in range(1, ctx.n + 1):
-            coeff = lam.f1(sigma, j)
-            out = out + wedge(omega(ctx, sigma), ds_block(ctx, (j,))).scale(coeff)
-            if lam.order == 2:
-                for k in range(1, ctx.n + 1):
-                    out = out + wedge(omega(ctx, sigma, k),
-                                      ds_block(ctx, (j,))).scale(lam.p2(sigma, j, k))
-    return out
+    """The chart formulas: L ds + f^j w ds_j, plus p^{jk} w_k ds_j at order 2."""
+    return _closed_equivalent(lam, 1, 1)
 
 
 def poincare_cartan(lam: Lagrangian) -> Form:
@@ -184,29 +177,52 @@ def rossi_recurrence(lam: Lagrangian) -> LepageChain:
 # -- closed forms ----------------------------------------------------------------
 
 
+def _closed_equivalent(lam: Lagrangian, f1_slots: int, p2_slots: int) -> Form:
+    """L plus the pure-contact tower truncated at the given slot counts.
+
+    For Q = 1 .. f1_slots the f1 tower adds, over ordered slot pairs
+    (sigma_1, i_1) .. (sigma_Q, i_Q),
+
+        (Q!)^-2 [d/dy^{sigma_1}_{i_1} .. d/dy^{sigma_{Q-1}}_{i_{Q-1}} f1(sigma_Q, i_Q)]
+                omega^{sigma_1} ^ .. ^ omega^{sigma_Q} ^ ds_{i_1 .. i_Q};
+
+    for Q = 1 .. p2_slots the p2 tower adds the same wedge with the last
+    factor raised to omega^{sigma_Q}_j, the same partials of
+    p2(sigma_Q, i_Q, j), and weight (Q!)^-1: the raised slot is
+    distinguishable, so its ordered sum keeps the literal weight.
+    """
+    ctx = lam.ctx
+    n = ctx.n
+    slots = list(itertools.product(range(1, ctx.m + 1), range(1, n + 1)))
+    f1_leads = [(i, ('w', sigma, ()), lam.f1(sigma, i)) for sigma, i in slots]
+    p2_leads = [(i, ('w', sigma, (j,)), lam.p2(sigma, i, j))
+                for sigma, i in slots for j in range(1, n + 1)] if lam.order == 2 else []
+    terms = []
+    for top, power, leads in ((f1_slots, 2, f1_leads), (p2_slots, 1, p2_leads)):
+        leads = [lead for lead in leads if not lead[2].is_zero()]
+        for q in range(1, top + 1):
+            weight = Fraction(1, math.factorial(q) ** power)
+            for pairs in itertools.product(slots, repeat=q - 1):
+                plain = tuple(('w', sigma, ()) for sigma, _ in pairs)
+                for i, lead, base in leads:
+                    ds = ds_block(ctx, tuple(k for _, k in pairs) + (i,))
+                    if ds.is_zero():
+                        continue
+                    coeff = base
+                    for sigma, k in pairs:
+                        coeff = symexpr.partial(coeff, ('y', sigma, (k,)))
+                    if coeff.is_zero():
+                        continue
+                    [(horiz, sign)] = ds.terms.items()
+                    terms.append((plain + (lead,) + horiz, coeff * sign * weight))
+    return lam.form() + Form.from_terms(ctx, terms)
+
+
 def krupka_betounes_first(lam: Lagrangian) -> Form:
     """First-order equivalent: pure-contact corrections from the L-Hessians."""
     if lam.order != 1:
         raise UnsupportedOrder("the first-order closed form needs order 1")
-    ctx = lam.ctx
-    out = lam.form()
-    for q in range(1, ctx.n + 1):
-        weight = Fraction(1, math.factorial(q) ** 2)
-        for pairs in itertools.product(
-                itertools.product(range(1, ctx.m + 1), range(1, ctx.n + 1)), repeat=q):
-            coeff = lam.density
-            for sigma, i in pairs:
-                coeff = symexpr.partial(coeff, ('y', sigma, (i,)))
-            if coeff.is_zero():
-                continue
-            base = ds_block(ctx, tuple(i for _, i in pairs))
-            if base.is_zero():
-                continue
-            term = base
-            for sigma, _ in reversed(pairs):
-                term = wedge(omega(ctx, sigma), term)
-            out = out + term.scale(coeff * weight)
-    return out
+    return _closed_equivalent(lam, lam.ctx.n, 0)
 
 
 def kb_second_order(lam: Lagrangian, variant: str = "plain") -> Form:
@@ -221,57 +237,8 @@ def kb_second_order(lam: Lagrangian, variant: str = "plain") -> Form:
         raise UnsupportedOrder("the second-order closed forms need order 2")
     if variant not in ("plain", "generalized"):
         raise ValueError(f"unknown variant {variant!r}")
-    ctx = lam.ctx
-    n, m = ctx.n, ctx.m
-    out = lam.form()
-    for sigma in range(1, m + 1):
-        for i in range(1, n + 1):
-            out = out + wedge(omega(ctx, sigma), ds_block(ctx, (i,))).scale(lam.f1(sigma, i))
-    # sum_q (1/q!) d^{q-1} p2 terms: q-1 plain contact factors and one w_j;
-    # the distinguished w_j slot keeps the weight literal in the ordered sum
-    for q in range(1, n + 1):
-        weight = Fraction(1, math.factorial(q))
-        for pairs in itertools.product(
-                itertools.product(range(1, m + 1), range(1, n + 1)), repeat=q - 1):
-            for sigma_q in range(1, m + 1):
-                for i_q in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        coeff = lam.p2(sigma_q, i_q, j)
-                        for sigma, i in pairs:
-                            coeff = symexpr.partial(coeff, ('y', sigma, (i,)))
-                        if coeff.is_zero():
-                            continue
-                        base = ds_block(ctx, tuple(i for _, i in pairs) + (i_q,))
-                        if base.is_zero():
-                            continue
-                        term = wedge(omega(ctx, sigma_q, j), base)
-                        for sigma, _ in reversed(pairs):
-                            term = wedge(omega(ctx, sigma), term)
-                        out = out + term.scale(coeff * weight)
-    if variant == "plain":
-        return out
-    # telescoped f-partials: q+1 plain contact slots, so the ordered sum
-    # carries 1/((q+1)!)^2, which is what collapses onto the first-order
-    # equivalent for a density without second-order coordinates
-    for q in range(1, n):
-        weight = Fraction(1, math.factorial(q + 1) ** 2)
-        for pairs in itertools.product(
-                itertools.product(range(1, m + 1), range(1, n + 1)), repeat=q):
-            for sigma_last in range(1, m + 1):
-                for i_last in range(1, n + 1):
-                    coeff = lam.f1(sigma_last, i_last)
-                    for sigma, i in pairs:
-                        coeff = symexpr.partial(coeff, ('y', sigma, (i,)))
-                    if coeff.is_zero():
-                        continue
-                    base = ds_block(ctx, tuple(i for _, i in pairs) + (i_last,))
-                    if base.is_zero():
-                        continue
-                    term = wedge(omega(ctx, sigma_last), base)
-                    for sigma, _ in reversed(pairs):
-                        term = wedge(omega(ctx, sigma), term)
-                    out = out + term.scale(coeff * weight)
-    return out
+    n = lam.ctx.n
+    return _closed_equivalent(lam, n if variant == "generalized" else 1, n)
 
 
 # -- source forms -----------------------------------------------------------------

@@ -1,30 +1,19 @@
-"""Multi-index combinatorics and coefficient tensors.
+"""Multi-index combinatorics and the one permutation-sign kernel.
 
 Sums written over a multi-index of length k are sums over ordered k-tuples
 of base indices.  Internally symmetric data is keyed by the sorted tuple;
-``tuple_multiplicity`` converts between the two conventions.  Coefficient
-tensors store exact ordered index strings, so objects without clean
-symmetry (the split-like intermediate coefficients are antisymmetric in a
-leading block but not symmetric across it) are representable as-is.
+``tuple_multiplicity`` converts between the two conventions.
+
+Every permutation sign in the library comes from ``sort_with_sign``: the
+canonical order of a wedge of covectors, the signed lookup of coefficients
+stored per strictly increasing block (``signed_get``), and the signed
+orderings behind every antisymmetrization (``signed_permutations``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-
-from .symexpr import Scalar
-
-
-def multi_indices(n: int, k: int):
-    """All sorted k-tuples over {1..n}; there are C(n+k-1, k) of them."""
-    return list(itertools.combinations_with_replacement(range(1, n + 1), k))
-
-
-def ordered_tuples(n: int, k: int):
-    return itertools.product(range(1, n + 1), repeat=k)
 
 
 def tuple_multiplicity(J) -> int:
@@ -35,111 +24,49 @@ def tuple_multiplicity(J) -> int:
     return count
 
 
-def sort_with_sign(block):
-    """Sort an index block, tracking the permutation sign.
+def sort_with_sign(items, key=None):
+    """Sort ``items`` by ``key``, tracking the permutation sign.
 
-    Returns (sorted tuple, sign); sign is 0 when an index repeats.
+    Returns (sorted tuple, sign); sign is 0 when two keys are equal.  Keys
+    are computed once per item and the sort is stable.
     """
-    block = list(block)
+    items = tuple(items)
+    if len(items) < 2:
+        return items, 1
+    keys = items if key is None else [key(x) for x in items]
+    order = list(range(len(items)))
     sign = 1
-    for i in range(1, len(block)):
+    for i in range(1, len(order)):
         j = i
-        while j > 0 and block[j - 1] > block[j]:
-            block[j - 1], block[j] = block[j], block[j - 1]
+        while j > 0 and keys[order[j - 1]] > keys[order[j]]:
+            order[j - 1], order[j] = order[j], order[j - 1]
             sign = -sign
             j -= 1
-    for i in range(1, len(block)):
-        if block[i - 1] == block[i]:
-            return tuple(block), 0
-    return tuple(block), sign
+    for a, b in zip(order, order[1:]):
+        if keys[a] == keys[b]:
+            sign = 0
+            break
+    return tuple(items[t] for t in order), sign
 
 
-def perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def signed_permutations(seq):
+    """All len(seq)! orderings of ``seq`` by position, each with its sign."""
+    seq = tuple(seq)
+    for perm in itertools.permutations(range(len(seq))):
+        yield tuple(seq[t] for t in perm), sort_with_sign(perm)[1]
 
 
-@dataclass
-class CoefficientTensor:
-    """A family of scalar coefficients keyed by (index string, sigma).
+def signed_get(table: dict, block, rest: tuple, default):
+    """``table[(sorted block,) + rest]`` times the sign that sorts ``block``.
 
-    ``rank`` is the common length of the index strings.  Lookup is exact;
-    symmetrize/antisymmetrize build new tensors over the same key space.
+    Tables keyed by a strictly increasing block answer lookups for any
+    ordering of it; ``default`` comes back when the block repeats an index
+    or the key is absent.
     """
-
-    n: int
-    m: int
-    rank: int
-    data: dict = field(default_factory=dict)
-
-    def get(self, idx, sigma: int) -> Scalar:
-        return self.data.get((tuple(idx), sigma), Scalar.zero())
-
-    def set(self, idx, sigma: int, value: Scalar) -> None:
-        idx = tuple(idx)
-        if len(idx) != self.rank:
-            raise ValueError(f"index string {idx} has length != rank {self.rank}")
-        if value.is_zero():
-            self.data.pop((idx, sigma), None)
-        else:
-            self.data[(idx, sigma)] = value
-
-    def add(self, idx, sigma: int, value: Scalar) -> None:
-        self.set(idx, sigma, self.get(idx, sigma) + value)
-
-    def map_entries(self, fn) -> "CoefficientTensor":
-        out = CoefficientTensor(self.n, self.m, self.rank)
-        for (idx, sigma), v in self.data.items():
-            out.set(idx, sigma, fn(v))
-        return out
-
-    def __add__(self, other: "CoefficientTensor") -> "CoefficientTensor":
-        out = CoefficientTensor(self.n, self.m, self.rank, dict(self.data))
-        for (idx, sigma), v in other.data.items():
-            out.add(idx, sigma, v)
-        return out
-
-    def __sub__(self, other: "CoefficientTensor") -> "CoefficientTensor":
-        return self + other.map_entries(lambda v: -v)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoefficientTensor):
-            return NotImplemented
-        keys = set(self.data) | set(other.data)
-        return all(self.get(idx, s) == other.get(idx, s) for idx, s in keys)
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.data.values())
-
-
-def _permuted(idx: tuple, positions, perm) -> tuple:
-    out = list(idx)
-    vals = [idx[p] for p in positions]
-    for slot, p in enumerate(positions):
-        out[p] = vals[perm[slot]]
-    return tuple(out)
-
-
-def _weighted_perm_sum(T: CoefficientTensor, positions, signed: bool) -> CoefficientTensor:
-    positions = tuple(positions)
-    weight = Scalar.from_fraction(Fraction(1, math.factorial(len(positions))))
-    out = CoefficientTensor(T.n, T.m, T.rank)
-    for (idx, sigma), v in T.data.items():
-        for perm in itertools.permutations(range(len(positions))):
-            factor = perm_sign(perm) if signed else 1
-            out.add(_permuted(idx, positions, perm), sigma, weight * factor * v)
-    return out
-
-
-def antisymmetrize(T: CoefficientTensor, positions) -> CoefficientTensor:
-    """Normalized antisymmetrizer: 1/k! times the signed permutation sum."""
-    return _weighted_perm_sum(T, positions, signed=True)
-
-
-def symmetrize(T: CoefficientTensor, positions) -> CoefficientTensor:
-    """Normalized symmetrizer: 1/k! times the permutation sum."""
-    return _weighted_perm_sum(T, positions, signed=False)
+    sblock, sign = sort_with_sign(block)
+    if sign == 0:
+        return default
+    val = table.get((sblock,) + rest)
+    if val is None:
+        return default
+    return val if sign == 1 else -val

@@ -117,7 +117,7 @@ class _Parser:
         while self.peek()[0] in ('+', '-'):
             op = self.next()[0]
             rhs = self.wedge_term()
-            rhs = rhs if op == '+' else _negate(rhs)
+            rhs = rhs if op == '+' else -rhs
             value = _add(self, value, rhs)
         return value
 
@@ -140,7 +140,7 @@ class _Parser:
         if self.peek()[0] in ('+', '-'):
             op = self.next()[0]
             value = self.unary()
-            return value if op == '+' else _negate(value)
+            return value if op == '+' else -value
         return self.power()
 
     def power(self):
@@ -252,10 +252,6 @@ class _Parser:
 # -- operations on mixed scalar/form values ------------------------------------
 
 
-def _negate(v):
-    return v.scale(-1) if isinstance(v, Form) else -v
-
-
 def _add(p, a, b):
     if isinstance(a, Form) != isinstance(b, Form):
         if isinstance(a, Form) and not a.terms:
@@ -283,6 +279,8 @@ def _multiply(p, a, b):
 def _divide(p, a, b):
     if isinstance(b, Form):
         p.error("cannot divide by a form")
+    if b.is_zero():
+        p.error("division by zero")
     if isinstance(a, Form):
         return a.scale(Scalar.one() / b)
     return a / b

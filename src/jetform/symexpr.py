@@ -48,10 +48,6 @@ def y_atom(sigma: int, J: Iterable[int]) -> Atom:
     return ('y', sigma, tuple(sorted(J)))
 
 
-def x_atom(i: int) -> Atom:
-    return ('x', i)
-
-
 def opaque(name: str, indices: tuple = (), *, n: int, m: int, order: int) -> "Scalar":
     """A generic function symbol of the coordinates up to jet ``order``.
 
@@ -235,11 +231,6 @@ def _coerce(v) -> Scalar:
     if isinstance(v, (int, Fraction)):
         return Scalar.from_fraction(Fraction(v))
     raise TypeError(f"cannot coerce {v!r} to Scalar")
-
-
-def normalize(e: Scalar) -> Scalar:
-    """Expressions are built in normal form; normalization is the identity."""
-    return Scalar.from_terms(e.terms)
 
 
 # -- differentiation -------------------------------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import symexpr
 from .forms import (Context, Form, as_ds_block, d_H, ds_block, omega, p_k,
                     wedge)
-from .multiindex import perm_sign, sort_with_sign, tuple_multiplicity
+from .multiindex import signed_get, signed_permutations, tuple_multiplicity
 from .symexpr import Scalar
 
 
@@ -75,15 +75,19 @@ class VariationalMorphism:
     def add(self, block, sigma: int, J, value: Scalar) -> None:
         self.set(block, sigma, J, self.value(block, sigma, J) + value)
 
+    def spread(self, block, sigma: int, J, value: Scalar) -> None:
+        """Add value/tuple_multiplicity(J) at every distinct ordering of J.
+
+        This turns a coefficient read off a sorted key into the ordered-tuple
+        convention of the stored family.
+        """
+        share = value * Fraction(1, tuple_multiplicity(J))
+        for Jord in set(itertools.permutations(J)):
+            self.add(block, sigma, Jord, share)
+
     def value(self, block, sigma: int, J) -> Scalar:
         """Signed coefficient lookup for an arbitrarily ordered block."""
-        sblock, sign = sort_with_sign(block)
-        if sign == 0:
-            return Scalar.zero()
-        v = self.coeffs.get((sblock, sigma, tuple(J)))
-        if v is None:
-            return Scalar.zero()
-        return v if sign == 1 else -v
+        return signed_get(self.coeffs, block, (sigma, tuple(J)), Scalar.zero())
 
     @property
     def rank(self) -> int:
@@ -134,12 +138,9 @@ class VariationalMorphism:
         drawn from the front of the rank string; the lookup reassembles each
         permutation into (block, J) form.
         """
-        idxs = tuple(positions_block)
-        p = len(idxs)
+        p = len(positions_block)
         total = Scalar.zero()
-        for perm in itertools.permutations(range(p)):
-            sign = perm_sign(perm)
-            arranged = tuple(idxs[t] for t in perm)
+        for arranged, sign in signed_permutations(positions_block):
             val = self.value(arranged[:self.s], sigma, arranged[self.s:] + tuple(J))
             total = total + val * Fraction(sign, math.factorial(p))
         return total
@@ -177,9 +178,7 @@ def from_contact_form(rho: Form) -> VariationalMorphism:
         horiz = tuple(cov for cov in w if cov[0] == 'dx')
         [(sigma, J)] = [(cov[1], cov[2]) for cov in w if cov[0] == 'w']
         block, bsign = as_ds_block(ctx, horiz)
-        base = c * Fraction(reorder * bsign, sfact * tuple_multiplicity(J))
-        for Jord in set(itertools.permutations(J)):
-            V.add(block, sigma, Jord, base)
+        V.spread(block, sigma, J, c * Fraction(reorder * bsign, sfact))
     return V
 
 
@@ -221,9 +220,7 @@ def morphism_from_evaluation(rho: Form, s: int, family: str = "Xi") -> Variation
             J = tuple(sorted(key[1] for key in atom[6]))
             if any(key[0] != 'x' for key in atom[6]):
                 raise ValueError("expected formal total-derivative labels only")
-            base = coeff * Fraction(bsign, sfact * tuple_multiplicity(J))
-            for Jord in set(itertools.permutations(J)):
-                V.add(block, sigma, Jord, base)
+            V.spread(block, sigma, J, coeff * Fraction(bsign, sfact))
     return V
 
 
@@ -237,11 +234,6 @@ def divergence(Q: VariationalMorphism) -> VariationalMorphism:
         raise ValueError("divergence is defined for rank-0 morphisms")
     xi = formal_field(Q.ctx)
     return morphism_from_evaluation(d_H(Q.evaluate(xi)), Q.s - 1)
-
-
-def div_evaluation(T: VariationalMorphism, xi: dict) -> Form:
-    """Div(<T|J^{r-1}Xi>) as a form: d_H of the evaluation."""
-    return d_H(T.evaluate(xi))
 
 
 # -- codegree 0: canonical splitting ------------------------------------------
@@ -290,39 +282,26 @@ def split_codegree0(V: VariationalMorphism) -> SplitResult:
 # -- codegree >= 1: the split-like algorithm ----------------------------------
 
 
-def _that_family(V: VariationalMorphism) -> dict:
+def _that_family(V: VariationalMorphism) -> VariationalMorphism:
     """The iterated boundary coefficients of the split-like algorithm.
 
-    Returns level -> {(block(s+1) strict, sigma, L) -> Scalar}; level h holds
-    |L| = h, built top-down from the block-antisymmetrized coefficients.
+    A codegree-(s+1) morphism whose rank-h coefficients are built top-down,
+    h = r-1 .. 0, from the block-antisymmetrized coefficients of V.
     """
     ctx, s, r = V.ctx, V.s, V.rank
     n = ctx.n
-    levels: dict = {}
+    that = VariationalMorphism(ctx, s + 1)
     for h in range(r - 1, -1, -1):
-        level: dict = {}
         for block in itertools.combinations(range(1, n + 1), s + 1):
             for sigma in range(1, ctx.m + 1):
                 for L in itertools.product(range(1, n + 1), repeat=h):
                     val = V.antisym_value(block, sigma, L)
                     if h < r - 1:
-                        up = levels[h + 1]
                         for k in range(1, n + 1):
-                            prev = up.get((block, sigma, L + (k,)), Scalar.zero())
+                            prev = that.coeffs.get((block, sigma, L + (k,)), Scalar.zero())
                             val = val - symexpr.total_derivative(prev, k)
-                    if not val.is_zero():
-                        level[(block, sigma, L)] = val
-        levels[h] = level
-    return levels
-
-
-def _that_value(levels: dict, block, sigma: int, L) -> Scalar:
-    """Signed lookup in the t-hat family for an arbitrarily ordered block."""
-    sblock, sign = sort_with_sign(block)
-    if sign == 0:
-        return Scalar.zero()
-    val = levels.get(len(L), {}).get((sblock, sigma, tuple(L)), Scalar.zero())
-    return val if sign == 1 else -val
+                    that.set(block, sigma, L, val)
+    return that
 
 
 def split_like(V: VariationalMorphism) -> SplitResult:
@@ -336,13 +315,9 @@ def split_like(V: VariationalMorphism) -> SplitResult:
         raise UnsupportedCase("split_like needs codegree s >= 1")
     ctx, s, r = V.ctx, V.s, V.rank
     n = ctx.n
-    levels = _that_family(V)
-
-    T = VariationalMorphism(ctx, s + 1)
+    that = _that_family(V)
     w = Fraction(1, s + 1)
-    for level in levels.values():
-        for (block, sigma, L), val in level.items():
-            T.set(block, sigma, L, val * w)
+    T = VariationalMorphism(ctx, s + 1, {key: v * w for key, v in that.coeffs.items()})
 
     E = VariationalMorphism(ctx, s)
     for block in itertools.combinations(range(1, n + 1), s):
@@ -353,14 +328,14 @@ def split_like(V: VariationalMorphism) -> SplitResult:
                     if h == 0:
                         for i in range(1, n + 1):
                             val = val - symexpr.total_derivative(
-                                _that_value(levels, block + (i,), sigma, ()), i)
+                                that.value(block + (i,), sigma, ()), i)
                     elif h == r:
-                        val = val - _that_value(levels, block + (J[0],), sigma, J[1:])
+                        val = val - that.value(block + (J[0],), sigma, J[1:])
                     else:
                         for i in range(1, n + 1):
                             val = val - symexpr.total_derivative(
-                                _that_value(levels, block + (i,), sigma, J), i)
-                        val = val - _that_value(levels, block + (J[0],), sigma, J[1:])
+                                that.value(block + (i,), sigma, J), i)
+                        val = val - that.value(block + (J[0],), sigma, J[1:])
                     if not val.is_zero():
                         E.set(block, sigma, J, val)
     return SplitResult(E, T, 'split-like')

@@ -70,6 +70,14 @@ def test_parse_dy_goes_through_contact_basis():
     assert f == omega(CTX11, 1) + dx(CTX11, 1).scale(se.y(1, 1))
 
 
+def test_parse_dy_and_omega_on_one_coordinate_do_not_cancel():
+    # dy^u = w^u + u_j dx^j, so dy(u) /\ w(u) keeps the dx^j /\ w(u) part
+    f = parse_form("dy(u) /\\ w(u)", CTX21, 1)
+    assert f == (wedge(dx(CTX21, 1), omega(CTX21, 1)).scale(se.y(1, 1))
+                 + wedge(dx(CTX21, 2), omega(CTX21, 1)).scale(se.y(1, 2)))
+    assert parse_form("w(u) /\\ dy(u)", CTX21, 1) == -f
+
+
 def test_power_binds_tighter_than_product():
     lam = parse_lagrangian("2*u_x^2", CTX21, 1)
     assert lam.density == se.rational(2) * se.y(1, 1) ** 2
@@ -178,6 +186,16 @@ def test_cli_usage_error_is_2():
     code, _, err = run_cli(["el", "--base-dim", "2", "--order", "1", "u_xx"])
     assert code == 2
     assert "order" in err
+
+
+@pytest.mark.parametrize("argv", [["el", "1/0"], ["el", "u/0"],
+                                  ["decompose", "dx1/0"]])
+def test_cli_division_by_zero_is_2(argv):
+    code, out, err = run_cli(argv[:1] + ["--base-dim", "2", "--fiber-dim", "1",
+                                         "--order", "1"] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "division by zero" in err
 
 
 def test_cli_stdin():

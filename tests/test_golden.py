@@ -1,0 +1,106 @@
+"""Byte-stability of the CLI's JSON output.
+
+Each case runs one subcommand with ``--format json`` on a polynomial input
+and compares the sha256 of its stdout with a recorded digest.  A refactor
+of the engine must leave every digest unchanged; a deliberate change of
+output has to re-record them.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from jetform.cli import main
+
+CASES = [
+    ("pc -n 2 -m 1 -r 1",
+     "1/2*(u_x^2+u_y^2) + u*u_x*u_y",
+     "7f34f4b9829acea2ebf16a3e345dfe11298926259561d87ef8a2ad4f063f9e6f"),
+    ("pc -n 3 -m 2 -r 2",
+     "u_xx*v_y + u*v_yz^2 - u_x*v_xy",
+     "07354ec5a952441120829a9e59b1f86272075bd4a23af99e8e915252d9d79c77"),
+    ("kb -n 3 -m 1 -r 1",
+     "u_x*u_y*u_z + u^2*u_x - 1/3*u_y^2",
+     "4f0568444601f54339a76ef7044a6a784ae532ba4715607c780b25eac257b294"),
+    ("kb -n 3 -m 2 -r 1",
+     "u_x*v_y*u_z - u_y*v_x + u*v_z^2",
+     "07827e05bc16ab7285bb75d51319c3aa6265dfabd6db5aaeae63b4ec0d9eb0b3"),
+    ("kb -n 2 -m 2 -r 1",
+     "u_x*v_y - u_y*v_x",
+     "57e4cebc3b0580ed3e9ade8ad4c54b295016754e65166eeac691b4e8a1e2f2a1"),
+    ("kb -n 2 -m 1 -r 2 --variant plain",
+     "u_xx*u_y^2 + u_x*u_xy",
+     "4e070c419fe859b7a32f0a9930047816a4635ed30533e1dd907377ecc80ad854"),
+    ("kb -n 2 -m 1 -r 2 --variant generalized",
+     "u_xx*u_y^2 + u_x*u_xy",
+     "4e070c419fe859b7a32f0a9930047816a4635ed30533e1dd907377ecc80ad854"),
+    ("kb -n 3 -m 1 -r 2 --variant plain",
+     "u_xy*u_z^2 + u_x*u_y*u_zz",
+     "d4391bd69fae3de4488aaa0de3b189ef53d0ef8044fa69e66a08c44029d333e6"),
+    ("kb -n 3 -m 1 -r 2 --variant generalized",
+     "u_xy*u_z^2 + u_x*u_y*u_zz",
+     "d4391bd69fae3de4488aaa0de3b189ef53d0ef8044fa69e66a08c44029d333e6"),
+    ("kb -n 2 -m 2 -r 2 --variant plain",
+     "u_xx*v_y + u_x*v_xy^2 + u_y*v_x*u",
+     "58175d06d9933fcd6a395727f7bdfc177a5a53cf526f5e27a77e48ad6fe3fc8f"),
+    ("kb -n 2 -m 2 -r 2 --variant generalized",
+     "u_xx*v_y + u_x*v_xy^2 + u_y*v_x*u",
+     "136c909cc85477dce786ca39cbcbdfd3e5352db99366697dc1793c27f231419d"),
+    ("kb -n 3 -m 2 -r 2 --variant plain",
+     "u_xz*v_y + u_x*v_y*u_z + v_zz*u_y^2",
+     "4b25b4c7d9d94e8d28fb88aebd315048e99ec8ede65ca6830dc4f5fdee989084"),
+    ("kb -n 3 -m 2 -r 2 --variant generalized",
+     "u_xz*v_y + u_x*v_y*u_z + v_zz*u_y^2",
+     "f55ff86891e529014c0e901f4e64436433bb4f8ef5ba4b0d3011dbbf7415a2ae"),
+    ("el -n 2 -m 1 -r 1",
+     "1/2*(u_x^2+u_y^2)",
+     "dbe6bca0c322c08dbb741e9386d824b6c567454bd7db0c32025cdb87419e979f"),
+    ("el -n 3 -m 2 -r 2",
+     "u_xx*v_y^2 + u*v_yz - v*u_z^3",
+     "aa86f6705dd9f6cf16daf71b2da3753dfc181d7522fa28c996b0f1d91010177c"),
+    ("split -n 2 -m 1 -r 1",
+     "u_1 * w(u,1) /\\ ds",
+     "d0c672fb0cda14627746ea1996abf59244f5781cd72a4c04aeee058b05a6a2b4"),
+    ("split -n 2 -m 1 -r 1",
+     "u_1 * w(u,1) /\\ dx2 + u^2 * w(u) /\\ dx1",
+     "3cb82d267646a4529a9b370a76a4f087416cfbcf44257084544ef255a43c3e98"),
+    ("split -n 3 -m 1 -r 2",
+     "u_1 * w(u,11) /\\ dx2 /\\ dx3 + u_2 * w(u,12) /\\ dx1 /\\ dx3",
+     "a3d789b312ce6a3dc4c2be2dd1301439ab57089cdee327704d905b97e0657f4b"),
+    ("splitlike -n 2 -m 1 -r 1",
+     "u_1 * w(u,1) /\\ dx2",
+     "96eb27bd8710a91db9902c6632d3af3340cf68a0062be2cbeb89b3d65a94c5cf"),
+    ("splitlike -n 3 -m 2 -r 2",
+     "u_1 * w(v,11) /\\ dx2 /\\ dx3 + v_2 * w(u,2) /\\ dx1 /\\ dx3",
+     "c1ba40139245aca55e4c005fede2e6a59737a1643ec597662cecec77fe822545"),
+    ("alpha -n 2 -m 1 -r 2",
+     "u_1 * w(u,11) /\\ dx2 + u_2 * w(u,12) /\\ dx1",
+     "32754d58fd67099f03dfdea054d6f801fef1666e4ceeb29ab7201d1abfa6ec30"),
+    ("alpha -n 3 -m 2 -r 2",
+     "v_3 * w(u,13) /\\ dx2 /\\ dx3 + u_2 * w(v,22) /\\ dx1 /\\ dx2",
+     "f43b3c127f7d4b2422fb66405669ed7bc65a69d403408b76657c77c9cea47a4c"),
+    ("residual -n 2 -m 1 -r 1 --codegree 1",
+     "u_1 * w(u,1) /\\ dx2",
+     "218a12a4af1ba770cd9e144327108e25d563ea05459a2e9344447df21b7c6b1d"),
+    ("residual -n 3 -m 2 -r 2 --codegree 1",
+     "u*v_1 * w(u,12) /\\ dx2 /\\ dx3 + v_3 * w(v,3) /\\ dx1 /\\ dx2",
+     "946408b9f8bc6a0c10a8d3ad0b36fcb4f98f5a2eaf7988141a913b0e62d3bad2"),
+    ("ieuler -n 2 -m 1 -r 1",
+     "u_1 * w(u,1) /\\ w(u) /\\ ds",
+     "8cfcaccc73334810cf824e60b6c2c178fd1d50d4842b977f3d8850b8ab1b4c49"),
+    ("ieuler -n 3 -m 2 -r 2",
+     "u*v_2 * w(u,12) /\\ w(v,3) /\\ dx1 /\\ dx2 /\\ dx3",
+     "0b2d855e05a618cca2e9a8c3fd66ac3116e4b4cc306431b502d640ae405c3690"),
+]
+
+
+@pytest.mark.parametrize("flags,expr,digest", CASES,
+                         ids=[f"{c[0]}|{c[1]}" for c in CASES])
+def test_json_digest(flags, expr, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(flags.split() + ["--format", "json", expr])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

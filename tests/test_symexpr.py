@@ -42,13 +42,6 @@ def test_ring_identity():
     assert lhs.is_zero()
 
 
-def test_normalize_idempotent():
-    rng = random.Random(7)
-    for _ in range(20):
-        e = rand_expr(rng)
-        assert se.normalize(se.normalize(e)) == se.normalize(e) == e
-
-
 def test_e_minus_e_is_zero():
     rng = random.Random(8)
     for _ in range(20):
