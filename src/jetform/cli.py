@@ -1,10 +1,9 @@
 """Command-line interface.
 
 Subcommands: decompose, ieuler, residual, split, splitlike, alpha, pc, kb,
-el, verify.  Dimensions and the working order come from flags only; exit
-status is 0 on success or PASS, 1 when a verify identity fails, and 2 on
-usage or parse errors.  The expression argument reads stdin when given
-as "-".
+el, verify.  Dimensions and the working order come from flags only; the
+exit status is one of EXIT_CODES.  The expression argument reads stdin when
+given as "-".
 """
 
 from __future__ import annotations
@@ -27,6 +26,12 @@ from .varmorph import (DegreeTooHigh, NotOneContact, UnsupportedCase,
                        to_contact_form)
 from .verify import CHECKS, run_identity
 
+EXIT_CODES = """exit status:
+  0  success, or every verify identity PASSed
+  1  a verify identity FAILed
+  2  usage, parse or input error
+  3  internal error: a runtime self-check of the engine failed"""
+
 
 def _common(sub):
     sub.add_argument("--base-dim", "-n", type=int, default=2,
@@ -48,7 +53,8 @@ def _expr_arg(sub):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="jetform",
-        description="symbolic contact-form calculus on jet bundles")
+        description="symbolic contact-form calculus on jet bundles",
+        epilog=EXIT_CODES, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = ap.add_subparsers(dest="command", required=True)
 
     for name, doc in [
@@ -141,10 +147,13 @@ def _run(args) -> int:
                 rho = krupka_betounes_first(lam)
             else:
                 rho = kb_second_order(lam, args.variant)
-            chain = rossi_recurrence(lam)
-            if not (chain.terminal - rho).is_zero() and (
-                    lam.order == 1 or args.variant == "plain"):
-                print("warning: recurrence and closed form disagree", file=sys.stderr)
+            # the generalized variant is not the recurrence's terminal, so the
+            # recurrence is run only to cross-check the other two
+            if lam.order == 1 or args.variant == "plain":
+                terminal = rossi_recurrence(lam).terminal
+                if not (terminal - rho).is_zero():
+                    print("warning: recurrence and closed form disagree",
+                          file=sys.stderr)
             print(_emit_form(rho, args, fields))
         return 0
 
@@ -194,10 +203,14 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except (InputSyntaxError, OrderViolation, UnknownIdentifier, NotOneContact,
-            DegreeTooHigh, UnsupportedCase, UnsupportedOrder, ExpansionMismatch,
-            RecompositionFailure, ValueError) as exc:
+            DegreeTooHigh, UnsupportedCase, UnsupportedOrder, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecompositionFailure, ExpansionMismatch, AssertionError) as exc:
+        # a runtime self-check failed: eta recomposition, xi rebuild or the
+        # Poincare-Cartan cross-check
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

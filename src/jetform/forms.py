@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import symexpr
 from .multiindex import sort_with_sign
@@ -62,7 +61,7 @@ class Form:
 
     @staticmethod
     def from_scalar(ctx: Context, c) -> "Form":
-        c = c if isinstance(c, Scalar) else Scalar.from_fraction(Fraction(c))
+        c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
         return Form(ctx, {(): c} if not c.is_zero() else {})
 
     @staticmethod
@@ -104,9 +103,11 @@ class Form:
         return self + (-other)
 
     def scale(self, c) -> "Form":
-        c = c if isinstance(c, Scalar) else Scalar.from_fraction(Fraction(c))
+        c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
         if c.is_zero():
             return Form(self.ctx)
+        if c.terms == {(): 1}:
+            return Form(self.ctx, dict(self.terms))
         return Form(self.ctx, {w: v * c for w, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -182,7 +183,7 @@ def ds_block(ctx: Context, block) -> Form:
         sign *= (-1) ** pos
         covs.remove(idx)
     wedge = tuple(('dx', i) for i in covs)
-    return Form(ctx, {wedge: Scalar.from_fraction(Fraction(sign))})
+    return Form(ctx, {wedge: Scalar.from_fraction(sign)})
 
 
 def as_ds_block(ctx: Context, horiz_wedge) -> tuple:

@@ -38,6 +38,10 @@ class ExpansionMismatch(Exception):
     """The telescoped xi family does not rebuild p_k rho (a multiplicity bug)."""
 
 
+class GradingMismatch(ValueError):
+    """The input form's degrees do not fit the operator applied to it."""
+
+
 @dataclass
 class EtaDecomposition:
     """p_k rho = sum over sorted (sigma, J) of omega^sigma_J ^ eta^J_sigma."""
@@ -65,7 +69,7 @@ def eta_decompose(rho: Form, k: int, etas: dict | None = None) -> EtaDecompositi
     part = p_k(rho, k)
     hdegs = {h for h, _ in part.degrees()}
     if len(hdegs) > 1:
-        raise RecompositionFailure(f"mixed horizontal degrees {hdegs} in p_{k}")
+        raise GradingMismatch(f"mixed horizontal degrees {hdegs} in p_{k}")
     s = ctx.n - hdegs.pop() if hdegs else 0
     if k == 0:
         return EtaDecomposition(ctx, 0, s, 0, {})
@@ -127,7 +131,7 @@ def ibp_expand(rho: Form, k: int, s: int | None = None,
     ctx = rho.ctx
     dec = eta if eta is not None else eta_decompose(rho, k)
     if s is not None and dec.etas and dec.s != s:
-        raise ExpansionMismatch(f"form has codegree {dec.s}, expected {s}")
+        raise GradingMismatch(f"form has codegree {dec.s}, expected {s}")
     r = dec.r
     n = ctx.n
 

@@ -281,6 +281,8 @@ def _divide(p, a, b):
         p.error("cannot divide by a form")
     if b.is_zero():
         p.error("division by zero")
+    if not b.is_rational():
+        p.error("cannot divide by a non-constant expression")
     if isinstance(a, Form):
         return a.scale(Scalar.one() / b)
     return a / b

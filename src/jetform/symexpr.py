@@ -1,8 +1,11 @@
 """Exact scalar algebra over jet coordinates.
 
 Expressions are kept in an expanded multivariate normal form: a map from
-monomials to rational coefficients.  A monomial is a sorted tuple of
-(atom, exponent) pairs.  Three kinds of atoms exist:
+monomials to nonzero rational coefficients, stored as ``int`` while
+integral and as ``Fraction`` otherwise (the two compare and hash equal, so
+the normal form does not depend on which one a coefficient happens to be).
+A monomial is a sorted tuple of (atom, exponent) pairs.  Three kinds of
+atoms exist:
 
 * ``('x', i)``             -- base coordinate x^i, 1 <= i <= n
 * ``('y', sigma, J)``      -- jet coordinate y^sigma_J, J a sorted tuple
@@ -30,18 +33,15 @@ from typing import Iterable, Iterator
 Atom = tuple
 Monomial = tuple  # tuple[tuple[Atom, int], ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def x(i: int) -> "Scalar":
     """The base coordinate x^i as an expression."""
-    return Scalar({(( ('x', i), 1),): _ONE})
+    return Scalar({(( ('x', i), 1),): 1})
 
 
 def y(sigma: int, *J: int) -> "Scalar":
     """The jet coordinate y^sigma_J; J is re-sorted on construction."""
-    return Scalar({((y_atom(sigma, J), 1),): _ONE})
+    return Scalar({((y_atom(sigma, J), 1),): 1})
 
 
 def y_atom(sigma: int, J: Iterable[int]) -> Atom:
@@ -55,7 +55,7 @@ def opaque(name: str, indices: tuple = (), *, n: int, m: int, order: int) -> "Sc
     distinct components of one coefficient family apart.  ``order == -1``
     declares a function of x alone, whose total derivatives stay formal.
     """
-    return Scalar({((('f', name, tuple(indices), n, m, order, ()), 1),): _ONE})
+    return Scalar({((('f', name, tuple(indices), n, m, order, ()), 1),): 1})
 
 
 def rational(p: int, q: int = 1) -> "Scalar":
@@ -102,8 +102,11 @@ class Scalar:
         return Scalar({m: c for m, c in terms.items() if c != 0})
 
     @staticmethod
-    def from_fraction(c: Fraction) -> "Scalar":
-        return Scalar({(): c} if c != 0 else {})
+    def from_fraction(c) -> "Scalar":
+        """The constant c (an int or a Fraction); integral values become int."""
+        if not c:
+            return Scalar({})
+        return Scalar({(): c.numerator if c.denominator == 1 else c})
 
     @staticmethod
     def zero() -> "Scalar":
@@ -111,7 +114,7 @@ class Scalar:
 
     @staticmethod
     def one() -> "Scalar":
-        return Scalar({(): _ONE})
+        return Scalar({(): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -123,9 +126,9 @@ class Scalar:
 
     def as_fraction(self) -> Fraction:
         if not self.terms:
-            return _ZERO
+            return Fraction(0)
         if self.is_rational():
-            return self.terms[()]
+            return Fraction(self.terms[()])
         raise ValueError("expression is not a rational constant")
 
     # -- ring operations ---------------------------------------------------
@@ -138,11 +141,13 @@ class Scalar:
             return self
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
+            old = out.get(m)
+            if old is None:
+                out[m] = c
+            elif s := old + c:
                 out[m] = s
             else:
-                out.pop(m, None)
+                del out[m]
         return Scalar(out)
 
     __radd__ = __add__
@@ -160,15 +165,25 @@ class Scalar:
         other = _coerce(other)
         if not self.terms or not other.terms:
             return Scalar({})
+        if len(self.terms) == 1 and () in self.terms:
+            self, other = other, self
+        if len(other.terms) == 1 and () in other.terms:
+            # a constant factor only rescales; no monomial products to merge
+            c = other.terms[()]
+            if c == 1:
+                return self
+            return Scalar({m: a * c for m, a in self.terms.items()})
         out: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mul_monomials(ma, mb)
-                s = out.get(m, _ZERO) + ca * cb
-                if s:
+                old = out.get(m)
+                if old is None:
+                    out[m] = ca * cb
+                elif s := old + ca * cb:
                     out[m] = s
                 else:
-                    out.pop(m, None)
+                    del out[m]
         return Scalar(out)
 
     __rmul__ = __mul__
@@ -229,7 +244,7 @@ def _coerce(v) -> Scalar:
     if isinstance(v, Scalar):
         return v
     if isinstance(v, (int, Fraction)):
-        return Scalar.from_fraction(Fraction(v))
+        return Scalar.from_fraction(v)
     raise TypeError(f"cannot coerce {v!r} to Scalar")
 
 
@@ -249,27 +264,39 @@ def _atom_partial(atom: Atom, coord: Atom) -> Scalar:
         return Scalar.one() if atom == coord else Scalar.zero()
     if not _atom_depends(atom, coord):
         return Scalar.zero()
-    name, idx, n, m, order, partials = atom[1:]
-    labelled = ('f', name, idx, n, m, order, tuple(sorted(partials + (coord,))))
-    return Scalar({((labelled, 1),): _ONE})
+    return Scalar({((_labelled(atom, coord), 1),): 1})
+
+
+def _labelled(atom: Atom, coord: Atom) -> Atom:
+    """The opaque atom with one more formal partial, in ``coord``."""
+    return atom[:6] + (tuple(sorted(atom[6] + (coord,))),)
 
 
 def _derive_monomials(e: Scalar, atom_rule) -> Scalar:
-    """Extend a derivation on atoms to the whole ring by the Leibniz rule."""
+    """Extend a derivation on atoms to the whole ring by the Leibniz rule.
+
+    Each term of D(atom) is multiplied by the rest of the monomial straight
+    into the result; for a fixed rest these products are distinct monomials.
+    """
     total: dict = {}
+    get = total.get
     for mono, coeff in e.terms.items():
         for t, (a, k) in enumerate(mono):
-            da = atom_rule(a)
-            if da.is_zero():
+            da = atom_rule(a).terms
+            if not da:
                 continue
             rest = mono[:t] + ((a, k - 1),) * (k > 1) + mono[t + 1:]
-            piece = Scalar({rest: coeff * k}) * da
-            for m, c in piece.terms.items():
-                s = total.get(m, _ZERO) + c
-                if s:
+            ck = coeff if k == 1 else coeff * k
+            for mb, cb in da.items():
+                m = _mul_monomials(rest, mb)
+                c = ck if cb == 1 else ck * cb
+                old = get(m)
+                if old is None:
+                    total[m] = c
+                elif s := old + c:
                     total[m] = s
                 else:
-                    total.pop(m, None)
+                    del total[m]
     return Scalar(total)
 
 
@@ -290,13 +317,16 @@ def _atom_total(atom: Atom, i: int) -> Scalar:
         return Scalar.one() if atom[1] == i else Scalar.zero()
     if kind == 'y':
         return y(atom[1], *(atom[2] + (i,)))
-    # chain rule over the declared dependencies
-    n, m, order = atom[3], atom[4], atom[5]
-    out = _atom_partial(atom, ('x', i))
+    # chain rule over the declared dependencies: d_i f = f'x^i plus
+    # f'y^sigma_J * y^sigma_{J+i} over sigma and |J| <= order.  Each labelled
+    # partial is a distinct 'f' atom, which sorts before every 'y' atom, so
+    # every monomial below is already in normal form and has coefficient 1.
+    n, m, order = atom[3:6]
+    out = {((_labelled(atom, ('x', i)), 1),): 1}
     for sigma in range(1, m + 1):
         for J in jet_keys(n, order):
-            out = out + y(sigma, *(J + (i,))) * _atom_partial(atom, ('y', sigma, J))
-    return out
+            out[((_labelled(atom, ('y', sigma, J)), 1), (y_atom(sigma, J + (i,)), 1))] = 1
+    return Scalar(out)
 
 
 def total_derivative(e: Scalar, i: int) -> Scalar:
@@ -354,5 +384,5 @@ def collect_linear(e: Scalar, family: str) -> dict:
             a, k = mono[t]
             rest = mono[:t] + ((a, k - 1),) * (k > 1) + mono[t + 1:]
         bucket = out.setdefault(key, {})
-        bucket[rest] = bucket.get(rest, _ZERO) + coeff
+        bucket[rest] = bucket.get(rest, 0) + coeff
     return {k: Scalar.from_terms(v) for k, v in out.items()}

@@ -1,13 +1,15 @@
 import json
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
+from jetform import cli, interior_euler, lepage
 from jetform import symexpr as se
 from jetform.cli import main
-from jetform.forms import Context, ds_block, dx, omega, volume, wedge
+from jetform.forms import Context, Form, ds_block, dx, omega, volume, wedge
 from jetform.parser import (InputSyntaxError, OrderViolation,
                             UnknownIdentifier, parse_form, parse_lagrangian)
 from jetform.printers import form_json, form_latex, form_text
@@ -196,6 +198,71 @@ def test_cli_division_by_zero_is_2(argv):
     assert code == 2
     assert out == ""
     assert "division by zero" in err
+
+
+@pytest.mark.parametrize("argv", [["el", "u/u_x"], ["decompose", "dx1/(u + 1)"]])
+def test_cli_non_constant_divisor_is_2(argv):
+    code, out, err = run_cli(argv[:1] + ["--base-dim", "2", "--fiber-dim", "1",
+                                         "--order", "1"] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: cannot divide by a non-constant expression "
+                        r"\(line 1, column \d+\)\n", err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["residual", "--codegree", "0", "u_1 * w(u,1) /\\ dx2"],
+     "form has codegree 1, expected 0"),
+    (["residual", "w(u) /\\ dx1 + w(u) /\\ dx1 /\\ dx2"],
+     "mixed horizontal degrees"),
+])
+def test_cli_grading_mismatch_is_2(argv, message):
+    code, out, err = run_cli(argv[:1] + ["--base-dim", "2", "--fiber-dim", "1",
+                                         "--order", "1"] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def _recompose_nothing(self):
+    return Form.zero(self.ctx)
+
+
+def _drop_derivatives(rho, J):
+    return rho if not tuple(J) else Form.zero(rho.ctx)
+
+
+@pytest.mark.parametrize("module,name,broken,message", [
+    (interior_euler.EtaDecomposition, "recompose", _recompose_nothing,
+     "eta family does not recompose"),
+    (interior_euler, "total_derivative_form_multi", _drop_derivatives,
+     "xi telescoping does not rebuild"),
+    (lepage, "poincare_cartan_closed", lambda lam: Form.zero(lam.ctx),
+     "residual route disagrees"),
+])
+def test_cli_failed_self_check_is_internal_error_3(monkeypatch, module, name,
+                                                   broken, message):
+    monkeypatch.setattr(module, name, broken)
+    code, out, err = run_cli(["pc", "--base-dim", "2", "--fiber-dim", "1",
+                              "--order", "1", "1/2*(u_x^2+u_y^2)"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and message in err
+
+
+def test_cli_kb_runs_the_recurrence_only_to_cross_check(monkeypatch):
+    calls = []
+    real = cli.rossi_recurrence
+    monkeypatch.setattr(cli, "rossi_recurrence",
+                        lambda lam: calls.append(lam.order) or real(lam))
+    base = ["kb", "--base-dim", "2", "--fiber-dim", "1"]
+    expr = "u_xx*u_y^2 + u_x*u_xy"
+    for flags in (["--order", "1", "u_x*u_y^2"],
+                  ["--order", "2", "--variant", "plain", expr],
+                  ["--order", "2", "--variant", "generalized", expr]):
+        code, out, err = run_cli(base + flags)
+        assert code == 0 and out and err == ""
+    assert calls == [1, 2]
 
 
 def test_cli_stdin():

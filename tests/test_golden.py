@@ -1,9 +1,12 @@
-"""Byte-stability of the CLI's JSON output.
+"""Byte-stability of the JSON output.
 
-Each case runs one subcommand with ``--format json`` on a polynomial input
-and compares the sha256 of its stdout with a recorded digest.  A refactor
-of the engine must leave every digest unchanged; a deliberate change of
-output has to re-record them.
+Each CLI case runs one subcommand with ``--format json`` on a polynomial
+input and compares the sha256 of its stdout with a recorded digest.  The
+opaque cases do the same for the library on a generic opaque density, whose
+total derivatives go through the chain rule: the closed equivalent, the
+terminal of the residual-operator recurrence and the Euler-Lagrange form.
+A refactor of the engine must leave every digest unchanged; a deliberate
+change of output has to re-record them.
 """
 
 import contextlib
@@ -12,7 +15,10 @@ import io
 
 import pytest
 
+from jetform import lepage
 from jetform.cli import main
+from jetform.forms import Context
+from jetform.printers import form_json
 
 CASES = [
     ("pc -n 2 -m 1 -r 1",
@@ -104,3 +110,37 @@ def test_json_digest(flags, expr, digest):
         code = main(flags.split() + ["--format", "json", expr])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# (n, m, order) -> digests of the closed equivalent, the recurrence terminal
+# (equal to it) and the Euler-Lagrange form of generic_lagrangian
+OPAQUE_CASES = [
+    ((2, 1, 1),
+     "9006c55968a55b7b0fee9d95eae25d75be72c4e6e43575b6187e538a0756c40c",
+     "57658355128520c3f4cd91731cb1d6f10f4c296ec3321fe3326aee4468b1129f"),
+    ((3, 1, 1),
+     "68da8d59d970e70583d7a18deb1908de46471024c6b2624bd7eb3926e73daaf0",
+     "a804d678384ca3c1b37ae29ff97dea5432f40024f39d941c71f865450647de32"),
+    ((2, 2, 2),
+     "de4d4b37acd584e1ecb576e60d5ae53b1fdd32e0dd294a1c2c6f09af99338a71",
+     "c807b2637e8a189e72795f04934ed7c14c94183ce99416285f6acdf8d131c0e4"),
+    ((3, 1, 2),
+     "370aeb1d30a2792ed0c30962fad08b1cb1a1a4839f84810555f877ef6c261083",
+     "9e7b1a23f4605a01dae5cfc32995d0d24f16176fc940c64c9a4ea8307203c55e"),
+]
+
+
+def _digest(form) -> str:
+    return hashlib.sha256(form_json(form).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("nmr,closed_digest,el_digest", OPAQUE_CASES,
+                         ids=[f"n{n}m{m}r{r}" for (n, m, r), _, _ in OPAQUE_CASES])
+def test_opaque_json_digest(nmr, closed_digest, el_digest):
+    n, m, r = nmr
+    lam = lepage.generic_lagrangian(Context(n=n, m=m), r)
+    closed = (lepage.krupka_betounes_first(lam) if r == 1
+              else lepage.kb_second_order(lam, "plain"))
+    assert _digest(closed) == closed_digest
+    assert _digest(lepage.rossi_recurrence(lam).terminal) == closed_digest
+    assert _digest(lepage.euler_lagrange(lam)) == el_digest

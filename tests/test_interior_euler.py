@@ -7,7 +7,7 @@ from jetform import symexpr as se
 from jetform.forms import (Context, Form, d_H, ds_block, dx, exterior_d,
                            omega, p_k, total_derivative_form_multi, volume,
                            wedge, wedge_all)
-from jetform.interior_euler import (ExpansionMismatch, RecompositionFailure,
+from jetform.interior_euler import (GradingMismatch, RecompositionFailure,
                                     eta_decompose, ibp_expand, interior_euler,
                                     residual_lower, residual_top, split_lower)
 from jetform.randomgen import rand_form
@@ -79,7 +79,7 @@ def test_ibp_r1_telescope():
 def test_ibp_wrong_codegree_is_a_mismatch():
     ctx = Context(n=2, m=1)
     rho = wedge(omega(ctx, 1), ds_block(ctx, (1,))).scale(se.y(1))
-    with pytest.raises(ExpansionMismatch):
+    with pytest.raises(GradingMismatch):
         ibp_expand(rho, 1, s=0)  # the form has codegree 1
 
 

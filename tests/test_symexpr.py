@@ -155,3 +155,113 @@ def test_collect_linear():
     assert buckets[next(iter(xi.terms))[0][0]] == se.y(1)
     with pytest.raises(ValueError):
         se.collect_linear(xi * xi, "Xi")
+
+
+# -- the chain rule against a reference built from ring arithmetic -------------------
+
+def _reference_atom_total(atom, i):
+    """d_i of one atom by accumulating Scalar sums and products."""
+    if atom[0] == 'x':
+        return Scalar.one() if atom[1] == i else Scalar.zero()
+    if atom[0] == 'y':
+        return se.y(atom[1], *(atom[2] + (i,)))
+    f = Scalar({((atom, 1),): 1})
+    n, m, order = atom[3], atom[4], atom[5]
+    out = se.partial(f, ('x', i))
+    for sigma in range(1, m + 1):
+        for J in se.jet_keys(n, order):
+            out = out + se.y(sigma, *(J + (i,))) * se.partial(f, ('y', sigma, J))
+    return out
+
+
+def _reference_total_derivative(e, i):
+    """Leibniz over the factors of every monomial, in ring arithmetic."""
+    out = Scalar.zero()
+    for mono, c in e.terms.items():
+        for t, (a, k) in enumerate(mono):
+            rest = mono[:t] + ((a, k - 1),) * (k > 1) + mono[t + 1:]
+            out = out + Scalar({rest: c * k}) * _reference_atom_total(a, i)
+    return out
+
+
+@pytest.mark.parametrize("order", [-1, 0, 1, 2])
+def test_opaque_chain_rule_matches_ring_reference(order):
+    f = se.opaque("L", (1,), n=3, m=2, order=order)
+    g = se.opaque("G", n=3, m=2, order=max(order - 1, -1))
+    f_x = se.partial(f, ('x', 2))
+    # a partial in the highest declared jet coordinate, or a second x-partial
+    top = ('y', 1, (1, 2)[:order]) if order >= 0 else ('x', 1)
+    f_xy = se.partial(f_x, top)
+    assert not f_xy.is_zero()
+    cases = [f, f_x, f_xy, f ** 2, f_x ** 3 * g,
+             se.rational(-3, 2) * f * f_xy + se.y(1, 2) ** 2 * g + se.x(1) * f_x]
+    for e in cases:
+        for i in (1, 2, 3):
+            assert se.total_derivative(e, i) == _reference_total_derivative(e, i)
+
+
+# -- integer and Fraction coefficients ------------------------------------------------
+
+_MONOMIALS = [next(iter(e.terms)) for e in (
+    Scalar.one(), se.x(1), se.y(1), se.y(2, 1), se.y(1, 1, 2) ** 2,
+    se.opaque("L", n=2, m=2, order=1))]
+
+
+def _build(spec, as_fraction):
+    """A polynomial whose coefficients are all Fractions, or int where integral."""
+    out = Scalar.zero()
+    for which, p, q in spec:
+        if p:
+            c = Fraction(p, q)
+            out = out + Scalar({_MONOMIALS[which]: c if as_fraction
+                                else se.rational(p, q).terms[()]})
+    return out
+
+
+_SPECS = st.lists(st.tuples(st.integers(0, len(_MONOMIALS) - 1),
+                            st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3])),
+                  min_size=1, max_size=5)
+
+
+@given(_SPECS, _SPECS)
+def test_int_and_fraction_coefficients_give_equal_results(sa, sb):
+    results = []
+    for as_fraction in (False, True):
+        a, b = _build(sa, as_fraction), _build(sb, as_fraction)
+        if as_fraction:
+            assert all(type(c) is Fraction for c in (a * b + a).terms.values())
+        results.append([a + b, a - b, a * b, a * b + a, a ** 2, -a,
+                        se.total_derivative(a * b, 1),
+                        se.partial(a ** 2, ('y', 1, ()))])
+    ints, fracs = results
+    for u, v in zip(ints, fracs):
+        assert u == v
+        assert hash(u) == hash(v)
+
+
+def test_integral_constants_are_stored_as_int():
+    assert type(se.rational(6, 3).terms[()]) is int
+    assert type(Scalar.from_fraction(Fraction(4)).terms[()]) is int
+    assert type(se.rational(1, 2).terms[()]) is Fraction
+    assert (se.y(1) * 3).terms == {((('y', 1, ()), 1),): 3}
+
+
+def test_as_fraction_is_exact_fraction():
+    one = Scalar.one()
+    assert type(one.as_fraction()) is Fraction
+    assert type(Scalar.zero().as_fraction()) is Fraction
+    inv = (2 * one) ** -2
+    assert inv == se.rational(1, 4)
+    assert inv.as_fraction() == Fraction(1, 4)
+    assert type(inv.terms[()]) is Fraction
+    assert (se.rational(7) ** -1).as_fraction() == Fraction(1, 7)
+
+
+def test_printers_do_not_see_the_coefficient_type():
+    from jetform.printers import scalar_latex, scalar_text
+    for body in (Scalar.one(), se.y(1, 2), se.x(1) * se.y(2)):
+        for c in (3, -3, 1, -1):
+            as_int = Scalar({m: c * v for m, v in body.terms.items()})
+            as_frac = Scalar({m: Fraction(c) * v for m, v in body.terms.items()})
+            assert scalar_text(as_int) == scalar_text(as_frac)
+            assert scalar_latex(as_int) == scalar_latex(as_frac)
