@@ -14,7 +14,7 @@ import sys
 
 from .forms import Context, p_k
 from .interior_euler import (ExpansionMismatch, RecompositionFailure,
-                             residual_lower, residual_top)
+                             interior_euler, residual)
 from .lepage import (UnsupportedOrder, euler_lagrange, kb_second_order,
                      krupka_betounes_first, poincare_cartan, rossi_recurrence)
 from .parser import (InputSyntaxError, OrderViolation, UnknownIdentifier,
@@ -22,8 +22,7 @@ from .parser import (InputSyntaxError, OrderViolation, UnknownIdentifier,
 from .printers import form_json, form_json_doc, form_latex, form_text
 from .varmorph import (DegreeTooHigh, NotOneContact, UnsupportedCase,
                        alpha_discrepancy, from_contact_form,
-                       split_canonical_codegree_s, split_codegree0, split_like,
-                       to_contact_form)
+                       split_canonical_codegree_s, split_like, to_contact_form)
 from .verify import CHECKS, run_identity
 
 EXIT_CODES = """exit status:
@@ -60,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, doc in [
             ("decompose", "contact components p_0..p_q of a form"),
             ("ieuler", "interior Euler operator of a form"),
-            ("residual", "residual operator (codegree 0 or lower-degree)"),
+            ("residual", "residual operator of a form of any codegree"),
             ("split", "canonical splitting of the associated morphism"),
             ("splitlike", "split-like decomposition of the associated morphism"),
             ("alpha", "boundary discrepancy of the two splittings (rank 2)"),
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "residual":
             sub.add_argument("--contact", type=int, default=None)
             sub.add_argument("--codegree", type=int, default=0,
-                             help="codegree s; 0 selects the top-form operator")
+                             help="codegree s of the form (default 0, a top form)")
         if name == "kb":
             sub.add_argument("--variant", choices=("plain", "generalized"),
                              default="plain", help="second-order variant")
@@ -166,22 +165,17 @@ def _run(args) -> int:
         print(_emit_parts(parts, args, fields))
         return 0
     if cmd == "ieuler":
-        from .interior_euler import interior_euler
         k = args.contact if args.contact is not None else max(rho.contact_degree(), 1)
         print(_emit_form(interior_euler(rho, k), args, fields))
         return 0
     if cmd == "residual":
         k = args.contact if args.contact is not None else max(rho.contact_degree(), 1)
-        if args.codegree == 0:
-            out = residual_top(rho, k)
-        else:
-            out = residual_lower(rho, k, args.codegree)
-        print(_emit_form(out, args, fields))
+        print(_emit_form(residual(rho, k, args.codegree), args, fields))
         return 0
 
     V = from_contact_form(rho)
     if cmd == "split":
-        res = split_codegree0(V) if V.s == 0 else split_canonical_codegree_s(V)
+        res = split_canonical_codegree_s(V)
     elif cmd == "splitlike":
         res = split_like(V)
     else:

@@ -1,4 +1,4 @@
-"""Interior Euler operator, integration by parts, and residual operators.
+"""Interior Euler operator, integration by parts, and the residual operator.
 
 The pipeline shared by every operator here:
 
@@ -7,7 +7,8 @@ The pipeline shared by every operator here:
 2. telescope the eta family into xi coefficients so that
    p_k rho = sum over multi-indices I of d_I(omega^sigma ^ xi^I_sigma);
 3. recast each omega^sigma ^ xi^I_sigma as chi^{i_1..i_s I} ^ ds_{i_1..i_s}
-   and assemble the residual operator from the chi family.
+   and assemble the residual operator from the chi family; one operator
+   serves every codegree s, the top forms being s = 0.
 
 Multi-index sums follow the ordered-tuple convention; eta is stored per
 sorted key (the basis coefficient) and divided by the tuple multiplicity
@@ -59,6 +60,11 @@ class EtaDecomposition:
         return out
 
 
+def _contact_keys(part: Form) -> set:
+    """The (sigma, J) of every contact covector omega^sigma_J in a form."""
+    return {(cov[1], cov[2]) for w in part.terms for cov in w if cov[0] == 'w'}
+
+
 def eta_decompose(rho: Form, k: int, etas: dict | None = None) -> EtaDecomposition:
     """Decompose p_k rho over leading contact covectors.
 
@@ -75,17 +81,11 @@ def eta_decompose(rho: Form, k: int, etas: dict | None = None) -> EtaDecompositi
         return EtaDecomposition(ctx, 0, s, 0, {})
     if etas is None:
         etas = {}
-        if k > 0:
-            keys = set()
-            for w in part.terms:
-                for cov in w:
-                    if cov[0] == 'w':
-                        keys.add((cov[1], cov[2]))
-            weight = Scalar.from_fraction(Fraction(1, k))
-            for sigma, J in sorted(keys):
-                eta = contract_omega(part, sigma, J).scale(weight)
-                if not eta.is_zero():
-                    etas[(sigma, J)] = eta
+        weight = Scalar.from_fraction(Fraction(1, k))
+        for sigma, J in sorted(_contact_keys(part)):
+            eta = contract_omega(part, sigma, J).scale(weight)
+            if not eta.is_zero():
+                etas[(sigma, J)] = eta
     r = max((len(J) for _, J in etas), default=0)
     dec = EtaDecomposition(ctx, k, s, r, etas)
     if not (dec.recompose() - part).is_zero():
@@ -186,11 +186,7 @@ def interior_euler(rho: Form, k: int) -> Form:
     part = p_k(rho, k)
     if k < 1:
         raise ValueError("interior Euler operator needs contact degree k >= 1")
-    keys = set()
-    for w in part.terms:
-        for cov in w:
-            if cov[0] == 'w':
-                keys.add((cov[1], cov[2]))
+    keys = _contact_keys(part)
     out = Form.zero(ctx)
     for sigma in sorted({sig for sig, _ in keys}):
         acc = Form.zero(ctx)
@@ -203,28 +199,18 @@ def interior_euler(rho: Form, k: int) -> Form:
     return out.scale(Fraction(1, k))
 
 
-def residual_top(rho: Form, k: int, eta: EtaDecomposition | None = None) -> Form:
-    """Residual operator for n-horizontal (n+k)-forms (codegree 0).
+def residual(rho: Form, k: int, s: int = 0, eta: EtaDecomposition | None = None) -> Form:
+    """Residual operator for (n-s)-horizontal k-contact (n-s+k)-forms.
 
-    The sign is (-1)^k: for k = 1 this is the single minus sign of the
-    top-form construction, and it is what the k-contact decomposition
-    p_k rho = I(rho) + p_k d p_k R(rho) requires for k >= 2.
+    The factor is (-1)^k/(s+1).  At codegree s = 0 this is the top-form
+    residual: for k = 1 the single minus sign of the top-form construction,
+    and what the k-contact decomposition p_k rho = I(rho) + p_k d p_k R(rho)
+    requires for k >= 2.  A target block longer than n vanishes.
     """
-    fam = ibp_expand(rho, k, s=0, eta=eta)
-    ctx = rho.ctx
-    factor = Fraction((-1) ** k)
-    out = Form.zero(ctx)
-    for (block, Ms), val in fam.chi.items():
-        for M in set(itertools.permutations(Ms)):
-            piece = total_derivative_form_multi(val, M[1:])
-            out = out + wedge(piece, ds_block(ctx, (M[0],))).scale(factor)
-    return out
-
-
-def residual_lower(rho: Form, k: int, s: int, eta: EtaDecomposition | None = None) -> Form:
-    """Residual operator for (n-s)-horizontal k-contact (n-s+k)-forms, s >= 1."""
-    if s < 1:
-        raise ValueError("codegree s >= 1; use residual_top for s = 0")
+    if k < 1:
+        raise ValueError("residual operator needs contact degree k >= 1")
+    if s < 0:
+        raise ValueError("residual operator needs codegree s >= 0")
     fam = ibp_expand(rho, k, s=s, eta=eta)
     ctx = rho.ctx
     factor = Fraction((-1) ** k, s + 1)
@@ -244,9 +230,10 @@ def split_lower(rho: Form, s: int, eta: EtaDecomposition | None = None):
 
     Returns (source, middle, boundary) with
     p_1 rho = source + middle + boundary,
-    source the omega^sigma ^ xi_sigma term, boundary = d_H of the lower
+    source the omega^sigma ^ xi_sigma term, boundary = d_H of the
     residual, middle the non-antisymmetric remainder of the chi telescopes.
-    For s = 0 the middle has no block to antisymmetrize over and vanishes.
+    For s = 0 the middle vanishes: over a one-index block the
+    antisymmetrized chi is chi itself.
     """
     ctx = rho.ctx
     fam = ibp_expand(rho, 1, s=s, eta=eta)
@@ -255,12 +242,7 @@ def split_lower(rho: Form, s: int, eta: EtaDecomposition | None = None):
         if len(I) == 0:
             source = source + wedge(omega(ctx, sigma), x)
 
-    if s == 0:
-        boundary = d_H(residual_top(rho, 1, eta=eta))
-        middle = Form.zero(ctx)
-        return source, middle, boundary
-
-    boundary = d_H(residual_lower(rho, 1, s, eta=eta))
+    boundary = d_H(residual(rho, 1, s, eta=eta))
     # the antisymmetrized chi draws on neighbouring blocks, so the middle
     # term is summed over the full block/multi-index range, not stored keys
     middle = Form.zero(ctx)

@@ -2,8 +2,8 @@
 recurrence, and the closed Krupka-Betounes formulas (first and second order).
 
 The recurrence is rho_1 = lambda - p_1 R(d lambda), then at each contact
-degree q >= 2, rho_q = rho_{q-1} - p_q R(d rho_{q-1}) with the lower-degree
-residual operator.
+degree q >= 2, rho_q = rho_{q-1} - p_q R(d rho_{q-1}) with the residual
+operator at codegree q - 1.
 
 The eta decomposition feeding R is not unique for q >= 2 and the choice
 matters.  At first order the canonical 1/k-contraction eta is the right
@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import symexpr
 from .forms import Context, Form, ds_block, exterior_d, p_k, volume
-from .interior_euler import eta_decompose, interior_euler, residual_lower, residual_top
+from .interior_euler import eta_decompose, interior_euler, residual
 from .multiindex import tuple_multiplicity
 from .symexpr import Scalar
 
@@ -106,7 +106,7 @@ def poincare_cartan_closed(lam: Lagrangian) -> Form:
 
 def poincare_cartan(lam: Lagrangian) -> Form:
     """theta = lambda - p_1 R(d lambda), cross-checked against the chart form."""
-    theta = lam.form() - p_k(residual_top(exterior_d(lam.form()), 1), 1)
+    theta = lam.form() - p_k(residual(exterior_d(lam.form()), 1), 1)
     closed = poincare_cartan_closed(lam)
     if not (theta - closed).is_zero():
         raise AssertionError("residual route disagrees with the chart "
@@ -169,7 +169,7 @@ def rossi_recurrence(lam: Lagrangian) -> LepageChain:
                 chain.append(prev)
                 continue
             dec = eta_decompose(diff, q, etas=etas)
-        correction = p_k(residual_lower(diff, q, q - 1, eta=dec), q)
+        correction = p_k(residual(diff, q, q - 1, eta=dec), q)
         chain.append(prev - correction)
     return LepageChain(lam, chain, 'recurrence')
 

@@ -43,6 +43,10 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 _ALIASES = {'x': 1, 'y': 2, 'z': 3}
+# a field name is an identifier without a subscript, and not one the
+# grammar reads first: ds, the coordinates x1.. and their differentials dx1..
+_FIELD = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_SHADOWED = re.compile(r"ds|d?x[0-9]+")
 
 
 def default_fields(m: int):
@@ -80,6 +84,12 @@ class _Parser:
         self.fields = tuple(fields) if fields else default_fields(ctx.m)
         if len(self.fields) != ctx.m:
             raise ValueError(f"{ctx.m} field names needed, got {len(self.fields)}")
+        for name in self.fields:
+            if _FIELD.fullmatch(name) is None or _SHADOWED.fullmatch(name):
+                raise ValueError(f"field name {name!r} cannot be told apart "
+                                 "from the grammar's own identifiers")
+        if len(set(self.fields)) != len(self.fields):
+            raise ValueError(f"field names repeat: {', '.join(self.fields)}")
         self.tokens = _tokenize(text)
         self.pos = 0
 

@@ -150,7 +150,6 @@ class VariationalMorphism:
 class SplitResult:
     volume: VariationalMorphism
     boundary: VariationalMorphism
-    flavor: str  # 'canonical' | 'split-like'
 
 
 # -- conversions with contact forms ------------------------------------------
@@ -236,50 +235,7 @@ def divergence(Q: VariationalMorphism) -> VariationalMorphism:
     return morphism_from_evaluation(d_H(Q.evaluate(xi)), Q.s - 1)
 
 
-# -- codegree 0: canonical splitting ------------------------------------------
-
-
-def split_codegree0(V: VariationalMorphism) -> SplitResult:
-    """E and T with <V|J^r Xi> = <E|Xi> + Div(<T|J^{r-1}Xi>), codegree 0."""
-    if V.s != 0:
-        raise UnsupportedCase("codegree 0 splitting needs s = 0")
-    ctx, r = V.ctx, V.rank
-    n = ctx.n
-
-    E = VariationalMorphism(ctx, 0)
-    for sigma in range(1, ctx.m + 1):
-        acc = Scalar.zero()
-        for ell in range(r + 1):
-            for J in itertools.product(range(1, n + 1), repeat=ell):
-                val = V.value((), sigma, J)
-                if not val.is_zero():
-                    acc = acc + Fraction((-1) ** ell) * symexpr.total_derivative_multi(val, J)
-        E.set((), sigma, (), acc)
-
-    T = VariationalMorphism(ctx, 1)
-    if r >= 1:
-        levels: dict = {}
-        for h in range(r - 1, -1, -1):
-            level: dict = {}
-            for sigma in range(1, ctx.m + 1):
-                for i in range(1, n + 1):
-                    for J in itertools.product(range(1, n + 1), repeat=h):
-                        val = V.value((), sigma, (i,) + J)
-                        if h < r - 1:
-                            up = levels[h + 1]
-                            for l in range(1, n + 1):
-                                prev = up.get((l, sigma, (i,) + J), Scalar.zero())
-                                val = val - symexpr.total_derivative(prev, l)
-                        if not val.is_zero():
-                            level[(i, sigma, J)] = val
-            levels[h] = level
-        for h, level in levels.items():
-            for (i, sigma, J), val in level.items():
-                T.set((i,), sigma, J, val)
-    return SplitResult(E, T, 'canonical')
-
-
-# -- codegree >= 1: the split-like algorithm ----------------------------------
+# -- the split-like algorithm -------------------------------------------------
 
 
 def _that_family(V: VariationalMorphism) -> VariationalMorphism:
@@ -305,14 +261,14 @@ def _that_family(V: VariationalMorphism) -> VariationalMorphism:
 
 
 def split_like(V: VariationalMorphism) -> SplitResult:
-    """The canonical-splitting-like decomposition for codegree s >= 1.
+    """The canonical-splitting-like decomposition, for every codegree s.
 
-    The boundary coefficients follow the iterative antisymmetrized
-    recurrence; the volume part subtracts them rank by rank and is in
-    general neither symmetric in its rank indices nor reduced.
+    E and T with <V|J^r Xi> = <E|J^r Xi> + Div(<T|J^{r-1}Xi>).  The boundary
+    coefficients follow the iterative antisymmetrized recurrence; the volume
+    part subtracts them rank by rank and is in general neither symmetric in
+    its rank indices nor reduced.  At s = 0 the one-index blocks make the
+    antisymmetrization trivial and this is the canonical splitting.
     """
-    if V.s < 1:
-        raise UnsupportedCase("split_like needs codegree s >= 1")
     ctx, s, r = V.ctx, V.s, V.rank
     n = ctx.n
     that = _that_family(V)
@@ -338,24 +294,26 @@ def split_like(V: VariationalMorphism) -> SplitResult:
                         val = val - that.value(block + (J[0],), sigma, J[1:])
                     if not val.is_zero():
                         E.set(block, sigma, J, val)
-    return SplitResult(E, T, 'split-like')
+    return SplitResult(E, T)
 
 
 # -- explicit canonical splittings for higher codegree -------------------------
 
 
 def split_canonical_codegree_s(V: VariationalMorphism) -> SplitResult:
-    """The connection-based canonical splitting, in the two explicit cases.
+    """The connection-based canonical splitting, where it is explicit.
 
-    Rank 1 (any codegree s < n) and the rank-2, codegree-1 case carry
-    explicit coefficient formulas; elsewhere the algorithm is out of scope.
-    The volume part is reduced: antisymmetrizing any coefficient over the
-    block plus the first rank index gives zero.
+    At codegree 0 and at rank 0 it is the split-like decomposition.  Rank 1
+    (any codegree 1 <= s < n) and the rank-2, codegree-1 case carry explicit
+    coefficient formulas, written independently of the split-like recurrence
+    so that Prop. r=1 compares two constructions; elsewhere the algorithm is
+    out of scope.  The volume part is reduced: antisymmetrizing any
+    coefficient over the block plus the first rank index gives zero.
     """
     ctx, s, r = V.ctx, V.s, V.rank
     n = ctx.n
-    if r == 0:
-        return SplitResult(V, VariationalMorphism(ctx, s + 1), 'canonical')
+    if s == 0 or r == 0:
+        return split_like(V)
     if r == 1:
         E = VariationalMorphism(ctx, s)
         for block in itertools.combinations(range(1, n + 1), s):
@@ -373,7 +331,7 @@ def split_canonical_codegree_s(V: VariationalMorphism) -> SplitResult:
         for block in itertools.combinations(range(1, n + 1), s + 1):
             for sigma in range(1, ctx.m + 1):
                 T.set(block, sigma, (), V.antisym_value(block, sigma, ()) * w)
-        return SplitResult(E, T, 'canonical')
+        return SplitResult(E, T)
     if r == 2 and s == 1:
         return _split_canonical_r2_s1(V)
     raise UnsupportedCase(f"no explicit canonical splitting for rank {r}, codegree {s}")
@@ -432,7 +390,7 @@ def _split_canonical_r2_s1(V: VariationalMorphism) -> SplitResult:
             T.set(block, sigma, (), val * Fraction(1, 2))
             for j in range(1, n + 1):
                 T.set(block, sigma, (j,), anti2(i1, i2, sigma, (j,)) * Fraction(2, 3))
-    return SplitResult(E, T, 'canonical')
+    return SplitResult(E, T)
 
 
 def is_reduced(V: VariationalMorphism) -> bool:

@@ -17,8 +17,7 @@ from jetform.forms import (Context, Form, contract_prolonged, d_C, d_H,
                            d_H_local, ds_block, dx, exterior_d, omega, p_k,
                            total_derivative_form, total_derivative_form_multi,
                            volume, wedge, wedge_all)
-from jetform.interior_euler import (ibp_expand, interior_euler,
-                                    residual_lower, residual_top)
+from jetform.interior_euler import ibp_expand, interior_euler, residual
 from jetform.lepage import (Lagrangian, euler_lagrange, generic_lagrangian,
                             kb_second_order, krupka_betounes_first,
                             rossi_recurrence)
@@ -28,8 +27,8 @@ from jetform.randomgen import (generic_morphism, rand_density, rand_form,
                                rand_morphism)
 from jetform.symexpr import Scalar
 from jetform.varmorph import (alpha_discrepancy, formal_field, is_reduced,
-                              split_canonical_codegree_s, split_codegree0,
-                              split_like, to_contact_form, vertical_field)
+                              split_canonical_codegree_s, split_like,
+                              to_contact_form, vertical_field)
 from jetform.verify import CHECKS, run_identity
 
 
@@ -59,7 +58,7 @@ def test_criterion_01_eq32_decomposition():
     ok = True
     for rho, k in corpus:
         I = interior_euler(rho, k)
-        R = residual_top(rho, k)
+        R = residual(rho, k)
         ok = ok and p_k(rho, k) == I + p_k(exterior_d(p_k(R, k)), k)
     ok = ok and (time.time() - t0) < 60
     _announce(1, ok, f"eq. (32) decomposition on {len(corpus)} random forms", t0)
@@ -70,7 +69,7 @@ def test_criterion_02_interior_euler_properties():
     ok = True
     for rho, k in _eq32_corpus(102, 50):
         I = interior_euler(rho, k)
-        boundary = p_k(exterior_d(p_k(residual_top(rho, k), k)), k)
+        boundary = p_k(exterior_d(p_k(residual(rho, k), k)), k)
         if not boundary.is_zero():
             ok = ok and interior_euler(boundary, k).is_zero()   # (b)
         ok = ok and interior_euler(I, k) == I                   # (c)
@@ -102,12 +101,12 @@ def test_criterion_03_prop_volume():
             ctx = Context(n=n, m=m)
             V = rand_morphism(rng, ctx, 0, r)
             xi = vertical_field(ctx)     # generic opaque Xi(x, y)
-            res = split_codegree0(V)
+            res = split_like(V)
             rho = to_contact_form(V)
             ok = ok and res.volume.evaluate(xi) == \
                 contract_prolonged(interior_euler(rho, 1), xi)
             ok = ok and d_H(res.boundary.evaluate(xi)) == \
-                contract_prolonged(d_H(residual_top(rho, 1)), xi)
+                contract_prolonged(d_H(residual(rho, 1)), xi)
             ok = ok and V.evaluate(xi) == \
                 res.volume.evaluate(xi) + d_H(res.boundary.evaluate(xi))
     _announce(3, ok, "Prop. Volume: codegree-0 split against I and R", t0)
@@ -136,7 +135,7 @@ def test_criterion_04_prop_div():
                         continue
                     lhs = lhs + wedge(total_derivative_form_multi(anti, M),
                                       ds_block(ctx, block))
-        ok = ok and lhs == d_H(residual_lower(rho, k, s))
+        ok = ok and lhs == d_H(residual(rho, k, s))
         checked += 1
     _announce(4, ok, f"Prop. div identity on {checked} random instances", t0)
 

@@ -95,6 +95,19 @@ def test_custom_field_names():
     assert lam.density == se.y(1, 1) ** 2
 
 
+@pytest.mark.parametrize("fields", [("a", "a"), ("ds", "u"), ("x1", "u"),
+                                    ("u", "dx2"), ("u", "a_b"), ("u", "")])
+def test_field_names_the_parser_cannot_tell_apart_are_rejected(fields):
+    with pytest.raises(ValueError, match="field name"):
+        parse_lagrangian("u_1", CTX22, 1, fields=fields)
+
+
+def test_field_names_u_v_w_stay_valid():
+    ctx = Context(n=3, m=3)
+    lam = parse_lagrangian("u_1*v_2*w_3 + w", ctx, 1, fields=("u", "v", "w"))
+    assert lam.density == se.y(1, 1) * se.y(2, 2) * se.y(3, 3) + se.y(3)
+
+
 # -- printing -----------------------------------------------------------------------
 
 def golden_corpus():
@@ -215,6 +228,12 @@ def test_cli_non_constant_divisor_is_2(argv):
      "form has codegree 1, expected 0"),
     (["residual", "w(u) /\\ dx1 + w(u) /\\ dx1 /\\ dx2"],
      "mixed horizontal degrees"),
+    (["residual", "--contact", "0", "u_1 * w(u,1) /\\ ds"],
+     "residual operator needs contact degree k >= 1"),
+    (["residual", "--contact", "-1", "u_1 * w(u,1) /\\ ds"],
+     "residual operator needs contact degree k >= 1"),
+    (["residual", "--codegree", "-1", "u_1 * w(u,1) /\\ ds"],
+     "residual operator needs codegree s >= 0"),
 ])
 def test_cli_grading_mismatch_is_2(argv, message):
     code, out, err = run_cli(argv[:1] + ["--base-dim", "2", "--fiber-dim", "1",
@@ -222,6 +241,36 @@ def test_cli_grading_mismatch_is_2(argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("fields", ["a,a", "ds,u", "u,x1", "dx1,u"])
+def test_cli_indistinguishable_fields_are_2(fields):
+    code, out, err = run_cli(["el", "-n", "2", "-m", "2", "--fields", fields,
+                              "a_1^2*a_2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: field name") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("identity", sorted(cli.CHECKS) + ["all"])
+def test_cli_verify_at_one_base_dimension(identity):
+    code, out, err = run_cli(["verify", "-n", "1", "-m", "1",
+                              "--identity", identity])
+    assert code == 0, err
+    assert out.startswith("PASS")
+
+
+@pytest.mark.parametrize("expr", ["u_1 * w(u,1) /\\ ds",
+                                  "u_1 * w(v,12) /\\ ds + v_2 * w(u,11) /\\ ds"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_split_and_splitlike_agree_at_codegree_zero(expr, fmt):
+    outs = []
+    for cmd in ("split", "splitlike"):
+        code, out, err = run_cli([cmd, "-n", "2", "-m", "2", "-r", "2",
+                                  "--format", fmt, expr])
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def _recompose_nothing(self):

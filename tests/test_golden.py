@@ -75,6 +75,21 @@ CASES = [
     ("split -n 3 -m 1 -r 2",
      "u_1 * w(u,11) /\\ dx2 /\\ dx3 + u_2 * w(u,12) /\\ dx1 /\\ dx3",
      "a3d789b312ce6a3dc4c2be2dd1301439ab57089cdee327704d905b97e0657f4b"),
+    ("split -n 2 -m 2 -r 2",
+     "u_1 * w(v,12) /\\ ds + v_2 * w(u,11) /\\ ds + u*v * w(u,2) /\\ ds",
+     "5e6cb091987809ae3cbda979e6c24a9ebfaa5fd322398852cc60cce0e4b21aa6"),
+    ("split -n 2 -m 1 -r 3",
+     "u_1 * w(u,112) /\\ ds + u_2*u * w(u,12) /\\ ds",
+     "2f487c64b5f12feab1c5d017553d1548eac57b1f06f1f8d73751e168865b8768"),
+    ("split -n 2 -m 1 -r 1",
+     "u^2 * w(u) /\\ dx1 + u_2 * w(u) /\\ dx2",
+     "9d37331da9eac9901b57e82b4333845a0ec60101694b537596790c6956097cb0"),
+    ("split -n 3 -m 1 -r 1",
+     "u_1 * w(u,3) /\\ dx3 + u_2^2 * w(u,2) /\\ dx2 + u * w(u) /\\ dx1",
+     "3e34c60ba608fc42924091c67049850df3d4c63ea4f70cc204c50a688c0b6937"),
+    ("splitlike -n 3 -m 1 -r 1",
+     "u_1 * w(u,3) /\\ dx3 + u_2^2 * w(u,2) /\\ dx2 + u * w(u) /\\ dx1",
+     "3e34c60ba608fc42924091c67049850df3d4c63ea4f70cc204c50a688c0b6937"),
     ("splitlike -n 2 -m 1 -r 1",
      "u_1 * w(u,1) /\\ dx2",
      "96eb27bd8710a91db9902c6632d3af3340cf68a0062be2cbeb89b3d65a94c5cf"),
@@ -93,6 +108,12 @@ CASES = [
     ("residual -n 3 -m 2 -r 2 --codegree 1",
      "u*v_1 * w(u,12) /\\ dx2 /\\ dx3 + v_3 * w(v,3) /\\ dx1 /\\ dx2",
      "946408b9f8bc6a0c10a8d3ad0b36fcb4f98f5a2eaf7988141a913b0e62d3bad2"),
+    ("residual -n 2 -m 1 -r 2 --codegree 0",
+     "u_1*u_12 * w(u,12) /\\ ds + u^2 * w(u,1) /\\ ds",
+     "0a6f019cd655df9765b3595ebd42bf897c219c624d88a6d246685a91a2098b47"),
+    ("residual -n 2 -m 2 -r 1 --contact 2 --codegree 0",
+     "u_1 * w(u,1) /\\ w(v,2) /\\ ds + v * w(u,2) /\\ w(v) /\\ ds",
+     "6777a73987850a7c119249d717f8ff26c0d4ed25ff345d506a320234a33c322e"),
     ("ieuler -n 2 -m 1 -r 1",
      "u_1 * w(u,1) /\\ w(u) /\\ ds",
      "8cfcaccc73334810cf824e60b6c2c178fd1d50d4842b977f3d8850b8ab1b4c49"),

@@ -9,7 +9,7 @@ from jetform.forms import (Context, Form, d_H, ds_block, dx, exterior_d,
                            wedge, wedge_all)
 from jetform.interior_euler import (GradingMismatch, RecompositionFailure,
                                     eta_decompose, ibp_expand, interior_euler,
-                                    residual_lower, residual_top, split_lower)
+                                    residual, split_lower)
 from jetform.randomgen import rand_form
 from jetform.symexpr import Scalar
 
@@ -120,7 +120,7 @@ def test_ieuler_kills_dH_of_contact_forms():
 
 def test_residual_top_free_particle_and_eq32():
     rho = free_particle()
-    R = residual_top(rho, 1)
+    R = residual(rho, 1)
     assert R == omega(CTX1, 1).scale(-se.y(1, 1))
     assert p_k(rho, 1) == interior_euler(rho, 1) + p_k(exterior_d(p_k(R, 1)), 1)
 
@@ -128,7 +128,7 @@ def test_residual_top_free_particle_and_eq32():
 def test_residual_vanishes_at_order_zero():
     ctx = Context(n=2, m=1)
     rho = wedge(omega(ctx, 1), volume(ctx)).scale(se.y(1) ** 2)
-    assert residual_top(rho, 1).is_zero()
+    assert residual(rho, 1).is_zero()
 
 
 def test_eq32_randomized_with_properties():
@@ -142,7 +142,7 @@ def test_eq32_randomized_with_properties():
         if p_k(rho, k).is_zero():
             continue
         I = interior_euler(rho, k)
-        R = residual_top(rho, k)
+        R = residual(rho, k)
         boundary = p_k(exterior_d(p_k(R, k)), k)
         assert p_k(rho, k) == I + boundary
         if not boundary.is_zero():
@@ -157,8 +157,8 @@ def test_residual_linearity():
     ctx = Context(n=2, m=1)
     a = rand_form(rng, ctx, 2, 1, 2)
     b = rand_form(rng, ctx, 2, 1, 2)
-    lhs = residual_top(a + b.scale(se.rational(3)), 1)
-    rhs = residual_top(a, 1) + residual_top(b, 1).scale(se.rational(3))
+    lhs = residual(a + b.scale(se.rational(3)), 1)
+    rhs = residual(a, 1) + residual(b, 1).scale(se.rational(3))
     assert lhs == rhs
 
 
@@ -169,23 +169,26 @@ def test_residual_lower_linearity():
     ctx = Context(n=2, m=2)
     a = rand_form(rng, ctx, 1, 1, 2)
     b = rand_form(rng, ctx, 1, 1, 2)
-    lhs = residual_lower(a + b.scale(se.rational(-2, 3)), 1, 1)
-    rhs = residual_lower(a, 1, 1) + residual_lower(b, 1, 1).scale(se.rational(-2, 3))
+    lhs = residual(a + b.scale(se.rational(-2, 3)), 1, 1)
+    rhs = residual(a, 1, 1) + residual(b, 1, 1).scale(se.rational(-2, 3))
     assert lhs == rhs
 
 
-def test_residual_lower_requires_positive_codegree():
+def test_residual_rejects_contact_degree_below_one_and_negative_codegree():
     ctx = Context(n=2, m=1)
-    rho = wedge(omega(ctx, 1), volume(ctx))
-    with pytest.raises(ValueError):
-        residual_lower(rho, 1, 0)
+    rho = wedge(omega(ctx, 1), volume(ctx)).scale(se.y(1, 1))
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="contact degree"):
+            residual(rho, k)
+    with pytest.raises(ValueError, match="codegree"):
+        residual(rho, 1, -1)
 
 
 def test_residual_lower_vanishes_when_block_exceeds_n():
     # 0-horizontal: ds over s+1 > n indices dies
     ctx = Context(n=1, m=1)
     rho = wedge(omega(ctx, 1, 1), omega(ctx, 1)).scale(se.y(1, 1))
-    out = residual_lower(rho, 2, 1)
+    out = residual(rho, 2, 1)
     assert out.is_zero()
 
 
@@ -211,7 +214,7 @@ def test_prop_div_identity_randomized():
                         continue
                     lhs = lhs + wedge(total_derivative_form_multi(anti, M),
                                       ds_block(ctx, block))
-        assert lhs == d_H(residual_lower(rho, k, s))
+        assert lhs == d_H(residual(rho, k, s))
         checked += 1
     assert checked >= 8
 

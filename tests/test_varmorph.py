@@ -7,15 +7,15 @@ import pytest
 from jetform import symexpr as se
 from jetform.forms import (Context, contract_prolonged, d_H, ds_block, dx,
                            omega, p_k, volume, wedge)
-from jetform.interior_euler import interior_euler, residual_top
+from jetform.interior_euler import interior_euler, residual
 from jetform.randomgen import generic_morphism, rand_morphism
 from jetform.symexpr import Scalar
 from jetform.varmorph import (NotOneContact, UnsupportedCase,
                               VariationalMorphism, alpha_discrepancy,
                               divergence, formal_field, from_contact_form,
                               is_reduced, morphism_from_evaluation,
-                              split_canonical_codegree_s, split_codegree0,
-                              split_like, to_contact_form, vertical_field)
+                              split_canonical_codegree_s, split_like,
+                              to_contact_form, vertical_field)
 
 
 # -- the form <-> morphism correspondence ------------------------------------------
@@ -72,7 +72,7 @@ def test_evaluation_identity_with_polynomial_field():
     xi = {sigma: rand_scalar(rng, ctx, 0, degree=2, terms=2)
           for sigma in range(1, 3)}
     V0 = rand_morphism(rng, ctx, 0, 2)
-    res0 = split_codegree0(V0)
+    res0 = split_like(V0)
     assert V0.evaluate(xi) == res0.volume.evaluate(xi) + d_H(res0.boundary.evaluate(xi))
     V1 = rand_morphism(rng, ctx, 1, 2)
     res1 = split_like(V1)
@@ -112,7 +112,7 @@ def test_split0_rank0_trivial():
     ctx = Context(n=2, m=1)
     V = VariationalMorphism(ctx, 0)
     V.set((), 1, (), se.y(1))
-    res = split_codegree0(V)
+    res = split_like(V)
     assert res.volume.coeffs == V.coeffs
     assert res.boundary.is_zero()
 
@@ -120,7 +120,7 @@ def test_split0_rank0_trivial():
 def test_split0_rank1_and_rank2_coefficients():
     ctx = Context(n=2, m=1)
     V = generic_morphism(ctx, 0, 2)
-    res = split_codegree0(V)
+    res = split_like(V)
     d = se.total_derivative
     # E = A - d_j A^j + d_jk A^jk
     expect = V.value((), 1, ())
@@ -145,20 +145,27 @@ def test_split0_evaluation_and_prop_volume():
     for (n, m, r) in [(1, 1, 2), (2, 2, 1), (2, 1, 2)]:
         ctx = Context(n=n, m=m)
         V = rand_morphism(rng, ctx, 0, r)
-        res = split_codegree0(V)
+        res = split_like(V)
         xi = vertical_field(ctx)
         lhs = V.evaluate(xi)
         assert lhs == res.volume.evaluate(xi) + d_H(res.boundary.evaluate(xi))
         rho = to_contact_form(V)
         assert res.volume.evaluate(xi) == contract_prolonged(interior_euler(rho, 1), xi)
         assert d_H(res.boundary.evaluate(xi)) == \
-            contract_prolonged(d_H(residual_top(rho, 1)), xi)
+            contract_prolonged(d_H(residual(rho, 1)), xi)
 
 
-def test_split0_requires_codegree_zero():
-    ctx = Context(n=2, m=1)
-    with pytest.raises(UnsupportedCase):
-        split_codegree0(generic_morphism(ctx, 1, 1))
+def test_split_rank0_volume_is_a_copy_of_the_input():
+    # the volume part of a rank-0 split has V's coefficients, in its own dict
+    ctx = Context(n=3, m=1)
+    for s, block in [(0, ()), (1, (2,)), (2, (1, 3))]:
+        V = VariationalMorphism(ctx, s)
+        V.set(block, 1, (), se.y(1) * se.y(1, 2))
+        res = split_canonical_codegree_s(V)
+        assert res.volume is not V and res.volume.coeffs == V.coeffs
+        assert res.boundary.is_zero()
+        res.volume.set(block, 1, (), Scalar.zero())
+        assert V.value(block, 1, ()) == se.y(1) * se.y(1, 2)
 
 
 # -- split-like --------------------------------------------------------------------
