@@ -149,6 +149,18 @@ class Form:
         return r
 
 
+class GradingMismatch(ValueError):
+    """The input form's degrees do not fit the operator applied to it."""
+
+
+def codegree(rho: Form) -> int:
+    """n minus the single horizontal degree of rho; 0 for the zero form."""
+    hdegs = {h for h, _ in rho.degrees()}
+    if len(hdegs) > 1:
+        raise GradingMismatch(f"mixed horizontal degrees {hdegs}")
+    return rho.ctx.n - hdegs.pop() if hdegs else 0
+
+
 # -- basic builders ----------------------------------------------------------
 
 def dx(ctx: Context, i: int) -> Form:

@@ -25,22 +25,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import (Form, as_ds_block, contract_omega, d_H, ds_block,
-                    omega, p_k, total_derivative_form_multi, wedge)
+# GradingMismatch is re-exported for callers that import it from here
+from .forms import (Form, GradingMismatch, as_ds_block, codegree,
+                    contract_omega, d_H, ds_block, omega, p_k,
+                    total_derivative_form_multi, wedge)
 from .multiindex import signed_get, signed_permutations, tuple_multiplicity
 from .symexpr import Scalar
 
 
-class RecompositionFailure(Exception):
+class RecompositionFailure(AssertionError):
     """The eta family does not rebuild p_k rho (a grading bug)."""
 
 
-class ExpansionMismatch(Exception):
+class ExpansionMismatch(AssertionError):
     """The telescoped xi family does not rebuild p_k rho (a multiplicity bug)."""
-
-
-class GradingMismatch(ValueError):
-    """The input form's degrees do not fit the operator applied to it."""
 
 
 @dataclass
@@ -73,10 +71,7 @@ def eta_decompose(rho: Form, k: int, etas: dict | None = None) -> EtaDecompositi
     """
     ctx = rho.ctx
     part = p_k(rho, k)
-    hdegs = {h for h, _ in part.degrees()}
-    if len(hdegs) > 1:
-        raise GradingMismatch(f"mixed horizontal degrees {hdegs} in p_{k}")
-    s = ctx.n - hdegs.pop() if hdegs else 0
+    s = codegree(part)
     if k == 0:
         return EtaDecomposition(ctx, 0, s, 0, {})
     if etas is None:
@@ -125,13 +120,10 @@ class XiFamily:
         return out
 
 
-def ibp_expand(rho: Form, k: int, s: int | None = None,
-               eta: EtaDecomposition | None = None) -> XiFamily:
+def ibp_expand(rho: Form, k: int, eta: EtaDecomposition | None = None) -> XiFamily:
     """Build the xi/chi families with the exactness identity verified."""
     ctx = rho.ctx
     dec = eta if eta is not None else eta_decompose(rho, k)
-    if s is not None and dec.etas and dec.s != s:
-        raise GradingMismatch(f"form has codegree {dec.s}, expected {s}")
     r = dec.r
     n = ctx.n
 
@@ -199,21 +191,23 @@ def interior_euler(rho: Form, k: int) -> Form:
     return out.scale(Fraction(1, k))
 
 
-def residual(rho: Form, k: int, s: int = 0, eta: EtaDecomposition | None = None) -> Form:
+def residual(rho: Form, k: int, eta: EtaDecomposition | None = None) -> Form:
     """Residual operator for (n-s)-horizontal k-contact (n-s+k)-forms.
 
-    The factor is (-1)^k/(s+1).  At codegree s = 0 this is the top-form
-    residual: for k = 1 the single minus sign of the top-form construction,
-    and what the k-contact decomposition p_k rho = I(rho) + p_k d p_k R(rho)
-    requires for k >= 2.  A target block longer than n vanishes.
+    The codegree s is read off p_k rho and the factor is (-1)^k/(s+1).  At
+    s = 0 this is the top-form residual: for k = 1 the single minus sign
+    of the top-form construction, and what the k-contact decomposition
+    p_k rho = I(rho) + p_k d p_k R(rho) requires for k >= 2.  A target
+    block longer than n vanishes.
     """
     if k < 1:
         raise ValueError("residual operator needs contact degree k >= 1")
-    if s < 0:
-        raise ValueError("residual operator needs codegree s >= 0")
-    fam = ibp_expand(rho, k, s=s, eta=eta)
-    ctx = rho.ctx
-    factor = Fraction((-1) ** k, s + 1)
+    return _residual(ibp_expand(rho, k, eta=eta))
+
+
+def _residual(fam: XiFamily) -> Form:
+    ctx = fam.ctx
+    factor = Fraction((-1) ** fam.k, fam.s + 1)
     out = Form.zero(ctx)
     for (block, Ms), val in fam.chi.items():
         for M in set(itertools.permutations(Ms)):
@@ -225,7 +219,7 @@ def residual(rho: Form, k: int, s: int = 0, eta: EtaDecomposition | None = None)
     return out
 
 
-def split_lower(rho: Form, s: int, eta: EtaDecomposition | None = None):
+def split_lower(rho: Form):
     """Three-way split of a 1-contact (n-s)-horizontal form.
 
     Returns (source, middle, boundary) with
@@ -236,18 +230,18 @@ def split_lower(rho: Form, s: int, eta: EtaDecomposition | None = None):
     antisymmetrized chi is chi itself.
     """
     ctx = rho.ctx
-    fam = ibp_expand(rho, 1, s=s, eta=eta)
+    fam = ibp_expand(rho, 1)
     source = Form.zero(ctx)
     for (sigma, I), x in fam.xi.items():
         if len(I) == 0:
             source = source + wedge(omega(ctx, sigma), x)
 
-    boundary = d_H(residual(rho, 1, s, eta=eta))
+    boundary = d_H(_residual(fam))
     # the antisymmetrized chi draws on neighbouring blocks, so the middle
     # term is summed over the full block/multi-index range, not stored keys
     middle = Form.zero(ctx)
     n = ctx.n
-    for block in itertools.combinations(range(1, n + 1), s):
+    for block in itertools.combinations(range(1, n + 1), fam.s):
         for lm in range(1, fam.r + 1):
             for M in itertools.product(range(1, n + 1), repeat=lm):
                 exact = fam.chi_at(block, tuple(sorted(M)))

@@ -41,7 +41,7 @@ from .multiindex import tuple_multiplicity
 from .symexpr import Scalar
 
 
-class UnsupportedOrder(Exception):
+class UnsupportedOrder(ValueError):
     """Lagrangians above second order are out of scope."""
 
 
@@ -82,9 +82,7 @@ class Lagrangian:
 
 @dataclass
 class LepageChain:
-    lagrangian: Lagrangian
     forms: list
-    provenance: str  # 'recurrence' | 'closed-form'
 
     @property
     def terminal(self) -> Form:
@@ -169,9 +167,9 @@ def rossi_recurrence(lam: Lagrangian) -> LepageChain:
                 chain.append(prev)
                 continue
             dec = eta_decompose(diff, q, etas=etas)
-        correction = p_k(residual(diff, q, q - 1, eta=dec), q)
+        correction = p_k(residual(diff, q, eta=dec), q)
         chain.append(prev - correction)
-    return LepageChain(lam, chain, 'recurrence')
+    return LepageChain(chain)
 
 
 # -- closed forms ----------------------------------------------------------------

@@ -13,24 +13,24 @@ from __future__ import annotations
 import re
 
 from . import symexpr
-from .forms import Context, Form, ds_block, to_contact_basis
+from .forms import Context, Form, ds_block, to_contact_basis, wedge
 from .lepage import Lagrangian
 from .printers import field_name
 from .symexpr import Scalar
 
 
-class InputSyntaxError(Exception):
+class InputSyntaxError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
 
 
-class OrderViolation(Exception):
+class OrderViolation(ValueError):
     """A jet coordinate exceeds the declared order."""
 
 
-class UnknownIdentifier(Exception):
+class UnknownIdentifier(ValueError):
     """An identifier is neither a coordinate, a field, nor a form atom."""
 
 
@@ -117,7 +117,10 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse(self):
-        value = self.expression()
+        try:
+            value = self.expression()
+        except RecursionError:
+            self.error("expression nested too deeply")
         if self.peek()[0] != 'END':
             self.error(f"trailing input starting at {self.peek()[1]!r}")
         return value
@@ -271,8 +274,6 @@ def _add(p, a, b):
         a0 = a if isinstance(a, Form) else Form.from_scalar(p.ctx, a)
         b0 = b if isinstance(b, Form) else Form.from_scalar(p.ctx, b)
         return a0 + b0
-    if isinstance(a, Form):
-        return a + b
     return a + b
 
 
@@ -299,10 +300,9 @@ def _divide(p, a, b):
 
 
 def _wedge(p, a, b):
-    from .forms import wedge as form_wedge
     a0 = a if isinstance(a, Form) else Form.from_scalar(p.ctx, a)
     b0 = b if isinstance(b, Form) else Form.from_scalar(p.ctx, b)
-    return form_wedge(a0, b0)
+    return wedge(a0, b0)
 
 
 # -- public entry points ---------------------------------------------------------

@@ -24,21 +24,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import symexpr
-from .forms import (Context, Form, as_ds_block, d_H, ds_block, omega, p_k,
-                    wedge)
+from .forms import (Context, Form, as_ds_block, codegree, d_H, ds_block,
+                    omega, p_k, wedge)
 from .multiindex import signed_get, signed_permutations, tuple_multiplicity
 from .symexpr import Scalar
 
 
-class NotOneContact(Exception):
+class NotOneContact(ValueError):
     """The form carries contact degree >= 2 and is not a morphism."""
 
 
-class DegreeTooHigh(Exception):
-    """The identification with morphisms holds up to (n+1)-forms only."""
-
-
-class UnsupportedCase(Exception):
+class UnsupportedCase(ValueError):
     """The requested (rank, codegree) splitting has no explicit formulas."""
 
 
@@ -156,18 +152,12 @@ class SplitResult:
 
 
 def from_contact_form(rho: Form) -> VariationalMorphism:
-    """Read a 1-contact (n-s)-horizontal form (degree <= n+1) as a morphism."""
+    """Read a 1-contact (n-s)-horizontal form as a morphism."""
     ctx = rho.ctx
     if rho.contact_degree() > 1:
         raise NotOneContact("form has contact components of degree >= 2")
     part = p_k(rho, 1)
-    degs = {h + c for h, c in part.degrees()}
-    if degs and max(degs) > ctx.n + 1:
-        raise DegreeTooHigh("morphism identification holds up to (n+1)-forms")
-    hdegs = {h for h, _ in part.degrees()}
-    if len(hdegs) > 1:
-        raise NotOneContact(f"mixed horizontal degrees {hdegs}")
-    s = ctx.n - hdegs.pop() if hdegs else 0
+    s = codegree(part)
     V = VariationalMorphism(ctx, s)
     sfact = math.factorial(s)
     # stored terms are dx-first; the coefficient family reads off the

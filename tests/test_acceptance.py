@@ -125,7 +125,7 @@ def test_criterion_04_prop_div():
         rho = rand_form(rng, ctx, n - s, k, r, degree=2)
         if p_k(rho, k).is_zero():
             continue
-        fam = ibp_expand(rho, k, s=s)
+        fam = ibp_expand(rho, k)
         lhs = Form.zero(ctx)
         for block in itertools.combinations(range(1, n + 1), s):
             for lm in range(1, fam.r + 1):
@@ -135,7 +135,7 @@ def test_criterion_04_prop_div():
                         continue
                     lhs = lhs + wedge(total_derivative_form_multi(anti, M),
                                       ds_block(ctx, block))
-        ok = ok and lhs == d_H(residual(rho, k, s))
+        ok = ok and lhs == d_H(residual(rho, k))
         checked += 1
     _announce(4, ok, f"Prop. div identity on {checked} random instances", t0)
 

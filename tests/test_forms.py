@@ -1,10 +1,13 @@
 import random
 
+import pytest
+
 from jetform import symexpr as se
-from jetform.forms import (Context, Form, as_ds_block, contract_prolonged,
-                           d_C, d_H, d_H_local, dx, ds_block, exterior_d,
-                           omega, p_k, to_contact_basis,
-                           total_derivative_form, volume, wedge)
+from jetform.forms import (Context, Form, GradingMismatch, as_ds_block,
+                           codegree, contract_prolonged, d_C, d_H, d_H_local,
+                           dx, ds_block, exterior_d, omega, p_k,
+                           to_contact_basis, total_derivative_form, volume,
+                           wedge)
 from jetform.randomgen import rand_form, rand_scalar
 from jetform.symexpr import Scalar
 
@@ -23,6 +26,19 @@ def corpus(seed, count, n_max=3, m_max=2, order=2):
         k = rng.randint(0, 2)
         out.append(rand_form(rng, ctx, h, k, rng.randint(0, order)))
     return out
+
+
+# -- grading ---------------------------------------------------------------------
+
+def test_codegree_is_n_minus_the_single_horizontal_degree():
+    ctx = Context(n=3, m=1)
+    assert codegree(volume(ctx)) == 0
+    assert codegree(wedge(omega(ctx, 1, 2), ds_block(ctx, (1,)))) == 1
+    assert codegree(wedge(omega(ctx, 1), ds_block(ctx, (1, 3)))) == 2
+    assert codegree(wedge(omega(ctx, 1), omega(ctx, 1, 1))) == 3
+    assert codegree(Form.zero(ctx)) == 0
+    with pytest.raises(GradingMismatch, match="mixed horizontal degrees"):
+        codegree(volume(ctx) + dx(ctx, 1))
 
 
 # -- wedge -----------------------------------------------------------------------

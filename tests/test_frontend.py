@@ -233,7 +233,7 @@ def test_cli_non_constant_divisor_is_2(argv):
     (["residual", "--contact", "-1", "u_1 * w(u,1) /\\ ds"],
      "residual operator needs contact degree k >= 1"),
     (["residual", "--codegree", "-1", "u_1 * w(u,1) /\\ ds"],
-     "residual operator needs codegree s >= 0"),
+     "form has codegree 0, expected -1"),
 ])
 def test_cli_grading_mismatch_is_2(argv, message):
     code, out, err = run_cli(argv[:1] + ["--base-dim", "2", "--fiber-dim", "1",
@@ -250,6 +250,37 @@ def test_cli_indistinguishable_fields_are_2(fields):
     assert code == 2
     assert out == ""
     assert err.startswith("error: field name") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", [["--format", "json"], ["--fields", "a"],
+                                  ["--order", "2"]])
+def test_cli_verify_rejects_flags_it_does_not_read(flag):
+    code, out, err = run_cli(["verify", "--identity", "eq32", *flag])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("expr", ["(" * 500 + "u_1" + ")" * 500, "-" * 3000 + "u_1"],
+                         ids=["500-parentheses", "3000-minus-signs"])
+def test_cli_deep_nesting_is_a_parse_error_2(expr):
+    code, out, err = run_cli(["el", "-n", "2", "-m", "1", "-r", "1", "--", expr])
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: expression nested too deeply "
+                        r"\(line 1, column \d+\)\n", err)
+
+
+def test_exit_status_follows_the_exception_class():
+    from jetform import forms, varmorph
+    input_errors = (InputSyntaxError, OrderViolation, UnknownIdentifier,
+                    varmorph.NotOneContact, varmorph.UnsupportedCase,
+                    lepage.UnsupportedOrder, forms.GradingMismatch)
+    for cls in input_errors:
+        assert issubclass(cls, ValueError), cls
+    for cls in (interior_euler.RecompositionFailure, interior_euler.ExpansionMismatch):
+        assert issubclass(cls, AssertionError), cls
+    assert interior_euler.GradingMismatch is forms.GradingMismatch
 
 
 @pytest.mark.parametrize("identity", sorted(cli.CHECKS) + ["all"])

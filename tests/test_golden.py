@@ -111,6 +111,9 @@ CASES = [
     ("residual -n 2 -m 1 -r 2 --codegree 0",
      "u_1*u_12 * w(u,12) /\\ ds + u^2 * w(u,1) /\\ ds",
      "0a6f019cd655df9765b3595ebd42bf897c219c624d88a6d246685a91a2098b47"),
+    ("residual -n 3 -m 1 -r 2 --codegree 2",
+     "u_1*u_3 * w(u,3) /\\ dx3 + u^2 * w(u,23) /\\ dx2",
+     "25659d9307e054da068fa2ddde44bfb6b3edf9a99357496a581de6ae14ab32aa"),
     ("residual -n 2 -m 2 -r 1 --contact 2 --codegree 0",
      "u_1 * w(u,1) /\\ w(v,2) /\\ ds + v * w(u,2) /\\ w(v) /\\ ds",
      "6777a73987850a7c119249d717f8ff26c0d4ed25ff345d506a320234a33c322e"),
@@ -123,14 +126,33 @@ CASES = [
 ]
 
 
+def _json_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--format", "json"])
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("flags,expr,digest", CASES,
                          ids=[f"{c[0]}|{c[1]}" for c in CASES])
 def test_json_digest(flags, expr, digest):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(flags.split() + ["--format", "json", expr])
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert _json_digest(flags.split() + [expr]) == digest
+
+
+# residual cases at codegree s >= 1: without --codegree the codegree is read
+# off the form, so the output is the same
+LOWER_RESIDUAL = [c for c in CASES
+                  if c[0].startswith("residual") and "--codegree 0" not in c[0]]
+
+
+@pytest.mark.parametrize("flags,expr,digest", LOWER_RESIDUAL,
+                         ids=[f"{c[0]}|{c[1]}" for c in LOWER_RESIDUAL])
+def test_residual_codegree_defaults_to_the_forms_own(flags, expr, digest):
+    argv = flags.split()
+    at = argv.index("--codegree")
+    del argv[at:at + 2]
+    assert _json_digest(argv + [expr]) == digest
 
 
 # (n, m, order) -> digests of the closed equivalent, the recurrence terminal

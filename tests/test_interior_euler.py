@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from jetform import interior_euler as ie
 from jetform import symexpr as se
 from jetform.forms import (Context, Form, d_H, ds_block, dx, exterior_d,
                            omega, p_k, total_derivative_form_multi, volume,
                            wedge, wedge_all)
-from jetform.interior_euler import (GradingMismatch, RecompositionFailure,
-                                    eta_decompose, ibp_expand, interior_euler,
-                                    residual, split_lower)
+from jetform.interior_euler import (RecompositionFailure, eta_decompose,
+                                    ibp_expand, interior_euler, residual,
+                                    split_lower)
 from jetform.randomgen import rand_form
 from jetform.symexpr import Scalar
 
@@ -74,13 +75,6 @@ def test_ibp_r1_telescope():
     expect0 = volume(ctx).scale(
         se.y(1) - se.total_derivative(se.y(1, 2), 1) - se.total_derivative(se.y(1, 1), 2))
     assert fam.xi[(1, ())] == expect0
-
-
-def test_ibp_wrong_codegree_is_a_mismatch():
-    ctx = Context(n=2, m=1)
-    rho = wedge(omega(ctx, 1), ds_block(ctx, (1,))).scale(se.y(1))
-    with pytest.raises(GradingMismatch):
-        ibp_expand(rho, 1, s=0)  # the form has codegree 1
 
 
 def test_ibp_random_exactness_holds():
@@ -169,26 +163,24 @@ def test_residual_lower_linearity():
     ctx = Context(n=2, m=2)
     a = rand_form(rng, ctx, 1, 1, 2)
     b = rand_form(rng, ctx, 1, 1, 2)
-    lhs = residual(a + b.scale(se.rational(-2, 3)), 1, 1)
-    rhs = residual(a, 1, 1) + residual(b, 1, 1).scale(se.rational(-2, 3))
+    lhs = residual(a + b.scale(se.rational(-2, 3)), 1)
+    rhs = residual(a, 1) + residual(b, 1).scale(se.rational(-2, 3))
     assert lhs == rhs
 
 
-def test_residual_rejects_contact_degree_below_one_and_negative_codegree():
+def test_residual_rejects_contact_degree_below_one():
     ctx = Context(n=2, m=1)
     rho = wedge(omega(ctx, 1), volume(ctx)).scale(se.y(1, 1))
     for k in (0, -1):
         with pytest.raises(ValueError, match="contact degree"):
             residual(rho, k)
-    with pytest.raises(ValueError, match="codegree"):
-        residual(rho, 1, -1)
 
 
 def test_residual_lower_vanishes_when_block_exceeds_n():
     # 0-horizontal: ds over s+1 > n indices dies
     ctx = Context(n=1, m=1)
     rho = wedge(omega(ctx, 1, 1), omega(ctx, 1)).scale(se.y(1, 1))
-    out = residual(rho, 2, 1)
+    out = residual(rho, 2)
     assert out.is_zero()
 
 
@@ -204,7 +196,7 @@ def test_prop_div_identity_randomized():
         rho = rand_form(rng, ctx, n - s, k, r)
         if p_k(rho, k).is_zero():
             continue
-        fam = ibp_expand(rho, k, s=s)
+        fam = ibp_expand(rho, k)
         lhs = Form.zero(ctx)
         for block in itertools.combinations(range(1, n + 1), s):
             for lm in range(1, fam.r + 1):
@@ -214,7 +206,7 @@ def test_prop_div_identity_randomized():
                         continue
                     lhs = lhs + wedge(total_derivative_form_multi(anti, M),
                                       ds_block(ctx, block))
-        assert lhs == d_H(residual(rho, k, s))
+        assert lhs == d_H(residual(rho, k))
         checked += 1
     assert checked >= 8
 
@@ -231,17 +223,33 @@ def test_split_lower_three_way_sum():
         rho = rand_form(rng, ctx, n - s, 1, r)
         if p_k(rho, 1).is_zero():
             continue
-        source, middle, boundary = split_lower(rho, s)
+        source, middle, boundary = split_lower(rho)
         assert source + middle + boundary == p_k(rho, 1)
         checked += 1
     assert checked >= 6
+
+
+def test_split_lower_builds_the_xi_family_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ibp_expand(*args, **kwargs)
+
+    monkeypatch.setattr(ie, "ibp_expand", counted)
+    ctx = Context(n=3, m=1)
+    rho = rand_form(random.Random(29), ctx, 2, 1, 2)
+    assert not p_k(rho, 1).is_zero()
+    source, middle, boundary = split_lower(rho)
+    assert len(calls) == 1
+    assert source + middle + boundary == p_k(rho, 1)
 
 
 def test_split_lower_s0_degenerates_to_eq32():
     rng = random.Random(27)
     ctx = Context(n=2, m=1)
     rho = rand_form(rng, ctx, 2, 1, 1)
-    source, middle, boundary = split_lower(rho, 0)
+    source, middle, boundary = split_lower(rho)
     assert middle.is_zero()
     assert source == interior_euler(rho, 1)
     assert source + boundary == p_k(rho, 1)
@@ -255,6 +263,6 @@ def test_split_lower_antisymmetric_case_collapses():
     # rho = B (w_1 ^ ds_2 - w_2 ^ ds_1): A^{i j} = delta-antisymmetric
     rho = rho + wedge(omega(ctx, 1, 1), ds_block(ctx, (2,))).scale(c)
     rho = rho - wedge(omega(ctx, 1, 2), ds_block(ctx, (1,))).scale(c)
-    source, middle, boundary = split_lower(rho, 1)
+    source, middle, boundary = split_lower(rho)
     assert middle.is_zero()
     assert source + boundary == p_k(rho, 1)

@@ -257,6 +257,27 @@ def test_as_fraction_is_exact_fraction():
     assert (se.rational(7) ** -1).as_fraction() == Fraction(1, 7)
 
 
+def test_power_squares_only_while_exponent_bits_remain(monkeypatch):
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    base = se.y(1, 1) + se.y(1) + 1
+    expect = Scalar.one()
+    for k in range(1, 34):
+        expect = expect * base
+        monkeypatch.setattr(Scalar, "__mul__", counted)
+        calls.clear()
+        power = base ** k
+        monkeypatch.setattr(Scalar, "__mul__", mul)
+        # floor(log2 k) squarings and one product per set bit
+        assert len(calls) == (k.bit_length() - 1) + bin(k).count("1"), k
+        assert power == expect
+
+
 def test_printers_do_not_see_the_coefficient_type():
     from jetform.printers import scalar_latex, scalar_text
     for body in (Scalar.one(), se.y(1, 2), se.x(1) * se.y(2)):

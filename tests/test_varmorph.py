@@ -254,7 +254,7 @@ def test_split_like_agrees_with_form_level_split():
         ctx = Context(n=n, m=m)
         V = rand_morphism(rng, ctx, s, r)
         rho = to_contact_form(V)
-        source, middle, boundary = split_lower(rho, s)
+        source, middle, boundary = split_lower(rho)
         res = split_like(V)
         xi = vertical_field(ctx)
         assert res.volume.evaluate(xi) == contract_prolonged(source + middle, xi)
