@@ -19,6 +19,7 @@ from .lepage import (euler_lagrange, kb_second_order, krupka_betounes_first,
                      poincare_cartan, rossi_recurrence)
 from .parser import default_fields, parse_form, parse_lagrangian
 from .printers import form_json, form_json_doc, form_latex, form_text
+from .symexpr import _memo_scope
 from .varmorph import (alpha_discrepancy, from_contact_form,
                        split_canonical_codegree_s, split_like, to_contact_form)
 from .verify import CHECKS, run_identity
@@ -197,7 +198,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _run(args)
+        with _memo_scope():
+            return _run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

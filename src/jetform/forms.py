@@ -278,10 +278,8 @@ def _d_coefficient(ctx: Context, c: Scalar) -> Form:
     out = Form(ctx)
     for i in range(1, ctx.n + 1):
         out._accumulate((('dx', i),), symexpr.total_derivative(c, i))
-    for coord in symexpr.support_coords(c, ctx.n, ctx.m):
-        if coord[0] == 'y':
-            dc = symexpr.partial(c, coord)
-            out._accumulate((('w', coord[1], coord[2]),), dc)
+    for (_, sigma, J), dc in symexpr.gradient(c, ctx.n, ctx.m).items():
+        out._accumulate((('w', sigma, J),), dc)
     return out
 
 

@@ -102,6 +102,7 @@ def poincare_cartan_closed(lam: Lagrangian) -> Form:
     return _closed_equivalent(lam, 1, 1)
 
 
+@symexpr._memo_scope()
 def poincare_cartan(lam: Lagrangian) -> Form:
     """theta = lambda - p_1 R(d lambda), cross-checked against the chart form."""
     theta = lam.form() - p_k(residual(exterior_d(lam.form()), 1), 1)
@@ -129,13 +130,7 @@ def _provenance_eta(rho_prev: Form, q: int) -> dict:
     for w, c in rho_prev.terms.items():
         if sum(1 for cov in w if cov[0] == 'w') != q - 1:
             continue
-        for coord in sorted(symexpr.support_coords(c, ctx.n, ctx.m)):
-            if coord[0] != 'y':
-                continue
-            dc = symexpr.partial(c, coord)
-            if dc.is_zero():
-                continue
-            nu, K = coord[1], coord[2]
+        for (_, nu, K), dc in sorted(symexpr.gradient(c, ctx.n, ctx.m).items()):
             seq = (('w', nu, K),) + w
             if len(K) == 1 and any(cov[0] == 'w' and len(cov[2]) >= 1 for cov in w):
                 put((nu, K), seq[1:], dc)
@@ -149,6 +144,7 @@ def _provenance_eta(rho_prev: Form, q: int) -> dict:
     return {k: v for k, v in etas.items() if not v.is_zero()}
 
 
+@symexpr._memo_scope()
 def rossi_recurrence(lam: Lagrangian) -> LepageChain:
     """The full chain rho_1 .. rho_n of residual-operator corrections."""
     ctx = lam.ctx
@@ -175,6 +171,7 @@ def rossi_recurrence(lam: Lagrangian) -> LepageChain:
 # -- closed forms ----------------------------------------------------------------
 
 
+@symexpr._memo_scope()
 def _closed_equivalent(lam: Lagrangian, f1_slots: int, p2_slots: int) -> Form:
     """L plus the pure-contact tower truncated at the given slot counts.
 
@@ -242,6 +239,7 @@ def kb_second_order(lam: Lagrangian, variant: str = "plain") -> Form:
 # -- source forms -----------------------------------------------------------------
 
 
+@symexpr._memo_scope()
 def euler_lagrange(lam: Lagrangian) -> Form:
     """The source form I(d lambda): omega^sigma ^ E_sigma(L) ds."""
     return interior_euler(exterior_d(lam.form()), 1)

@@ -23,11 +23,22 @@ applied; mixed partials commute, so the sorted tuple is canonical.  Total
 derivatives of opaque symbols expand through the chain rule over the
 declared dependencies, producing new labelled atoms.  Equality of
 expressions is literal equality of the normal forms.
+
+While an outermost library call runs (the Lepage builders in ``lepage``
+and one CLI command), ``total_derivative`` reads the chain rule of each
+atom from a memo keyed by (atom, i) and filled on first use.  An entry is
+a pure function of its key, since the atom tuple carries name, indices, n,
+m, order and partials, and scalars are never mutated, so every call inside
+the scope may share it.  ``_memo_scope`` opens the memo, nested scopes
+reuse the outer one, and the outermost scope drops it in ``finally``: no
+entry outlives the call, so nothing is carried from one input to the next.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
 Atom = tuple
@@ -330,9 +341,34 @@ def _atom_total(atom: Atom, i: int) -> Scalar:
     return Scalar(out)
 
 
+_memo: dict | None = None  # (atom, i) -> _atom_total(atom, i) inside a scope
+
+
+@contextmanager
+def _memo_scope():
+    """Keep d_i of every atom for the rest of the outermost open scope."""
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
 def total_derivative(e: Scalar, i: int) -> Scalar:
     """The i-th formal derivative d_i, raising the jet order by one."""
-    return _derive_monomials(e, lambda a: _atom_total(a, i))
+    memo = {} if _memo is None else _memo
+
+    def rule(a):
+        da = memo.get((a, i))
+        if da is None:
+            da = memo[a, i] = _atom_total(a, i)
+        return da
+
+    return _derive_monomials(e, rule)
 
 
 def total_derivative_multi(e: Scalar, J: Iterable[int]) -> Scalar:
@@ -343,27 +379,50 @@ def total_derivative_multi(e: Scalar, J: Iterable[int]) -> Scalar:
 
 def jet_keys(n: int, order: int) -> Iterator[tuple]:
     """All sorted multi-indices over {1..n} of length 0..order."""
-    from itertools import combinations_with_replacement
     for k in range(max(order, -1) + 1):
         yield from combinations_with_replacement(range(1, n + 1), k)
 
 
-def support_coords(e: Scalar, n: int, m: int) -> set:
-    """Coordinates the expression can depend on (declared, not just visible)."""
-    coords = set()
-    for a in e.atoms():
-        if a[0] in ('x', 'y'):
-            coords.add(a)
-        else:
-            for i in range(1, n + 1):
-                coords.add(('x', i))
-            for sigma in range(1, m + 1):
-                for J in jet_keys(n, a[5]):
-                    coords.add(('y', sigma, J))
-            for key in a[6]:
-                if key[0] == 'y':
-                    coords.add(key)
-    return coords
+def gradient(e: Scalar, n: int, m: int) -> dict:
+    """Every nonzero partial in a jet coordinate, from one pass over e.
+
+    Returns ``{('y', sigma, J): partial(e, ('y', sigma, J))}`` over the jet
+    coordinates present in e and those its opaque atoms declare over
+    (n, m).  Each declared coordinate tuple is built once per call and is
+    shared by every labelled atom that carries it.
+    """
+    shared: dict = {}    # declared coordinate -> its one tuple
+    factors: dict = {}   # opaque atom -> [(coord, the labelled monomial)]
+    out: dict = {}
+    for mono, coeff in e.terms.items():
+        for t, (a, k) in enumerate(mono):
+            if a[0] == 'x':
+                continue
+            rest = mono[:t] + ((a, k - 1),) * (k > 1) + mono[t + 1:]
+            ck = coeff if k == 1 else coeff * k
+            if a[0] == 'y':
+                hits = ((a, rest),)
+            else:
+                pairs = factors.get(a)
+                if pairs is None:
+                    pairs = factors[a] = []
+                    for sigma in range(1, m + 1):
+                        for J in jet_keys(n, a[5]):
+                            c = ('y', sigma, J)
+                            c = shared.setdefault(c, c)
+                            pairs.append((c, ((_labelled(a, c), 1),)))
+                hits = ((c, _mul_monomials(rest, f)) for c, f in pairs)
+            for c, mb in hits:
+                terms = out.get(c)
+                if terms is None:
+                    out[c] = {mb: ck}
+                elif (old := terms.get(mb)) is None:
+                    terms[mb] = ck
+                elif s := old + ck:
+                    terms[mb] = s
+                else:
+                    del terms[mb]
+    return {c: Scalar(terms) for c, terms in out.items() if terms}
 
 
 def collect_linear(e: Scalar, family: str) -> dict:

@@ -345,6 +345,30 @@ def test_cli_kb_runs_the_recurrence_only_to_cross_check(monkeypatch):
     assert calls == [1, 2]
 
 
+def test_cli_command_shares_one_chain_rule_memo(monkeypatch):
+    keys, memos = [], []
+    build = se._atom_total
+
+    def spy(atom, i):
+        keys.append((atom, i))
+        memos.append(se._memo)
+        return build(atom, i)
+
+    monkeypatch.setattr(se, "_atom_total", spy)
+    # the closed form and its cross-check recurrence build each rule once
+    code, out, err = run_cli(["kb", "--base-dim", "2", "--fiber-dim", "1",
+                              "--order", "2", "u_xx*u_y^2 + u_x*u_xy"])
+    assert code == 0 and out and err == ""
+    assert keys and len(keys) == len(set(keys))
+    assert memos[0] is not None and all(memo is memos[0] for memo in memos)
+    assert se._memo is None
+    monkeypatch.setattr(lepage, "poincare_cartan_closed", lambda lam: volume(lam.ctx))
+    code, _, _ = run_cli(["pc", "--base-dim", "2", "--fiber-dim", "1",
+                          "--order", "1", "1/2*(u_x^2+u_y^2)"])
+    assert code == 3
+    assert se._memo is None
+
+
 def test_cli_stdin():
     code, out, _ = run_cli(["pc", "--base-dim", "1", "--fiber-dim", "1",
                             "--order", "1", "-"], stdin_text="1/2*u_x^2")

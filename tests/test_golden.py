@@ -170,6 +170,12 @@ OPAQUE_CASES = [
     ((3, 1, 2),
      "370aeb1d30a2792ed0c30962fad08b1cb1a1a4839f84810555f877ef6c261083",
      "9e7b1a23f4605a01dae5cfc32995d0d24f16176fc940c64c9a4ea8307203c55e"),
+    ((4, 1, 2),
+     "d20de5288d5e06df3de4249992f40010178e08ed8d6891e0ce94022d48661b51",
+     "df3bcb9774f2a534ff0db8eb308d4d75c338b66d2a3a2c2277d1e4cc22feeb84"),
+    ((3, 2, 2),
+     "4ae8f8fbe3a97ee221d61ee07adc8745b9c14d898ed2411387d0003638b25f9d",
+     "bce0445e341829638323b133fecf50efb7305e3abb8a532bb26026ea79413a8f"),
 ]
 
 

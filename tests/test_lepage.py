@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetform import lepage
 from jetform import symexpr as se
 from jetform.forms import (Context, ds_block, dx, exterior_d, omega, p_k,
                            volume, wedge, wedge_all)
@@ -264,3 +265,63 @@ def test_lepage_check_fails_for_bare_lambda():
     assert rep.horizontal_ok
     assert not rep.source_ok
     assert not rep.source_diff.is_zero()
+
+
+# -- the chain-rule memo lives for one outermost call -------------------------------------
+
+def _spy_atom_total(monkeypatch):
+    """Record the key of every chain rule built, and the memo it went into."""
+    keys, memos = [], []
+    build = se._atom_total
+
+    def spy(atom, i):
+        keys.append((atom, i))
+        memos.append(se._memo)
+        return build(atom, i)
+
+    monkeypatch.setattr(se, "_atom_total", spy)
+    return keys, memos
+
+
+@pytest.mark.parametrize("call", [
+    poincare_cartan, rossi_recurrence, euler_lagrange, krupka_betounes_first])
+def test_memo_is_gone_after_a_public_call_returns(call):
+    lam = generic_lagrangian(Context(n=2, m=2), 1)
+    assert se._memo is None
+    call(lam)
+    assert se._memo is None
+
+
+def test_memo_is_gone_after_a_self_check_raises(monkeypatch):
+    lam = generic_lagrangian(CTX21, 2)
+    monkeypatch.setattr(lepage, "poincare_cartan_closed",
+                        lambda lam: volume(lam.ctx))
+    for call in (poincare_cartan, rossi_recurrence):
+        with pytest.raises(AssertionError):
+            call(lam)
+        assert se._memo is None
+
+
+def test_nested_entry_points_share_one_memo(monkeypatch):
+    keys, memos = _spy_atom_total(monkeypatch)
+    lam = generic_lagrangian(CTX21, 2)
+    # rossi_recurrence -> poincare_cartan -> _closed_equivalent, each a scope
+    rossi_recurrence(lam)
+    assert memos[0] is not None and all(memo is memos[0] for memo in memos)
+    assert len(memos[0]) == len(keys)
+    memos.clear()
+    with se._memo_scope():
+        outer = se._memo
+        euler_lagrange(lam)
+        kb_second_order(lam)
+        assert se._memo is outer
+    assert memos and all(memo is outer for memo in memos)
+
+
+def test_recurrence_builds_each_chain_rule_once(monkeypatch):
+    keys, _ = _spy_atom_total(monkeypatch)
+    lam = generic_lagrangian(Context(n=3, m=1), 2)
+    terminal = rossi_recurrence(lam).terminal
+    # without the memo the same recurrence builds 1917 chain rules
+    assert len(keys) == len(set(keys)) == 294
+    assert terminal == kb_second_order(lam)

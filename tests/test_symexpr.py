@@ -286,3 +286,81 @@ def test_printers_do_not_see_the_coefficient_type():
             as_frac = Scalar({m: Fraction(c) * v for m, v in body.terms.items()})
             assert scalar_text(as_int) == scalar_text(as_frac)
             assert scalar_latex(as_int) == scalar_latex(as_frac)
+
+
+# -- the one-pass gradient against one partial per coordinate -------------------------
+
+@st.composite
+def _gradient_case(draw):
+    """(e, n, m): a polynomial in x, y and opaque atoms of order -1..2.
+
+    Powers reach 3; opaque atoms may already carry partials, and some terms
+    come as f - y_c * (df/dy_c), whose gradients cancel in part.
+    """
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    ys = [('y', sigma, J) for sigma in range(1, m + 1) for J in se.jet_keys(n, 2)]
+    xs = [('x', i) for i in range(1, n + 1)]
+
+    def opaque_factor():
+        order = draw(st.integers(-1, 2))
+        f = se.opaque(draw(st.sampled_from("FG")), (draw(st.integers(1, 2)),),
+                      n=n, m=m, order=order)
+        declared = xs + [c for c in ys if len(c[2]) <= order]
+        for c in draw(st.lists(st.sampled_from(declared), max_size=2)):
+            f = se.partial(f, c)
+        return f
+
+    def factor():
+        kind = draw(st.sampled_from("xyf"))
+        if kind == 'x':
+            return se.x(draw(st.sampled_from(xs))[1])
+        if kind == 'y':
+            c = draw(st.sampled_from(ys))
+            return se.y(c[1], *c[2])
+        return opaque_factor()
+
+    e = Scalar.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        term = se.rational(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2])))
+        for _ in range(draw(st.integers(0, 3))):
+            term = term * factor() ** draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            f = opaque_factor()
+            c = draw(st.sampled_from(ys))
+            term = term * (f - se.y(c[1], *c[2]) * se.partial(f, c))
+        e = e + term
+    return e, n, m
+
+
+@given(_gradient_case())
+def test_gradient_equals_one_partial_per_declared_coordinate(case):
+    e, n, m = case
+    expect = {}
+    for sigma in range(1, m + 1):
+        for J in se.jet_keys(n, 3):
+            d = se.partial(e, ('y', sigma, J))
+            if not d.is_zero():
+                expect[('y', sigma, J)] = d
+    assert se.gradient(e, n, m) == expect
+
+
+def test_gradient_of_a_cancelling_pair():
+    f = se.opaque("F", n=2, m=1, order=0)
+    f_u = se.partial(f, ('y', 1, ()))
+    grad = se.gradient(f - se.y(1) * f_u, 2, 1)
+    assert grad == {('y', 1, ()): Scalar.zero() - se.y(1) * se.partial(f_u, ('y', 1, ()))}
+
+
+def test_gradient_builds_each_coordinate_label_once():
+    # atoms of two orders and a square: every partial in one coordinate is
+    # labelled with the same tuple object
+    f = se.opaque("F", n=3, m=2, order=2)
+    e = f * se.opaque("G", n=3, m=2, order=1) + f ** 2 * se.y(1, 2)
+    labels: dict = {}
+    for d in se.gradient(e, 3, 2).values():
+        for mono in d.terms:
+            for a, _ in mono:
+                for key in a[6] if a[0] == 'f' else ():
+                    labels.setdefault(key, set()).add(id(key))
+    assert len(labels) == 2 * 10
+    assert all(len(ids) == 1 for ids in labels.values())
