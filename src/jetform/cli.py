@@ -150,7 +150,7 @@ def _run(args) -> int:
             # recurrence is run only to cross-check the other two
             if lam.order == 1 or args.variant == "plain":
                 terminal = rossi_recurrence(lam).terminal
-                if not (terminal - rho).is_zero():
+                if terminal != rho:
                     print("warning: recurrence and closed form disagree",
                           file=sys.stderr)
             print(_emit_form(rho, args, fields))

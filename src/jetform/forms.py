@@ -198,15 +198,23 @@ def ds_block(ctx: Context, block) -> Form:
     return Form(ctx, {wedge: Scalar.from_fraction(sign)})
 
 
-def as_ds_block(ctx: Context, horiz_wedge) -> tuple:
-    """Read a sorted dx-wedge as (block, sign) with wedge = sign * ds_block."""
-    present = [c[1] for c in horiz_wedge]
-    block = tuple(i for i in range(1, ctx.n + 1) if i not in present)
-    ref = ds_block(ctx, block)
-    [(w, c)] = ref.terms.items()
-    if w != tuple(horiz_wedge):
-        raise ValueError("not a plain dx-wedge")
-    return block, int(c.as_fraction())
+def ds_parts(rho: Form) -> dict:
+    """{block: contact part} with rho = sum of wedge(part, ds_block(ctx, block)).
+
+    A stored term c dx_H ^ omega_C is read as +-c omega_C ^ ds_block with the
+    block the complement of H: ds_block's sign times (-1)^(|H| |C|).
+    """
+    ctx = rho.ctx
+    parts: dict = {}
+    for w, c in rho.terms.items():
+        h = sum(1 for cov in w if cov[0] == 'dx')
+        horiz, contact = w[:h], w[h:]
+        block = tuple(i for i in range(1, ctx.n + 1) if ('dx', i) not in horiz)
+        [(_, sign)] = ds_block(ctx, block).terms.items()
+        if (sign == 1) != (h * len(contact) % 2 == 0):
+            c = -c
+        parts.setdefault(block, Form(ctx)).terms[contact] = c
+    return parts
 
 
 def wedge(a: Form, b: Form) -> Form:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # GradingMismatch is re-exported for callers that import it from here
-from .forms import (Form, GradingMismatch, as_ds_block, codegree,
-                    contract_omega, d_H, ds_block, omega, p_k,
+from .forms import (Form, GradingMismatch, codegree, contract_omega, d_H,
+                    ds_block, ds_parts, omega, p_k,
                     total_derivative_form_multi, wedge)
 from .multiindex import signed_get, signed_permutations, tuple_multiplicity
 from .symexpr import Scalar
@@ -83,7 +83,7 @@ def eta_decompose(rho: Form, k: int, etas: dict | None = None) -> EtaDecompositi
                 etas[(sigma, J)] = eta
     r = max((len(J) for _, J in etas), default=0)
     dec = EtaDecomposition(ctx, k, s, r, etas)
-    if not (dec.recompose() - part).is_zero():
+    if dec.recompose() != part:
         raise RecompositionFailure("eta family does not recompose p_k rho")
     return dec
 
@@ -152,22 +152,15 @@ def ibp_expand(rho: Form, k: int, eta: EtaDecomposition | None = None) -> XiFami
     for (sigma, I), x in xi.items():
         term = total_derivative_form_multi(wedge(omega(ctx, sigma), x), I)
         rebuilt = rebuilt + term.scale(tuple_multiplicity(I))
-    if not (rebuilt - p_k(rho, k)).is_zero():
+    if rebuilt != p_k(rho, k):
         raise ExpansionMismatch("xi telescoping does not rebuild p_k rho")
 
     chi: dict = {}
-    sign_flip = Fraction((-1) ** ((n - dec.s) * k))
     for (sigma, I), x in xi.items():
         if len(I) == 0:
             continue
-        wx = wedge(omega(ctx, sigma), x)
-        for w, c in wx.terms.items():
-            horiz = tuple(cov for cov in w if cov[0] == 'dx')
-            contact = tuple(cov for cov in w if cov[0] == 'w')
-            block, bsign = as_ds_block(ctx, horiz)
-            key = (block, I)
-            piece = Form(ctx, {contact: c * Scalar.from_fraction(bsign * sign_flip)})
-            chi[key] = chi.get(key, Form.zero(ctx)) + piece
+        for block, part in ds_parts(wedge(omega(ctx, sigma), x)).items():
+            chi[(block, I)] = chi.get((block, I), Form.zero(ctx)) + part
     chi = {key: v for key, v in chi.items() if not v.is_zero()}
     return XiFamily(ctx, k, dec.s, r, xi, chi)
 

@@ -17,14 +17,15 @@ factors still carry a first-order contact form, and every other term is
 parked on an order-zero factor, where it cannot enter the residual.
 
 The closed formulas are truncations of one pure-contact tower, built by
-``_closed_equivalent(lam, f1_slots, p2_slots)``: the Poincare-Cartan form
-is (1, 1), the first-order Krupka-Betounes equivalent (n, 0), and the
-second-order plain and generalized variants (1, n) and (n, n).  Sums there
-run over fully ordered slot tuples.  A q-fold pure-contact correction
-built from a slot-symmetric coefficient collapses q! equal orderings, so
-the familiar 1/q! (taken per sorted slot tuple) becomes 1/(q!)^2 in the
-fully ordered sum; mixed sums whose slots are distinguishable keep their
-literal weight.
+``_closed_equivalent(lam, slots)`` from one momentum family
+``Lagrangian.momentum``: ``slots[h]`` counts the slots of the tower led by
+omega^sigma_{J'} with |J'| = h.  The Poincare-Cartan form is (1,) * r, the
+first-order Krupka-Betounes equivalent (n,), and the second-order plain and
+generalized variants (1, n) and (n, n).  Sums there run over fully ordered
+slot tuples.  A q-fold pure-contact correction built from a slot-symmetric
+coefficient collapses q! equal orderings, so the familiar 1/q! (taken per
+sorted slot tuple) becomes 1/(q!)^2 in the fully ordered sum; mixed sums
+whose slots are distinguishable keep their literal weight.
 """
 
 from __future__ import annotations
@@ -62,22 +63,20 @@ class Lagrangian:
     def form(self) -> Form:
         return volume(self.ctx).scale(self.density)
 
-    # momentum-type coefficient functions, in the ordered-tuple convention
-    def p1(self, sigma: int, i: int) -> Scalar:
-        return symexpr.partial(self.density, ('y', sigma, (i,)))
+    def momentum(self, sigma: int, J: tuple) -> Scalar:
+        """f^J_sigma: sum over ordered K, |J|+|K| <= r, of (-1)^|K| d_K p^{JK}_sigma.
 
-    def p2(self, sigma: int, j: int, k: int) -> Scalar:
-        key = tuple(sorted((j, k)))
-        base = symexpr.partial(self.density, ('y', sigma, key))
-        return base * Fraction(1, tuple_multiplicity(key))
-
-    def f1(self, sigma: int, j: int) -> Scalar:
-        """p^j - d_k p^{jk}: the corrected first momentum at second order."""
-        val = self.p1(sigma, j)
-        if self.order == 2:
-            for k in range(1, self.ctx.n + 1):
-                val = val - symexpr.total_derivative(self.p2(sigma, j, k), k)
-        return val
+        p^{JK}_sigma is dL/dy^sigma_{JK} over the tuple multiplicity of the
+        sorted key.  J = () gives E_sigma(L); at order 2, (i,) is p^i - d_k p^{ik}.
+        """
+        out = Scalar.zero()
+        for lk in range(self.order - len(J) + 1):
+            for K in itertools.product(range(1, self.ctx.n + 1), repeat=lk):
+                key = tuple(sorted(J + K))
+                base = symexpr.partial(self.density, ('y', sigma, key))
+                out = out + symexpr.total_derivative_multi(
+                    base * Fraction((-1) ** lk, tuple_multiplicity(key)), K)
+        return out
 
 
 @dataclass
@@ -98,8 +97,8 @@ def generic_lagrangian(ctx: Context, order: int, name: str = "L") -> Lagrangian:
 
 
 def poincare_cartan_closed(lam: Lagrangian) -> Form:
-    """The chart formulas: L ds + f^j w ds_j, plus p^{jk} w_k ds_j at order 2."""
-    return _closed_equivalent(lam, 1, 1)
+    """The chart form L ds + f^{i J'}_sigma omega^sigma_{J'} ^ ds_i: slots (1,) * r."""
+    return _closed_equivalent(lam, (1,) * lam.order)
 
 
 @symexpr._memo_scope()
@@ -107,7 +106,7 @@ def poincare_cartan(lam: Lagrangian) -> Form:
     """theta = lambda - p_1 R(d lambda), cross-checked against the chart form."""
     theta = lam.form() - p_k(residual(exterior_d(lam.form()), 1), 1)
     closed = poincare_cartan_closed(lam)
-    if not (theta - closed).is_zero():
+    if theta != closed:
         raise AssertionError("residual route disagrees with the chart "
                              "Poincare-Cartan form; decomposition bug")
     return theta
@@ -172,32 +171,34 @@ def rossi_recurrence(lam: Lagrangian) -> LepageChain:
 
 
 @symexpr._memo_scope()
-def _closed_equivalent(lam: Lagrangian, f1_slots: int, p2_slots: int) -> Form:
+def _closed_equivalent(lam: Lagrangian, slots: tuple) -> Form:
     """L plus the pure-contact tower truncated at the given slot counts.
 
-    For Q = 1 .. f1_slots the f1 tower adds, over ordered slot pairs
-    (sigma_1, i_1) .. (sigma_Q, i_Q),
+    ``slots[h]`` is the slot count of the tower whose lead is
+    omega^sigma_{J'} with |J'| = h.  For Q = 1 .. slots[h] that tower adds,
+    over ordered slot pairs (sigma_1, i_1) .. (sigma_Q, i_Q) and ordered J',
 
-        (Q!)^-2 [d/dy^{sigma_1}_{i_1} .. d/dy^{sigma_{Q-1}}_{i_{Q-1}} f1(sigma_Q, i_Q)]
-                omega^{sigma_1} ^ .. ^ omega^{sigma_Q} ^ ds_{i_1 .. i_Q};
+        w_h(Q) [d/dy^{sigma_1}_{i_1} .. d/dy^{sigma_{Q-1}}_{i_{Q-1}} f^{i_Q J'}_{sigma_Q}]
+               omega^{sigma_1} ^ .. ^ omega^{sigma_{Q-1}} ^ omega^{sigma_Q}_{J'}
+               ^ ds_{i_1 .. i_Q},
 
-    for Q = 1 .. p2_slots the p2 tower adds the same wedge with the last
-    factor raised to omega^{sigma_Q}_j, the same partials of
-    p2(sigma_Q, i_Q, j), and weight (Q!)^-1: the raised slot is
-    distinguishable, so its ordered sum keeps the literal weight.
+    with f = ``Lagrangian.momentum``, w_0(Q) = (Q!)^-2 and w_h(Q) = (Q!)^-1
+    for h >= 1: a raised lead is distinguishable, so it keeps the literal
+    weight.  The chain member rho_q is the tower at (q,) (order 1), (1, q)
+    (order 2).
     """
     ctx = lam.ctx
     n = ctx.n
-    slots = list(itertools.product(range(1, ctx.m + 1), range(1, n + 1)))
-    f1_leads = [(i, ('w', sigma, ()), lam.f1(sigma, i)) for sigma, i in slots]
-    p2_leads = [(i, ('w', sigma, (j,)), lam.p2(sigma, i, j))
-                for sigma, i in slots for j in range(1, n + 1)] if lam.order == 2 else []
+    slot_pairs = list(itertools.product(range(1, ctx.m + 1), range(1, n + 1)))
     terms = []
-    for top, power, leads in ((f1_slots, 2, f1_leads), (p2_slots, 1, p2_leads)):
+    for h, top in enumerate(slots):
+        leads = [(i, ('w', sigma, tuple(sorted(Jp))), lam.momentum(sigma, (i,) + Jp))
+                 for sigma, i in slot_pairs
+                 for Jp in itertools.product(range(1, n + 1), repeat=h)]
         leads = [lead for lead in leads if not lead[2].is_zero()]
         for q in range(1, top + 1):
-            weight = Fraction(1, math.factorial(q) ** power)
-            for pairs in itertools.product(slots, repeat=q - 1):
+            weight = Fraction(1, math.factorial(q) ** (2 if h == 0 else 1))
+            for pairs in itertools.product(slot_pairs, repeat=q - 1):
                 plain = tuple(('w', sigma, ()) for sigma, _ in pairs)
                 for i, lead, base in leads:
                     ds = ds_block(ctx, tuple(k for _, k in pairs) + (i,))
@@ -217,7 +218,7 @@ def krupka_betounes_first(lam: Lagrangian) -> Form:
     """First-order equivalent: pure-contact corrections from the L-Hessians."""
     if lam.order != 1:
         raise UnsupportedOrder("the first-order closed form needs order 1")
-    return _closed_equivalent(lam, lam.ctx.n, 0)
+    return _closed_equivalent(lam, (lam.ctx.n,))
 
 
 def kb_second_order(lam: Lagrangian, variant: str = "plain") -> Form:
@@ -233,7 +234,7 @@ def kb_second_order(lam: Lagrangian, variant: str = "plain") -> Form:
     if variant not in ("plain", "generalized"):
         raise ValueError(f"unknown variant {variant!r}")
     n = lam.ctx.n
-    return _closed_equivalent(lam, n if variant == "generalized" else 1, n)
+    return _closed_equivalent(lam, (n if variant == "generalized" else 1, n))
 
 
 # -- source forms -----------------------------------------------------------------

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import symexpr
-from .forms import (Context, Form, as_ds_block, codegree, d_H, ds_block,
-                    omega, p_k, wedge)
+from .forms import (Context, Form, codegree, d_H, ds_block, ds_parts, omega,
+                    p_k, wedge)
 from .multiindex import signed_get, signed_permutations, tuple_multiplicity
 from .symexpr import Scalar
 
@@ -160,14 +160,9 @@ def from_contact_form(rho: Form) -> VariationalMorphism:
     s = codegree(part)
     V = VariationalMorphism(ctx, s)
     sfact = math.factorial(s)
-    # stored terms are dx-first; the coefficient family reads off the
-    # omega-first arrangement omega^sigma_J ^ (A ds_block)
-    reorder = (-1) ** (ctx.n - s)
-    for w, c in part.terms.items():
-        horiz = tuple(cov for cov in w if cov[0] == 'dx')
-        [(sigma, J)] = [(cov[1], cov[2]) for cov in w if cov[0] == 'w']
-        block, bsign = as_ds_block(ctx, horiz)
-        V.spread(block, sigma, J, c * Fraction(reorder * bsign, sfact))
+    for block, contact in ds_parts(part).items():
+        for [(_, sigma, J)], c in contact.terms.items():
+            V.spread(block, sigma, J, c * Fraction(1, sfact))
     return V
 
 
@@ -196,10 +191,10 @@ def morphism_from_evaluation(rho: Form, s: int, family: str = "Xi") -> Variation
     ctx = rho.ctx
     V = VariationalMorphism(ctx, s)
     sfact = math.factorial(s)
-    for w, c in rho.terms.items():
-        if any(cov[0] == 'w' for cov in w):
-            raise ValueError("evaluation forms are horizontal")
-        block, bsign = as_ds_block(ctx, w)
+    if rho.contact_degree():
+        raise ValueError("evaluation forms are horizontal")
+    for block, part in ds_parts(rho).items():
+        [c] = part.terms.values()
         for atom, coeff in symexpr.collect_linear(c, family).items():
             if atom is None:
                 if not coeff.is_zero():
@@ -209,18 +204,16 @@ def morphism_from_evaluation(rho: Form, s: int, family: str = "Xi") -> Variation
             J = tuple(sorted(key[1] for key in atom[6]))
             if any(key[0] != 'x' for key in atom[6]):
                 raise ValueError("expected formal total-derivative labels only")
-            V.spread(block, sigma, J, coeff * Fraction(bsign, sfact))
+            V.spread(block, sigma, J, coeff * Fraction(1, sfact))
     return V
 
 
 def divergence(Q: VariationalMorphism) -> VariationalMorphism:
-    """Div of a rank-0 morphism: codegree drops by one, rank rises to <= 1.
+    """Div of a morphism: codegree drops by one, rank rises by at most one.
 
     Realized through the associated form: pair with a formal field, apply
     the horizontal differential, and re-read the coefficients.
     """
-    if Q.rank != 0:
-        raise ValueError("divergence is defined for rank-0 morphisms")
     xi = formal_field(Q.ctx)
     return morphism_from_evaluation(d_H(Q.evaluate(xi)), Q.s - 1)
 
@@ -413,6 +406,4 @@ def alpha_discrepancy(V: VariationalMorphism):
     like = split_like(V)
     canon = split_canonical_codegree_s(V)
     alpha = like.boundary - canon.boundary
-    xi = formal_field(V.ctx)
-    dalpha = morphism_from_evaluation(d_H(alpha.evaluate(xi)), V.s)
-    return alpha, dalpha
+    return alpha, divergence(alpha)

@@ -194,16 +194,16 @@ def check_rossi_rho2(seed: int, n: int = 2, m: int = 1) -> tuple:
         for sig in range(1, m + 1):
             for i in range(1, n + 1):
                 expect = expect + wedge(omega(ctx, sig),
-                                        ds_block(ctx, (i,))).scale(lam.f1(sig, i))
+                                        ds_block(ctx, (i,))).scale(lam.momentum(sig, (i,)))
                 for j in range(1, n + 1):
                     expect = expect + wedge(omega(ctx, sig, j),
-                                            ds_block(ctx, (i,))).scale(lam.p2(sig, i, j))
+                                            ds_block(ctx, (i,))).scale(lam.momentum(sig, (i, j)))
         for s1 in range(1, m + 1):
             for i1 in range(1, n + 1):
                 for s2 in range(1, m + 1):
                     for i2 in range(1, n + 1):
                         for j2 in range(1, n + 1):
-                            c = symexpr.partial(lam.p2(s2, i2, j2), ('y', s1, (i1,)))
+                            c = symexpr.partial(lam.momentum(s2, (i2, j2)), ('y', s1, (i1,)))
                             term = wedge(omega(ctx, s1),
                                          wedge(omega(ctx, s2, j2), ds_block(ctx, (i1, i2))))
                             expect = expect + term.scale(c * Fraction(1, 2))

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from jetform import symexpr as se
-from jetform.forms import (Context, Form, GradingMismatch, as_ds_block,
-                           codegree, contract_prolonged, d_C, d_H, d_H_local,
-                           dx, ds_block, exterior_d, omega, p_k,
+from jetform.forms import (Context, Form, GradingMismatch, codegree,
+                           contract_prolonged, d_C, d_H, d_H_local, dx,
+                           ds_block, ds_parts, exterior_d, omega, p_k,
                            to_contact_basis, total_derivative_form, volume,
                            wedge)
 from jetform.randomgen import rand_form, rand_scalar
@@ -75,14 +75,20 @@ def test_ds_blocks():
     assert ds_block(CTX1, (1, 1)).is_zero()
 
 
-def test_as_ds_block_roundtrip():
+def test_ds_parts_roundtrip():
     ctx3 = Context(n=3, m=1)
     for block in [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]:
-        f = ds_block(ctx3, block)
-        [(w, c)] = f.terms.items()
-        got_block, sign = as_ds_block(ctx3, w)
-        assert got_block == block
-        assert se.rational(sign) == c
+        assert ds_parts(ds_block(ctx3, block)) == {block: Form.from_scalar(ctx3, 1)}
+    rng = random.Random(9)
+    for _ in range(40):
+        ctx = Context(n=rng.randint(1, 3), m=rng.randint(1, 2))
+        rho = rand_form(rng, ctx, rng.randint(0, ctx.n), rng.randint(0, 2),
+                        rng.randint(0, 2))
+        rebuilt = Form.zero(ctx)
+        for block, part in ds_parts(rho).items():
+            assert part.degrees() <= {(0, k) for k in range(3)}
+            rebuilt = rebuilt + wedge(part, ds_block(ctx, block))
+        assert rebuilt == rho
 
 
 # -- contact basis and grading ------------------------------------------------------

@@ -40,6 +40,69 @@ def test_order_validation():
         Lagrangian(CTX11, 1, se.y(1, 1, 1))
 
 
+# -- the momentum family ------------------------------------------------------------
+
+def reference_p1(lam, sigma, i):
+    return se.partial(lam.density, ('y', sigma, (i,)))
+
+
+def reference_p2(lam, sigma, j, k):
+    key = tuple(sorted((j, k)))
+    return se.partial(lam.density, ('y', sigma, key)) * Fraction(1, 1 if j == k else 2)
+
+
+def reference_f1(lam, sigma, j):
+    val = reference_p1(lam, sigma, j)
+    for k in range(1, lam.ctx.n + 1):
+        val = val - se.total_derivative(reference_p2(lam, sigma, j, k), k)
+    return val
+
+
+def test_momentum_matches_the_order_specific_formulas():
+    rng = random.Random(46)
+    for (n, m) in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
+        ctx = Context(n=n, m=m)
+        for order in (1, 2):
+            for lam in [generic_lagrangian(ctx, order),
+                        Lagrangian(ctx, order, rand_density(rng, ctx, order)),
+                        Lagrangian(ctx, order, rand_density(rng, ctx, order))]:
+                for sigma in range(1, m + 1):
+                    for i in range(1, n + 1):
+                        first = reference_p1 if order == 1 else reference_f1
+                        assert lam.momentum(sigma, (i,)) == first(lam, sigma, i)
+                        for j in range(1, n + 1):
+                            expect = reference_p2(lam, sigma, i, j) if order == 2 \
+                                else Scalar.zero()
+                            assert lam.momentum(sigma, (i, j)) == expect
+
+
+def test_euler_lagrange_is_the_momentum_of_the_empty_index():
+    rng = random.Random(47)
+    for (n, m) in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+        ctx = Context(n=n, m=m)
+        for order in (1, 2):
+            for lam in [generic_lagrangian(ctx, order),
+                        Lagrangian(ctx, order, rand_density(rng, ctx, order))]:
+                source = wedge(omega(ctx, 1), volume(ctx)).scale(lam.momentum(1, ()))
+                for sigma in range(2, m + 1):
+                    source = source + wedge(omega(ctx, sigma),
+                                            volume(ctx)).scale(lam.momentum(sigma, ()))
+                assert source == euler_lagrange(lam)
+
+
+def test_chain_members_are_truncated_towers():
+    # rho_q is the tower with q plain slots (order 1), or one plain slot and
+    # q raised ones (order 2)
+    for order, points in [(1, [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)]),
+                          (2, [(2, 1), (3, 1), (2, 2)])]:
+        for (n, m) in points:
+            lam = generic_lagrangian(Context(n=n, m=m), order)
+            chain = rossi_recurrence(lam)
+            for q in range(1, n + 1):
+                slots = (q,) if order == 1 else (1, q)
+                assert chain.forms[q - 1] == lepage._closed_equivalent(lam, slots)
+
+
 # -- Poincare-Cartan ----------------------------------------------------------------
 
 def test_pc_free_particle():
@@ -172,16 +235,17 @@ def displayed_rho2(lam):
     expect = lam.form()
     for sig in range(1, m + 1):
         for i in range(1, n + 1):
-            expect = expect + wedge(omega(ctx, sig), ds_block(ctx, (i,))).scale(lam.f1(sig, i))
+            expect = expect + wedge(omega(ctx, sig),
+                                    ds_block(ctx, (i,))).scale(lam.momentum(sig, (i,)))
             for j in range(1, n + 1):
                 expect = expect + wedge(omega(ctx, sig, j),
-                                        ds_block(ctx, (i,))).scale(lam.p2(sig, i, j))
+                                        ds_block(ctx, (i,))).scale(lam.momentum(sig, (i, j)))
     for s1 in range(1, m + 1):
         for i1 in range(1, n + 1):
             for s2 in range(1, m + 1):
                 for i2 in range(1, n + 1):
                     for j2 in range(1, n + 1):
-                        c = se.partial(lam.p2(s2, i2, j2), ('y', s1, (i1,)))
+                        c = se.partial(lam.momentum(s2, (i2, j2)), ('y', s1, (i1,)))
                         term = wedge_all(omega(ctx, s1), omega(ctx, s2, j2),
                                          ds_block(ctx, (i1, i2)))
                         expect = expect + term.scale(c * Fraction(1, 2))

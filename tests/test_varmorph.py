@@ -331,12 +331,15 @@ def test_canonical_unsupported_cases():
 
 def test_divergence_constant_coefficients():
     ctx = Context(n=2, m=1)
-    Q = VariationalMorphism(ctx, 1)
-    Q.set((1,), 1, (), se.x(2))  # depends on base only
-    D = divergence(Q)
-    assert D.s == 0
-    xi = formal_field(ctx)
-    assert D.evaluate(xi) == d_H(Q.evaluate(xi))
+    Q0 = VariationalMorphism(ctx, 1)
+    Q0.set((1,), 1, (), se.x(2))  # depends on base only
+    # the formal-field route works at every rank, not only at rank 0
+    for Q in [Q0, generic_morphism(ctx, 1, 1), generic_morphism(ctx, 1, 2, order=1),
+              generic_morphism(Context(n=3, m=2), 2, 1)]:
+        D = divergence(Q)
+        assert D.s == Q.s - 1
+        xi = formal_field(Q.ctx)
+        assert D.evaluate(xi) == d_H(Q.evaluate(xi))
 
 
 def test_divergence_squared_through_forms_is_zero():
@@ -346,12 +349,6 @@ def test_divergence_squared_through_forms_is_zero():
     xi = formal_field(ctx)
     once = d_H(Q.evaluate(xi))
     assert d_H(once).is_zero()
-
-
-def test_divergence_requires_rank0():
-    ctx = Context(n=2, m=1)
-    with pytest.raises(ValueError):
-        divergence(generic_morphism(ctx, 1, 1))
 
 
 def test_morphism_from_evaluation_roundtrip():
