@@ -270,15 +270,6 @@ def p_k(rho: Form, k: int) -> Form:
     return Form(rho.ctx, out)
 
 
-def contact_split(rho: Form) -> dict:
-    """All p_k components keyed by k."""
-    out: dict = {}
-    for w, c in rho.terms.items():
-        k = sum(1 for cov in w if cov[0] == 'w')
-        out.setdefault(k, Form(rho.ctx)).terms[w] = c
-    return out
-
-
 # -- differentials -------------------------------------------------------------
 
 def _d_coefficient(ctx: Context, c: Scalar) -> Form:
@@ -291,21 +282,26 @@ def _d_coefficient(ctx: Context, c: Scalar) -> Form:
     return out
 
 
+def _d_wedge(out: Form, w: tuple, c: Scalar) -> None:
+    """Add c d(w) to out: d(dx^i) = 0 and d(omega^sigma_J) = dx^j ^ omega^sigma_Jj."""
+    for t, cov in enumerate(w):
+        if cov[0] != 'w':
+            continue
+        signed = c if t % 2 == 0 else -c
+        for j in range(1, out.ctx.n + 1):
+            covs = w[:t] + (('dx', j), ('w', cov[1], tuple(sorted(cov[2] + (j,))))) + w[t + 1:]
+            out._accumulate(covs, signed)
+
+
 def exterior_d(rho: Form) -> Form:
-    """Exterior derivative; d(dx^i)=0 and d(omega^sigma_J)=dx^j ^ omega^sigma_Jj."""
+    """Exterior derivative: dc ^ w + c d(w) for every term c w."""
     ctx = rho.ctx
     out = Form(ctx)
     for w, c in rho.terms.items():
         dc = _d_coefficient(ctx, c)
         for w1, c1 in dc.terms.items():
             out._accumulate(w1 + w, c1)
-        for t, cov in enumerate(w):
-            if cov[0] != 'w':
-                continue
-            signed = c if t % 2 == 0 else -c
-            for j in range(1, ctx.n + 1):
-                covs = w[:t] + (('dx', j), ('w', cov[1], tuple(sorted(cov[2] + (j,))))) + w[t + 1:]
-                out._accumulate(covs, signed)
+        _d_wedge(out, w, c)
     return out
 
 
@@ -330,18 +326,37 @@ def total_derivative_form_multi(rho: Form, J) -> Form:
 
 
 def d_H(rho: Form) -> Form:
-    """Horizontal differential: sum over k of p_k d p_k."""
-    out = Form(rho.ctx)
-    for k, part in contact_split(rho).items():
-        out = out + p_k(exterior_d(part), k)
+    """Horizontal differential, sum over k of p_k d p_k: only that half of d.
+
+    Each term c w gives (d_i c) dx^i ^ w + c d(w); d(omega) keeps the contact
+    degree, and no jet-coordinate partial of c is taken.
+    """
+    ctx = rho.ctx
+    out = Form(ctx)
+    for w, c in rho.terms.items():
+        for i in range(1, ctx.n + 1):
+            out._accumulate((('dx', i),) + w, symexpr.total_derivative(c, i))
+        _d_wedge(out, w, c)
     return out
 
 
 def d_C(rho: Form) -> Form:
-    """Contact differential: sum over k of p_{k+1} d p_k."""
-    out = Form(rho.ctx)
-    for k, part in contact_split(rho).items():
-        out = out + p_k(exterior_d(part), k + 1)
+    """Contact differential, sum over k of p_{k+1} d p_k: only that half of d.
+
+    Each term c w gives dc/dy^sigma_J omega^sigma_J ^ w, read off one
+    gradient pass over c; no total derivative is taken.
+    """
+    ctx = rho.ctx
+    return wedge_gradients(ctx, {w: symexpr.gradient(c, ctx.n, ctx.m)
+                                 for w, c in rho.terms.items()})
+
+
+def wedge_gradients(ctx: Context, grads: dict) -> Form:
+    """Sum over {w: gradient of c} of dc/dy^sigma_J omega^sigma_J ^ w: d_C of sum c w."""
+    out = Form(ctx)
+    for w, grad in grads.items():
+        for (_, sigma, J), dc in grad.items():
+            out._accumulate((('w', sigma, J),) + w, dc)
     return out
 
 

@@ -3,7 +3,13 @@ recurrence, and the closed Krupka-Betounes formulas (first and second order).
 
 The recurrence is rho_1 = lambda - p_1 R(d lambda), then at each contact
 degree q >= 2, rho_q = rho_{q-1} - p_q R(d rho_{q-1}) with the residual
-operator at codegree q - 1.
+operator at codegree q - 1.  R reads only the q-contact part of its input,
+so only the contact half of d is built.  d lambda = d_C lambda, because
+d_H lambda = d_i L dx^i ^ vol vanishes.  And rho_{q-1} has contact degree
+<= q - 1, while d_H keeps the contact degree and d_C raises it by one, so
+p_q(d rho_{q-1}) = d_C p_{q-1} rho_{q-1}: the jet-coordinate partials of
+each coefficient, each wedged with a new omega.  No total derivative is
+taken there.
 
 The eta decomposition feeding R is not unique for q >= 2 and the choice
 matters.  At first order the canonical 1/k-contraction eta is the right
@@ -36,7 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
-from .forms import Context, Form, ds_block, exterior_d, p_k, volume
+from .forms import (Context, Form, d_C, ds_block, exterior_d, p_k, volume,
+                    wedge_gradients)
 from .interior_euler import eta_decompose, interior_euler, residual
 from .multiindex import tuple_multiplicity
 from .symexpr import Scalar
@@ -103,8 +110,11 @@ def poincare_cartan_closed(lam: Lagrangian) -> Form:
 
 @symexpr._memo_scope()
 def poincare_cartan(lam: Lagrangian) -> Form:
-    """theta = lambda - p_1 R(d lambda), cross-checked against the chart form."""
-    theta = lam.form() - p_k(residual(exterior_d(lam.form()), 1), 1)
+    """theta = lambda - p_1 R(d lambda), cross-checked against the chart form.
+
+    d lambda = d_C lambda, since d_H lambda = d_i L dx^i ^ vol = 0.
+    """
+    theta = lam.form() - p_k(residual(d_C(lam.form()), 1), 1)
     closed = poincare_cartan_closed(lam)
     if theta != closed:
         raise AssertionError("residual route disagrees with the chart "
@@ -115,9 +125,12 @@ def poincare_cartan(lam: Lagrangian) -> Form:
 # -- the recurrence -------------------------------------------------------------
 
 
-def _provenance_eta(rho_prev: Form, q: int) -> dict:
-    """Second-order eta family for p_q(d rho_prev); see the module docstring."""
-    ctx = rho_prev.ctx
+def _provenance_eta(ctx: Context, grads: dict) -> dict:
+    """Second-order eta family for p_q(d rho_{q-1}); see the module docstring.
+
+    ``grads`` maps each wedge w of p_{q-1} rho_{q-1} to the gradient of its
+    coefficient, the same pass that builds p_q(d rho_{q-1}).
+    """
     etas: dict = {}
 
     def put(key, covs, coeff):
@@ -126,10 +139,8 @@ def _provenance_eta(rho_prev: Form, q: int) -> dict:
             return
         etas[key] = etas.get(key, Form.zero(ctx)) + extra
 
-    for w, c in rho_prev.terms.items():
-        if sum(1 for cov in w if cov[0] == 'w') != q - 1:
-            continue
-        for (_, nu, K), dc in sorted(symexpr.gradient(c, ctx.n, ctx.m).items()):
+    for w, grad in grads.items():
+        for (_, nu, K), dc in sorted(grad.items()):
             seq = (('w', nu, K),) + w
             if len(K) == 1 and any(cov[0] == 'w' and len(cov[2]) >= 1 for cov in w):
                 put((nu, K), seq[1:], dc)
@@ -145,19 +156,27 @@ def _provenance_eta(rho_prev: Form, q: int) -> dict:
 
 @symexpr._memo_scope()
 def rossi_recurrence(lam: Lagrangian) -> LepageChain:
-    """The full chain rho_1 .. rho_n of residual-operator corrections."""
+    """The full chain rho_1 .. rho_n of residual-operator corrections.
+
+    Each member rho_q has contact degree <= q, so the only q-contact part
+    of d rho_{q-1} is d_C p_{q-1} rho_{q-1}: d_H keeps the contact degree,
+    and d_C of a lower-contact part stays below q.  One gradient pass over
+    p_{q-1} rho_{q-1} builds it and feeds the provenance eta.
+    """
     ctx = lam.ctx
     chain = [poincare_cartan(lam)]
     for q in range(2, ctx.n + 1):
         prev = chain[-1]
-        diff = exterior_d(prev)
-        if p_k(diff, q).is_zero():
+        grads = {w: symexpr.gradient(c, ctx.n, ctx.m)
+                 for w, c in p_k(prev, q - 1).terms.items()}
+        diff = wedge_gradients(ctx, grads)
+        if diff.is_zero():
             chain.append(prev)
             continue
         if lam.order == 1:
             dec = None
         else:
-            etas = _provenance_eta(prev, q)
+            etas = _provenance_eta(ctx, grads)
             if not etas:
                 chain.append(prev)
                 continue
@@ -242,8 +261,8 @@ def kb_second_order(lam: Lagrangian, variant: str = "plain") -> Form:
 
 @symexpr._memo_scope()
 def euler_lagrange(lam: Lagrangian) -> Form:
-    """The source form I(d lambda): omega^sigma ^ E_sigma(L) ds."""
-    return interior_euler(exterior_d(lam.form()), 1)
+    """The source form I(d lambda): omega^sigma ^ E_sigma(L) ds; d lambda = d_C lambda."""
+    return interior_euler(d_C(lam.form()), 1)
 
 
 @dataclass

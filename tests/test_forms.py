@@ -194,6 +194,46 @@ def test_differential_laws_randomized():
         assert (d_H(rho) + d_C(rho)) == exterior_d(rho)
 
 
+def reference_d_C(rho):
+    """The definition sum over k of p_{k+1} d p_k, through the full d."""
+    out = Form(rho.ctx)
+    for k in range(rho.contact_degree() + 1):
+        out = out + p_k(exterior_d(p_k(rho, k)), k + 1)
+    return out
+
+
+def reference_d_H(rho):
+    """The definition sum over k of p_k d p_k, through the full d."""
+    out = Form(rho.ctx)
+    for k in range(rho.contact_degree() + 1):
+        out = out + p_k(exterior_d(p_k(rho, k)), k)
+    return out
+
+
+def mixed_corpus(seed):
+    """Random forms mixing contact degrees 0-2, some with opaque coefficients."""
+    rng = random.Random(seed)
+    out = []
+    for n in (1, 2, 3):
+        for m in (1, 2):
+            ctx = Context(n=n, m=m)
+            h = rng.randint(0, n)
+            parts = [rand_form(rng, ctx, h, k, rng.randint(0, 2), terms=2) for k in (0, 1, 2)]
+            out.append(parts[0] + parts[1] + parts[2])
+            F = se.opaque("F", n=n, m=m, order=rng.randint(0, 2))
+            out.append(rand_form(rng, ctx, h, rng.randint(0, 2), 1, terms=2).scale(F))
+            out.append(volume(ctx).scale(se.opaque("L", n=n, m=m, order=2)))
+    return out
+
+
+def test_direct_differentials_match_their_definitions():
+    rhos = corpus(71, 20) + mixed_corpus(72)
+    assert {k for rho in rhos for _, k in rho.degrees()} == {0, 1, 2}
+    for rho in rhos:
+        assert d_C(rho) == reference_d_C(rho)
+        assert d_H(rho) == reference_d_H(rho)
+
+
 def test_dH_leibniz_with_sign():
     rng = random.Random(8)
     ctx = Context(n=3, m=2)

@@ -5,8 +5,8 @@ import pytest
 
 from jetform import lepage
 from jetform import symexpr as se
-from jetform.forms import (Context, ds_block, dx, exterior_d, omega, p_k,
-                           volume, wedge, wedge_all)
+from jetform.forms import (Context, d_C, ds_block, dx, exterior_d, omega,
+                           p_k, volume, wedge, wedge_all)
 from jetform.lepage import (Lagrangian, UnsupportedOrder, euler_lagrange,
                             generic_lagrangian, kb_second_order,
                             krupka_betounes_first, lepage_check,
@@ -382,10 +382,31 @@ def test_nested_entry_points_share_one_memo(monkeypatch):
     assert memos and all(memo is outer for memo in memos)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_dlambda_is_its_contact_differential(order):
+    rng = random.Random(48 + order)
+    for (n, m) in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
+        ctx = Context(n=n, m=m)
+        for lam in [generic_lagrangian(ctx, order),
+                    Lagrangian(ctx, order, rand_density(rng, ctx, order))]:
+            assert d_C(lam.form()) == exterior_d(lam.form())
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_chain_member_q_has_contact_degree_at_most_q(n, m, order):
+    # rossi_recurrence builds p_q(d rho_{q-1}) as d_C p_{q-1} rho_{q-1},
+    # which is the whole q-contact part only under this bound
+    chain = rossi_recurrence(generic_lagrangian(Context(n=n, m=m), order))
+    assert len(chain.forms) == n
+    for q, rho in enumerate(chain.forms, start=1):
+        assert rho.contact_degree() <= q
+
+
 def test_recurrence_builds_each_chain_rule_once(monkeypatch):
     keys, _ = _spy_atom_total(monkeypatch)
     lam = generic_lagrangian(Context(n=3, m=1), 2)
     terminal = rossi_recurrence(lam).terminal
-    # without the memo the same recurrence builds 1917 chain rules
-    assert len(keys) == len(set(keys)) == 294
+    # without the memo the same recurrence builds 732 chain rules
+    assert len(keys) == len(set(keys)) == 213
     assert terminal == kb_second_order(lam)
