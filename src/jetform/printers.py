@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import itemgetter
 
 from .forms import Form
 from .symexpr import Scalar
@@ -30,20 +31,32 @@ def _subscript(J) -> str:
     return "".join(str(j) for j in J)
 
 
-def _atom_text(atom, fields) -> str:
-    kind = atom[0]
+def _keyed_terms(e: Scalar) -> list:
+    """The terms of e as (((atom key, exponent), ...), coefficient), sorted
+    by key: the order of the output does not depend on atom ranks."""
+    out = []
+    for mono, c in e.terms.items():
+        keyed = [(a.key, k) for a, k in mono]
+        keyed.sort()
+        out.append((keyed, c))
+    out.sort(key=itemgetter(0))
+    return out
+
+
+def _atom_text(key, fields) -> str:
+    kind = key[0]
     if kind == 'x':
-        return f"x{atom[1]}"
+        return f"x{key[1]}"
     if kind == 'y':
-        name = field_name(atom[1], fields)
-        return name if not atom[2] else f"{name}_{_subscript(atom[2])}"
-    name, idx, partials = atom[1], atom[2], atom[6]
+        name = field_name(key[1], fields)
+        return name if not key[2] else f"{name}_{_subscript(key[2])}"
+    name, idx, partials = key[1], key[2], key[6]
     label = name + ("{" + ",".join(map(str, idx)) + "}" if idx else "")
-    for key in partials:
-        if key[0] == 'x':
-            label += f"'x{key[1]}"
+    for c in partials:
+        if c[0] == 'x':
+            label += f"'x{c[1]}"
         else:
-            label += f"'{_atom_text(key, fields)}"
+            label += f"'{_atom_text(c, fields)}"
     return label
 
 
@@ -55,11 +68,10 @@ def scalar_text(e: Scalar, fields=None) -> str:
     if e.is_zero():
         return "0"
     pieces = []
-    for mono in sorted(e.terms):
-        c = e.terms[mono]
+    for mono, c in _keyed_terms(e):
         factors = []
-        for atom, k in mono:
-            a = _atom_text(atom, fields)
+        for key, k in mono:
+            a = _atom_text(key, fields)
             factors.append(a if k == 1 else f"{a}^{k}")
         body = "*".join(factors)
         mag = abs(c)
@@ -118,19 +130,19 @@ def form_text(rho: Form, fields=None) -> str:
 
 # -- LaTeX --------------------------------------------------------------------
 
-def _atom_latex(atom, fields) -> str:
-    kind = atom[0]
+def _atom_latex(key, fields) -> str:
+    kind = key[0]
     if kind == 'x':
-        return f"x^{{{atom[1]}}}"
+        return f"x^{{{key[1]}}}"
     if kind == 'y':
-        name = field_name(atom[1], fields)
-        return name if not atom[2] else f"{name}_{{{_subscript(atom[2])}}}"
-    name, idx, partials = atom[1], atom[2], atom[6]
+        name = field_name(key[1], fields)
+        return name if not key[2] else f"{name}_{{{_subscript(key[2])}}}"
+    name, idx, partials = key[1], key[2], key[6]
     out = name
     if idx:
         out += "^{" + ",".join(map(str, idx)) + "}"
-    for key in partials:
-        sub = f"x^{key[1]}" if key[0] == 'x' else _atom_latex(key, fields)
+    for c in partials:
+        sub = f"x^{c[1]}" if c[0] == 'x' else _atom_latex(c, fields)
         out = r"\partial_{" + sub + "}" + out
     return out
 
@@ -139,11 +151,10 @@ def scalar_latex(e: Scalar, fields=None) -> str:
     if e.is_zero():
         return "0"
     pieces = []
-    for mono in sorted(e.terms):
-        c = e.terms[mono]
+    for mono, c in _keyed_terms(e):
         factors = []
-        for atom, k in mono:
-            a = _atom_latex(atom, fields)
+        for key, k in mono:
+            a = _atom_latex(key, fields)
             factors.append(a if k == 1 else f"{a}^{{{k}}}")
         body = r"\, ".join(factors)
         mag = abs(c)

@@ -1,15 +1,27 @@
 """Exact scalar algebra over jet coordinates.
 
 Expressions are kept in an expanded multivariate normal form: a map from
-monomials to nonzero rational coefficients, stored as ``int`` while
-integral and as ``Fraction`` otherwise (the two compare and hash equal, so
-the normal form does not depend on which one a coefficient happens to be).
-A monomial is a sorted tuple of (atom, exponent) pairs.  Three kinds of
-atoms exist:
+monomials to nonzero rational coefficients, each an ``int`` or a
+``Fraction``.  The two compare and hash equal, so the normal form does not
+depend on which one a coefficient happens to be; the constructors store
+integral constants as ``int``, but arithmetic may leave an integral value
+as a ``Fraction`` (``rational(1, 2) * 2`` stores ``Fraction(1, 1)``).  A
+monomial is a tuple of (atom, exponent) pairs.  An atom is an ``Atom``,
+made from its key tuple by ``atom(key)``; three kinds of keys exist:
 
 * ``('x', i)``             -- base coordinate x^i, 1 <= i <= n
 * ``('y', sigma, J)``      -- jet coordinate y^sigma_J, J a sorted tuple
 * ``('f', name, idx, n, m, order, partials)`` -- opaque function symbol
+
+Atoms are interned: while an atom is alive, ``atom(key)`` returns that one
+object, so atoms compare and hash by identity and no monomial lookup
+re-hashes a key tuple.  The intern table holds weak references only, so an
+atom dies with the last expression that uses it and the table carries
+nothing from one call to the next.  Inside a monomial the atoms are ordered
+by ``rank``, a creation counter; a monomial keeps its atoms alive, so their
+ranks and its order stay fixed.  Printers order by ``key`` instead, so no
+output depends on the order in which atoms were created.  Copies and
+pickles of an atom are the interned atom of its key.
 
 Jet coordinates are keyed by the sorted multi-index only (y_{12} and y_{21}
 are the same stored coordinate); any multiplicity bookkeeping for sums over
@@ -18,36 +30,87 @@ unordered index tuples lives with the caller.
 Opaque symbols model generic coefficient functions.  ``order`` declares the
 coordinate dependence: the symbol depends on all x^i and on all y^sigma_J
 with |J| <= order (order -1 means a function of the base point x only).
-``partials`` is the sorted multiset of formal partial derivatives already
-applied; mixed partials commute, so the sorted tuple is canonical.  Total
-derivatives of opaque symbols expand through the chain rule over the
-declared dependencies, producing new labelled atoms.  Equality of
-expressions is literal equality of the normal forms.
+``partials`` is the sorted multiset of the keys of the formal partial
+derivatives already applied; mixed partials commute, so the sorted tuple
+is canonical.  Total derivatives of opaque symbols expand through the chain
+rule over the declared dependencies, producing new labelled atoms.
+Equality of expressions is literal equality of the normal forms.
 
 While an outermost library call runs (the Lepage builders in ``lepage``
 and one CLI command), ``total_derivative`` reads the chain rule of each
 atom from a memo keyed by (atom, i) and filled on first use.  An entry is
-a pure function of its key, since the atom tuple carries name, indices, n,
+a pure function of its key, since the atom's key carries name, indices, n,
 m, order and partials, and scalars are never mutated, so every call inside
-the scope may share it.  ``_memo_scope`` opens the memo, nested scopes
-reuse the outer one, and the outermost scope drops it in ``finally``: no
-entry outlives the call, so nothing is carried from one input to the next.
+the scope may share it.  A second memo of the scope holds the atoms derived
+from atoms, looked up by identity: the labelled partial for (atom,
+coordinate), the raised coordinate y^sigma_{J+i} for (coordinate, i), and
+the jet coordinates of an opaque shape (n, m, order).  ``_memo_scope``
+opens both memos, nested scopes reuse the outer ones, and the outermost
+scope drops them in ``finally``: no entry outlives the call, so nothing is
+carried from one input to the next.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from typing import Iterable, Iterator
 
-Atom = tuple
-Monomial = tuple  # tuple[tuple[Atom, int], ...]
+_interned: dict = {}  # key -> weak reference to its one live Atom
+_ranks = count()
+
+
+class Atom:
+    """One interned atom: ``key`` is its tuple, ``kind`` is ``key[0]``.
+
+    Made only by ``atom(key)``.  Equality and hashing are by identity;
+    ``rank`` orders the atoms of a monomial.
+    """
+
+    __slots__ = ("key", "kind", "rank", "__weakref__")
+
+    def __del__(self, table=_interned):
+        # drop the table entry, unless a new atom of the key already holds
+        # it; the table is bound here because module globals may be gone
+        # when an atom dies at interpreter exit
+        ref = table.get(self.key)
+        if ref is not None and ref() in (self, None):
+            del table[self.key]
+
+    def __reduce__(self):
+        return atom, (self.key,)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self):
+        return f"atom({self.key!r})"
+
+
+Monomial = tuple  # tuple[tuple[Atom, int], ...], atoms by ascending rank
+
+
+def atom(key: tuple) -> Atom:
+    """The live atom with this key, created on first use."""
+    ref = _interned.get(key)
+    if ref is not None:
+        a = ref()
+        if a is not None:
+            return a
+    a = Atom()
+    a.key, a.kind, a.rank = key, key[0], next(_ranks)
+    _interned[key] = weakref.ref(a)
+    return a
 
 
 def x(i: int) -> "Scalar":
     """The base coordinate x^i as an expression."""
-    return Scalar({(( ('x', i), 1),): 1})
+    return Scalar({((atom(('x', i)), 1),): 1})
 
 
 def y(sigma: int, *J: int) -> "Scalar":
@@ -56,7 +119,7 @@ def y(sigma: int, *J: int) -> "Scalar":
 
 
 def y_atom(sigma: int, J: Iterable[int]) -> Atom:
-    return ('y', sigma, tuple(sorted(J)))
+    return atom(('y', sigma, tuple(sorted(J))))
 
 
 def opaque(name: str, indices: tuple = (), *, n: int, m: int, order: int) -> "Scalar":
@@ -66,7 +129,7 @@ def opaque(name: str, indices: tuple = (), *, n: int, m: int, order: int) -> "Sc
     distinct components of one coefficient family apart.  ``order == -1``
     declares a function of x alone, whose total derivatives stay formal.
     """
-    return Scalar({((('f', name, tuple(indices), n, m, order, ()), 1),): 1})
+    return Scalar({((atom(('f', name, tuple(indices), n, m, order, ())), 1),): 1})
 
 
 def rational(p: int, q: int = 1) -> "Scalar":
@@ -83,11 +146,11 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     while i < len(a) and j < len(b):
         ka, ea = a[i]
         kb, eb = b[j]
-        if ka == kb:
+        if ka is kb:
             out.append((ka, ea + eb))
             i += 1
             j += 1
-        elif ka < kb:
+        elif ka.rank < kb.rank:
             out.append(a[i])
             i += 1
         else:
@@ -227,6 +290,10 @@ class Scalar:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    def __reduce__(self):
+        # unpickled atoms may be created afresh, with new ranks
+        return _by_rank, (self.terms,)
+
     def __repr__(self):
         from .printers import scalar_text
         return f"Scalar({scalar_text(self)})"
@@ -245,11 +312,17 @@ class Scalar:
         """Highest |J| among jet coordinates and opaque dependencies present."""
         order = 0
         for a in self.atoms():
-            if a[0] == 'y':
-                order = max(order, len(a[2]))
-            elif a[0] == 'f':
-                order = max(order, a[5], *(len(k[2]) for k in a[6] if k[0] == 'y'), 0)
+            key = a.key
+            if a.kind == 'y':
+                order = max(order, len(key[2]))
+            elif a.kind == 'f':
+                order = max(order, key[5], *(len(k[2]) for k in key[6] if k[0] == 'y'), 0)
         return order
+
+
+def _by_rank(terms: dict) -> Scalar:
+    """The expression with these terms, each monomial re-sorted by rank."""
+    return Scalar({tuple(sorted(m, key=lambda p: p[0].rank)): c for m, c in terms.items()})
 
 
 def _coerce(v) -> Scalar:
@@ -262,26 +335,62 @@ def _coerce(v) -> Scalar:
 
 # -- differentiation -------------------------------------------------------
 
-def _atom_depends(atom: Atom, coord: Atom) -> bool:
-    """Whether an opaque atom declares dependence on the given coordinate."""
-    if coord[0] == 'x':
-        return True
-    return coord[0] == 'y' and len(coord[2]) <= atom[5]
+_memo: dict | None = None     # (atom, i) -> _atom_total(atom, i) inside a scope
+_derived: dict | None = None  # atoms derived from atoms inside a scope
 
 
-def _atom_partial(atom: Atom, coord: Atom) -> Scalar:
+@contextmanager
+def _memo_scope():
+    """Keep d_i of every atom, and the atoms derived from atoms, for the
+    rest of the outermost open scope."""
+    global _memo, _derived
+    if _memo is not None:
+        yield
+        return
+    _memo, _derived = {}, {}
+    try:
+        yield
+    finally:
+        _memo = _derived = None
+
+
+def _labelled(a: Atom, c: Atom, derived: dict) -> Atom:
+    """The opaque atom a with one more formal partial, in the coordinate c."""
+    f = derived.get((a, c))
+    if f is None:
+        key = a.key
+        f = derived[a, c] = atom(key[:6] + (tuple(sorted(key[6] + (c.key,))),))
+    return f
+
+
+def _raised(c: Atom, i: int, derived: dict) -> Atom:
+    """The jet coordinate y^sigma_{J+i} for c = y^sigma_J."""
+    r = derived.get((c, i))
+    if r is None:
+        _, sigma, J = c.key
+        r = derived[c, i] = y_atom(sigma, J + (i,))
+    return r
+
+
+def _coords(n: int, m: int, order: int, derived: dict) -> list:
+    """The jet coordinates y^sigma_J, |J| <= order, that an opaque atom of
+    shape (n, m, order) depends on."""
+    shape = (n, m, order)
+    cs = derived.get(shape)
+    if cs is None:
+        cs = derived[shape] = [y_atom(sigma, J) for sigma in range(1, m + 1)
+                               for J in jet_keys(n, order)]
+    return cs
+
+
+def _atom_partial(a: Atom, c: Atom, derived: dict) -> Scalar:
     """Partial derivative of a single atom with respect to a coordinate."""
-    kind = atom[0]
-    if kind in ('x', 'y'):
-        return Scalar.one() if atom == coord else Scalar.zero()
-    if not _atom_depends(atom, coord):
-        return Scalar.zero()
-    return Scalar({((_labelled(atom, coord), 1),): 1})
-
-
-def _labelled(atom: Atom, coord: Atom) -> Atom:
-    """The opaque atom with one more formal partial, in ``coord``."""
-    return atom[:6] + (tuple(sorted(atom[6] + (coord,))),)
+    if a.kind != 'f':
+        return Scalar.one() if a is c else Scalar.zero()
+    # an opaque atom depends on every x^i and on y^sigma_J for |J| <= order
+    if c.kind == 'x' or (c.kind == 'y' and len(c.key[2]) <= a.key[5]):
+        return Scalar({((_labelled(a, c, derived), 1),): 1})
+    return Scalar.zero()
 
 
 def _derive_monomials(e: Scalar, atom_rule) -> Scalar:
@@ -312,50 +421,36 @@ def _derive_monomials(e: Scalar, atom_rule) -> Scalar:
     return Scalar(total)
 
 
-def partial(e: Scalar, coord: Atom) -> Scalar:
+def partial(e: Scalar, coord: tuple) -> Scalar:
     """Formal partial derivative with respect to a single stored coordinate.
 
-    For jet coordinates the multi-index is matched after sorting and no
-    multinomial weight is applied.
+    ``coord`` is a coordinate key.  For jet coordinates the multi-index is
+    matched after sorting and no multinomial weight is applied.
     """
     if coord[0] == 'y':
         coord = ('y', coord[1], tuple(sorted(coord[2])))
-    return _derive_monomials(e, lambda a: _atom_partial(a, coord))
+    c = atom(coord)
+    derived = {} if _derived is None else _derived
+    return _derive_monomials(e, lambda a: _atom_partial(a, c, derived))
 
 
-def _atom_total(atom: Atom, i: int) -> Scalar:
-    kind = atom[0]
+def _atom_total(a: Atom, i: int) -> Scalar:
+    kind = a.kind
     if kind == 'x':
-        return Scalar.one() if atom[1] == i else Scalar.zero()
+        return Scalar.one() if a.key[1] == i else Scalar.zero()
+    derived = {} if _derived is None else _derived
     if kind == 'y':
-        return y(atom[1], *(atom[2] + (i,)))
+        return Scalar({((_raised(a, i, derived), 1),): 1})
     # chain rule over the declared dependencies: d_i f = f'x^i plus
     # f'y^sigma_J * y^sigma_{J+i} over sigma and |J| <= order.  Each labelled
-    # partial is a distinct 'f' atom, which sorts before every 'y' atom, so
-    # every monomial below is already in normal form and has coefficient 1.
-    n, m, order = atom[3:6]
-    out = {((_labelled(atom, ('x', i)), 1),): 1}
-    for sigma in range(1, m + 1):
-        for J in jet_keys(n, order):
-            out[((_labelled(atom, ('y', sigma, J)), 1), (y_atom(sigma, J + (i,)), 1))] = 1
+    # partial is a distinct atom, so every monomial below has coefficient 1
+    # once its two atoms are put in rank order.
+    n, m, order = a.key[3:6]
+    out = {((_labelled(a, atom(('x', i)), derived), 1),): 1}
+    for c in _coords(n, m, order, derived):
+        f, r = _labelled(a, c, derived), _raised(c, i, derived)
+        out[((f, 1), (r, 1)) if f.rank < r.rank else ((r, 1), (f, 1))] = 1
     return Scalar(out)
-
-
-_memo: dict | None = None  # (atom, i) -> _atom_total(atom, i) inside a scope
-
-
-@contextmanager
-def _memo_scope():
-    """Keep d_i of every atom for the rest of the outermost open scope."""
-    global _memo
-    if _memo is not None:
-        yield
-        return
-    _memo = {}
-    try:
-        yield
-    finally:
-        _memo = None
 
 
 def total_derivative(e: Scalar, i: int) -> Scalar:
@@ -388,29 +483,25 @@ def gradient(e: Scalar, n: int, m: int) -> dict:
 
     Returns ``{('y', sigma, J): partial(e, ('y', sigma, J))}`` over the jet
     coordinates present in e and those its opaque atoms declare over
-    (n, m).  Each declared coordinate tuple is built once per call and is
-    shared by every labelled atom that carries it.
+    (n, m).
     """
-    shared: dict = {}    # declared coordinate -> its one tuple
-    factors: dict = {}   # opaque atom -> [(coord, the labelled monomial)]
+    derived = {} if _derived is None else _derived
+    factors: dict = {}   # opaque atom -> [(coordinate, the labelled monomial)]
     out: dict = {}
     for mono, coeff in e.terms.items():
         for t, (a, k) in enumerate(mono):
-            if a[0] == 'x':
+            kind = a.kind
+            if kind == 'x':
                 continue
             rest = mono[:t] + ((a, k - 1),) * (k > 1) + mono[t + 1:]
             ck = coeff if k == 1 else coeff * k
-            if a[0] == 'y':
+            if kind == 'y':
                 hits = ((a, rest),)
             else:
                 pairs = factors.get(a)
                 if pairs is None:
-                    pairs = factors[a] = []
-                    for sigma in range(1, m + 1):
-                        for J in jet_keys(n, a[5]):
-                            c = ('y', sigma, J)
-                            c = shared.setdefault(c, c)
-                            pairs.append((c, ((_labelled(a, c), 1),)))
+                    pairs = factors[a] = [(c, ((_labelled(a, c, derived), 1),))
+                                          for c in _coords(n, m, a.key[5], derived)]
                 hits = ((c, _mul_monomials(rest, f)) for c, f in pairs)
             for c, mb in hits:
                 terms = out.get(c)
@@ -422,7 +513,7 @@ def gradient(e: Scalar, n: int, m: int) -> dict:
                     terms[mb] = s
                 else:
                     del terms[mb]
-    return {c: Scalar(terms) for c, terms in out.items() if terms}
+    return {c.key: Scalar(terms) for c, terms in out.items() if terms}
 
 
 def collect_linear(e: Scalar, family: str) -> dict:
@@ -434,7 +525,7 @@ def collect_linear(e: Scalar, family: str) -> dict:
     out: dict = {}
     for mono, coeff in e.terms.items():
         hits = [(t, a) for t, (a, k) in enumerate(mono)
-                if a[0] == 'f' and a[1] == family for _ in range(k)]
+                if a.kind == 'f' and a.key[1] == family for _ in range(k)]
         if len(hits) > 1:
             raise ValueError(f"expression is not linear in family {family!r}")
         if not hits:

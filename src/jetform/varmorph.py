@@ -200,9 +200,9 @@ def morphism_from_evaluation(rho: Form, s: int, family: str = "Xi") -> Variation
                 if not coeff.is_zero():
                     raise ValueError("evaluation has a field-free part")
                 continue
-            sigma = atom[2][0]
-            J = tuple(sorted(key[1] for key in atom[6]))
-            if any(key[0] != 'x' for key in atom[6]):
+            sigma, labels = atom.key[2][0], atom.key[6]
+            J = tuple(sorted(c[1] for c in labels))
+            if any(c[0] != 'x' for c in labels):
                 raise ValueError("expected formal total-derivative labels only")
             V.spread(block, sigma, J, coeff * Fraction(1, sfact))
     return V

@@ -12,6 +12,10 @@ change of output has to re-record them.
 import contextlib
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -193,3 +197,64 @@ def test_opaque_json_digest(nmr, closed_digest, el_digest):
     assert _digest(closed) == closed_digest
     assert _digest(lepage.rossi_recurrence(lam).terminal) == closed_digest
     assert _digest(lepage.euler_lagrange(lam)) == el_digest
+
+
+# Atoms order a monomial by creation rank, the printers by key.  A process
+# that first creates jet coordinates and labelled partials of L in reverse
+# key order must print every case above to the same bytes.
+_REVERSED_ATOMS_FIRST = r"""
+import contextlib, hashlib, io, json, sys
+from jetform import lepage, symexpr as se
+from jetform.cli import main
+from jetform.forms import Context
+from jetform.printers import form_json
+
+opaque, cli = json.loads(sys.argv[1])
+shapes = sorted({(n, m) for (n, m, _), _, _ in opaque}, reverse=True)
+coords = {(n, m): [('x', i) for i in range(1, n + 1)]
+          + [('y', sigma, J) for sigma in range(1, m + 1) for J in se.jet_keys(n, 3)]
+          for n, m in shapes}
+held = [se.atom(c) for c in sorted({c for n, m in shapes for c in coords[n, m]}, reverse=True)]
+for n, m in shapes:
+    for order in (2, 1):
+        f = se.opaque("L", n=n, m=m, order=order)
+        for c in reversed(coords[n, m]):
+            fc = se.partial(f, c)
+            held += [fc] + [se.partial(fc, d) for d in reversed(coords[n, m])]
+assert se.atom(('x', 4)).rank > se.atom(('y', 1, ())).rank > se.atom(('y', 2, (3, 3, 3))).rank
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+out = []
+for (n, m, r), _, _ in opaque:
+    lam = lepage.generic_lagrangian(Context(n=n, m=m), r)
+    closed = (lepage.krupka_betounes_first(lam) if r == 1
+              else lepage.kb_second_order(lam, "plain"))
+    out.append([digest(form_json(closed)),
+                digest(form_json(lepage.rossi_recurrence(lam).terminal)),
+                digest(form_json(lepage.euler_lagrange(lam)))])
+for flags, expr, _ in cli:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(flags.split() + [expr, "--format", "json"]) == 0
+    out.append(digest(text.getvalue()))
+print(json.dumps(out))
+"""
+
+
+def test_output_does_not_depend_on_atom_creation_order():
+    cli = [c for c in CASES if c[0] in ("pc -n 3 -m 2 -r 2",
+                                        "kb -n 3 -m 2 -r 2 --variant generalized")]
+    assert len(cli) == 2
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", _REVERSED_ATOMS_FIRST,
+                          json.dumps([OPAQUE_CASES, cli])],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got[:len(OPAQUE_CASES)] == [[closed, closed, el] for _, closed, el in OPAQUE_CASES]
+    assert got[len(OPAQUE_CASES):] == [digest for _, _, digest in cli]

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -380,6 +381,32 @@ def test_nested_entry_points_share_one_memo(monkeypatch):
         kb_second_order(lam)
         assert se._memo is outer
     assert memos and all(memo is outer for memo in memos)
+
+
+# -- interned atoms live no longer than the expressions that use them ------------------
+
+def test_intern_table_is_not_a_cache_across_calls():
+    # each call runs under a new density name, as the benchmark's do: its
+    # atoms must die with its results, so the table keeps nothing for the next
+    for k in range(6):
+        gc.collect()
+        before = len(se._interned)
+        chain = rossi_recurrence(generic_lagrangian(CTX22, 2, name=f"Lcall{k}"))
+        assert len(se._interned) > before
+        del chain
+        gc.collect()
+        assert len(se._interned) == before
+
+
+def test_a_kept_result_equals_the_same_result_built_later():
+    kept = rossi_recurrence(generic_lagrangian(CTX22, 2, name="Lkept")).terminal
+    for k in range(3):
+        rossi_recurrence(generic_lagrangian(CTX22, 2, name=f"Lother{k}"))
+    gc.collect()
+    # the atoms of the later call that kept does not hold are new, with new ranks
+    again = rossi_recurrence(generic_lagrangian(CTX22, 2, name="Lkept")).terminal
+    assert again == kept
+    assert hash(again) == hash(kept)
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 from fractions import Fraction
 
@@ -128,7 +131,7 @@ def test_opaque_chain_rule():
     # d_1 L = L_{;x1} + y_1 L_{;y} + y_11 L_{;y_1} for L(x, y, y_1)
     f = se.opaque("L", n=1, m=1, order=1)
     df = se.total_derivative(f, 1)
-    lab = lambda key: Scalar({((('f', "L", (), 1, 1, 1, (key,)), 1),): Fraction(1)})
+    lab = lambda key: Scalar({((se.atom(('f', "L", (), 1, 1, 1, (key,))), 1),): Fraction(1)})
     manual = lab(('x', 1)) + se.y(1, 1) * lab(('y', 1, ())) + se.y(1, 1, 1) * lab(('y', 1, (1,)))
     assert df == manual
 
@@ -161,12 +164,13 @@ def test_collect_linear():
 
 def _reference_atom_total(atom, i):
     """d_i of one atom by accumulating Scalar sums and products."""
-    if atom[0] == 'x':
-        return Scalar.one() if atom[1] == i else Scalar.zero()
-    if atom[0] == 'y':
-        return se.y(atom[1], *(atom[2] + (i,)))
+    key = atom.key
+    if key[0] == 'x':
+        return Scalar.one() if key[1] == i else Scalar.zero()
+    if key[0] == 'y':
+        return se.y(key[1], *(key[2] + (i,)))
     f = Scalar({((atom, 1),): 1})
-    n, m, order = atom[3], atom[4], atom[5]
+    n, m, order = key[3], key[4], key[5]
     out = se.partial(f, ('x', i))
     for sigma in range(1, m + 1):
         for J in se.jet_keys(n, order):
@@ -243,7 +247,7 @@ def test_integral_constants_are_stored_as_int():
     assert type(se.rational(6, 3).terms[()]) is int
     assert type(Scalar.from_fraction(Fraction(4)).terms[()]) is int
     assert type(se.rational(1, 2).terms[()]) is Fraction
-    assert (se.y(1) * 3).terms == {((('y', 1, ()), 1),): 3}
+    assert (se.y(1) * 3).terms == {((se.atom(('y', 1, ())), 1),): 3}
 
 
 def test_as_fraction_is_exact_fraction():
@@ -360,7 +364,51 @@ def test_gradient_builds_each_coordinate_label_once():
     for d in se.gradient(e, 3, 2).values():
         for mono in d.terms:
             for a, _ in mono:
-                for key in a[6] if a[0] == 'f' else ():
+                for key in a.key[6] if a.kind == 'f' else ():
                     labels.setdefault(key, set()).add(id(key))
     assert len(labels) == 2 * 10
     assert all(len(ids) == 1 for ids in labels.values())
+
+
+# -- interned atoms ---------------------------------------------------------------------
+
+def test_atoms_are_interned_by_key():
+    a = se.atom(('y', 1, (1, 2)))
+    assert se.atom(('y', 1, (1, 2))) is a
+    assert next(iter(se.y(1, 2, 1).terms))[0][0] is a
+    assert a.key == ('y', 1, (1, 2)) and a.kind == 'y'
+    assert se.atom(('y', 2, (1, 2))) is not a
+
+
+def _copy_cases():
+    from jetform.forms import Context, omega, wedge
+    f = se.opaque("Lc", (1,), n=2, m=2, order=1)
+    e = (se.rational(3, 2) * se.x(1) * se.y(2, 1) ** 2
+         + se.partial(se.partial(f, ('y', 1, (2,))), ('x', 1)) * se.y(1) - 4)
+    return [e, wedge(omega(Context(n=2, m=2), 1, 2), omega(Context(n=2, m=2), 2)).scale(e)]
+
+
+@pytest.mark.parametrize("round_trip", ["copy", "deepcopy", "pickle"])
+def test_copies_keep_atom_identity(round_trip):
+    trip = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+            "pickle": lambda v: pickle.loads(pickle.dumps(v))}[round_trip]
+    for value in _copy_cases():
+        back = trip(value)
+        assert back == value
+        assert hash(back) == hash(value)
+    a = se.atom(('f', "Lc", (1,), 2, 2, 1, ()))
+    assert trip(a) is a
+
+
+def test_unpickled_expression_is_in_normal_form_when_its_atoms_are_new():
+    # Pk_a and Pk_b die after pickling and come back in the other order,
+    # so their ranks are reversed
+    data = pickle.dumps(se.opaque("Pk_a", n=1, m=1, order=0)
+                        * se.opaque("Pk_b", n=1, m=1, order=0))
+    gc.collect()
+    keys = [('f', name, (), 1, 1, 0, ()) for name in ("Pk_a", "Pk_b")]
+    assert not any(key in se._interned for key in keys)
+    held = [se.atom(key) for key in reversed(keys)]
+    assert held[0].rank < held[1].rank  # Pk_b now ranks first
+    back = pickle.loads(data)
+    assert back == se.opaque("Pk_a", n=1, m=1, order=0) * se.opaque("Pk_b", n=1, m=1, order=0)
