@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Time two jetform source trees against each other in one process.
+
+Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 n4m1r2] [--reps 12]
+
+A_SRC and B_SRC are ``src`` directories (a checkout of the parent commit
+and the working tree, say).  Both are imported into this interpreter under
+the package name ``jetform``, one after the other, and each keeps its own
+modules.  Every case is the lepage-generic benchmark case: the closed
+Krupka-Betounes equivalent, the Rossi recurrence and the Euler-Lagrange
+form of a generic opaque Lagrangian at (n, m, order).  Each repetition
+runs every case on both sides back to back, A first on even repetitions
+and B first on odd ones; the two runs of a pair share a density name that
+no earlier pair used, so every run starts cold.  The
+host's speed drifts over minutes, so only runs made this close together
+tell a gain of a few percent; separate-process timings do not.
+
+Per case it prints the median seconds of A and B, the ratio of the
+medians (B/A, below 1 when B is faster) and in how many repetitions B was
+faster.  The first repetition also checks that both sides print the same
+three forms; a difference exits 1.
+"""
+
+import argparse
+import gc
+import importlib
+import statistics
+import sys
+import time
+from itertools import count
+
+GRID = [f"n{n}m{m}r{r}" for n in (2, 3, 4) for m in (1, 2) for r in (1, 2)
+        if (n, m, r) != (4, 2, 2)]
+
+
+def load(src: str):
+    """Import the jetform package found in ``src``, apart from any other."""
+    for name in [k for k in sys.modules if k == "jetform" or k.startswith("jetform.")]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        mods = [importlib.import_module(f"jetform.{name}")
+                for name in ("forms", "lepage", "printers")]
+    finally:
+        sys.path.remove(src)
+    return mods
+
+
+def run_case(side, slot: str, name: str):
+    forms, lepage, _ = side
+    n, m, r = (int(slot[i]) for i in (1, 3, 5))
+    lam = lepage.generic_lagrangian(forms.Context(n=n, m=m), r, name=name)
+    gc.collect()
+    t0 = time.perf_counter()
+    if r == 1:
+        closed = lepage.krupka_betounes_first(lam)
+    else:
+        closed = lepage.kb_second_order(lam, "plain")
+    out = (closed, lepage.rossi_recurrence(lam).terminal, lepage.euler_lagrange(lam))
+    elapsed = time.perf_counter() - t0
+    return elapsed, out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("a_src")
+    ap.add_argument("b_src")
+    ap.add_argument("--cases", nargs="+", default=GRID, choices=GRID)
+    ap.add_argument("--reps", type=int, default=12)
+    args = ap.parse_args()
+    if args.reps < 1:
+        ap.error("--reps must be at least 1")
+
+    sides = [load(args.a_src), load(args.b_src)]
+    names = count()
+    times = {slot: ([], []) for slot in args.cases}
+    for rep in range(args.reps):
+        for slot in args.cases:
+            # the two sides keep separate atom tables, so one density name
+            # serves both; a new name per pair keeps every run cold
+            name = f"L{next(names)}"
+            outs = [None, None]
+            for s in ((0, 1) if rep % 2 == 0 else (1, 0)):
+                elapsed, outs[s] = run_case(sides[s], slot, name)
+                times[slot][s].append(elapsed)
+            if rep == 0:
+                a_text, b_text = ([printers.form_text(f) for f in out]
+                                  for (_, _, printers), out in zip(sides, outs))
+                if a_text != b_text:
+                    print(f"{slot}: the two trees print different forms", file=sys.stderr)
+                    raise SystemExit(1)
+
+    print(f"{'case':8s} {'a_median_s':>11s} {'b_median_s':>11s} {'b/a':>6s} {'b_wins':>7s}")
+    total_a = total_b = 0.0
+    for slot in args.cases:
+        a, b = times[slot]
+        ma, mb = statistics.median(a), statistics.median(b)
+        total_a += ma
+        total_b += mb
+        wins = sum(y < x for x, y in zip(a, b))
+        print(f"{slot:8s} {ma:11.4f} {mb:11.4f} {mb / ma:6.3f} {wins:>3d}/{len(a)}")
+    print(f"{'total':8s} {total_a:11.4f} {total_b:11.4f} {total_b / total_a:6.3f}")
+
+
+if __name__ == "__main__":
+    main()

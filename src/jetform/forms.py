@@ -227,6 +227,29 @@ def wedge(a: Form, b: Form) -> Form:
     return out
 
 
+def _add_into(acc: dict, rho: Form, c: int = 1) -> None:
+    """acc += c rho in place, for acc a {wedge: {monomial: coefficient}} map.
+
+    One running sum instead of a chain of Form additions, each of which
+    copies its left operand; an emptied bucket stays in acc as {}.
+    """
+    for w, s in rho.terms.items():
+        bucket = acc.get(w)
+        if bucket is None:
+            acc[w] = dict(s.terms) if c == 1 else {m: v * c for m, v in s.terms.items()}
+            continue
+        for m, v in s.terms.items():
+            if c != 1:
+                v = v * c
+            old = bucket.get(m)
+            if old is None:
+                bucket[m] = v
+            elif t := old + v:
+                bucket[m] = t
+            else:
+                del bucket[m]
+
+
 def wedge_all(*forms: Form) -> Form:
     out = forms[0]
     for f in forms[1:]:

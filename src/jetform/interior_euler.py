@@ -5,15 +5,25 @@ The pipeline shared by every operator here:
 1. write the k-contact part of a form as a sum over contact covectors,
    p_k rho = sum over (sigma, J) of omega^sigma_J ^ eta^J_sigma;
 2. telescope the eta family into xi coefficients so that
-   p_k rho = sum over multi-indices I of d_I(omega^sigma ^ xi^I_sigma);
+   p_k rho = sum over multi-indices I of d_I(omega^sigma ^ xi^I_sigma).
+   The telescope runs on integers: with D the lcm of the denominators of
+   every eta coefficient, and sums over sorted multi-indices,
+
+       D mult(I) xi^I = sum over sorted J within K of
+                        (-1)^|J| prod_a C(K_a, J_a) d_J(D eta^K),   K = I + J,
+
+   where K_a counts the index a in K.  This equals the sum over ordered J
+   of (-1)^|J| C(|K|, |J|) d_J eta^K / mult(K), the ordered-convention
+   xi^I, so every stored coefficient is an int and no division happens
+   until the residual;
 3. recast each omega^sigma ^ xi^I_sigma as chi^{i_1..i_s I} ^ ds_{i_1..i_s}
    and assemble the residual operator from the chi family; one operator
    serves every codegree s, the top forms being s = 0.
 
 Multi-index sums follow the ordered-tuple convention; eta is stored per
-sorted key (the basis coefficient) and divided by the tuple multiplicity
-where an ordered family is required.  The eta decomposition is not unique
-for k >= 2; the default is the 1/k-weighted formal contraction, and every
+sorted key (the basis coefficient), and mult(J) = ``tuple_multiplicity(J)``
+converts between the two.  The eta decomposition is not unique for
+k >= 2; the default is the 1/k-weighted formal contraction, and every
 consumer validates recomposition instead of relying on uniqueness.  The
 Lepage recurrence passes its own eta family built from term provenance.
 """
@@ -22,13 +32,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 
 # GradingMismatch is re-exported for callers that import it from here
-from .forms import (Form, GradingMismatch, codegree, contract_omega, d_H,
-                    ds_block, ds_parts, omega, p_k,
-                    total_derivative_form_multi, wedge)
+from .forms import (Form, GradingMismatch, _add_into, codegree,
+                    contract_omega, d_H, ds_block, ds_parts, omega, p_k,
+                    total_derivative_form, total_derivative_form_multi, wedge)
 from .multiindex import signed_get, signed_permutations, tuple_multiplicity
 from .symexpr import Scalar
 
@@ -39,6 +52,31 @@ class RecompositionFailure(AssertionError):
 
 class ExpansionMismatch(AssertionError):
     """The telescoped xi family does not rebuild p_k rho (a multiplicity bug)."""
+
+
+def _summed(ctx, acc: dict) -> Form:
+    """The form held by a {wedge: {monomial: coefficient}} running sum."""
+    return Form(ctx, {w: Scalar(t) for w, t in acc.items() if t})
+
+
+def _smallest_difference(got: Form, want: Form) -> str:
+    """The smallest term in which two forms differ, printed from both.
+
+    Terms are ranked by wedge length, then monomial degree, then the
+    printed text of the difference.
+    """
+    from .printers import form_text  # only a failing check prints
+    ctx = got.ctx
+
+    def term(form, w, mono):
+        c = form.terms.get(w, Scalar.zero()).terms.get(mono, 0)
+        return form_text(Form(ctx, {w: Scalar({mono: c})} if c else {}))
+
+    diff = got - want
+    w, mono = min(((w, mono) for w, s in diff.terms.items() for mono in s.terms),
+                  key=lambda wm: (len(wm[0]), sum(k for _, k in wm[1]), term(diff, *wm)))
+    return (f"smallest differing term: rebuilt {term(got, w, mono)}, "
+            f"expected {term(want, w, mono)}")
 
 
 @dataclass
@@ -52,10 +90,16 @@ class EtaDecomposition:
     etas: dict  # (sigma, J sorted) -> (k-1)-contact (n-s)-horizontal Form
 
     def recompose(self) -> Form:
-        out = Form(self.ctx)
+        acc: dict = {}
         for (sigma, J), eta in self.etas.items():
-            out = out + wedge(omega(self.ctx, sigma, *J), eta)
-        return out
+            _add_into(acc, wedge(omega(self.ctx, sigma, *J), eta))
+        return _summed(self.ctx, acc)
+
+    @property
+    def denominator(self) -> int:
+        """D, the lcm of the denominators of every eta coefficient."""
+        return math.lcm(*{v.denominator for eta in self.etas.values()
+                          for c in eta.terms.values() for v in c.terms.values()})
 
 
 def _contact_keys(part: Form) -> set:
@@ -83,26 +127,45 @@ def eta_decompose(rho: Form, k: int, etas: dict | None = None) -> EtaDecompositi
                 etas[(sigma, J)] = eta
     r = max((len(J) for _, J in etas), default=0)
     dec = EtaDecomposition(ctx, k, s, r, etas)
-    if dec.recompose() != part:
-        raise RecompositionFailure("eta family does not recompose p_k rho")
+    got = dec.recompose()
+    if got != part:
+        raise RecompositionFailure(
+            f"eta family does not recompose p_k rho (k={k}, s={s}, "
+            f"D={dec.denominator}); {_smallest_difference(got, part)}")
     return dec
 
 
 @dataclass
 class XiFamily:
-    """Telescoped coefficients xi^I and their ds-extraction chi^{blocks,I}.
+    """The telescoped family on integers, and its ds-extraction.
 
-    ``xi`` maps (sigma, I sorted) to an ordered-convention coefficient form;
-    ``chi`` maps (block strictly increasing, I sorted) to a k-contact k-form,
-    in the convention matching strict-block iteration (see module docstring).
+    ``int_xi`` maps (sigma, I sorted) to D mult(I) xi^I_sigma and
+    ``int_chi`` maps (block strictly increasing, I sorted) to
+    D mult(I) chi^{block, I}, a k-contact k-form; every coefficient of both
+    is an int, and ``denominator`` is D.  ``xi`` and ``chi`` are the same
+    families in the ordered convention of the module docstring, divided
+    back once on first read; the residual reads the integer ones.
     """
 
     ctx: object
     k: int
     s: int
     r: int
-    xi: dict
-    chi: dict
+    denominator: int
+    int_xi: dict
+    int_chi: dict
+
+    def _divided(self, family: dict) -> dict:
+        return {key: f.scale(Fraction(1, self.denominator * tuple_multiplicity(key[1])))
+                for key, f in family.items()}
+
+    @cached_property
+    def xi(self) -> dict:
+        return self._divided(self.int_xi)
+
+    @cached_property
+    def chi(self) -> dict:
+        return self._divided(self.int_chi)
 
     def chi_at(self, block, M_sorted) -> Form:
         """Signed chi lookup for an arbitrarily ordered block."""
@@ -120,49 +183,85 @@ class XiFamily:
         return out
 
 
+def _is_multiple(got: Form, want: Form, D: int) -> bool:
+    """got == D want, compared in integers without building D want."""
+    if got.terms.keys() != want.terms.keys():
+        return False
+    for w, c in want.terms.items():
+        g = got.terms[w].terms
+        if g.keys() != c.terms.keys():
+            return False
+        for m, v in c.terms.items():
+            if g[m] * v.denominator != D * v.numerator:
+                return False
+    return True
+
+
+def _cleared(eta: Form, D: int) -> Form:
+    """D eta with int coefficients, for D a multiple of every denominator."""
+    return Form(eta.ctx, {w: Scalar({m: v.numerator * (D // v.denominator)
+                                     for m, v in c.terms.items()})
+                          for w, c in eta.terms.items()})
+
+
+def _telescope(acc: dict, sigma: int, K: tuple, eta: Form) -> None:
+    """Add (-1)^|J| prod_a C(K_a, J_a) d_J eta into acc[(sigma, K - J)] for
+    every sorted J within K.
+
+    The J are walked index by index, so each d_J is one total derivative of
+    the d_J' before it, and only the derivatives on the current path live.
+    """
+    counts = sorted(Counter(K).items())
+
+    def walk(t, form, I, weight):
+        if t == len(counts):
+            _add_into(acc.setdefault((sigma, I), {}), form, weight)
+            return
+        a, ka = counts[t]
+        for j in range(ka + 1):
+            if j:
+                form = total_derivative_form(form, a)
+                if form.is_zero():
+                    return
+            walk(t + 1, form, I + (a,) * (ka - j), (-1) ** j * comb(ka, j) * weight)
+
+    walk(0, eta, (), 1)
+
+
 def ibp_expand(rho: Form, k: int, eta: EtaDecomposition | None = None) -> XiFamily:
-    """Build the xi/chi families with the exactness identity verified."""
+    """Build the integer xi/chi families with the exactness identity verified."""
     ctx = rho.ctx
     dec = eta if eta is not None else eta_decompose(rho, k)
-    r = dec.r
-    n = ctx.n
+    D = dec.denominator
 
-    eta_ordered = {key: form.scale(Fraction(1, tuple_multiplicity(key[1])))
-                   for key, form in dec.etas.items()}
+    acc: dict = {}
+    for (sigma, K), eta_K in dec.etas.items():
+        _telescope(acc, sigma, K, _cleared(eta_K, D))
+    int_xi = {}
+    for key in list(acc):
+        # popped, so each bucket dies as soon as its form is made
+        x = _summed(ctx, acc.pop(key))
+        if not x.is_zero():
+            int_xi[key] = x
 
-    sigmas = sorted({sigma for sigma, _ in dec.etas})
-    xi: dict = {}
-    for sigma in sigmas:
-        for li in range(r + 1):
-            for I in itertools.combinations_with_replacement(range(1, n + 1), li):
-                acc = Form.zero(ctx)
-                for lj in range(r - li + 1):
-                    coeff = Fraction((-1) ** lj * math.comb(lj + li, lj))
-                    for J in itertools.product(range(1, n + 1), repeat=lj):
-                        key = (sigma, tuple(sorted(I + J)))
-                        base = eta_ordered.get(key)
-                        if base is None:
-                            continue
-                        acc = acc + total_derivative_form_multi(base, J).scale(coeff)
-                if not acc.is_zero():
-                    xi[(sigma, I)] = acc
+    # exactness on the stored family: sum over sorted I of
+    # d_I(omega ^ D mult(I) xi^I) rebuilds D p_k rho
+    rebuilt: dict = {}
+    int_chi: dict = {}
+    for (sigma, I), x in int_xi.items():
+        term = wedge(omega(ctx, sigma), x)
+        _add_into(rebuilt, total_derivative_form_multi(term, I))
+        if I:
+            for block, part in ds_parts(term).items():
+                _add_into(int_chi.setdefault((block, I), {}), part)
+    got, want = _summed(ctx, rebuilt), p_k(rho, k)
+    if not _is_multiple(got, want, D):
+        raise ExpansionMismatch(
+            f"xi telescoping does not rebuild p_k rho (k={k}, s={dec.s}, D={D}); "
+            f"{_smallest_difference(got.scale(Fraction(1, D)), want)}")
 
-    # exactness: ordered-I sum of d_I(omega ^ xi^I) rebuilds p_k rho
-    rebuilt = Form.zero(ctx)
-    for (sigma, I), x in xi.items():
-        term = total_derivative_form_multi(wedge(omega(ctx, sigma), x), I)
-        rebuilt = rebuilt + term.scale(tuple_multiplicity(I))
-    if rebuilt != p_k(rho, k):
-        raise ExpansionMismatch("xi telescoping does not rebuild p_k rho")
-
-    chi: dict = {}
-    for (sigma, I), x in xi.items():
-        if len(I) == 0:
-            continue
-        for block, part in ds_parts(wedge(omega(ctx, sigma), x)).items():
-            chi[(block, I)] = chi.get((block, I), Form.zero(ctx)) + part
-    chi = {key: v for key, v in chi.items() if not v.is_zero()}
-    return XiFamily(ctx, k, dec.s, r, xi, chi)
+    int_chi = {key: f for key, v in int_chi.items() if not (f := _summed(ctx, v)).is_zero()}
+    return XiFamily(ctx, k, dec.s, dec.r, D, int_xi, int_chi)
 
 
 def interior_euler(rho: Form, k: int) -> Form:
@@ -199,17 +298,26 @@ def residual(rho: Form, k: int, eta: EtaDecomposition | None = None) -> Form:
 
 
 def _residual(fam: XiFamily) -> Form:
+    """(-1)^k/(s+1) times the sum over ordered M of d_{M[1:]} chi^{block, M}
+    ^ ds_{block M[0]}.
+
+    The sum runs on the integer chi family, with each 1/(D mult(M)) cleared
+    by L, the lcm of every mult(M); the one rational step is the final
+    scaling by (-1)^k/((s+1) D L).
+    """
     ctx = fam.ctx
-    factor = Fraction((-1) ** fam.k, fam.s + 1)
-    out = Form.zero(ctx)
-    for (block, Ms), val in fam.chi.items():
+    L = math.lcm(*{tuple_multiplicity(Ms) for _, Ms in fam.int_chi})
+    out: dict = {}
+    for (block, Ms), val in fam.int_chi.items():
+        weight = L // tuple_multiplicity(Ms)
         for M in set(itertools.permutations(Ms)):
             target = ds_block(ctx, block + (M[0],))
             if target.is_zero():
                 continue
             piece = total_derivative_form_multi(val, M[1:])
-            out = out + wedge(piece, target).scale(factor)
-    return out
+            _add_into(out, wedge(piece, target), weight)
+    factor = Fraction((-1) ** fam.k, (fam.s + 1) * fam.denominator * L)
+    return _summed(ctx, out).scale(factor)
 
 
 def split_lower(rho: Form):

@@ -1,16 +1,18 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from jetform import cli
 from jetform import interior_euler as ie
 from jetform import symexpr as se
 from jetform.forms import (Context, Form, d_H, ds_block, dx, exterior_d,
                            omega, p_k, total_derivative_form_multi, volume,
                            wedge, wedge_all)
-from jetform.interior_euler import (RecompositionFailure, eta_decompose,
-                                    ibp_expand, interior_euler, residual,
-                                    split_lower)
+from jetform.interior_euler import (ExpansionMismatch, RecompositionFailure,
+                                    eta_decompose, ibp_expand, interior_euler,
+                                    residual, split_lower)
 from jetform.randomgen import rand_form
 from jetform.symexpr import Scalar
 
@@ -75,6 +77,52 @@ def test_ibp_r1_telescope():
     expect0 = volume(ctx).scale(
         se.y(1) - se.total_derivative(se.y(1, 2), 1) - se.total_derivative(se.y(1, 1), 2))
     assert fam.xi[(1, ())] == expect0
+
+
+def test_stored_family_is_int_when_eta_has_denominators_2_and_3():
+    ctx = Context(n=2, m=1)
+    rho = wedge(omega(ctx, 1, 1), volume(ctx)).scale(se.rational(1, 2) * se.y(1, 2)) \
+        + wedge(omega(ctx, 1, 1, 2), volume(ctx)).scale(se.rational(1, 3) * se.y(1, 1)) \
+        + wedge(omega(ctx, 1), volume(ctx)).scale(se.x(1))
+    fam = ibp_expand(rho, 1)
+    assert fam.denominator == 6
+    assert {I for _, I in fam.int_xi} == {(), (1,), (2,), (1, 2)}
+    assert {I for _, I in fam.int_chi} == {(1,), (2,), (1, 2)}
+    coeffs = [v for family in (fam.int_xi, fam.int_chi) for f in family.values()
+              for c in f.terms.values() for v in c.terms.values()]
+    assert coeffs and all(type(v) is int for v in coeffs)
+    # the views divide back by D mult(I): eta^{12} is stored per sorted key
+    assert fam.xi[(1, (1, 2))] == volume(ctx).scale(se.rational(1, 6) * se.y(1, 1))
+    assert fam.int_xi[(1, (1, 2))] == volume(ctx).scale(se.rational(2) * se.y(1, 1))
+
+
+def test_eta_failure_names_the_stage_and_the_smallest_term():
+    ctx = Context(n=2, m=1)
+    rho = wedge(omega(ctx, 1), volume(ctx)).scale(se.y(1, 1))
+    bad = {(1, ()): volume(ctx).scale(se.rational(1, 2) * se.y(1, 1))}
+    with pytest.raises(RecompositionFailure) as err:
+        eta_decompose(rho, 1, etas=bad)
+    assert str(err.value) == (
+        "eta family does not recompose p_k rho (k=1, s=0, D=2); smallest "
+        "differing term: rebuilt (1/2*u_1) * w(u) /\\ ds, expected (u_1) * w(u) /\\ ds")
+
+
+def test_a_wrong_binomial_weight_is_caught(monkeypatch, capsys):
+    # C(K_a, 1) one too large: xi^() takes -2 d_1 eta^1 instead of -d_1 eta^1
+    monkeypatch.setattr(ie, "comb", lambda a, b: math.comb(a, b) + (b == 1))
+    expr = "1/2*u_1 * w(u,1) /\\ ds"
+    message = ("xi telescoping does not rebuild p_k rho (k=1, s=0, D=2); smallest "
+               "differing term: rebuilt (-1/2*u_11) * w(u) /\\ ds, expected 0")
+    ctx = Context(n=1, m=1)
+    rho = wedge(omega(ctx, 1, 1), volume(ctx)).scale(se.rational(1, 2) * se.y(1, 1))
+    with pytest.raises(ExpansionMismatch) as err:
+        ibp_expand(rho, 1)
+    assert str(err.value) == message
+    code = cli.main(["residual", "-n", "1", "-m", "1", "-r", "1", expr])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"internal error: {message}\n"
 
 
 def test_ibp_random_exactness_holds():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from jetform import lepage
+from jetform import forms, lepage
+from jetform import interior_euler as ie
 from jetform import symexpr as se
 from jetform.forms import (Context, d_C, ds_block, dx, exterior_d, omega,
                            p_k, volume, wedge, wedge_all)
@@ -436,4 +437,32 @@ def test_recurrence_builds_each_chain_rule_once(monkeypatch):
     terminal = rossi_recurrence(lam).terminal
     # without the memo the same recurrence builds 732 chain rules
     assert len(keys) == len(set(keys)) == 213
+    assert terminal == kb_second_order(lam)
+
+
+def test_recurrence_telescope_takes_each_derivative_once(monkeypatch):
+    counted = [0]
+    inside = [False]
+    derive, expand = forms.total_derivative_form, ie.ibp_expand
+
+    def spy_derive(rho, i):
+        counted[0] += inside[0]
+        return derive(rho, i)
+
+    def spy_expand(*args, **kwargs):
+        inside[0] = True
+        try:
+            return expand(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    for module in (forms, ie):
+        monkeypatch.setattr(module, "total_derivative_form", spy_derive)
+    monkeypatch.setattr(ie, "ibp_expand", spy_expand)
+    lam = generic_lagrangian(Context(n=3, m=2), 2)
+    terminal = rossi_recurrence(lam).terminal
+    # form total derivatives inside ibp_expand, the exactness rebuild
+    # included: the ordered-J telescope took 114, sorted J alone 102; each
+    # d_J now extends the d_J' of its prefix
+    assert counted[0] == 90
     assert terminal == kb_second_order(lam)

@@ -19,3 +19,16 @@ def test_script_exits_0(argv):
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_ab_lepage_times_a_tree_against_itself():
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run([sys.executable, "scripts/ab_lepage.py", "src", "src",
+                           "--cases", "n2m1r1", "--reps", "1"],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, row, total = proc.stdout.splitlines()
+    assert header.split() == ["case", "a_median_s", "b_median_s", "b/a", "b_wins"]
+    assert row.split()[0] == "n2m1r1" and row.split()[-1] in ("0/1", "1/1")
+    assert total.split()[0] == "total"
