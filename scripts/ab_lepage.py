@@ -16,9 +16,12 @@ host's speed drifts over minutes, so only runs made this close together
 tell a gain of a few percent; separate-process timings do not.
 
 Per case it prints the median seconds of A and B, the ratio of the
-medians (B/A, below 1 when B is faster) and in how many repetitions B was
-faster.  The first repetition also checks that both sides print the same
-three forms; a difference exits 1.
+medians (B/A, below 1 when B is faster), the median of the per-pair ratios
+and in how many repetitions B was faster.  A pair's two runs share the
+host's speed of the moment, so the median of their ratios drifts less
+than the ratio of the medians; the total line takes it over the per-pair
+sums of all cases.  The first repetition also checks that both sides print
+the same three forms; a difference exits 1.
 """
 
 import argparse
@@ -90,16 +93,21 @@ def main():
                     print(f"{slot}: the two trees print different forms", file=sys.stderr)
                     raise SystemExit(1)
 
-    print(f"{'case':8s} {'a_median_s':>11s} {'b_median_s':>11s} {'b/a':>6s} {'b_wins':>7s}")
+    print(f"{'case':8s} {'a_median_s':>11s} {'b_median_s':>11s} {'b/a':>6s} "
+          f"{'pair_b/a':>8s} {'b_wins':>7s}")
     total_a = total_b = 0.0
     for slot in args.cases:
         a, b = times[slot]
         ma, mb = statistics.median(a), statistics.median(b)
         total_a += ma
         total_b += mb
+        pair = statistics.median(y / x for x, y in zip(a, b))
         wins = sum(y < x for x, y in zip(a, b))
-        print(f"{slot:8s} {ma:11.4f} {mb:11.4f} {mb / ma:6.3f} {wins:>3d}/{len(a)}")
-    print(f"{'total':8s} {total_a:11.4f} {total_b:11.4f} {total_b / total_a:6.3f}")
+        print(f"{slot:8s} {ma:11.4f} {mb:11.4f} {mb / ma:6.3f} {pair:8.3f} {wins:>3d}/{len(a)}")
+    a_sums, b_sums = ([sum(times[slot][s][rep] for slot in args.cases) for rep in range(args.reps)]
+                      for s in (0, 1))
+    pair = statistics.median(y / x for x, y in zip(a_sums, b_sums))
+    print(f"{'total':8s} {total_a:11.4f} {total_b:11.4f} {total_b / total_a:6.3f} {pair:8.3f}")
 
 
 if __name__ == "__main__":

@@ -12,11 +12,25 @@ omega sorted by (sigma, |J|, J); fixing one order keeps printed output and
 golden files stable.  Contact degree is then a syntactic grading and p_k is
 plain term selection.  Jet-projection pullbacks are identity maps on this
 representation, so order bookkeeping only ever increases.
+
+The builders write into one running sum, a {wedge: {monomial: coefficient}}
+map (``_add_terms``, ``_add_into``), and make a Form of it once at the end
+(``_summed``); no builder chains Form additions, each of which copies its
+left operand.  Where one covector joins a wedge that is already ordered (a
+single-covector left factor of ``wedge``, the raised omega of
+``total_derivative_form``, the new omega of ``wedge_gradients`` and the dx
+and omega of ``d``), it is placed at its insertion position (``_insert``),
+which gives the sign without sorting the whole product.  ``_cleared``
+clears the denominators of a family of forms, for the integer pipelines of
+``interior_euler`` and ``lepage``; ``total_derivative_sum`` sums the d_J of
+a family of forms over the trie of the sorted J.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import symexpr
@@ -66,22 +80,10 @@ class Form:
 
     @staticmethod
     def from_terms(ctx: Context, pairs) -> "Form":
-        out = Form(ctx)
+        acc: dict = {}
         for covs, c in pairs:
-            out._accumulate(covs, c)
-        return out
-
-    def _accumulate(self, covs, c: Scalar) -> None:
-        if c.is_zero():
-            return
-        wedge, sign = sort_with_sign(covs, _cov_key)
-        if sign == 0:
-            return
-        val = self.terms.get(wedge, Scalar.zero()) + (c if sign == 1 else -c)
-        if val.is_zero():
-            self.terms.pop(wedge, None)
-        else:
-            self.terms[wedge] = val
+            _add_sorted(acc, covs, c.terms)
+        return _summed(ctx, acc)
 
     # -- linear structure ----------------------------------------------------
 
@@ -220,41 +222,88 @@ def ds_parts(rho: Form) -> dict:
 def wedge(a: Form, b: Form) -> Form:
     """Graded anticommutative product."""
     a._check(b)
-    out = Form(a.ctx)
+    if len(a.terms) == 1:
+        [(wa, ca)] = a.terms.items()
+        if len(wa) == 1:
+            # one covector joins each wedge of b; distinct wedges of b stay
+            # distinct, so every product lands in a term of its own
+            out = {}
+            for wb, cb in b.terms.items():
+                w, sign = _insert(wa[0], wb)
+                if sign:
+                    c = ca * cb
+                    out[w] = c if sign == 1 else -c
+            return Form(a.ctx, out)
+    acc: dict = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            out._accumulate(wa + wb, ca * cb)
-    return out
+            _add_sorted(acc, wa + wb, (ca * cb).terms)
+    return _summed(a.ctx, acc)
+
+
+# -- running sums ----------------------------------------------------------------
+
+
+def _insert(cov, w: tuple):
+    """(cov placed into the ordered wedge w, the sign of cov ^ w against it).
+
+    The sign is (-1)^position, or 0 when w already holds cov.
+    """
+    pos = bisect_left(w, _cov_key(cov), key=_cov_key)
+    if pos < len(w) and w[pos] == cov:
+        return w, 0
+    return w[:pos] + (cov,) + w[pos:], -1 if pos & 1 else 1
+
+
+def _add_terms(acc: dict, w: tuple, terms: dict, c: int = 1) -> None:
+    """acc[w] += c times the scalar with these terms; w is an ordered wedge.
+
+    An emptied bucket stays in acc as {}.
+    """
+    bucket = acc.get(w)
+    if bucket is None:
+        acc[w] = dict(terms) if c == 1 else {m: v * c for m, v in terms.items()}
+        return
+    for m, v in terms.items():
+        if c != 1:
+            v = v * c
+        old = bucket.get(m)
+        if old is None:
+            bucket[m] = v
+        elif t := old + v:
+            bucket[m] = t
+        else:
+            del bucket[m]
+
+
+def _add_sorted(acc: dict, covs: tuple, terms: dict, c: int = 1) -> None:
+    """acc += c times the scalar with these terms, on any ordering of covs."""
+    w, sign = sort_with_sign(covs, _cov_key)
+    if sign:
+        _add_terms(acc, w, terms, c * sign)
 
 
 def _add_into(acc: dict, rho: Form, c: int = 1) -> None:
-    """acc += c rho in place, for acc a {wedge: {monomial: coefficient}} map.
-
-    One running sum instead of a chain of Form additions, each of which
-    copies its left operand; an emptied bucket stays in acc as {}.
-    """
+    """acc += c rho in place, for acc a {wedge: {monomial: coefficient}} map."""
     for w, s in rho.terms.items():
-        bucket = acc.get(w)
-        if bucket is None:
-            acc[w] = dict(s.terms) if c == 1 else {m: v * c for m, v in s.terms.items()}
-            continue
-        for m, v in s.terms.items():
-            if c != 1:
-                v = v * c
-            old = bucket.get(m)
-            if old is None:
-                bucket[m] = v
-            elif t := old + v:
-                bucket[m] = t
-            else:
-                del bucket[m]
+        _add_terms(acc, w, s.terms, c)
 
 
-def wedge_all(*forms: Form) -> Form:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
+def _summed(ctx: Context, acc: dict) -> Form:
+    """The form held by a {wedge: {monomial: coefficient}} running sum."""
+    return Form(ctx, {w: Scalar(t) for w, t in acc.items() if t})
+
+
+def _cleared(forms) -> tuple:
+    """(D, [D rho for each rho in forms]), D the lcm of the denominators of
+    every coefficient, so that each D rho has int coefficients."""
+    forms = list(forms)
+    D = math.lcm(*{v.denominator for rho in forms
+                   for c in rho.terms.values() for v in c.terms.values()})
+    return D, [Form(rho.ctx, {w: Scalar({m: v.numerator * (D // v.denominator)
+                                         for m, v in c.terms.items()})
+                              for w, c in rho.terms.items()})
+               for rho in forms]
 
 
 # -- contact decomposition -----------------------------------------------------
@@ -266,7 +315,7 @@ def to_contact_basis(ctx: Context, raw_terms) -> Form:
     may include ('dy', sigma, J) entries.  The output is a pure-basis form
     living on one order higher.
     """
-    out = Form(ctx)
+    acc: dict = {}
     for covs, coeff in raw_terms:
         expansions = []
         for cov in covs:
@@ -282,8 +331,8 @@ def to_contact_basis(ctx: Context, raw_terms) -> Form:
             c = coeff
             for _, factor in choice:
                 c = c * factor
-            out._accumulate(tuple(cv for cv, _ in choice), c)
-    return out
+            _add_sorted(acc, tuple(cv for cv, _ in choice), c.terms)
+    return _summed(ctx, acc)
 
 
 def p_k(rho: Form, k: int) -> Form:
@@ -295,57 +344,79 @@ def p_k(rho: Form, k: int) -> Form:
 
 # -- differentials -------------------------------------------------------------
 
-def _d_coefficient(ctx: Context, c: Scalar) -> Form:
-    """df as a 1-form: sum of (d_i f) dx^i plus partials times omegas."""
-    out = Form(ctx)
-    for i in range(1, ctx.n + 1):
-        out._accumulate((('dx', i),), symexpr.total_derivative(c, i))
-    for (_, sigma, J), dc in symexpr.gradient(c, ctx.n, ctx.m).items():
-        out._accumulate((('w', sigma, J),), dc)
-    return out
-
-
-def _d_wedge(out: Form, w: tuple, c: Scalar) -> None:
-    """Add c d(w) to out: d(dx^i) = 0 and d(omega^sigma_J) = dx^j ^ omega^sigma_Jj."""
+def _d_wedge(acc: dict, n: int, w: tuple, c: Scalar) -> None:
+    """Add c d(w) to acc: d(dx^i) = 0 and d(omega^sigma_J) = dx^j ^ omega^sigma_Jj."""
     for t, cov in enumerate(w):
         if cov[0] != 'w':
             continue
-        signed = c if t % 2 == 0 else -c
-        for j in range(1, out.ctx.n + 1):
+        sign = 1 if t % 2 == 0 else -1
+        for j in range(1, n + 1):
             covs = w[:t] + (('dx', j), ('w', cov[1], tuple(sorted(cov[2] + (j,))))) + w[t + 1:]
-            out._accumulate(covs, signed)
+            _add_sorted(acc, covs, c.terms, sign)
+
+
+def _add_dx_wedges(acc: dict, n: int, w: tuple, c: Scalar) -> None:
+    """Add (d_i c) dx^i ^ w to acc for every i."""
+    for i in range(1, n + 1):
+        w1, sign = _insert(('dx', i), w)
+        if sign:
+            _add_terms(acc, w1, symexpr.total_derivative(c, i).terms, sign)
+
+
+def _add_gradient_wedges(acc: dict, w: tuple, grad: dict) -> None:
+    """Add dc/dy^sigma_J omega^sigma_J ^ w to acc, for grad the gradient of c."""
+    for (_, sigma, J), dc in grad.items():
+        w1, sign = _insert(('w', sigma, J), w)
+        if sign:
+            _add_terms(acc, w1, dc.terms, sign)
 
 
 def exterior_d(rho: Form) -> Form:
     """Exterior derivative: dc ^ w + c d(w) for every term c w."""
     ctx = rho.ctx
-    out = Form(ctx)
+    acc: dict = {}
     for w, c in rho.terms.items():
-        dc = _d_coefficient(ctx, c)
-        for w1, c1 in dc.terms.items():
-            out._accumulate(w1 + w, c1)
-        _d_wedge(out, w, c)
-    return out
+        _add_dx_wedges(acc, ctx.n, w, c)
+        _add_gradient_wedges(acc, w, symexpr.gradient(c, ctx.n, ctx.m))
+        _d_wedge(acc, ctx.n, w, c)
+    return _summed(ctx, acc)
 
 
 def total_derivative_form(rho: Form, i: int) -> Form:
     """d_i on forms: a degree-0 derivation with d_i dx^j = 0, d_i w^s_J = w^s_Ji."""
-    ctx = rho.ctx
-    out = Form(ctx)
+    acc: dict = {}
     for w, c in rho.terms.items():
-        out._accumulate(w, symexpr.total_derivative(c, i))
+        _add_terms(acc, w, symexpr.total_derivative(c, i).terms)
         for t, cov in enumerate(w):
             if cov[0] != 'w':
                 continue
-            covs = w[:t] + (('w', cov[1], tuple(sorted(cov[2] + (i,)))),) + w[t + 1:]
-            out._accumulate(covs, c)
-    return out
+            # the raised omega moves from slot t to its place among the rest
+            w1, sign = _insert(('w', cov[1], tuple(sorted(cov[2] + (i,)))), w[:t] + w[t + 1:])
+            if sign:
+                _add_terms(acc, w1, c.terms, sign if t % 2 == 0 else -sign)
+    return _summed(rho.ctx, acc)
 
 
 def total_derivative_form_multi(rho: Form, J) -> Form:
     for j in J:
         rho = total_derivative_form(rho, j)
     return rho
+
+
+def total_derivative_sum(ctx: Context, parts: dict) -> Form:
+    """Sum over sorted J of d_J parts[J], for parts a map from sorted J to
+    {wedge: {monomial: coefficient}} running sums; parts is consumed.
+
+    Horner's rule over the trie of the J: Y(p) = X_p + sum over j >= last(p)
+    of d_j Y(p + j), so each trie node takes one form total derivative, of
+    the sum of its subtree.  The deepest nodes go first, and each node's sum
+    is popped as soon as its derivative has gone to its parent.
+    """
+    for depth in range(max(map(len, parts), default=0), 0, -1):
+        for J in [J for J in parts if len(J) == depth]:
+            y = _summed(ctx, parts.pop(J))
+            _add_into(parts.setdefault(J[:-1], {}), total_derivative_form(y, J[-1]))
+    return _summed(ctx, parts.pop((), {}))
 
 
 def d_H(rho: Form) -> Form:
@@ -355,12 +426,11 @@ def d_H(rho: Form) -> Form:
     degree, and no jet-coordinate partial of c is taken.
     """
     ctx = rho.ctx
-    out = Form(ctx)
+    acc: dict = {}
     for w, c in rho.terms.items():
-        for i in range(1, ctx.n + 1):
-            out._accumulate((('dx', i),) + w, symexpr.total_derivative(c, i))
-        _d_wedge(out, w, c)
-    return out
+        _add_dx_wedges(acc, ctx.n, w, c)
+        _d_wedge(acc, ctx.n, w, c)
+    return _summed(ctx, acc)
 
 
 def d_C(rho: Form) -> Form:
@@ -376,37 +446,24 @@ def d_C(rho: Form) -> Form:
 
 def wedge_gradients(ctx: Context, grads: dict) -> Form:
     """Sum over {w: gradient of c} of dc/dy^sigma_J omega^sigma_J ^ w: d_C of sum c w."""
-    out = Form(ctx)
+    acc: dict = {}
     for w, grad in grads.items():
-        for (_, sigma, J), dc in grad.items():
-            out._accumulate((('w', sigma, J),) + w, dc)
-    return out
-
-
-def d_H_local(rho: Form) -> Form:
-    """The chart formula (-1)^q d_i rho ^ dx^i, applied per total degree."""
-    ctx = rho.ctx
-    out = Form(ctx)
-    by_degree: dict = {}
-    for w, c in rho.terms.items():
-        by_degree.setdefault(len(w), Form(ctx)).terms[w] = c
-    for q, part in by_degree.items():
-        for i in range(1, ctx.n + 1):
-            out = out + wedge(total_derivative_form(part, i), dx(ctx, i)).scale((-1) ** q)
-    return out
+        _add_gradient_wedges(acc, w, grad)
+    return _summed(ctx, acc)
 
 
 # -- contractions ---------------------------------------------------------------
 
 def contract_omega(rho: Form, sigma: int, J) -> Form:
     """Formal interior product with the vector dual to omega^sigma_J."""
-    J = tuple(sorted(J))
-    out = Form(rho.ctx)
+    cov = ('w', sigma, tuple(sorted(J)))
+    # distinct wedges holding cov stay distinct without it: no sum to run
+    out = {}
     for w, c in rho.terms.items():
-        for t, cov in enumerate(w):
-            if cov == ('w', sigma, J):
-                out._accumulate(w[:t] + w[t + 1:], c if t % 2 == 0 else -c)
-    return out
+        if cov in w:
+            t = w.index(cov)
+            out[w[:t] + w[t + 1:]] = c if t % 2 == 0 else -c
+    return Form(rho.ctx, out)
 
 
 def contract_prolonged(rho: Form, xi: dict) -> Form:
@@ -415,7 +472,7 @@ def contract_prolonged(rho: Form, xi: dict) -> Form:
     ``xi`` maps sigma to the component Xi^sigma (a Scalar in x, y); the
     prolongation pairs as omega^sigma_J(J^r Xi) = d_J Xi^sigma and kills dx.
     """
-    out = Form(rho.ctx)
+    acc: dict = {}
     cache: dict = {}
     for w, c in rho.terms.items():
         for t, cov in enumerate(w):
@@ -427,6 +484,6 @@ def contract_prolonged(rho: Form, xi: dict) -> Form:
             key = (sigma, J)
             if key not in cache:
                 cache[key] = symexpr.total_derivative_multi(xi[sigma], J)
-            val = cache[key]
-            out._accumulate(w[:t] + w[t + 1:], c * val if t % 2 == 0 else -(c * val))
-    return out
+            _add_terms(acc, w[:t] + w[t + 1:], (c * cache[key]).terms,
+                       1 if t % 2 == 0 else -1)
+    return _summed(rho.ctx, acc)

@@ -15,10 +15,14 @@ The pipeline shared by every operator here:
    where K_a counts the index a in K.  This equals the sum over ordered J
    of (-1)^|J| C(|K|, |J|) d_J eta^K / mult(K), the ordered-convention
    xi^I, so every stored coefficient is an int and no division happens
-   until the residual;
+   until the residual.  D and the cleared etas come from ``forms._cleared``.
+   The exactness self-check rebuilds D p_k rho as the sum over sorted I of
+   d_I(omega ^ D mult(I) xi^I) by Horner's rule over the trie of the I
+   (``forms.total_derivative_sum``), one form total derivative per node;
 3. recast each omega^sigma ^ xi^I_sigma as chi^{i_1..i_s I} ^ ds_{i_1..i_s}
-   and assemble the residual operator from the chi family; one operator
-   serves every codegree s, the top forms being s = 0.
+   and assemble the residual operator from the chi family, its total
+   derivatives again summed over a trie; one operator serves every
+   codegree s, the top forms being s = 0.
 
 Multi-index sums follow the ordered-tuple convention; eta is stored per
 sorted key (the basis coefficient), and mult(J) = ``tuple_multiplicity(J)``
@@ -39,9 +43,10 @@ from functools import cached_property
 from math import comb
 
 # GradingMismatch is re-exported for callers that import it from here
-from .forms import (Form, GradingMismatch, _add_into, codegree,
-                    contract_omega, d_H, ds_block, ds_parts, omega, p_k,
-                    total_derivative_form, total_derivative_form_multi, wedge)
+from .forms import (Form, GradingMismatch, _add_into, _cleared, _summed,
+                    codegree, contract_omega, d_H, ds_block, ds_parts, omega,
+                    p_k, total_derivative_form, total_derivative_form_multi,
+                    total_derivative_sum, wedge)
 from .multiindex import signed_get, signed_permutations, tuple_multiplicity
 from .symexpr import Scalar
 
@@ -52,11 +57,6 @@ class RecompositionFailure(AssertionError):
 
 class ExpansionMismatch(AssertionError):
     """The telescoped xi family does not rebuild p_k rho (a multiplicity bug)."""
-
-
-def _summed(ctx, acc: dict) -> Form:
-    """The form held by a {wedge: {monomial: coefficient}} running sum."""
-    return Form(ctx, {w: Scalar(t) for w, t in acc.items() if t})
 
 
 def _smallest_difference(got: Form, want: Form) -> str:
@@ -98,8 +98,7 @@ class EtaDecomposition:
     @property
     def denominator(self) -> int:
         """D, the lcm of the denominators of every eta coefficient."""
-        return math.lcm(*{v.denominator for eta in self.etas.values()
-                          for c in eta.terms.values() for v in c.terms.values()})
+        return _cleared(self.etas.values())[0]
 
 
 def _contact_keys(part: Form) -> set:
@@ -197,13 +196,6 @@ def _is_multiple(got: Form, want: Form, D: int) -> bool:
     return True
 
 
-def _cleared(eta: Form, D: int) -> Form:
-    """D eta with int coefficients, for D a multiple of every denominator."""
-    return Form(eta.ctx, {w: Scalar({m: v.numerator * (D // v.denominator)
-                                     for m, v in c.terms.items()})
-                          for w, c in eta.terms.items()})
-
-
 def _telescope(acc: dict, sigma: int, K: tuple, eta: Form) -> None:
     """Add (-1)^|J| prod_a C(K_a, J_a) d_J eta into acc[(sigma, K - J)] for
     every sorted J within K.
@@ -232,11 +224,11 @@ def ibp_expand(rho: Form, k: int, eta: EtaDecomposition | None = None) -> XiFami
     """Build the integer xi/chi families with the exactness identity verified."""
     ctx = rho.ctx
     dec = eta if eta is not None else eta_decompose(rho, k)
-    D = dec.denominator
+    D, cleared = _cleared(dec.etas.values())
 
     acc: dict = {}
-    for (sigma, K), eta_K in dec.etas.items():
-        _telescope(acc, sigma, K, _cleared(eta_K, D))
+    for (sigma, K), eta_K in zip(dec.etas, cleared):
+        _telescope(acc, sigma, K, eta_K)
     int_xi = {}
     for key in list(acc):
         # popped, so each bucket dies as soon as its form is made
@@ -246,15 +238,15 @@ def ibp_expand(rho: Form, k: int, eta: EtaDecomposition | None = None) -> XiFami
 
     # exactness on the stored family: sum over sorted I of
     # d_I(omega ^ D mult(I) xi^I) rebuilds D p_k rho
-    rebuilt: dict = {}
+    parts: dict = {}
     int_chi: dict = {}
     for (sigma, I), x in int_xi.items():
         term = wedge(omega(ctx, sigma), x)
-        _add_into(rebuilt, total_derivative_form_multi(term, I))
+        _add_into(parts.setdefault(I, {}), term)
         if I:
             for block, part in ds_parts(term).items():
                 _add_into(int_chi.setdefault((block, I), {}), part)
-    got, want = _summed(ctx, rebuilt), p_k(rho, k)
+    got, want = total_derivative_sum(ctx, parts), p_k(rho, k)
     if not _is_multiple(got, want, D):
         raise ExpansionMismatch(
             f"xi telescoping does not rebuild p_k rho (k={k}, s={dec.s}, D={D}); "
@@ -301,23 +293,30 @@ def _residual(fam: XiFamily) -> Form:
     """(-1)^k/(s+1) times the sum over ordered M of d_{M[1:]} chi^{block, M}
     ^ ds_{block M[0]}.
 
-    The sum runs on the integer chi family, with each 1/(D mult(M)) cleared
-    by L, the lcm of every mult(M); the one rational step is the final
-    scaling by (-1)^k/((s+1) D L).
+    Total derivatives commute and kill ds, so the orderings M of one sorted
+    Ms with the same first index a give one term mult(Ms - a)
+    d_{Ms - a}(chi^{block, Ms} ^ ds_{block a}), and the d_I are summed over
+    the trie of the sorted I = Ms - a.  The sum runs on the integer chi
+    family, with each 1/(D mult(Ms)) cleared by L, the lcm of every
+    mult(Ms); the one rational step is the final scaling by
+    (-1)^k/((s+1) D L).
     """
     ctx = fam.ctx
     L = math.lcm(*{tuple_multiplicity(Ms) for _, Ms in fam.int_chi})
-    out: dict = {}
+    parts: dict = {}
     for (block, Ms), val in fam.int_chi.items():
         weight = L // tuple_multiplicity(Ms)
-        for M in set(itertools.permutations(Ms)):
-            target = ds_block(ctx, block + (M[0],))
+        for t, a in enumerate(Ms):
+            if t and Ms[t - 1] == a:
+                continue
+            target = ds_block(ctx, block + (a,))
             if target.is_zero():
                 continue
-            piece = total_derivative_form_multi(val, M[1:])
-            _add_into(out, wedge(piece, target), weight)
+            I = Ms[:t] + Ms[t + 1:]
+            _add_into(parts.setdefault(I, {}), wedge(val, target),
+                      weight * tuple_multiplicity(I))
     factor = Fraction((-1) ** fam.k, (fam.s + 1) * fam.denominator * L)
-    return _summed(ctx, out).scale(factor)
+    return total_derivative_sum(ctx, parts).scale(factor)
 
 
 def split_lower(rho: Form):

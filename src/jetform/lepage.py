@@ -9,7 +9,10 @@ d_H lambda = d_i L dx^i ^ vol vanishes.  And rho_{q-1} has contact degree
 <= q - 1, while d_H keeps the contact degree and d_C raises it by one, so
 p_q(d rho_{q-1}) = d_C p_{q-1} rho_{q-1}: the jet-coordinate partials of
 each coefficient, each wedged with a new omega.  No total derivative is
-taken there.
+taken there.  Each step runs on integers: p_{q-1} rho_{q-1} is cleared by
+N, the lcm of its denominators, the gradient, eta and residual are built
+from N p_{q-1} rho_{q-1}, and since R is linear the correction is divided
+by N once.
 
 The eta decomposition feeding R is not unique for q >= 2 and the choice
 matters.  At first order the canonical 1/k-contraction eta is the right
@@ -42,8 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
-from .forms import (Context, Form, d_C, ds_block, exterior_d, p_k, volume,
-                    wedge_gradients)
+from .forms import (Context, Form, _add_terms, _cleared, _insert, _summed,
+                    d_C, ds_block, exterior_d, p_k, volume, wedge_gradients)
 from .interior_euler import eta_decompose, interior_euler, residual
 from .multiindex import tuple_multiplicity
 from .symexpr import Scalar
@@ -129,29 +132,30 @@ def _provenance_eta(ctx: Context, grads: dict) -> dict:
     """Second-order eta family for p_q(d rho_{q-1}); see the module docstring.
 
     ``grads`` maps each wedge w of p_{q-1} rho_{q-1} to the gradient of its
-    coefficient, the same pass that builds p_q(d rho_{q-1}).
+    coefficient, the same pass that builds p_q(d rho_{q-1}).  Each eta is a
+    running sum until the end.
     """
-    etas: dict = {}
-
-    def put(key, covs, coeff):
-        extra = Form.from_terms(ctx, [(covs, coeff)])
-        if extra.is_zero():
-            return
-        etas[key] = etas.get(key, Form.zero(ctx)) + extra
-
+    acc: dict = {}  # (sigma, J) -> {wedge: {monomial: coefficient}}
     for w, grad in grads.items():
-        for (_, nu, K), dc in sorted(grad.items()):
-            seq = (('w', nu, K),) + w
-            if len(K) == 1 and any(cov[0] == 'w' and len(cov[2]) >= 1 for cov in w):
-                put((nu, K), seq[1:], dc)
+        raised = any(cov[0] == 'w' and len(cov[2]) >= 1 for cov in w)
+        for (_, nu, K), dc in grad.items():
+            new = ('w', nu, K)
+            if len(K) == 1 and raised:
+                _add_terms(acc.setdefault((nu, K), {}), w, dc.terms)
                 continue
+            seq = (new,) + w
             candidates = [(t, cov) for t, cov in enumerate(seq) if cov[0] == 'w']
             order0 = [t for t, cov in candidates if len(cov[2]) == 0]
             t = order0[0] if order0 else min(candidates, key=lambda tc: len(tc[1][2]))[0]
             cov = seq[t]
-            put((cov[1], cov[2]), seq[:t] + seq[t + 1:],
-                dc if t % 2 == 0 else Scalar.zero() - dc)
-    return {k: v for k, v in etas.items() if not v.is_zero()}
+            # seq minus its slot t: w itself, or new placed among the rest of w
+            rest, sign = (w, 1) if t == 0 else _insert(new, w[:t - 1] + w[t:])
+            if t % 2:
+                sign = -sign
+            if sign:
+                _add_terms(acc.setdefault((cov[1], cov[2]), {}), rest, dc.terms, sign)
+    etas = {key: _summed(ctx, v) for key, v in acc.items()}
+    return {key: eta for key, eta in etas.items() if not eta.is_zero()}
 
 
 @symexpr._memo_scope()
@@ -161,14 +165,17 @@ def rossi_recurrence(lam: Lagrangian) -> LepageChain:
     Each member rho_q has contact degree <= q, so the only q-contact part
     of d rho_{q-1} is d_C p_{q-1} rho_{q-1}: d_H keeps the contact degree,
     and d_C of a lower-contact part stays below q.  One gradient pass over
-    p_{q-1} rho_{q-1} builds it and feeds the provenance eta.
+    p_{q-1} rho_{q-1} builds it and feeds the provenance eta.  The step
+    runs on N p_{q-1} rho_{q-1}, N the lcm of its denominators, whose
+    coefficients are ints; R is linear, so the correction is divided by N
+    once at the end.
     """
     ctx = lam.ctx
     chain = [poincare_cartan(lam)]
     for q in range(2, ctx.n + 1):
         prev = chain[-1]
-        grads = {w: symexpr.gradient(c, ctx.n, ctx.m)
-                 for w, c in p_k(prev, q - 1).terms.items()}
+        N, [part] = _cleared([p_k(prev, q - 1)])
+        grads = {w: symexpr.gradient(c, ctx.n, ctx.m) for w, c in part.terms.items()}
         diff = wedge_gradients(ctx, grads)
         if diff.is_zero():
             chain.append(prev)
@@ -181,7 +188,7 @@ def rossi_recurrence(lam: Lagrangian) -> LepageChain:
                 chain.append(prev)
                 continue
             dec = eta_decompose(diff, q, etas=etas)
-        correction = p_k(residual(diff, q, eta=dec), q)
+        correction = p_k(residual(diff, q, eta=dec), q).scale(Fraction(1, N))
         chain.append(prev - correction)
     return LepageChain(chain)
 
@@ -277,6 +284,7 @@ class LepageReport:
         return self.horizontal_ok and self.source_ok
 
 
+@symexpr._memo_scope()
 def lepage_check(rho: Form, lam: Lagrangian) -> LepageReport:
     """Whether p_0(rho) is the Lagrangian and p_1(d rho) its source form."""
     hdiff = p_k(rho, 0) - lam.form()

@@ -4,12 +4,13 @@ import pytest
 
 from jetform import symexpr as se
 from jetform.forms import (Context, Form, GradingMismatch, codegree,
-                           contract_prolonged, d_C, d_H, d_H_local, dx,
-                           ds_block, ds_parts, exterior_d, omega, p_k,
-                           to_contact_basis, total_derivative_form, volume,
-                           wedge)
+                           contract_prolonged, d_C, d_H, dx, ds_block,
+                           ds_parts, exterior_d, omega, p_k, to_contact_basis,
+                           total_derivative_form, total_derivative_form_multi,
+                           total_derivative_sum, volume, wedge)
 from jetform.randomgen import rand_form, rand_scalar
 from jetform.symexpr import Scalar
+from form_oracles import d_H_local
 
 CTX2 = Context(n=2, m=2)
 CTX1 = Context(n=1, m=1)
@@ -172,6 +173,18 @@ def test_total_derivative_form_commutes_and_leibniz():
         lhs = total_derivative_form(wedge(a, b), 1)
         rhs = wedge(total_derivative_form(a, 1), b) + wedge(a, total_derivative_form(b, 1))
         assert lhs == rhs
+
+
+def test_total_derivative_sum_is_the_sum_of_each_d_J():
+    rng = random.Random(17)
+    parts, want = {}, Form(CTX2)
+    # (2,) is no key, only the prefix of (2, 2) and (2, 2, 2)
+    for J in [(), (1,), (1, 1), (1, 2), (2, 2), (1, 1, 2), (2, 2, 2)]:
+        rho = rand_form(rng, CTX2, 1, 1, 1)
+        parts[J] = {w: dict(c.terms) for w, c in rho.terms.items()}
+        want = want + total_derivative_form_multi(rho, J)
+    assert total_derivative_sum(CTX2, parts) == want
+    assert not parts
 
 
 def test_dH_of_ds_blocks_vanishes():

@@ -8,13 +8,14 @@ from jetform import forms, lepage
 from jetform import interior_euler as ie
 from jetform import symexpr as se
 from jetform.forms import (Context, d_C, ds_block, dx, exterior_d, omega,
-                           p_k, volume, wedge, wedge_all)
+                           p_k, volume, wedge)
 from jetform.lepage import (Lagrangian, UnsupportedOrder, euler_lagrange,
                             generic_lagrangian, kb_second_order,
                             krupka_betounes_first, lepage_check,
                             poincare_cartan, rossi_recurrence)
 from jetform.randomgen import rand_density
 from jetform.symexpr import Scalar
+from form_oracles import wedge_all
 
 CTX21 = Context(n=2, m=1)
 CTX22 = Context(n=2, m=2)
@@ -435,9 +436,18 @@ def test_recurrence_builds_each_chain_rule_once(monkeypatch):
     keys, _ = _spy_atom_total(monkeypatch)
     lam = generic_lagrangian(Context(n=3, m=1), 2)
     terminal = rossi_recurrence(lam).terminal
-    # without the memo the same recurrence builds 732 chain rules
-    assert len(keys) == len(set(keys)) == 213
+    # without the memo the same recurrence builds 732 chain rules; the
+    # exactness rebuild over the trie of the sorted I derives fewer forms
+    assert len(keys) == len(set(keys)) == 189
     assert terminal == kb_second_order(lam)
+
+
+def test_lepage_check_builds_each_chain_rule_once(monkeypatch):
+    lam = generic_lagrangian(Context(n=3, m=1), 2)
+    rho = kb_second_order(lam)
+    keys, _ = _spy_atom_total(monkeypatch)
+    assert lepage_check(rho, lam).ok
+    assert keys and len(keys) == len(set(keys))
 
 
 def test_recurrence_telescope_takes_each_derivative_once(monkeypatch):
@@ -462,7 +472,41 @@ def test_recurrence_telescope_takes_each_derivative_once(monkeypatch):
     lam = generic_lagrangian(Context(n=3, m=2), 2)
     terminal = rossi_recurrence(lam).terminal
     # form total derivatives inside ibp_expand, the exactness rebuild
-    # included: the ordered-J telescope took 114, sorted J alone 102; each
-    # d_J now extends the d_J' of its prefix
-    assert counted[0] == 90
+    # included: the ordered-J telescope took 114, sorted J alone 102, and
+    # 90 once each d_J extended the d_J' of its prefix; the rebuild now
+    # takes one per node of the trie of the sorted I
+    assert counted[0] == 63
     assert terminal == kb_second_order(lam)
+
+
+# -- the recurrence runs each step on N p_{q-1} rho_{q-1} ---------------------------------
+
+def _rational_density(ctx, order):
+    """A generic density plus polynomial terms, with coefficients 1/3, 2/5, 5/7."""
+    top = se.y(ctx.m, *([ctx.n] * order))
+    return (se.rational(1, 3) * se.opaque("F", n=ctx.n, m=ctx.m, order=order)
+            + se.rational(2, 5) * se.y(1, 1) * top
+            + se.rational(5, 7) * se.y(1, 1) ** 2 * se.x(1))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (2, 2)])
+def test_integer_chain_matches_the_uncleared_step(n, m, order):
+    ctx = Context(n=n, m=m)
+    lam = Lagrangian(ctx, order, _rational_density(ctx, order))
+    chain = rossi_recurrence(lam).forms
+    denominators = []
+    for q in range(2, n + 1):
+        prev = chain[q - 2]
+        part = p_k(prev, q - 1)
+        denominators.append(forms._cleared([part])[0])
+        diff = p_k(exterior_d(prev), q)
+        dec = None
+        if order == 2:
+            grads = {w: se.gradient(c, n, m) for w, c in part.terms.items()}
+            dec = ie.eta_decompose(diff, q, etas=lepage._provenance_eta(ctx, grads))
+        assert chain[q - 1] == prev - p_k(ie.residual(diff, q, eta=dec), q)
+    # the cleared steps did divide something
+    assert max(denominators) > 1
+    closed = krupka_betounes_first(lam) if order == 1 else kb_second_order(lam)
+    assert chain[-1] == closed

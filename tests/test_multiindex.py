@@ -6,7 +6,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given
 
-from jetform.forms import _cov_key
+from jetform.forms import _cov_key, _insert
 from jetform.multiindex import (signed_get, signed_permutations,
                                 sort_with_sign, tuple_multiplicity)
 
@@ -58,6 +58,23 @@ def test_sort_with_sign_orders_covectors_dx_first(covs):
 def test_sort_with_sign_repeated_covector_is_zero(covs, at):
     covs.insert(min(at, len(covs)), covs[0])
     assert sort_with_sign(covs, _cov_key)[1] == 0
+
+
+@given(st.lists(_COVECTOR, unique=True, max_size=6), _COVECTOR)
+def test_insert_is_sort_with_sign_of_the_prepended_covector(covs, cov):
+    w = tuple(sorted(covs, key=_cov_key))
+    got, sign = _insert(cov, w)
+    want, want_sign = sort_with_sign((cov,) + w, _cov_key)
+    assert sign == want_sign
+    if sign:
+        assert got == want
+
+
+@given(st.lists(_COVECTOR, unique=True, min_size=1, max_size=6), st.integers(0, 5))
+def test_insert_of_a_repeated_covector_is_zero(covs, at):
+    w = tuple(sorted(covs, key=_cov_key))
+    cov = w[min(at, len(w) - 1)]
+    assert _insert(cov, w)[1] == sort_with_sign((cov,) + w, _cov_key)[1] == 0
 
 
 @given(st.lists(st.integers(1, 4), max_size=5))

@@ -29,6 +29,12 @@ def test_ab_lepage_times_a_tree_against_itself():
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, row, total = proc.stdout.splitlines()
-    assert header.split() == ["case", "a_median_s", "b_median_s", "b/a", "b_wins"]
+    assert header.split() == ["case", "a_median_s", "b_median_s", "b/a",
+                              "pair_b/a", "b_wins"]
     assert row.split()[0] == "n2m1r1" and row.split()[-1] in ("0/1", "1/1")
     assert total.split()[0] == "total"
+    # one repetition: the median of the per-pair ratios is that pair's
+    # ratio, which is also the ratio of the medians
+    for line in (row, total):
+        ratio, pair = line.split()[3:5]
+        assert float(pair) > 0 and pair == ratio
