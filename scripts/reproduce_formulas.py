@@ -4,8 +4,9 @@
 Walks through: the second-order Poincare-Cartan form, the second chain
 member of the residual-operator recurrence, the boundary discrepancy of
 the two codegree-1 splittings with its -1/6 coefficients, the canonical
-rank-2 splitting, and the closed equivalent of the determinant null
-Lagrangian together with its closedness check.
+rank-2 splitting, the discrepancy at rank 3 / codegree 1 and at rank 2 /
+codegree 2, and the closed equivalent of the determinant null Lagrangian
+together with its closedness check.
 
 Run:  python scripts/reproduce_formulas.py
 """
@@ -56,6 +57,12 @@ def main():
     print(" ", form_text(to_contact_form(canon.boundary)))
     print("split-like boundary part (differs by alpha):")
     print(" ", form_text(to_contact_form(like.boundary)))
+
+    banner("Boundary discrepancy alpha beyond rank 2, codegree 1, generic coefficients")
+    for (n, m, r, s) in [(2, 1, 3, 1), (3, 1, 2, 2)]:
+        alpha, _ = alpha_discrepancy(generic_morphism(Context(n=n, m=m), s, r))
+        print(f"alpha at rank {r}, codegree {s} (n={n} m={m}):")
+        print(" ", form_text(to_contact_form(alpha)))
 
     banner("Closed equivalent of the null Lagrangian u_x v_y - u_y v_x (n=2, m=2)")
     ctx = Context(n=2, m=2)

@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("residual", "residual operator of a form of any codegree"),
             ("split", "canonical splitting of the associated morphism"),
             ("splitlike", "split-like decomposition of the associated morphism"),
-            ("alpha", "boundary discrepancy of the two splittings (rank 2)"),
+            ("alpha", "boundary discrepancy of the two splittings"),
             ("pc", "Poincare-Cartan form of a Lagrangian"),
             ("kb", "Krupka-Betounes equivalent of a Lagrangian"),
             ("el", "Euler-Lagrange source form of a Lagrangian")]:

@@ -286,7 +286,12 @@ class LepageReport:
 
 @symexpr._memo_scope()
 def lepage_check(rho: Form, lam: Lagrangian) -> LepageReport:
-    """Whether p_0(rho) is the Lagrangian and p_1(d rho) its source form."""
-    hdiff = p_k(rho, 0) - lam.form()
-    sdiff = p_k(exterior_d(rho), 1) - euler_lagrange(lam)
+    """Whether p_0(rho) is the Lagrangian and p_1(d rho) its source form.
+
+    d never lowers the contact degree, so p_1 d rho = p_1 d(p_0 rho + p_1 rho):
+    the higher contact parts are left out before differentiating.
+    """
+    rho0 = p_k(rho, 0)
+    hdiff = rho0 - lam.form()
+    sdiff = p_k(exterior_d(rho0 + p_k(rho, 1)), 1) - euler_lagrange(lam)
     return LepageReport(hdiff.is_zero(), sdiff.is_zero(), hdiff, sdiff)

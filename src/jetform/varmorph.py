@@ -12,6 +12,13 @@ the split-like volume part is not symmetric in its rank indices, so it
 cannot live on sorted keys.  All stored values follow the ordered-tuple sum
 convention above.
 
+Every morphism splits as <V|J^r Xi> = <E|J^r Xi> + Div(<T|J^{r-1}Xi>) in
+two ways, at every rank and codegree: the split-like recurrence, which
+mirrors integration by parts, and the canonical splitting, whose parts are
+reduced (Kolar's representative, built one hook shape at a time).  They
+coincide at codegree 0 and at rank 1; ``alpha_discrepancy`` measures how far
+apart their boundary parts are elsewhere.
+
 The fibered connection is fixed to the zero-coefficient one of the working
 chart, so covariant derivatives are total derivatives throughout.
 """
@@ -32,10 +39,6 @@ from .symexpr import Scalar
 
 class NotOneContact(ValueError):
     """The form carries contact degree >= 2 and is not a morphism."""
-
-
-class UnsupportedCase(ValueError):
-    """The requested (rank, codegree) splitting has no explicit formulas."""
 
 
 def formal_field(ctx: Context, name: str = "Xi") -> dict:
@@ -280,100 +283,65 @@ def split_like(V: VariationalMorphism) -> SplitResult:
     return SplitResult(E, T)
 
 
-# -- explicit canonical splittings for higher codegree -------------------------
+# -- the canonical splitting ---------------------------------------------------
+
+
+def _less_divergence(V: VariationalMorphism, T: VariationalMorphism, ranks) -> VariationalMorphism:
+    """The rank-h coefficients of V - Div T, for each h in ``ranks``.
+
+    T has codegree s+1.  At rank h the coefficient is
+
+        V^{b J} - (s+1) [ sum_i d_i T^{b i, J} + (1/h) sum_t T^{b J_t, J - J_t} ]
+
+    where the index that Div moves from the block into the rank string is
+    averaged over the positions of J, so the result is symmetric in J.
+    """
+    ctx, s = V.ctx, V.s
+    n = ctx.n
+    d = symexpr.total_derivative
+    out = VariationalMorphism(ctx, s)
+    for block in itertools.combinations(range(1, n + 1), s):
+        others = [i for i in range(1, n + 1) if i not in block]
+        for sigma in range(1, ctx.m + 1):
+            for h in ranks:
+                moved = Fraction(1, h) if h else 0
+                for J in itertools.product(range(1, n + 1), repeat=h):
+                    div = Scalar.zero()
+                    for i in others:
+                        div = div + d(T.value(block + (i,), sigma, J), i)
+                    for t in range(h):
+                        div = div + T.value(block + (J[t],), sigma, J[:t] + J[t + 1:]) * moved
+                    out.set(block, sigma, J, V.value(block, sigma, J) - div * (s + 1))
+    return out
 
 
 def split_canonical_codegree_s(V: VariationalMorphism) -> SplitResult:
-    """The connection-based canonical splitting, where it is explicit.
+    """The canonical splitting <V|J^r Xi> = <E|J^r Xi> + Div(<T|J^{r-1}Xi>).
 
-    At codegree 0 and at rank 0 it is the split-like decomposition.  Rank 1
-    (any codegree 1 <= s < n) and the rank-2, codegree-1 case carry explicit
-    coefficient formulas, written independently of the split-like recurrence
-    so that Prop. r=1 compares two constructions; elsewhere the algorithm is
-    out of scope.  The volume part is reduced: antisymmetrizing any
-    coefficient over the block plus the first rank index gives zero.
+    Built top-down, for every rank r and codegree s >= 1.  Starting from
+    T = 0, for h = r .. 1 the rank-(h-1) coefficients of T are h/(s+h) times
+    the antisymmetrization over the block plus the first rank index of the
+    rank-h part of V - Div T; then E = V - Div T.  The moved part of
+    Div T_{h-1} antisymmetrizes back to (s+h)/h times T_{h-1}, which fixes the
+    weight: 1/(s+1) at h = 1, and 2/3 at rank 2, codegree 1.  What is left at
+    rank h is the hook part, so both E and T are reduced: antisymmetrizing
+    any coefficient over the block plus the first rank index gives zero.  At
+    codegree 0 the blocks are empty, the two splittings coincide, and the
+    split-like recurrence computes it directly.
     """
-    ctx, s, r = V.ctx, V.s, V.rank
-    n = ctx.n
-    if s == 0 or r == 0:
+    ctx, s = V.ctx, V.s
+    if s == 0:
         return split_like(V)
-    if r == 1:
-        E = VariationalMorphism(ctx, s)
-        for block in itertools.combinations(range(1, n + 1), s):
-            for sigma in range(1, ctx.m + 1):
-                val = V.value(block, sigma, ())
-                for k in range(1, n + 1):
-                    val = val - symexpr.total_derivative(
-                        V.antisym_value(block + (k,), sigma, ()), k)
-                E.set(block, sigma, (), val)
-                for j in range(1, n + 1):
-                    vj = V.value(block, sigma, (j,)) - V.antisym_value(block + (j,), sigma, ())
-                    E.set(block, sigma, (j,), vj)
-        T = VariationalMorphism(ctx, s + 1)
-        w = Fraction(1, s + 1)
+    n = ctx.n
+    T = VariationalMorphism(ctx, s + 1)
+    for h in range(V.rank, 0, -1):
+        W = _less_divergence(V, T, (h,))
+        w = Fraction(h, s + h)
         for block in itertools.combinations(range(1, n + 1), s + 1):
             for sigma in range(1, ctx.m + 1):
-                T.set(block, sigma, (), V.antisym_value(block, sigma, ()) * w)
-        return SplitResult(E, T)
-    if r == 2 and s == 1:
-        return _split_canonical_r2_s1(V)
-    raise UnsupportedCase(f"no explicit canonical splitting for rank {r}, codegree {s}")
-
-
-def _split_canonical_r2_s1(V: VariationalMorphism) -> SplitResult:
-    ctx = V.ctx
-    n, m = ctx.n, ctx.m
-    d = symexpr.total_derivative
-
-    def sym2(i, sigma, j1):
-        return (V.value((i,), sigma, (j1,)) + V.value((j1,), sigma, (i,))) * Fraction(1, 2)
-
-    def sym2_tail(i, sigma, j1, a):
-        return (V.value((i,), sigma, (j1, a)) + V.value((j1,), sigma, (i, a))) * Fraction(1, 2)
-
-    def sym3(i, sigma, j1, j2):
-        total = Scalar.zero()
-        for p in itertools.permutations((i, j1, j2)):
-            total = total + V.value((p[0],), sigma, (p[1], p[2]))
-        return total * Fraction(1, 6)
-
-    def anti2(i, a, sigma, tail):
-        return (V.value((i,), sigma, (a,) + tail) - V.value((a,), sigma, (i,) + tail)) \
-            * Fraction(1, 2)
-
-    E = VariationalMorphism(ctx, 1)
-    for i in range(1, n + 1):
-        for sigma in range(1, m + 1):
-            # the +2/3 sign on the second-derivative term is pinned by the
-            # splitting identity <V|Xi> = <E|Xi> + Div(<T|Xi>) together with
-            # the boundary part below; a -2/3 breaks it
-            val = V.value((i,), sigma, ())
-            for a in range(1, n + 1):
-                val = val - d(anti2(i, a, sigma, ()), a)
-            for a in range(1, n + 1):
-                for b in range(1, n + 1):
-                    val = val + Fraction(2, 3) * d(d(anti2(i, b, sigma, (a,)), a), b)
-            E.set((i,), sigma, (), val)
-            for j1 in range(1, n + 1):
-                val = sym2(i, sigma, j1)
-                for a in range(1, n + 1):
-                    val = val + Fraction(2, 3) * d(V.value((a,), sigma, (i, j1)), a)
-                    val = val - Fraction(2, 3) * d(sym2_tail(i, sigma, j1, a), a)
-                E.set((i,), sigma, (j1,), val)
-                for j2 in range(1, n + 1):
-                    E.set((i,), sigma, (j1, j2), sym3(i, sigma, j1, j2))
-
-    T = VariationalMorphism(ctx, 2)
-    for block in itertools.combinations(range(1, n + 1), 2):
-        i1, i2 = block
-        for sigma in range(1, m + 1):
-            val = anti2(i1, i2, sigma, ())
-            for a in range(1, n + 1):
-                val = val - Fraction(2, 3) * d(anti2(i1, i2, sigma, (a,)), a)
-            T.set(block, sigma, (), val * Fraction(1, 2))
-            for j in range(1, n + 1):
-                T.set(block, sigma, (j,), anti2(i1, i2, sigma, (j,)) * Fraction(2, 3))
-    return SplitResult(E, T)
+                for L in itertools.product(range(1, n + 1), repeat=h - 1):
+                    T.set(block, sigma, L, W.antisym_value(block, sigma, L) * w)
+    return SplitResult(_less_divergence(V, T, range(V.rank + 1)), T)
 
 
 def is_reduced(V: VariationalMorphism) -> bool:
@@ -392,18 +360,20 @@ def is_reduced(V: VariationalMorphism) -> bool:
     return True
 
 
-# -- the discrepancy of the two codegree-1 splittings --------------------------
+# -- the discrepancy of the two splittings --------------------------------------
 
 
 def alpha_discrepancy(V: VariationalMorphism):
-    """alpha with T' = T + alpha and E' = E - D(alpha), for rank 2, codegree 1.
+    """alpha with T' = T + alpha and E' = E - D(alpha), at every rank and codegree.
 
-    Returns (alpha, Dalpha); Dalpha is the unique rank-2 morphism whose
-    pairing with J^2 Xi is Div(<alpha|J^1 Xi>).
+    T', E' is the split-like decomposition and T, E the canonical splitting.
+    Returns (alpha, Dalpha); Dalpha is the unique morphism whose pairing with
+    J^r Xi is Div(<alpha|J^{r-1} Xi>).  At codegree 0 both vanish.
     """
-    if V.s != 1 or V.rank != 2:
-        raise UnsupportedCase("the discrepancy is computed for rank 2, codegree 1")
-    like = split_like(V)
-    canon = split_canonical_codegree_s(V)
+    return _discrepancy(split_like(V), split_canonical_codegree_s(V))
+
+
+def _discrepancy(like: SplitResult, canon: SplitResult):
+    """(alpha, Dalpha) from the two splittings of one morphism."""
     alpha = like.boundary - canon.boundary
     return alpha, divergence(alpha)

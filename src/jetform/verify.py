@@ -128,7 +128,7 @@ def check_prop_da(seed: int, n: int = 2, m: int = 1) -> tuple:
                      ("random", randomgen.rand_morphism(random.Random(seed), ctx, 1, 2))]:
         like = varmorph.split_like(V)
         canon = varmorph.split_canonical_codegree_s(V)
-        alpha, dalpha = varmorph.alpha_discrepancy(V)
+        alpha, dalpha = varmorph._discrepancy(like, canon)
         xi = varmorph.formal_field(ctx)
         diffs.append((f"{label} boundary", like.boundary.evaluate(xi)
                       - canon.boundary.evaluate(xi) - alpha.evaluate(xi)))

@@ -1,0 +1,93 @@
+"""Hand-written canonical splittings that only the tests use.
+
+The closed coefficient formulas for rank 1 (every codegree s >= 1) and for
+rank 2, codegree 1, written out term by term with their literal weights.
+They share nothing with the library's top-down construction beyond the
+morphism storage, so comparing the two checks the general loop.
+"""
+
+import itertools
+from fractions import Fraction
+
+from jetform import symexpr
+from jetform.symexpr import Scalar
+from jetform.varmorph import SplitResult, VariationalMorphism
+
+
+def canonical_rank1(V: VariationalMorphism) -> SplitResult:
+    """E: (A^B - d_k A^{[Bk]}) and (A^{Bj} - A^{[Bj]}); T: A^{[Bi]}/(s+1)."""
+    ctx, s = V.ctx, V.s
+    n = ctx.n
+    E = VariationalMorphism(ctx, s)
+    for block in itertools.combinations(range(1, n + 1), s):
+        for sigma in range(1, ctx.m + 1):
+            val = V.value(block, sigma, ())
+            for k in range(1, n + 1):
+                val = val - symexpr.total_derivative(
+                    V.antisym_value(block + (k,), sigma, ()), k)
+            E.set(block, sigma, (), val)
+            for j in range(1, n + 1):
+                vj = V.value(block, sigma, (j,)) - V.antisym_value(block + (j,), sigma, ())
+                E.set(block, sigma, (j,), vj)
+    T = VariationalMorphism(ctx, s + 1)
+    w = Fraction(1, s + 1)
+    for block in itertools.combinations(range(1, n + 1), s + 1):
+        for sigma in range(1, ctx.m + 1):
+            T.set(block, sigma, (), V.antisym_value(block, sigma, ()) * w)
+    return SplitResult(E, T)
+
+
+def canonical_rank2_codegree1(V: VariationalMorphism) -> SplitResult:
+    ctx = V.ctx
+    n, m = ctx.n, ctx.m
+    d = symexpr.total_derivative
+
+    def sym2(i, sigma, j1):
+        return (V.value((i,), sigma, (j1,)) + V.value((j1,), sigma, (i,))) * Fraction(1, 2)
+
+    def sym2_tail(i, sigma, j1, a):
+        return (V.value((i,), sigma, (j1, a)) + V.value((j1,), sigma, (i, a))) * Fraction(1, 2)
+
+    def sym3(i, sigma, j1, j2):
+        total = Scalar.zero()
+        for p in itertools.permutations((i, j1, j2)):
+            total = total + V.value((p[0],), sigma, (p[1], p[2]))
+        return total * Fraction(1, 6)
+
+    def anti2(i, a, sigma, tail):
+        return (V.value((i,), sigma, (a,) + tail) - V.value((a,), sigma, (i,) + tail)) \
+            * Fraction(1, 2)
+
+    E = VariationalMorphism(ctx, 1)
+    for i in range(1, n + 1):
+        for sigma in range(1, m + 1):
+            # the +2/3 sign on the second-derivative term is pinned by the
+            # splitting identity <V|Xi> = <E|Xi> + Div(<T|Xi>) together with
+            # the boundary part below; a -2/3 breaks it
+            val = V.value((i,), sigma, ())
+            for a in range(1, n + 1):
+                val = val - d(anti2(i, a, sigma, ()), a)
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    val = val + Fraction(2, 3) * d(d(anti2(i, b, sigma, (a,)), a), b)
+            E.set((i,), sigma, (), val)
+            for j1 in range(1, n + 1):
+                val = sym2(i, sigma, j1)
+                for a in range(1, n + 1):
+                    val = val + Fraction(2, 3) * d(V.value((a,), sigma, (i, j1)), a)
+                    val = val - Fraction(2, 3) * d(sym2_tail(i, sigma, j1, a), a)
+                E.set((i,), sigma, (j1,), val)
+                for j2 in range(1, n + 1):
+                    E.set((i,), sigma, (j1, j2), sym3(i, sigma, j1, j2))
+
+    T = VariationalMorphism(ctx, 2)
+    for block in itertools.combinations(range(1, n + 1), 2):
+        i1, i2 = block
+        for sigma in range(1, m + 1):
+            val = anti2(i1, i2, sigma, ())
+            for a in range(1, n + 1):
+                val = val - Fraction(2, 3) * d(anti2(i1, i2, sigma, (a,)), a)
+            T.set(block, sigma, (), val * Fraction(1, 2))
+            for j in range(1, n + 1):
+                T.set(block, sigma, (j,), anti2(i1, i2, sigma, (j,)) * Fraction(2, 3))
+    return SplitResult(E, T)

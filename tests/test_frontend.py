@@ -275,8 +275,8 @@ def test_cli_deep_nesting_is_a_parse_error_2(expr):
 def test_exit_status_follows_the_exception_class():
     from jetform import forms, varmorph
     input_errors = (InputSyntaxError, OrderViolation, UnknownIdentifier,
-                    varmorph.NotOneContact, varmorph.UnsupportedCase,
-                    lepage.UnsupportedOrder, forms.GradingMismatch)
+                    varmorph.NotOneContact, lepage.UnsupportedOrder,
+                    forms.GradingMismatch)
     for cls in input_errors:
         assert issubclass(cls, ValueError), cls
     for cls in (interior_euler.RecompositionFailure, interior_euler.ExpansionMismatch):
@@ -453,3 +453,21 @@ def test_cli_splitlike_and_alpha():
                             "--order", "2", expr])
     assert code == 0
     assert "alpha:" in out
+
+
+def test_cli_split_at_rank2_codegree2():
+    # a 1-horizontal form at n = 3 has codegree 2; the canonical splitting
+    # covers every rank there, and this boundary part is not zero
+    expr = "u_1 * w(u,13) /\\ dx3 + u_2 * w(u,33) /\\ dx1"
+    code, out, err = run_cli(["split", "-n", "3", "-m", "1", "-r", "2", expr])
+    assert code == 0, err
+    volume, boundary = out.splitlines()
+    assert volume.startswith("volume: ") and "w(u,13)" in volume
+    assert boundary.startswith("boundary: ") and boundary != "boundary: 0"
+
+
+def test_cli_alpha_at_codegree_zero_prints_zero_parts():
+    code, out, err = run_cli(["alpha", "-n", "2", "-m", "1", "-r", "2",
+                              "u_1 * w(u,12) /\\ ds + u_2 * w(u,1) /\\ ds"])
+    assert code == 0, err
+    assert out == "alpha: 0\nDiv(alpha): 0\n"

@@ -10,12 +10,13 @@ from jetform.forms import (Context, contract_prolonged, d_H, ds_block, dx,
 from jetform.interior_euler import interior_euler, residual
 from jetform.randomgen import generic_morphism, rand_morphism
 from jetform.symexpr import Scalar
-from jetform.varmorph import (NotOneContact, UnsupportedCase,
-                              VariationalMorphism, alpha_discrepancy,
-                              divergence, formal_field, from_contact_form,
-                              is_reduced, morphism_from_evaluation,
+from jetform.varmorph import (NotOneContact, VariationalMorphism,
+                              alpha_discrepancy, divergence, formal_field,
+                              from_contact_form, is_reduced,
+                              morphism_from_evaluation,
                               split_canonical_codegree_s, split_like,
                               to_contact_form, vertical_field)
+from splitting_oracles import canonical_rank1, canonical_rank2_codegree1
 
 
 # -- the form <-> morphism correspondence ------------------------------------------
@@ -319,12 +320,34 @@ def test_splittfati_symmetric_input_kills_boundary_rank1():
             assert canon.boundary.value(block, 1, (j,)).is_zero()
 
 
-def test_canonical_unsupported_cases():
-    ctx = Context(n=3, m=1)
-    with pytest.raises(UnsupportedCase):
-        split_canonical_codegree_s(generic_morphism(ctx, 2, 2))
-    with pytest.raises(UnsupportedCase):
-        split_canonical_codegree_s(generic_morphism(ctx, 1, 3))
+@pytest.mark.parametrize("n,m,r,s", [(3, 1, 2, 2), (3, 1, 3, 1), (4, 1, 2, 2),
+                                     (3, 2, 2, 2)])
+def test_canonical_splitting_at_higher_rank_and_codegree(n, m, r, s):
+    # the top-down construction covers (rank, codegree) pairs that no hand
+    # formula reaches: the identity holds exactly and both parts are reduced
+    rng = random.Random(41)
+    ctx = Context(n=n, m=m)
+    xi = formal_field(ctx)
+    for V in [generic_morphism(ctx, s, r), rand_morphism(rng, ctx, s, r)]:
+        canon = split_canonical_codegree_s(V)
+        assert (V.evaluate(xi) - canon.volume.evaluate(xi)
+                - d_H(canon.boundary.evaluate(xi))).is_zero()
+        assert is_reduced(canon.volume)
+        assert is_reduced(canon.boundary)
+        assert not canon.boundary.is_zero()
+
+
+@pytest.mark.parametrize("r,s", [(1, 1), (1, 2), (1, 3), (2, 1)])
+def test_canonical_splitting_matches_the_hand_formulas(r, s):
+    oracle = canonical_rank1 if r == 1 else canonical_rank2_codegree1
+    rng = random.Random(42)
+    for n in range(max(s, 1), 5):
+        for m in (1, 2):
+            ctx = Context(n=n, m=m)
+            for V in [generic_morphism(ctx, s, r), rand_morphism(rng, ctx, s, r)]:
+                canon, hand = split_canonical_codegree_s(V), oracle(V)
+                assert canon.volume.coeffs == hand.volume.coeffs, (n, m)
+                assert canon.boundary.coeffs == hand.boundary.coeffs, (n, m)
 
 
 # -- divergence -----------------------------------------------------------------------
@@ -411,7 +434,29 @@ def test_alpha_vanishes_for_fully_symmetric_coefficients():
     assert dalpha.is_zero()
 
 
-def test_alpha_requires_rank2_codegree1():
+def test_alpha_vanishes_at_codegree_zero():
+    # at codegree 0 the canonical splitting is the split-like one
+    rng = random.Random(43)
+    for (n, m, r) in [(2, 1, 2), (3, 2, 2), (2, 1, 3)]:
+        ctx = Context(n=n, m=m)
+        for V in [generic_morphism(ctx, 0, r), rand_morphism(rng, ctx, 0, r)]:
+            alpha, dalpha = alpha_discrepancy(V)
+            assert alpha.s == 1 and dalpha.s == 0
+            assert alpha.is_zero()
+            assert dalpha.is_zero()
+
+
+def test_alpha_lepage_identities_at_rank3():
+    # eq:Lepage beyond the rank-2 hand formulas: T' = T + alpha, E' = E - D(alpha)
+    rng = random.Random(44)
     ctx = Context(n=2, m=1)
-    with pytest.raises(UnsupportedCase):
-        alpha_discrepancy(generic_morphism(ctx, 0, 2))
+    xi = formal_field(ctx)
+    for V in [generic_morphism(ctx, 1, 3), rand_morphism(rng, ctx, 1, 3)]:
+        like = split_like(V)
+        canon = split_canonical_codegree_s(V)
+        alpha, dalpha = alpha_discrepancy(V)
+        assert not alpha.is_zero()
+        assert (like.boundary - (canon.boundary + alpha)).is_zero()
+        assert (like.volume.evaluate(xi)
+                - canon.volume.evaluate(xi) + dalpha.evaluate(xi)).is_zero()
+        assert dalpha.evaluate(xi) == d_H(alpha.evaluate(xi))
