@@ -515,25 +515,3 @@ def gradient(e: Scalar, n: int, m: int) -> dict:
                     del terms[mb]
     return {c.key: Scalar(terms) for c, terms in out.items() if terms}
 
-
-def collect_linear(e: Scalar, family: str) -> dict:
-    """Split an expression linear in the atoms of one opaque family.
-
-    Returns a map ``atom -> coefficient``; the empty-atom key ``None`` holds
-    the part free of the family.  Raises if the family enters nonlinearly.
-    """
-    out: dict = {}
-    for mono, coeff in e.terms.items():
-        hits = [(t, a) for t, (a, k) in enumerate(mono)
-                if a.kind == 'f' and a.key[1] == family for _ in range(k)]
-        if len(hits) > 1:
-            raise ValueError(f"expression is not linear in family {family!r}")
-        if not hits:
-            key, rest = None, mono
-        else:
-            t, key = hits[0]
-            a, k = mono[t]
-            rest = mono[:t] + ((a, k - 1),) * (k > 1) + mono[t + 1:]
-        bucket = out.setdefault(key, {})
-        bucket[rest] = bucket.get(rest, 0) + coeff
-    return {k: Scalar.from_terms(v) for k, v in out.items()}

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import symexpr
-from .forms import (Context, Form, codegree, d_H, ds_block, ds_parts, omega,
-                    p_k, wedge)
+from .forms import (Context, Form, _add_terms, codegree, ds_block, ds_parts,
+                    omega, p_k, wedge)
 from .multiindex import signed_get, signed_permutations, tuple_multiplicity
 from .symexpr import Scalar
 
@@ -185,40 +185,30 @@ def to_contact_form(V: VariationalMorphism, boundary_sign: bool = False) -> Form
     return out
 
 
-def morphism_from_evaluation(rho: Form, s: int, family: str = "Xi") -> VariationalMorphism:
-    """Recover the unique morphism whose pairing with a formal field is rho.
-
-    ``rho`` must be (n-s)-horizontal and linear in the formal atoms of the
-    named family, with derivatives encoded as formal x-partials.
-    """
-    ctx = rho.ctx
-    V = VariationalMorphism(ctx, s)
-    sfact = math.factorial(s)
-    if rho.contact_degree():
-        raise ValueError("evaluation forms are horizontal")
-    for block, part in ds_parts(rho).items():
-        [c] = part.terms.values()
-        for atom, coeff in symexpr.collect_linear(c, family).items():
-            if atom is None:
-                if not coeff.is_zero():
-                    raise ValueError("evaluation has a field-free part")
-                continue
-            sigma, labels = atom.key[2][0], atom.key[6]
-            J = tuple(sorted(c[1] for c in labels))
-            if any(c[0] != 'x' for c in labels):
-                raise ValueError("expected formal total-derivative labels only")
-            V.spread(block, sigma, J, coeff * Fraction(1, sfact))
-    return V
-
-
 def divergence(Q: VariationalMorphism) -> VariationalMorphism:
     """Div of a morphism: codegree drops by one, rank rises by at most one.
 
-    Realized through the associated form: pair with a formal field, apply
-    the horizontal differential, and re-read the coefficients.
+    Read off the stored coefficients of Q, of codegree s+1.  Each
+    c = Q^{b' sigma K}, with b' strictly increasing of length s+1 and K of
+    length h, is scattered once per position p of b': with i = b'[p],
+    b = b' without i and eps = (-1)^(s-p), the sign that sorts b + (i,)
+    into b', the result gains eps (s+1) d_i c at (b, sigma, K) and
+    eps (s+1) c/(h+1) at (b, sigma, K with i inserted at t) for every
+    t = 0 .. h.  The result pairs to Div(<Q|J^r Xi>) for every Q, and it is
+    symmetric in its rank strings whenever Q is.
     """
-    xi = formal_field(Q.ctx)
-    return morphism_from_evaluation(d_H(Q.evaluate(xi)), Q.s - 1)
+    s = Q.s - 1
+    acc: dict = {}
+    for (bp, sigma, K), c in Q.coeffs.items():
+        moved = Fraction(s + 1, len(K) + 1)
+        for p, i in enumerate(bp):
+            b = bp[:p] + bp[p + 1:]
+            eps = -1 if (s - p) % 2 else 1
+            _add_terms(acc, (b, sigma, K), symexpr.total_derivative(c, i).terms,
+                       eps * (s + 1))
+            for t in range(len(K) + 1):
+                _add_terms(acc, (b, sigma, K[:t] + (i,) + K[t:]), c.terms, eps * moved)
+    return VariationalMorphism(Q.ctx, s, {key: Scalar(t) for key, t in acc.items() if t})
 
 
 # -- the split-like algorithm -------------------------------------------------
@@ -286,46 +276,23 @@ def split_like(V: VariationalMorphism) -> SplitResult:
 # -- the canonical splitting ---------------------------------------------------
 
 
-def _less_divergence(V: VariationalMorphism, T: VariationalMorphism, ranks) -> VariationalMorphism:
-    """The rank-h coefficients of V - Div T, for each h in ``ranks``.
-
-    T has codegree s+1.  At rank h the coefficient is
-
-        V^{b J} - (s+1) [ sum_i d_i T^{b i, J} + (1/h) sum_t T^{b J_t, J - J_t} ]
-
-    where the index that Div moves from the block into the rank string is
-    averaged over the positions of J, so the result is symmetric in J.
-    """
-    ctx, s = V.ctx, V.s
-    n = ctx.n
-    d = symexpr.total_derivative
-    out = VariationalMorphism(ctx, s)
-    for block in itertools.combinations(range(1, n + 1), s):
-        others = [i for i in range(1, n + 1) if i not in block]
-        for sigma in range(1, ctx.m + 1):
-            for h in ranks:
-                moved = Fraction(1, h) if h else 0
-                for J in itertools.product(range(1, n + 1), repeat=h):
-                    div = Scalar.zero()
-                    for i in others:
-                        div = div + d(T.value(block + (i,), sigma, J), i)
-                    for t in range(h):
-                        div = div + T.value(block + (J[t],), sigma, J[:t] + J[t + 1:]) * moved
-                    out.set(block, sigma, J, V.value(block, sigma, J) - div * (s + 1))
-    return out
-
-
 def split_canonical_codegree_s(V: VariationalMorphism) -> SplitResult:
     """The canonical splitting <V|J^r Xi> = <E|J^r Xi> + Div(<T|J^{r-1}Xi>).
 
-    Built top-down, for every rank r and codegree s >= 1.  Starting from
-    T = 0, for h = r .. 1 the rank-(h-1) coefficients of T are h/(s+h) times
-    the antisymmetrization over the block plus the first rank index of the
-    rank-h part of V - Div T; then E = V - Div T.  The moved part of
-    Div T_{h-1} antisymmetrizes back to (s+h)/h times T_{h-1}, which fixes the
-    weight: 1/(s+1) at h = 1, and 2/3 at rank 2, codegree 1.  What is left at
-    rank h is the hook part, so both E and T are reduced: antisymmetrizing
-    any coefficient over the block plus the first rank index gives zero.  At
+    Built top-down, for every rank r and codegree s >= 1.  E starts as a copy
+    of V and T empty; for h = r .. 1, T_{h-1} is h/(s+h) times the
+    antisymmetrization over the block plus the first rank index of the rank-h
+    part of E, T gains T_{h-1}, and E loses divergence(T_{h-1}).  That
+    scatters each c = T^{b' sigma L}: for each i in b', with b = b' without i
+    and eps the sign that sorts b + (i,) into b', eps (s+1) d_i c lands at
+    (b, sigma, L) and eps (s+1) c/h at (b, sigma, L with i inserted) for each
+    of the h insertion points.  The moved part of Div T_{h-1} antisymmetrizes
+    back to (s+h)/h times T_{h-1}, which fixes the weight: 1/(s+1) at h = 1,
+    and 2/3 at rank 2, codegree 1.  What is left at rank h is the hook part,
+    so both E and T are reduced: antisymmetrizing any coefficient over the
+    block plus the first rank index gives zero.  The scattered part pairs to
+    Div(<T_{h-1}|J^{h-1} Xi>) whatever T_{h-1} is, and it is symmetric in its
+    rank strings when T_{h-1} is, so E is symmetric whenever V is.  At
     codegree 0 the blocks are empty, the two splittings coincide, and the
     split-like recurrence computes it directly.
     """
@@ -333,15 +300,18 @@ def split_canonical_codegree_s(V: VariationalMorphism) -> SplitResult:
     if s == 0:
         return split_like(V)
     n = ctx.n
+    E = VariationalMorphism(ctx, s, dict(V.coeffs))
     T = VariationalMorphism(ctx, s + 1)
     for h in range(V.rank, 0, -1):
-        W = _less_divergence(V, T, (h,))
+        Th = VariationalMorphism(ctx, s + 1)
         w = Fraction(h, s + h)
         for block in itertools.combinations(range(1, n + 1), s + 1):
             for sigma in range(1, ctx.m + 1):
                 for L in itertools.product(range(1, n + 1), repeat=h - 1):
-                    T.set(block, sigma, L, W.antisym_value(block, sigma, L) * w)
-    return SplitResult(_less_divergence(V, T, range(V.rank + 1)), T)
+                    Th.set(block, sigma, L, E.antisym_value(block, sigma, L) * w)
+        T = T + Th
+        E = E - divergence(Th)
+    return SplitResult(E, T)
 
 
 def is_reduced(V: VariationalMorphism) -> bool:

@@ -1,8 +1,9 @@
 """Named, seeded identity checks backing the CLI verify subcommand.
 
-Each check returns (ok, detail); detail carries the symbolic difference
-when a check fails, and a short summary when it passes.  The same
-routines are exercised with fixed seeds by the acceptance suite.
+Each check returns (ok, detail); when a check fails, detail names each
+failing instance with the smallest term of its difference, and when it
+passes, a short summary.  The same routines are exercised with fixed seeds
+by the acceptance suite.
 """
 
 from __future__ import annotations
@@ -14,17 +15,18 @@ from fractions import Fraction
 from . import randomgen, symexpr, varmorph
 from .forms import (Context, Form, contract_prolonged, d_H, ds_block,
                     exterior_d, omega, p_k, total_derivative_form_multi, wedge)
-from .interior_euler import ibp_expand, interior_euler, residual
+from .interior_euler import (_smallest_difference, ibp_expand, interior_euler,
+                             residual)
 from .lepage import (Lagrangian, generic_lagrangian, kb_second_order,
                      krupka_betounes_first, lepage_check, rossi_recurrence)
-from .printers import form_text
 
 
 def _report(diffs) -> tuple:
     bad = [(label, d) for label, d in diffs if not d.is_zero()]
     if not bad:
         return True, f"{len(diffs)} instance(s) verified"
-    lines = [f"{label}: {form_text(d)}" for label, d in bad]
+    lines = [f"{label}: {_smallest_difference(d, Form.zero(d.ctx))}"
+             for label, d in bad]
     return False, "nonzero difference\n" + "\n".join(lines)
 
 

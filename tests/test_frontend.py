@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from jetform import cli, interior_euler, lepage
+from jetform import cli, interior_euler, lepage, varmorph
 from jetform import symexpr as se
 from jetform.cli import main
 from jetform.forms import (Context, Form, _summed, ds_block, dx, omega,
@@ -194,6 +194,16 @@ def test_cli_verify_pass():
                             "--base-dim", "2", "--fiber-dim", "1", "--seed", "7"])
     assert code == 0
     assert out.startswith("PASS prop-da")
+
+
+def test_cli_verify_fail_names_the_smallest_differing_term(monkeypatch):
+    monkeypatch.setattr(varmorph, "divergence",
+                        lambda Q: varmorph.VariationalMorphism(Q.ctx, Q.s - 1))
+    code, out, _ = run_cli(["verify", "-n", "3", "-m", "2", "--identity", "prop-da"])
+    assert code == 1
+    assert out.startswith("FAIL prop-da")
+    assert re.search(r"^\w+ volume: smallest differing term: rebuilt .+, expected 0$",
+                     out, re.M)
 
 
 def test_cli_usage_error_is_2():

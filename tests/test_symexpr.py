@@ -150,16 +150,6 @@ def test_opaque_partials_do_not_exceed_declared_order():
     assert se.partial(f, ('y', 1, (1,))).is_zero()
 
 
-def test_collect_linear():
-    xi = se.opaque("Xi", (1,), n=1, m=1, order=-1)
-    dxi = se.total_derivative(xi, 1)
-    e = se.y(1) * xi + se.rational(3) * dxi
-    buckets = se.collect_linear(e, "Xi")
-    assert buckets[next(iter(xi.terms))[0][0]] == se.y(1)
-    with pytest.raises(ValueError):
-        se.collect_linear(xi * xi, "Xi")
-
-
 # -- the chain rule against a reference built from ring arithmetic -------------------
 
 def _reference_atom_total(atom, i):

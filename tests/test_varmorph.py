@@ -13,7 +13,6 @@ from jetform.symexpr import Scalar
 from jetform.varmorph import (NotOneContact, VariationalMorphism,
                               alpha_discrepancy, divergence, formal_field,
                               from_contact_form, is_reduced,
-                              morphism_from_evaluation,
                               split_canonical_codegree_s, split_like,
                               to_contact_form, vertical_field)
 from splitting_oracles import canonical_rank1, canonical_rank2_codegree1
@@ -356,13 +355,21 @@ def test_divergence_constant_coefficients():
     ctx = Context(n=2, m=1)
     Q0 = VariationalMorphism(ctx, 1)
     Q0.set((1,), 1, (), se.x(2))  # depends on base only
-    # the formal-field route works at every rank, not only at rank 0
-    for Q in [Q0, generic_morphism(ctx, 1, 1), generic_morphism(ctx, 1, 2, order=1),
-              generic_morphism(Context(n=3, m=2), 2, 1)]:
+    # a Q not symmetric in its rank strings pairs to Div all the same
+    Qa = VariationalMorphism(Context(n=3, m=1), 1)
+    Qa.set((2,), 1, (1, 3), se.y(1, 2))
+    Qa.set((1,), 1, (3,), se.x(2))
+    symmetric = [Q0, generic_morphism(ctx, 1, 1), generic_morphism(ctx, 1, 2, order=1),
+                 generic_morphism(Context(n=3, m=2), 2, 1)]
+    for Q in symmetric + [Qa]:
         D = divergence(Q)
         assert D.s == Q.s - 1
         xi = formal_field(Q.ctx)
         assert D.evaluate(xi) == d_H(Q.evaluate(xi))
+        if Q is not Qa:  # the result is symmetric in its rank strings when Q is
+            for (block, sigma, J), v in D.coeffs.items():
+                for Jord in itertools.permutations(J):
+                    assert D.value(block, sigma, Jord) == v
 
 
 def test_divergence_squared_through_forms_is_zero():
@@ -372,15 +379,9 @@ def test_divergence_squared_through_forms_is_zero():
     xi = formal_field(ctx)
     once = d_H(Q.evaluate(xi))
     assert d_H(once).is_zero()
-
-
-def test_morphism_from_evaluation_roundtrip():
-    rng = random.Random(36)
-    ctx = Context(n=2, m=2)
-    V = rand_morphism(rng, ctx, 1, 2)
-    xi = formal_field(ctx)
-    V2 = morphism_from_evaluation(V.evaluate(xi), 1)
-    assert V2.evaluate(xi) == V.evaluate(xi)
+    for (n, m, s, r) in [(3, 2, 2, 0), (3, 2, 2, 2), (4, 1, 3, 1)]:
+        Q = rand_morphism(rng, Context(n=n, m=m), s, r)
+        assert divergence(divergence(Q)).is_zero()
 
 
 # -- Prop Da ----------------------------------------------------------------------------
