@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Time two jetform source trees against each other in one process.
 
-Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 n4m1r2] [--reps 12]
+Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 alpha/n4m2] [--reps 12]
 
 A_SRC and B_SRC are ``src`` directories (a checkout of the parent commit
 and the working tree, say).  Both are imported into this interpreter under
 the package name ``jetform``, one after the other, and each keeps its own
-modules.  Every case is the lepage-generic benchmark case: the closed
-Krupka-Betounes equivalent, the Rossi recurrence and the Euler-Lagrange
-form of a generic opaque Lagrangian at (n, m, order).  Each repetition
+modules.  A case ``nNmMrR`` is the lepage-generic benchmark case: the
+closed Krupka-Betounes equivalent, the Rossi recurrence and the
+Euler-Lagrange form of a generic opaque Lagrangian at (n, m, order).  A
+case ``alpha/nNmM`` times ``alpha_discrepancy``, both splittings of a
+morphism, on a generic opaque and a seeded random polynomial morphism of
+codegree 1 and rank 2.  Each repetition
 runs every case on both sides back to back, A first on even repetitions
 and B first on odd ones; the two runs of a pair share a density name that
 no earlier pair used, so every run starts cold.  The
@@ -21,12 +24,13 @@ and in how many repetitions B was faster.  A pair's two runs share the
 host's speed of the moment, so the median of their ratios drifts less
 than the ratio of the medians; the total line takes it over the per-pair
 sums of all cases.  The first repetition also checks that both sides print
-the same three forms; a difference exits 1.
+the same forms; a difference exits 1.
 """
 
 import argparse
 import gc
 import importlib
+import random
 import statistics
 import sys
 import time
@@ -34,6 +38,7 @@ from itertools import count
 
 GRID = [f"n{n}m{m}r{r}" for n in (2, 3, 4) for m in (1, 2) for r in (1, 2)
         if (n, m, r) != (4, 2, 2)]
+ALPHA = [f"alpha/n{n}m{m}" for n in (2, 3, 4) for m in (1, 2)]
 
 
 def load(src: str):
@@ -42,15 +47,29 @@ def load(src: str):
         del sys.modules[name]
     sys.path.insert(0, src)
     try:
-        mods = [importlib.import_module(f"jetform.{name}")
-                for name in ("forms", "lepage", "printers")]
+        mods = {name: importlib.import_module(f"jetform.{name}")
+                for name in ("forms", "lepage", "printers", "randomgen", "varmorph")}
     finally:
         sys.path.remove(src)
     return mods
 
 
+def run_alpha(side, slot: str, name: str):
+    randomgen, varmorph = side["randomgen"], side["varmorph"]
+    ctx = side["forms"].Context(n=int(slot[7]), m=int(slot[9]))
+    morphisms = [randomgen.generic_morphism(ctx, 1, 2, name=name),
+                 randomgen.rand_morphism(random.Random(slot), ctx, 1, 2)]
+    gc.collect()
+    t0 = time.perf_counter()
+    pairs = [varmorph.alpha_discrepancy(V) for V in morphisms]
+    elapsed = time.perf_counter() - t0
+    return elapsed, [varmorph.to_contact_form(W) for pair in pairs for W in pair]
+
+
 def run_case(side, slot: str, name: str):
-    forms, lepage, _ = side
+    if slot.startswith("alpha/"):
+        return run_alpha(side, slot, name)
+    forms, lepage = side["forms"], side["lepage"]
     n, m, r = (int(slot[i]) for i in (1, 3, 5))
     lam = lepage.generic_lagrangian(forms.Context(n=n, m=m), r, name=name)
     gc.collect()
@@ -68,7 +87,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a_src")
     ap.add_argument("b_src")
-    ap.add_argument("--cases", nargs="+", default=GRID, choices=GRID)
+    ap.add_argument("--cases", nargs="+", default=GRID, choices=GRID + ALPHA)
     ap.add_argument("--reps", type=int, default=12)
     args = ap.parse_args()
     if args.reps < 1:
@@ -87,13 +106,14 @@ def main():
                 elapsed, outs[s] = run_case(sides[s], slot, name)
                 times[slot][s].append(elapsed)
             if rep == 0:
-                a_text, b_text = ([printers.form_text(f) for f in out]
-                                  for (_, _, printers), out in zip(sides, outs))
+                a_text, b_text = ([side["printers"].form_text(f) for f in out]
+                                  for side, out in zip(sides, outs))
                 if a_text != b_text:
                     print(f"{slot}: the two trees print different forms", file=sys.stderr)
                     raise SystemExit(1)
 
-    print(f"{'case':8s} {'a_median_s':>11s} {'b_median_s':>11s} {'b/a':>6s} "
+    width = max(8, *map(len, args.cases))
+    print(f"{'case':{width}s} {'a_median_s':>11s} {'b_median_s':>11s} {'b/a':>6s} "
           f"{'pair_b/a':>8s} {'b_wins':>7s}")
     total_a = total_b = 0.0
     for slot in args.cases:
@@ -103,11 +123,11 @@ def main():
         total_b += mb
         pair = statistics.median(y / x for x, y in zip(a, b))
         wins = sum(y < x for x, y in zip(a, b))
-        print(f"{slot:8s} {ma:11.4f} {mb:11.4f} {mb / ma:6.3f} {pair:8.3f} {wins:>3d}/{len(a)}")
+        print(f"{slot:{width}s} {ma:11.4f} {mb:11.4f} {mb / ma:6.3f} {pair:8.3f} {wins:>3d}/{len(a)}")
     a_sums, b_sums = ([sum(times[slot][s][rep] for slot in args.cases) for rep in range(args.reps)]
                       for s in (0, 1))
     pair = statistics.median(y / x for x, y in zip(a_sums, b_sums))
-    print(f"{'total':8s} {total_a:11.4f} {total_b:11.4f} {total_b / total_a:6.3f} {pair:8.3f}")
+    print(f"{'total':{width}s} {total_a:11.4f} {total_b:11.4f} {total_b / total_a:6.3f} {pair:8.3f}")
 
 
 if __name__ == "__main__":

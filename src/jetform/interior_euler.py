@@ -34,7 +34,6 @@ Lepage recurrence passes its own eta family built from term provenance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -44,7 +43,7 @@ from math import comb
 
 # GradingMismatch is re-exported for callers that import it from here
 from .forms import (Form, GradingMismatch, _add_into, _cleared, _summed,
-                    codegree, contract_omega, d_H, ds_block, ds_parts, omega,
+                    codegree, contract_omega, ds_block, ds_parts, omega,
                     p_k, total_derivative_form, total_derivative_form_multi,
                     total_derivative_sum, wedge)
 from .multiindex import signed_get, signed_permutations, tuple_multiplicity
@@ -318,37 +317,3 @@ def _residual(fam: XiFamily) -> Form:
     factor = Fraction((-1) ** fam.k, (fam.s + 1) * fam.denominator * L)
     return total_derivative_sum(ctx, parts).scale(factor)
 
-
-def split_lower(rho: Form):
-    """Three-way split of a 1-contact (n-s)-horizontal form.
-
-    Returns (source, middle, boundary) with
-    p_1 rho = source + middle + boundary,
-    source the omega^sigma ^ xi_sigma term, boundary = d_H of the
-    residual, middle the non-antisymmetric remainder of the chi telescopes.
-    For s = 0 the middle vanishes: over a one-index block the
-    antisymmetrized chi is chi itself.
-    """
-    ctx = rho.ctx
-    fam = ibp_expand(rho, 1)
-    source = Form.zero(ctx)
-    for (sigma, I), x in fam.xi.items():
-        if len(I) == 0:
-            source = source + wedge(omega(ctx, sigma), x)
-
-    boundary = d_H(_residual(fam))
-    # the antisymmetrized chi draws on neighbouring blocks, so the middle
-    # term is summed over the full block/multi-index range, not stored keys
-    middle = Form.zero(ctx)
-    n = ctx.n
-    for block in itertools.combinations(range(1, n + 1), fam.s):
-        for lm in range(1, fam.r + 1):
-            for M in itertools.product(range(1, n + 1), repeat=lm):
-                exact = fam.chi_at(block, tuple(sorted(M)))
-                anti = fam.chi_antisym(block, M[0], tuple(sorted(M[1:])))
-                diff = exact - anti
-                if diff.is_zero():
-                    continue
-                piece = total_derivative_form_multi(diff, M)
-                middle = middle + wedge(piece, ds_block(ctx, block))
-    return source, middle, boundary

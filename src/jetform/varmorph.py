@@ -17,7 +17,11 @@ two ways, at every rank and codegree: the split-like recurrence, which
 mirrors integration by parts, and the canonical splitting, whose parts are
 reduced (Kolar's representative, built one hook shape at a time).  They
 coincide at codegree 0 and at rank 1; ``alpha_discrepancy`` measures how far
-apart their boundary parts are elsewhere.
+apart their boundary parts are elsewhere.  Both splittings, ``divergence``
+and ``is_reduced`` scatter stored coefficients rather than walk every
+(block, sigma, J); one kernel, ``_antisymmetrized``, does the
+antisymmetrization over the block plus the first rank index that
+reducedness and both boundary parts are built from.
 
 The fibered connection is fixed to the zero-coefficient one of the working
 chart, so covariant derivatives are total derivatives throughout.
@@ -25,6 +29,7 @@ chart, so covariant derivatives are total derivatives throughout.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -211,65 +216,76 @@ def divergence(Q: VariationalMorphism) -> VariationalMorphism:
     return VariationalMorphism(Q.ctx, s, {key: Scalar(t) for key, t in acc.items() if t})
 
 
-# -- the split-like algorithm -------------------------------------------------
+# -- the block-plus-first-index antisymmetrization -----------------------------
 
 
-def _that_family(V: VariationalMorphism) -> VariationalMorphism:
-    """The iterated boundary coefficients of the split-like algorithm.
+def _antisymmetrized(V: VariationalMorphism, h: int | None = None) -> VariationalMorphism:
+    """A^{[b' L]}: antisymmetrize over the block plus the first rank index.
 
-    A codegree-(s+1) morphism whose rank-h coefficients are built top-down,
-    h = r-1 .. 0, from the block-antisymmetrized coefficients of V.
+    The codegree-(s+1) morphism whose coefficient at (b', sigma, L) is
+    ``V.antisym_value(b', sigma, L)``, read off the stored coefficients of V
+    (only those of rank h when h is given).  Each c = V^{b sigma J} with
+    i = J[0] not in b lands once: with b' = b with i inserted at position p,
+    (-1)^(s-p) c/(s+1) goes to (b', sigma, J[1:]).  The block lookup is
+    already signed, so the (s+1)! orderings of ``antisym_value`` collapse to
+    these s+1 terms.
     """
-    ctx, s, r = V.ctx, V.s, V.rank
-    n = ctx.n
-    that = VariationalMorphism(ctx, s + 1)
-    for h in range(r - 1, -1, -1):
-        for block in itertools.combinations(range(1, n + 1), s + 1):
-            for sigma in range(1, ctx.m + 1):
-                for L in itertools.product(range(1, n + 1), repeat=h):
-                    val = V.antisym_value(block, sigma, L)
-                    if h < r - 1:
-                        for k in range(1, n + 1):
-                            prev = that.coeffs.get((block, sigma, L + (k,)), Scalar.zero())
-                            val = val - symexpr.total_derivative(prev, k)
-                    that.set(block, sigma, L, val)
-    return that
+    s = V.s
+    acc: dict = {}
+    for (b, sigma, J), c in V.coeffs.items():
+        if not J or (h is not None and len(J) != h) or J[0] in b:
+            continue
+        p = bisect.bisect(b, J[0])
+        w = Fraction(-1 if (s - p) % 2 else 1, s + 1)
+        _add_terms(acc, (b[:p] + J[:1] + b[p:], sigma, J[1:]), c.terms, w)
+    return VariationalMorphism(V.ctx, s + 1, {key: Scalar(t) for key, t in acc.items() if t})
+
+
+def is_reduced(V: VariationalMorphism) -> bool:
+    """Whether V vanishes under block + first-rank-index antisymmetrization."""
+    return _antisymmetrized(V).is_zero()
+
+
+# -- the split-like algorithm -------------------------------------------------
 
 
 def split_like(V: VariationalMorphism) -> SplitResult:
     """The canonical-splitting-like decomposition, for every codegree s.
 
-    E and T with <V|J^r Xi> = <E|J^r Xi> + Div(<T|J^{r-1}Xi>).  The boundary
-    coefficients follow the iterative antisymmetrized recurrence; the volume
-    part subtracts them rank by rank and is in general neither symmetric in
-    its rank indices nor reduced.  At s = 0 the one-index blocks make the
-    antisymmetrization trivial and this is the canonical splitting.
+    E and T with <V|J^r Xi> = <E|J^r Xi> + Div(<T|J^{r-1}Xi>), both read
+    off stored coefficients.  The boundary family is built top-down: for
+    h = r .. 1, its rank-(h-1) part is the antisymmetrization of V's rank-h
+    part minus d_{L[-1]} of each rank-h coefficient, placed at L[:-1]; T is
+    that family over s+1.  The volume part is V minus a scatter of the
+    family: for each stored c at (b', sigma, K) and each i in b', with b = b'
+    without i and eps the sign that sorts b + (i,) into b', eps d_i c leaves
+    (b, sigma, K) and eps c leaves (b, sigma, (i,) + K).  That moves the
+    first rank index, not an average over positions, so E is in general
+    neither symmetric in its rank indices nor reduced.  At s = 0 the
+    one-index blocks make the antisymmetrization trivial and this is the
+    canonical splitting.
     """
-    ctx, s, r = V.ctx, V.s, V.rank
-    n = ctx.n
-    that = _that_family(V)
+    ctx, s = V.ctx, V.s
+    that: dict = {}
+    layer: dict = {}
+    for h in range(V.rank, 0, -1):
+        acc = {key: dict(v.terms) for key, v in _antisymmetrized(V, h).coeffs.items()}
+        for (bp, sigma, L), c in layer.items():
+            _add_terms(acc, (bp, sigma, L[:-1]),
+                       symexpr.total_derivative(c, L[-1]).terms, -1)
+        layer = {key: Scalar(t) for key, t in acc.items() if t}
+        that.update(layer)
     w = Fraction(1, s + 1)
-    T = VariationalMorphism(ctx, s + 1, {key: v * w for key, v in that.coeffs.items()})
+    T = VariationalMorphism(ctx, s + 1, {key: v * w for key, v in that.items()})
 
-    E = VariationalMorphism(ctx, s)
-    for block in itertools.combinations(range(1, n + 1), s):
-        for sigma in range(1, ctx.m + 1):
-            for h in range(r + 1):
-                for J in itertools.product(range(1, n + 1), repeat=h):
-                    val = V.value(block, sigma, J)
-                    if h == 0:
-                        for i in range(1, n + 1):
-                            val = val - symexpr.total_derivative(
-                                that.value(block + (i,), sigma, ()), i)
-                    elif h == r:
-                        val = val - that.value(block + (J[0],), sigma, J[1:])
-                    else:
-                        for i in range(1, n + 1):
-                            val = val - symexpr.total_derivative(
-                                that.value(block + (i,), sigma, J), i)
-                        val = val - that.value(block + (J[0],), sigma, J[1:])
-                    if not val.is_zero():
-                        E.set(block, sigma, J, val)
+    acc = {key: dict(v.terms) for key, v in V.coeffs.items()}
+    for (bp, sigma, K), c in that.items():
+        for p, i in enumerate(bp):
+            b = bp[:p] + bp[p + 1:]
+            eps = -1 if (s - p) % 2 else 1
+            _add_terms(acc, (b, sigma, K), symexpr.total_derivative(c, i).terms, -eps)
+            _add_terms(acc, (b, sigma, (i,) + K), c.terms, -eps)
+    E = VariationalMorphism(ctx, s, {key: Scalar(t) for key, t in acc.items() if t})
     return SplitResult(E, T)
 
 
@@ -279,55 +295,29 @@ def split_like(V: VariationalMorphism) -> SplitResult:
 def split_canonical_codegree_s(V: VariationalMorphism) -> SplitResult:
     """The canonical splitting <V|J^r Xi> = <E|J^r Xi> + Div(<T|J^{r-1}Xi>).
 
-    Built top-down, for every rank r and codegree s >= 1.  E starts as a copy
-    of V and T empty; for h = r .. 1, T_{h-1} is h/(s+h) times the
-    antisymmetrization over the block plus the first rank index of the rank-h
-    part of E, T gains T_{h-1}, and E loses divergence(T_{h-1}).  That
-    scatters each c = T^{b' sigma L}: for each i in b', with b = b' without i
-    and eps the sign that sorts b + (i,) into b', eps (s+1) d_i c lands at
-    (b, sigma, L) and eps (s+1) c/h at (b, sigma, L with i inserted) for each
-    of the h insertion points.  The moved part of Div T_{h-1} antisymmetrizes
-    back to (s+h)/h times T_{h-1}, which fixes the weight: 1/(s+1) at h = 1,
-    and 2/3 at rank 2, codegree 1.  What is left at rank h is the hook part,
-    so both E and T are reduced: antisymmetrizing any coefficient over the
-    block plus the first rank index gives zero.  The scattered part pairs to
-    Div(<T_{h-1}|J^{h-1} Xi>) whatever T_{h-1} is, and it is symmetric in its
-    rank strings when T_{h-1} is, so E is symmetric whenever V is.  At
-    codegree 0 the blocks are empty, the two splittings coincide, and the
-    split-like recurrence computes it directly.
+    Built top-down from stored coefficients, for every rank r and codegree
+    s >= 1.  E starts as a copy of V and T empty; for h = r .. 1,
+    T_{h-1} = h/(s+h) ``_antisymmetrized(E, h)``, T gains T_{h-1}, and E
+    loses ``divergence(T_{h-1})``.  The part of that divergence which moves
+    a block index into the rank string antisymmetrizes back to (s+h)/h
+    times T_{h-1}, which fixes the weight: 1/(s+1) at h = 1, and 2/3 at
+    rank 2, codegree 1.  What is left at rank h is the hook part, so for V
+    symmetric in its rank strings both E and T are reduced, and E stays
+    symmetric.  At codegree 0 the blocks are empty, the two splittings
+    coincide, and the split-like recurrence computes it directly.
     """
     ctx, s = V.ctx, V.s
     if s == 0:
         return split_like(V)
-    n = ctx.n
     E = VariationalMorphism(ctx, s, dict(V.coeffs))
     T = VariationalMorphism(ctx, s + 1)
     for h in range(V.rank, 0, -1):
-        Th = VariationalMorphism(ctx, s + 1)
         w = Fraction(h, s + h)
-        for block in itertools.combinations(range(1, n + 1), s + 1):
-            for sigma in range(1, ctx.m + 1):
-                for L in itertools.product(range(1, n + 1), repeat=h - 1):
-                    Th.set(block, sigma, L, E.antisym_value(block, sigma, L) * w)
+        A = _antisymmetrized(E, h)
+        Th = VariationalMorphism(ctx, s + 1, {key: v * w for key, v in A.coeffs.items()})
         T = T + Th
         E = E - divergence(Th)
     return SplitResult(E, T)
-
-
-def is_reduced(V: VariationalMorphism) -> bool:
-    """Whether every term vanishes under block + first-rank-index antisymmetrization."""
-    ctx = V.ctx
-    n = ctx.n
-    ranks = {len(J) for _, _, J in V.coeffs}
-    for h in sorted(ranks):
-        if h == 0:
-            continue
-        for block in itertools.combinations(range(1, n + 1), V.s):
-            for sigma in range(1, ctx.m + 1):
-                for J in itertools.product(range(1, n + 1), repeat=h):
-                    if not V.antisym_value(block + (J[0],), sigma, J[1:]).is_zero():
-                        return False
-    return True
 
 
 # -- the discrepancy of the two splittings --------------------------------------

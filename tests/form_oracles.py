@@ -1,7 +1,12 @@
 """Form builders that only the tests use: an independent chart formula for
-d_H, and the wedge of several factors."""
+d_H, the wedge of several factors, and the form-level three-way split that
+the morphism-level split-like decomposition is checked against."""
 
-from jetform.forms import Form, dx, total_derivative_form, wedge
+import itertools
+
+from jetform import interior_euler as ie
+from jetform.forms import (Form, d_H, ds_block, dx, omega, total_derivative_form,
+                           total_derivative_form_multi, wedge)
 
 
 def wedge_all(*forms: Form) -> Form:
@@ -22,3 +27,38 @@ def d_H_local(rho: Form) -> Form:
         for i in range(1, ctx.n + 1):
             out = out + wedge(total_derivative_form(part, i), dx(ctx, i)).scale((-1) ** q)
     return out
+
+
+def split_lower(rho: Form):
+    """Three-way split of a 1-contact (n-s)-horizontal form.
+
+    Returns (source, middle, boundary) with
+    p_1 rho = source + middle + boundary,
+    source the omega^sigma ^ xi_sigma term, boundary = d_H of the
+    residual, middle the non-antisymmetric remainder of the chi telescopes.
+    For s = 0 the middle vanishes: over a one-index block the
+    antisymmetrized chi is chi itself.
+    """
+    ctx = rho.ctx
+    fam = ie.ibp_expand(rho, 1)
+    source = Form.zero(ctx)
+    for (sigma, I), x in fam.xi.items():
+        if len(I) == 0:
+            source = source + wedge(omega(ctx, sigma), x)
+
+    boundary = d_H(ie._residual(fam))
+    # the antisymmetrized chi draws on neighbouring blocks, so the middle
+    # term is summed over the full block/multi-index range, not stored keys
+    middle = Form.zero(ctx)
+    n = ctx.n
+    for block in itertools.combinations(range(1, n + 1), fam.s):
+        for lm in range(1, fam.r + 1):
+            for M in itertools.product(range(1, n + 1), repeat=lm):
+                exact = fam.chi_at(block, tuple(sorted(M)))
+                anti = fam.chi_antisym(block, M[0], tuple(sorted(M[1:])))
+                diff = exact - anti
+                if diff.is_zero():
+                    continue
+                piece = total_derivative_form_multi(diff, M)
+                middle = middle + wedge(piece, ds_block(ctx, block))
+    return source, middle, boundary

@@ -1,9 +1,12 @@
-"""Hand-written canonical splittings that only the tests use.
+"""Hand-written splittings that only the tests use.
 
-The closed coefficient formulas for rank 1 (every codegree s >= 1) and for
-rank 2, codegree 1, written out term by term with their literal weights.
-They share nothing with the library's top-down construction beyond the
-morphism storage, so comparing the two checks the general loop.
+The closed coefficient formulas of the canonical splitting for rank 1
+(every codegree s >= 1) and for rank 2, codegree 1, written out term by
+term with their literal weights, and grid walks of the split-like
+decomposition and of reducedness that look up ``antisym_value`` at every
+(block, sigma, J).  They share nothing with the library's scatters over
+stored coefficients beyond the morphism storage and ``antisym_value``, so
+comparing the two checks the scatters.
 """
 
 import itertools
@@ -91,3 +94,53 @@ def canonical_rank2_codegree1(V: VariationalMorphism) -> SplitResult:
             for j in range(1, n + 1):
                 T.set(block, sigma, (j,), anti2(i1, i2, sigma, (j,)) * Fraction(2, 3))
     return SplitResult(E, T)
+
+
+def split_like_grid(V: VariationalMorphism) -> SplitResult:
+    """The split-like decomposition, one (block, sigma, J) at a time.
+
+    The boundary family is built top-down, h = r-1 .. 0, from
+    ``antisym_value`` and the total derivatives of the rank above; the
+    volume part subtracts it at every block, field and rank string.
+    """
+    ctx, s, r = V.ctx, V.s, V.rank
+    n = ctx.n
+    d = symexpr.total_derivative
+    that = VariationalMorphism(ctx, s + 1)
+    for h in range(r - 1, -1, -1):
+        for block in itertools.combinations(range(1, n + 1), s + 1):
+            for sigma in range(1, ctx.m + 1):
+                for L in itertools.product(range(1, n + 1), repeat=h):
+                    val = V.antisym_value(block, sigma, L)
+                    for k in range(1, n + 1):
+                        val = val - d(that.value(block, sigma, L + (k,)), k)
+                    that.set(block, sigma, L, val)
+    T = VariationalMorphism(ctx, s + 1)
+    for (block, sigma, L), v in that.coeffs.items():
+        T.set(block, sigma, L, v * Fraction(1, s + 1))
+
+    E = VariationalMorphism(ctx, s)
+    for block in itertools.combinations(range(1, n + 1), s):
+        for sigma in range(1, ctx.m + 1):
+            for h in range(r + 1):
+                for J in itertools.product(range(1, n + 1), repeat=h):
+                    val = V.value(block, sigma, J)
+                    for i in range(1, n + 1):
+                        val = val - d(that.value(block + (i,), sigma, J), i)
+                    if J:
+                        val = val - that.value(block + (J[0],), sigma, J[1:])
+                    E.set(block, sigma, J, val)
+    return SplitResult(E, T)
+
+
+def is_reduced_grid(V: VariationalMorphism) -> bool:
+    """``antisym_value`` over the block plus J[0] vanishes at every (block, sigma, J)."""
+    ctx = V.ctx
+    n = ctx.n
+    for h in range(1, V.rank + 1):
+        for block in itertools.combinations(range(1, n + 1), V.s):
+            for sigma in range(1, ctx.m + 1):
+                for J in itertools.product(range(1, n + 1), repeat=h):
+                    if not V.antisym_value(block + (J[0],), sigma, J[1:]).is_zero():
+                        return False
+    return True

@@ -12,10 +12,10 @@ from jetform.forms import (Context, Form, d_H, ds_block, dx, exterior_d,
                            wedge)
 from jetform.interior_euler import (ExpansionMismatch, RecompositionFailure,
                                     eta_decompose, ibp_expand, interior_euler,
-                                    residual, split_lower)
+                                    residual)
 from jetform.randomgen import rand_form
 from jetform.symexpr import Scalar
-from form_oracles import wedge_all
+from form_oracles import split_lower, wedge_all
 
 CTX1 = Context(n=1, m=1)
 

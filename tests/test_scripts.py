@@ -25,16 +25,17 @@ def test_ab_lepage_times_a_tree_against_itself():
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, "scripts/ab_lepage.py", "src", "src",
-                           "--cases", "n2m1r1", "--reps", "1"],
+                           "--cases", "n2m1r1", "alpha/n2m1", "--reps", "1"],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    header, row, total = proc.stdout.splitlines()
+    header, *rows, total = proc.stdout.splitlines()
     assert header.split() == ["case", "a_median_s", "b_median_s", "b/a",
                               "pair_b/a", "b_wins"]
-    assert row.split()[0] == "n2m1r1" and row.split()[-1] in ("0/1", "1/1")
+    assert [row.split()[0] for row in rows] == ["n2m1r1", "alpha/n2m1"]
+    assert all(row.split()[-1] in ("0/1", "1/1") for row in rows)
     assert total.split()[0] == "total"
     # one repetition: the median of the per-pair ratios is that pair's
     # ratio, which is also the ratio of the medians
-    for line in (row, total):
+    for line in rows + [total]:
         ratio, pair = line.split()[3:5]
         assert float(pair) > 0 and pair == ratio

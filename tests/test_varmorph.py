@@ -8,14 +8,16 @@ from jetform import symexpr as se
 from jetform.forms import (Context, contract_prolonged, d_H, ds_block, dx,
                            omega, p_k, volume, wedge)
 from jetform.interior_euler import interior_euler, residual
-from jetform.randomgen import generic_morphism, rand_morphism
+from jetform.randomgen import generic_morphism, rand_morphism, rand_scalar
 from jetform.symexpr import Scalar
 from jetform.varmorph import (NotOneContact, VariationalMorphism,
                               alpha_discrepancy, divergence, formal_field,
                               from_contact_form, is_reduced,
                               split_canonical_codegree_s, split_like,
                               to_contact_form, vertical_field)
-from splitting_oracles import canonical_rank1, canonical_rank2_codegree1
+from form_oracles import split_lower
+from splitting_oracles import (canonical_rank1, canonical_rank2_codegree1,
+                               is_reduced_grid, split_like_grid)
 
 
 # -- the form <-> morphism correspondence ------------------------------------------
@@ -249,7 +251,6 @@ def test_split_like_agrees_with_form_level_split():
     # the morphism-level split-like volume/boundary pair corresponds to the
     # source + middle / boundary pieces of the form-level decomposition
     rng = random.Random(40)
-    from jetform.interior_euler import split_lower
     for (n, m, s, r) in [(2, 1, 1, 1), (2, 2, 1, 2), (3, 1, 1, 2), (3, 1, 2, 1)]:
         ctx = Context(n=n, m=m)
         V = rand_morphism(rng, ctx, s, r)
@@ -259,6 +260,64 @@ def test_split_like_agrees_with_form_level_split():
         xi = vertical_field(ctx)
         assert res.volume.evaluate(xi) == contract_prolonged(source + middle, xi)
         assert d_H(res.boundary.evaluate(xi)) == contract_prolonged(boundary, xi)
+
+
+def _sparse_morphism(rng, ctx, s, r, count=6):
+    """A few coefficients at random (block, sigma, ordered J): not symmetric."""
+    V = VariationalMorphism(ctx, s)
+    for _ in range(count):
+        block = tuple(sorted(rng.sample(range(1, ctx.n + 1), s)))
+        J = tuple(rng.randint(1, ctx.n) for _ in range(rng.randint(0, r)))
+        V.add(block, rng.randint(1, ctx.m), J, rand_scalar(rng, ctx, 1, degree=2, terms=2))
+    return V
+
+
+@pytest.mark.parametrize("n,m,s,r", [(2, 1, 0, 2), (3, 2, 0, 3), (2, 2, 1, 0),
+                                     (2, 1, 1, 3), (3, 1, 2, 2), (3, 2, 1, 2),
+                                     (4, 1, 3, 1), (4, 1, 1, 2)])
+def test_splittings_read_off_stored_coefficients_match_the_grid_walks(n, m, s, r):
+    # the scatters give the grid walk's coefficients exactly, on generic,
+    # dense random and sparse non-symmetric inputs, and on the non-symmetric
+    # split-like volume part fed back in
+    rng = random.Random(45)
+    ctx = Context(n=n, m=m)
+    inputs = [generic_morphism(ctx, s, r), rand_morphism(rng, ctx, s, r),
+              _sparse_morphism(rng, ctx, s, r)]
+    inputs.append(split_like(inputs[0]).volume)
+    for V in inputs:
+        like, grid = split_like(V), split_like_grid(V)
+        assert like.volume.coeffs == grid.volume.coeffs
+        assert like.boundary.coeffs == grid.boundary.coeffs
+        canon = split_canonical_codegree_s(V)
+        for W in (V, like.volume, like.boundary, canon.volume, canon.boundary):
+            assert is_reduced(W) == is_reduced_grid(W)
+
+
+def test_is_reduced_is_false_on_a_non_reduced_rank1_morphism():
+    ctx = Context(n=2, m=1)
+    V = VariationalMorphism(ctx, 1)
+    V.set((1,), 1, (2,), se.y(1))
+    assert not is_reduced(V)
+
+
+def test_is_reduced_reads_every_rank():
+    # the rank-1 part is symmetric in (block, J[0]), so reduced; a rank-2
+    # coefficient with no partner at the swapped position is not
+    ctx = Context(n=2, m=1)
+    V = VariationalMorphism(ctx, 1)
+    V.set((1,), 1, (2,), se.y(1))
+    V.set((2,), 1, (1,), se.y(1))
+    assert is_reduced(V)
+    V.set((1,), 1, (2, 1), se.x(2))
+    assert not is_reduced(V)
+
+
+def test_is_reduced_holds_for_rank0_coefficients():
+    ctx = Context(n=3, m=2)
+    for s, block in [(0, ()), (1, (2,)), (2, (1, 3))]:
+        V = VariationalMorphism(ctx, s)
+        V.set(block, 2, (), se.y(1, 2) * se.x(1))
+        assert is_reduced(V)
 
 
 # -- Prop r=1 ----------------------------------------------------------------------
