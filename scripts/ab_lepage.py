@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time two jetform source trees against each other in one process.
 
-Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 alpha/n4m2] [--reps 12]
+Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 alpha/n4m2 verify/prop-da/n3m2]
+                                            [--reps 12]
 
 A_SRC and B_SRC are ``src`` directories (a checkout of the parent commit
 and the working tree, say).  Both are imported into this interpreter under
@@ -11,12 +12,14 @@ closed Krupka-Betounes equivalent, the Rossi recurrence and the
 Euler-Lagrange form of a generic opaque Lagrangian at (n, m, order).  A
 case ``alpha/nNmM`` times ``alpha_discrepancy``, both splittings of a
 morphism, on a generic opaque and a seeded random polynomial morphism of
-codegree 1 and rank 2.  Each repetition
-runs every case on both sides back to back, A first on even repetitions
-and B first on odd ones; the two runs of a pair share a density name that
-no earlier pair used, so every run starts cold.  The
-host's speed drifts over minutes, so only runs made this close together
-tell a gain of a few percent; separate-process timings do not.
+codegree 1 and rank 2.  A case ``verify/<identity>/nNmM`` times
+``jetform verify --identity <identity> -n N -m M`` through ``cli.main``,
+for seeds 0-3.  Each repetition runs every case on both sides back to
+back, A first on even repetitions and B first on odd ones; the two runs of
+a pair share a density name that no earlier pair used, so every run
+starts cold.  The host's speed drifts over minutes, so only runs made this
+close together tell a gain of a few percent; separate-process timings do
+not.
 
 Per case it prints the median seconds of A and B, the ratio of the
 medians (B/A, below 1 when B is faster), the median of the per-pair ratios
@@ -24,13 +27,17 @@ and in how many repetitions B was faster.  A pair's two runs share the
 host's speed of the moment, so the median of their ratios drifts less
 than the ratio of the medians; the total line takes it over the per-pair
 sums of all cases.  The first repetition also checks that both sides print
-the same forms; a difference exits 1.
+the same forms, or for a verify case the same stdout and exit codes; a
+difference exits 1.
 """
 
 import argparse
+import contextlib
 import gc
 import importlib
+import io
 import random
+import re
 import statistics
 import sys
 import time
@@ -39,6 +46,15 @@ from itertools import count
 GRID = [f"n{n}m{m}r{r}" for n in (2, 3, 4) for m in (1, 2) for r in (1, 2)
         if (n, m, r) != (4, 2, 2)]
 ALPHA = [f"alpha/n{n}m{m}" for n in (2, 3, 4) for m in (1, 2)]
+VERIFY = re.compile(r"verify/([a-z0-9-]+)/n([1-9])m([1-9])")
+SEEDS = range(4)
+
+
+def case_name(text: str) -> str:
+    if text in GRID or text in ALPHA or VERIFY.fullmatch(text):
+        return text
+    raise argparse.ArgumentTypeError(
+        f"{text!r} is none of {', '.join(GRID + ALPHA)} or verify/<identity>/nNmM")
 
 
 def load(src: str):
@@ -48,7 +64,8 @@ def load(src: str):
     sys.path.insert(0, src)
     try:
         mods = {name: importlib.import_module(f"jetform.{name}")
-                for name in ("forms", "lepage", "printers", "randomgen", "varmorph")}
+                for name in ("cli", "forms", "lepage", "printers", "randomgen",
+                             "varmorph", "verify")}
     finally:
         sys.path.remove(src)
     return mods
@@ -63,12 +80,30 @@ def run_alpha(side, slot: str, name: str):
     t0 = time.perf_counter()
     pairs = [varmorph.alpha_discrepancy(V) for V in morphisms]
     elapsed = time.perf_counter() - t0
-    return elapsed, [varmorph.to_contact_form(W) for pair in pairs for W in pair]
+    return elapsed, [side["printers"].form_text(varmorph.to_contact_form(W))
+                     for pair in pairs for W in pair]
+
+
+def run_verify(side, slot: str):
+    identity, n, m = VERIFY.fullmatch(slot).groups()
+    outs = []
+    gc.collect()
+    t0 = time.perf_counter()
+    for seed in SEEDS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = side["cli"].main(["verify", "--identity", identity, "--seed", str(seed),
+                                     "-n", n, "-m", m])
+        outs.append((code, buf.getvalue()))
+    return time.perf_counter() - t0, outs
 
 
 def run_case(side, slot: str, name: str):
+    """(seconds, what the case printed) for one run of a case."""
     if slot.startswith("alpha/"):
         return run_alpha(side, slot, name)
+    if slot.startswith("verify/"):
+        return run_verify(side, slot)
     forms, lepage = side["forms"], side["lepage"]
     n, m, r = (int(slot[i]) for i in (1, 3, 5))
     lam = lepage.generic_lagrangian(forms.Context(n=n, m=m), r, name=name)
@@ -80,20 +115,24 @@ def run_case(side, slot: str, name: str):
         closed = lepage.kb_second_order(lam, "plain")
     out = (closed, lepage.rossi_recurrence(lam).terminal, lepage.euler_lagrange(lam))
     elapsed = time.perf_counter() - t0
-    return elapsed, out
+    return elapsed, [side["printers"].form_text(f) for f in out]
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a_src")
     ap.add_argument("b_src")
-    ap.add_argument("--cases", nargs="+", default=GRID, choices=GRID + ALPHA)
+    ap.add_argument("--cases", nargs="+", default=GRID, type=case_name)
     ap.add_argument("--reps", type=int, default=12)
     args = ap.parse_args()
     if args.reps < 1:
         ap.error("--reps must be at least 1")
 
     sides = [load(args.a_src), load(args.b_src)]
+    for slot in args.cases:
+        match = VERIFY.fullmatch(slot)
+        if match and not all(match[1] in side["verify"].CHECKS for side in sides):
+            ap.error(f"{slot}: no identity {match[1]!r} in both trees")
     names = count()
     times = {slot: ([], []) for slot in args.cases}
     for rep in range(args.reps):
@@ -105,12 +144,9 @@ def main():
             for s in ((0, 1) if rep % 2 == 0 else (1, 0)):
                 elapsed, outs[s] = run_case(sides[s], slot, name)
                 times[slot][s].append(elapsed)
-            if rep == 0:
-                a_text, b_text = ([side["printers"].form_text(f) for f in out]
-                                  for side, out in zip(sides, outs))
-                if a_text != b_text:
-                    print(f"{slot}: the two trees print different forms", file=sys.stderr)
-                    raise SystemExit(1)
+            if rep == 0 and outs[0] != outs[1]:
+                print(f"{slot}: the two trees print different output", file=sys.stderr)
+                raise SystemExit(1)
 
     width = max(8, *map(len, args.cases))
     print(f"{'case':{width}s} {'a_median_s':>11s} {'b_median_s':>11s} {'b/a':>6s} "

@@ -19,7 +19,7 @@ map (``_add_terms``, ``_add_into``), and make a Form of it once at the end
 left operand.  Where one covector joins a wedge that is already ordered (a
 single-covector left factor of ``wedge``, the raised omega of
 ``total_derivative_form``, the new omega of ``wedge_gradients`` and the dx
-and omega of ``d``), it is placed at its insertion position (``_insert``),
+of ``d_H``), it is placed at its insertion position (``_insert``),
 which gives the sign without sorting the whole product.  ``_cleared``
 clears the denominators of a family of forms, for the integer pipelines of
 ``interior_euler`` and ``lepage``; ``total_derivative_sum`` sums the d_J of
@@ -28,6 +28,7 @@ a family of forms over the trie of the sorted J.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left
@@ -188,16 +189,25 @@ def ds_block(ctx: Context, block) -> Form:
     ds_() is the volume form itself, and for s = n the result is the scalar
     1 (an empty wedge), the degenerate regime used by mechanics (n = 1).
     """
-    covs = list(range(1, ctx.n + 1))
-    sign = 1
-    for idx in block:
-        if idx not in covs:
-            return Form.zero(ctx)
-        pos = covs.index(idx)
-        sign *= (-1) ** pos
-        covs.remove(idx)
-    wedge = tuple(('dx', i) for i in covs)
-    return Form(ctx, {wedge: Scalar.from_fraction(sign)})
+    w, sign = _ds_wedge(ctx.n, tuple(block))
+    return Form(ctx, {w: Scalar.from_fraction(sign)} if sign else {})
+
+
+@functools.cache  # pure in (n, block), and few distinct blocks are asked for
+def _ds_wedge(n: int, block: tuple) -> tuple:
+    """(w, sign) with ds_block = sign w at base dimension n; sign 0 when it
+    vanishes.
+
+    w is dx of the indices missing from the block, in order.  Contracting
+    the block out of dx_block ^ w leaves w, and dx_block ^ w is the volume
+    form times the sign that sorts block + rest, so that is the sign; it is
+    0 unless block + rest orders to 1..n (an index out of range or repeated).
+    """
+    rest = tuple(i for i in range(1, n + 1) if i not in block)
+    order, sign = sort_with_sign(block + rest)
+    if order != tuple(range(1, n + 1)):
+        sign = 0
+    return tuple(('dx', i) for i in rest), sign
 
 
 def ds_parts(rho: Form) -> dict:
@@ -212,7 +222,7 @@ def ds_parts(rho: Form) -> dict:
         h = sum(1 for cov in w if cov[0] == 'dx')
         horiz, contact = w[:h], w[h:]
         block = tuple(i for i in range(1, ctx.n + 1) if ('dx', i) not in horiz)
-        [(_, sign)] = ds_block(ctx, block).terms.items()
+        _, sign = _ds_wedge(ctx.n, block)
         if (sign == 1) != (h * len(contact) % 2 == 0):
             c = -c
         parts.setdefault(block, Form(ctx)).terms[contact] = c
@@ -344,42 +354,9 @@ def p_k(rho: Form, k: int) -> Form:
 
 # -- differentials -------------------------------------------------------------
 
-def _d_wedge(acc: dict, n: int, w: tuple, c: Scalar) -> None:
-    """Add c d(w) to acc: d(dx^i) = 0 and d(omega^sigma_J) = dx^j ^ omega^sigma_Jj."""
-    for t, cov in enumerate(w):
-        if cov[0] != 'w':
-            continue
-        sign = 1 if t % 2 == 0 else -1
-        for j in range(1, n + 1):
-            covs = w[:t] + (('dx', j), ('w', cov[1], tuple(sorted(cov[2] + (j,))))) + w[t + 1:]
-            _add_sorted(acc, covs, c.terms, sign)
-
-
-def _add_dx_wedges(acc: dict, n: int, w: tuple, c: Scalar) -> None:
-    """Add (d_i c) dx^i ^ w to acc for every i."""
-    for i in range(1, n + 1):
-        w1, sign = _insert(('dx', i), w)
-        if sign:
-            _add_terms(acc, w1, symexpr.total_derivative(c, i).terms, sign)
-
-
-def _add_gradient_wedges(acc: dict, w: tuple, grad: dict) -> None:
-    """Add dc/dy^sigma_J omega^sigma_J ^ w to acc, for grad the gradient of c."""
-    for (_, sigma, J), dc in grad.items():
-        w1, sign = _insert(('w', sigma, J), w)
-        if sign:
-            _add_terms(acc, w1, dc.terms, sign)
-
-
 def exterior_d(rho: Form) -> Form:
-    """Exterior derivative: dc ^ w + c d(w) for every term c w."""
-    ctx = rho.ctx
-    acc: dict = {}
-    for w, c in rho.terms.items():
-        _add_dx_wedges(acc, ctx.n, w, c)
-        _add_gradient_wedges(acc, w, symexpr.gradient(c, ctx.n, ctx.m))
-        _d_wedge(acc, ctx.n, w, c)
-    return _summed(ctx, acc)
+    """Exterior derivative d = d_H + d_C."""
+    return d_H(rho) + d_C(rho)
 
 
 def total_derivative_form(rho: Form, i: int) -> Form:
@@ -422,14 +399,23 @@ def total_derivative_sum(ctx: Context, parts: dict) -> Form:
 def d_H(rho: Form) -> Form:
     """Horizontal differential, sum over k of p_k d p_k: only that half of d.
 
-    Each term c w gives (d_i c) dx^i ^ w + c d(w); d(omega) keeps the contact
+    Each term c w gives (d_i c) dx^i ^ w + c d(w), with d(dx^i) = 0 and
+    d(omega^sigma_J) = dx^j ^ omega^sigma_Jj; d(omega) keeps the contact
     degree, and no jet-coordinate partial of c is taken.
     """
     ctx = rho.ctx
     acc: dict = {}
     for w, c in rho.terms.items():
-        _add_dx_wedges(acc, ctx.n, w, c)
-        _d_wedge(acc, ctx.n, w, c)
+        for i in range(1, ctx.n + 1):
+            w1, sign = _insert(('dx', i), w)
+            if sign:
+                _add_terms(acc, w1, symexpr.total_derivative(c, i).terms, sign)
+        for t, cov in enumerate(w):
+            if cov[0] != 'w':
+                continue
+            for j in range(1, ctx.n + 1):
+                covs = w[:t] + (('dx', j), ('w', cov[1], tuple(sorted(cov[2] + (j,))))) + w[t + 1:]
+                _add_sorted(acc, covs, c.terms, 1 if t % 2 == 0 else -1)
     return _summed(ctx, acc)
 
 
@@ -448,7 +434,10 @@ def wedge_gradients(ctx: Context, grads: dict) -> Form:
     """Sum over {w: gradient of c} of dc/dy^sigma_J omega^sigma_J ^ w: d_C of sum c w."""
     acc: dict = {}
     for w, grad in grads.items():
-        _add_gradient_wedges(acc, w, grad)
+        for (_, sigma, J), dc in grad.items():
+            w1, sign = _insert(('w', sigma, J), w)
+            if sign:
+                _add_terms(acc, w1, dc.terms, sign)
     return _summed(ctx, acc)
 
 

@@ -46,7 +46,7 @@ from .forms import (Form, GradingMismatch, _add_into, _cleared, _summed,
                     codegree, contract_omega, ds_block, ds_parts, omega,
                     p_k, total_derivative_form, total_derivative_form_multi,
                     total_derivative_sum, wedge)
-from .multiindex import signed_get, signed_permutations, tuple_multiplicity
+from .multiindex import signed_get, tuple_multiplicity
 from .symexpr import Scalar
 
 
@@ -143,6 +143,8 @@ class XiFamily:
     is an int, and ``denominator`` is D.  ``xi`` and ``chi`` are the same
     families in the ordered convention of the module docstring, divided
     back once on first read; the residual reads the integer ones.
+    ``chi_at`` is signed in its block, so an antisymmetrization over the
+    block plus one index is s+1 lookups (``verify.check_prop_div``).
     """
 
     ctx: object
@@ -168,17 +170,6 @@ class XiFamily:
     def chi_at(self, block, M_sorted) -> Form:
         """Signed chi lookup for an arbitrarily ordered block."""
         return signed_get(self.chi, block, (M_sorted,), Form.zero(self.ctx))
-
-    def chi_antisym(self, block, i: int, I_sorted) -> Form:
-        """chi^{[block i] I}: normalized antisymmetrization over block + i."""
-        idxs = tuple(block) + (i,)
-        p = len(idxs)
-        out = Form.zero(self.ctx)
-        for arranged, sign in signed_permutations(idxs):
-            val = self.chi_at(arranged[:-1], tuple(sorted((arranged[-1],) + I_sorted)))
-            if not val.is_zero():
-                out = out + val.scale(Fraction(sign, math.factorial(p)))
-        return out
 
 
 def _is_multiple(got: Form, want: Form, D: int) -> bool:

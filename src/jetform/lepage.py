@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
-from .forms import (Context, Form, _add_terms, _cleared, _insert, _summed,
-                    d_C, ds_block, exterior_d, p_k, volume, wedge_gradients)
+from .forms import (Context, Form, _add_terms, _cleared, _ds_wedge, _insert,
+                    _summed, d_C, exterior_d, p_k, volume, wedge_gradients)
 from .interior_euler import eta_decompose, interior_euler, residual
 from .multiindex import tuple_multiplicity
 from .symexpr import Scalar
@@ -227,15 +227,14 @@ def _closed_equivalent(lam: Lagrangian, slots: tuple) -> Form:
             for pairs in itertools.product(slot_pairs, repeat=q - 1):
                 plain = tuple(('w', sigma, ()) for sigma, _ in pairs)
                 for i, lead, base in leads:
-                    ds = ds_block(ctx, tuple(k for _, k in pairs) + (i,))
-                    if ds.is_zero():
+                    horiz, sign = _ds_wedge(n, tuple(k for _, k in pairs) + (i,))
+                    if not sign:
                         continue
                     coeff = base
                     for sigma, k in pairs:
                         coeff = symexpr.partial(coeff, ('y', sigma, (k,)))
                     if coeff.is_zero():
                         continue
-                    [(horiz, sign)] = ds.terms.items()
                     terms.append((plain + (lead,) + horiz, coeff * sign * weight))
     return lam.form() + Form.from_terms(ctx, terms)
 

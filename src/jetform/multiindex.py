@@ -5,14 +5,17 @@ of base indices.  Internally symmetric data is keyed by the sorted tuple;
 ``tuple_multiplicity`` converts between the two conventions.
 
 Every permutation sign in the library comes from ``sort_with_sign``: the
-canonical order of a wedge of covectors, the signed lookup of coefficients
-stored per strictly increasing block (``signed_get``), and the signed
-orderings behind every antisymmetrization (``signed_permutations``).
+canonical order of a wedge of covectors, the sign of ``forms.ds_block``,
+and the signed lookup of coefficients stored per strictly increasing block
+(``signed_get``).  A single move is signed by the parity of its distance:
+a covector inserted into an ordered wedge (``forms._insert``), and an index
+moved into or out of a block by ``varmorph``.  A lookup signed in its block
+stands for every ordering of the block, so an antisymmetrization over a
+block plus one index takes s+1 terms, not (s+1)! orderings.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 
@@ -47,13 +50,6 @@ def sort_with_sign(items, key=None):
             sign = 0
             break
     return tuple(items[t] for t in order), sign
-
-
-def signed_permutations(seq):
-    """All len(seq)! orderings of ``seq`` by position, each with its sign."""
-    seq = tuple(seq)
-    for perm in itertools.permutations(range(len(seq))):
-        yield tuple(seq[t] for t in perm), sort_with_sign(perm)[1]
 
 
 def signed_get(table: dict, block, rest: tuple, default):

@@ -53,19 +53,32 @@ def rand_form(rng, ctx: Context, h: int, k: int, order: int,
     return out
 
 
-def rand_morphism(rng, ctx: Context, s: int, r: int, order: int = 1,
-                  degree: int = 2) -> VariationalMorphism:
-    """A random morphism with polynomial coefficients, symmetric rank string."""
-    V = VariationalMorphism(ctx, s)
+def _symmetric_morphism(ctx: Context, s: int, r: int, coefficient) -> VariationalMorphism:
+    """The morphism with coefficient(block, sigma, h, Js) at every ordering of
+    each sorted rank string Js of length h <= r.
+
+    ``coefficient`` is called once per (block, sigma, h, Js), in that nested
+    order, so a seeded generator draws the same values on every run.
+    """
+    coeffs = {}
     for block in itertools.combinations(range(1, ctx.n + 1), s):
         for sigma in range(1, ctx.m + 1):
             for h in range(r + 1):
                 for Js in itertools.combinations_with_replacement(
                         range(1, ctx.n + 1), h):
-                    val = rand_scalar(rng, ctx, order, degree=degree, terms=1)
-                    for Jord in set(itertools.permutations(Js)):
-                        V.add(block, sigma, Jord, val)
-    return V
+                    val = coefficient(block, sigma, h, Js)
+                    if not val.is_zero():
+                        for Jord in set(itertools.permutations(Js)):
+                            coeffs[(block, sigma, Jord)] = val
+    return VariationalMorphism(ctx, s, coeffs)
+
+
+def rand_morphism(rng, ctx: Context, s: int, r: int, order: int = 1,
+                  degree: int = 2) -> VariationalMorphism:
+    """A random morphism with polynomial coefficients, symmetric rank string."""
+    return _symmetric_morphism(
+        ctx, s, r,
+        lambda block, sigma, h, Js: rand_scalar(rng, ctx, order, degree=degree, terms=1))
 
 
 def generic_morphism(ctx: Context, s: int, r: int, name: str = "A",
@@ -75,17 +88,10 @@ def generic_morphism(ctx: Context, s: int, r: int, name: str = "A",
     ``order`` declares the coefficient dependence; -1 keeps the total
     derivatives formal, 2 matches generic functions of (x, y, y_j, y_jk).
     """
-    V = VariationalMorphism(ctx, s)
-    for block in itertools.combinations(range(1, ctx.n + 1), s):
-        for sigma in range(1, ctx.m + 1):
-            for h in range(r + 1):
-                for Js in itertools.combinations_with_replacement(
-                        range(1, ctx.n + 1), h):
-                    atom = symexpr.opaque(name, (s, h) + block + (sigma,) + Js,
-                                          n=ctx.n, m=ctx.m, order=order)
-                    for Jord in set(itertools.permutations(Js)):
-                        V.add(block, sigma, Jord, atom)
-    return V
+    return _symmetric_morphism(
+        ctx, s, r,
+        lambda block, sigma, h, Js: symexpr.opaque(name, (s, h) + block + (sigma,) + Js,
+                                                   n=ctx.n, m=ctx.m, order=order))
 
 
 def rand_density(rng, ctx: Context, order: int, degree: int = 3,

@@ -21,7 +21,10 @@ apart their boundary parts are elsewhere.  Both splittings, ``divergence``
 and ``is_reduced`` scatter stored coefficients rather than walk every
 (block, sigma, J); one kernel, ``_antisymmetrized``, does the
 antisymmetrization over the block plus the first rank index that
-reducedness and both boundary parts are built from.
+reducedness and both boundary parts are built from.  Sums, the pairing
+``evaluate`` and the conversions with contact forms scatter too: each
+writes the stored coefficients once into a {key: {monomial: coefficient}}
+running sum and makes a morphism or form of it at the end.
 
 The fibered connection is fixed to the zero-coefficient one of the working
 chart, so covariant derivatives are total derivatives throughout.
@@ -36,9 +39,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import symexpr
-from .forms import (Context, Form, _add_terms, codegree, ds_block, ds_parts,
-                    omega, p_k, wedge)
-from .multiindex import signed_get, signed_permutations, tuple_multiplicity
+from .forms import (Context, Form, _add_terms, _ds_wedge, _insert, _summed,
+                    codegree, ds_parts, p_k)
+from .multiindex import signed_get, tuple_multiplicity
 from .symexpr import Scalar
 
 
@@ -79,16 +82,6 @@ class VariationalMorphism:
     def add(self, block, sigma: int, J, value: Scalar) -> None:
         self.set(block, sigma, J, self.value(block, sigma, J) + value)
 
-    def spread(self, block, sigma: int, J, value: Scalar) -> None:
-        """Add value/tuple_multiplicity(J) at every distinct ordering of J.
-
-        This turns a coefficient read off a sorted key into the ordered-tuple
-        convention of the stored family.
-        """
-        share = value * Fraction(1, tuple_multiplicity(J))
-        for Jord in set(itertools.permutations(J)):
-            self.add(block, sigma, Jord, share)
-
     def value(self, block, sigma: int, J) -> Scalar:
         """Signed coefficient lookup for an arbitrarily ordered block."""
         return signed_get(self.coeffs, block, (sigma, tuple(J)), Scalar.zero())
@@ -101,21 +94,20 @@ class VariationalMorphism:
     def order(self) -> int:
         return max((v.max_jet_order() for v in self.coeffs.values()), default=0)
 
-    def __sub__(self, other: "VariationalMorphism") -> "VariationalMorphism":
+    def _plus(self, other: "VariationalMorphism", c: int) -> "VariationalMorphism":
+        """self + c other."""
         if self.s != other.s:
             raise ValueError("codegrees differ")
-        out = VariationalMorphism(self.ctx, self.s, dict(self.coeffs))
-        for (block, sigma, J), v in other.coeffs.items():
-            out.add(block, sigma, J, -v)
-        return out
+        acc = {key: dict(v.terms) for key, v in self.coeffs.items()}
+        for key, v in other.coeffs.items():
+            _add_terms(acc, key, v.terms, c)
+        return _morphism(self.ctx, self.s, acc)
+
+    def __sub__(self, other: "VariationalMorphism") -> "VariationalMorphism":
+        return self._plus(other, -1)
 
     def __add__(self, other: "VariationalMorphism") -> "VariationalMorphism":
-        if self.s != other.s:
-            raise ValueError("codegrees differ")
-        out = VariationalMorphism(self.ctx, self.s, dict(self.coeffs))
-        for (block, sigma, J), v in other.coeffs.items():
-            out.add(block, sigma, J, v)
-        return out
+        return self._plus(other, 1)
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.coeffs.values())
@@ -127,27 +119,15 @@ class VariationalMorphism:
         ctx = self.ctx
         sfact = math.factorial(self.s)
         cache: dict = {}  # total derivatives commute: one entry per sorted J
-        out = Form.zero(ctx)
+        acc: dict = {}
         for (block, sigma, J), v in self.coeffs.items():
             key = (sigma, tuple(sorted(J)))
             if key not in cache:
                 cache[key] = symexpr.total_derivative_multi(xi[sigma], key[1])
-            out = out + ds_block(ctx, block).scale(v * cache[key] * sfact)
-        return out
-
-    def antisym_value(self, positions_block, sigma: int, J) -> Scalar:
-        """A^{[b_1..b_p] J}: normalized antisymmetrization of a mixed block.
-
-        ``positions_block`` holds s block indices followed by extra indices
-        drawn from the front of the rank string; the lookup reassembles each
-        permutation into (block, J) form.
-        """
-        p = len(positions_block)
-        total = Scalar.zero()
-        for arranged, sign in signed_permutations(positions_block):
-            val = self.value(arranged[:self.s], sigma, arranged[self.s:] + tuple(J))
-            total = total + val * Fraction(sign, math.factorial(p))
-        return total
+            w, sign = _ds_wedge(ctx.n, block)
+            if sign:
+                _add_terms(acc, w, (v * cache[key]).terms, sign * sfact)
+        return _summed(ctx, acc)
 
 
 @dataclass
@@ -166,28 +146,32 @@ def from_contact_form(rho: Form) -> VariationalMorphism:
         raise NotOneContact("form has contact components of degree >= 2")
     part = p_k(rho, 1)
     s = codegree(part)
-    V = VariationalMorphism(ctx, s)
     sfact = math.factorial(s)
+    coeffs = {}
     for block, contact in ds_parts(part).items():
         for [(_, sigma, J)], c in contact.terms.items():
-            V.spread(block, sigma, J, c * Fraction(1, sfact))
-    return V
+            # a sorted-key coefficient, shared out over the orderings of J
+            share = c * Fraction(1, sfact * tuple_multiplicity(J))
+            for Jord in set(itertools.permutations(J)):
+                coeffs[(block, sigma, Jord)] = share
+    return VariationalMorphism(ctx, s, coeffs)
 
 
-def to_contact_form(V: VariationalMorphism, boundary_sign: bool = False) -> Form:
-    """The 1-contact form associated with a morphism.
+def to_contact_form(V: VariationalMorphism) -> Form:
+    """The 1-contact form associated with a morphism: the sum of
+    s! A^{block J}_sigma omega^sigma_J ^ ds_block.
 
-    With ``boundary_sign`` the coefficients enter with a minus sign, the
-    convention under which Div(<T|J^{r-1}Xi>) = J^r Xi _| d_H of the result.
+    Div(<T|J^{r-1}Xi>) = J^r Xi _| d_H of minus the form of T.
     """
     ctx = V.ctx
     sfact = math.factorial(V.s)
-    flip = -1 if boundary_sign else 1
-    out = Form.zero(ctx)
+    acc: dict = {}
     for (block, sigma, J), v in V.coeffs.items():
-        piece = wedge(omega(ctx, sigma, *J), ds_block(ctx, block))
-        out = out + piece.scale(v * Fraction(flip * sfact))
-    return out
+        horiz, sign = _ds_wedge(ctx.n, block)
+        if sign:
+            w, flip = _insert(('w', sigma, tuple(sorted(J))), horiz)
+            _add_terms(acc, w, v.terms, flip * sign * sfact)
+    return _summed(ctx, acc)
 
 
 def divergence(Q: VariationalMorphism) -> VariationalMorphism:
@@ -213,7 +197,13 @@ def divergence(Q: VariationalMorphism) -> VariationalMorphism:
                        eps * (s + 1))
             for t in range(len(K) + 1):
                 _add_terms(acc, (b, sigma, K[:t] + (i,) + K[t:]), c.terms, eps * moved)
-    return VariationalMorphism(Q.ctx, s, {key: Scalar(t) for key, t in acc.items() if t})
+    return _morphism(Q.ctx, s, acc)
+
+
+def _morphism(ctx: Context, s: int, acc: dict) -> VariationalMorphism:
+    """The morphism held by a {(block, sigma, J): {monomial: coefficient}}
+    running sum."""
+    return VariationalMorphism(ctx, s, {key: Scalar(t) for key, t in acc.items() if t})
 
 
 # -- the block-plus-first-index antisymmetrization -----------------------------
@@ -223,12 +213,12 @@ def _antisymmetrized(V: VariationalMorphism, h: int | None = None) -> Variationa
     """A^{[b' L]}: antisymmetrize over the block plus the first rank index.
 
     The codegree-(s+1) morphism whose coefficient at (b', sigma, L) is
-    ``V.antisym_value(b', sigma, L)``, read off the stored coefficients of V
-    (only those of rank h when h is given).  Each c = V^{b sigma J} with
-    i = J[0] not in b lands once: with b' = b with i inserted at position p,
+    1/(s+1)! times the sum, over the orderings q of b', of sign(q) times
+    V^{q[:s] sigma (q[s],) + L}, read off the stored coefficients of V (only
+    those of rank h when h is given).  Each c = V^{b sigma J} with i = J[0]
+    not in b lands once: with b' = b with i inserted at position p,
     (-1)^(s-p) c/(s+1) goes to (b', sigma, J[1:]).  The block lookup is
-    already signed, so the (s+1)! orderings of ``antisym_value`` collapse to
-    these s+1 terms.
+    already signed, so the (s+1)! orderings collapse to these s+1 terms.
     """
     s = V.s
     acc: dict = {}
@@ -238,7 +228,7 @@ def _antisymmetrized(V: VariationalMorphism, h: int | None = None) -> Variationa
         p = bisect.bisect(b, J[0])
         w = Fraction(-1 if (s - p) % 2 else 1, s + 1)
         _add_terms(acc, (b[:p] + J[:1] + b[p:], sigma, J[1:]), c.terms, w)
-    return VariationalMorphism(V.ctx, s + 1, {key: Scalar(t) for key, t in acc.items() if t})
+    return _morphism(V.ctx, s + 1, acc)
 
 
 def is_reduced(V: VariationalMorphism) -> bool:
@@ -285,7 +275,7 @@ def split_like(V: VariationalMorphism) -> SplitResult:
             eps = -1 if (s - p) % 2 else 1
             _add_terms(acc, (b, sigma, K), symexpr.total_derivative(c, i).terms, -eps)
             _add_terms(acc, (b, sigma, (i,) + K), c.terms, -eps)
-    E = VariationalMorphism(ctx, s, {key: Scalar(t) for key, t in acc.items() if t})
+    E = _morphism(ctx, s, acc)
     return SplitResult(E, T)
 
 

@@ -1,12 +1,16 @@
 """Form builders that only the tests use: an independent chart formula for
-d_H, the wedge of several factors, and the form-level three-way split that
-the morphism-level split-like decomposition is checked against."""
+d_H, the wedge of several factors, the (s+1)!-ordering antisymmetrization
+of a chi family, and the form-level three-way split that the
+morphism-level split-like decomposition is checked against."""
 
 import itertools
+import math
+from fractions import Fraction
 
 from jetform import interior_euler as ie
 from jetform.forms import (Form, d_H, ds_block, dx, omega, total_derivative_form,
                            total_derivative_form_multi, wedge)
+from splitting_oracles import signed_permutations
 
 
 def wedge_all(*forms: Form) -> Form:
@@ -26,6 +30,18 @@ def d_H_local(rho: Form) -> Form:
     for q, part in by_degree.items():
         for i in range(1, ctx.n + 1):
             out = out + wedge(total_derivative_form(part, i), dx(ctx, i)).scale((-1) ** q)
+    return out
+
+
+def chi_antisym(fam: ie.XiFamily, block, i: int, I_sorted) -> Form:
+    """chi^{[block i] I}: normalized antisymmetrization over block + i."""
+    idxs = tuple(block) + (i,)
+    p = len(idxs)
+    out = Form.zero(fam.ctx)
+    for arranged, sign in signed_permutations(idxs):
+        val = fam.chi_at(arranged[:-1], tuple(sorted((arranged[-1],) + I_sorted)))
+        if not val.is_zero():
+            out = out + val.scale(Fraction(sign, math.factorial(p)))
     return out
 
 
@@ -55,7 +71,7 @@ def split_lower(rho: Form):
         for lm in range(1, fam.r + 1):
             for M in itertools.product(range(1, n + 1), repeat=lm):
                 exact = fam.chi_at(block, tuple(sorted(M)))
-                anti = fam.chi_antisym(block, M[0], tuple(sorted(M[1:])))
+                anti = chi_antisym(fam, block, M[0], tuple(sorted(M[1:])))
                 diff = exact - anti
                 if diff.is_zero():
                     continue

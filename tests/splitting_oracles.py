@@ -4,17 +4,42 @@ The closed coefficient formulas of the canonical splitting for rank 1
 (every codegree s >= 1) and for rank 2, codegree 1, written out term by
 term with their literal weights, and grid walks of the split-like
 decomposition and of reducedness that look up ``antisym_value`` at every
-(block, sigma, J).  They share nothing with the library's scatters over
-stored coefficients beyond the morphism storage and ``antisym_value``, so
+(block, sigma, J).  ``antisym_value`` walks all (s+1)! signed orderings of
+the block plus the moved indices.  They share nothing with the library's
+scatters over stored coefficients beyond the morphism storage, so
 comparing the two checks the scatters.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from jetform import symexpr
+from jetform.multiindex import sort_with_sign
 from jetform.symexpr import Scalar
 from jetform.varmorph import SplitResult, VariationalMorphism
+
+
+def signed_permutations(seq):
+    """All len(seq)! orderings of ``seq`` by position, each with its sign."""
+    seq = tuple(seq)
+    for perm in itertools.permutations(range(len(seq))):
+        yield tuple(seq[t] for t in perm), sort_with_sign(perm)[1]
+
+
+def antisym_value(V: VariationalMorphism, positions_block, sigma: int, J) -> Scalar:
+    """A^{[b_1..b_p] J}: normalized antisymmetrization of a mixed block.
+
+    ``positions_block`` holds s block indices followed by extra indices
+    drawn from the front of the rank string; the lookup reassembles each
+    permutation into (block, J) form.
+    """
+    p = len(positions_block)
+    total = Scalar.zero()
+    for arranged, sign in signed_permutations(positions_block):
+        val = V.value(arranged[:V.s], sigma, arranged[V.s:] + tuple(J))
+        total = total + val * Fraction(sign, math.factorial(p))
+    return total
 
 
 def canonical_rank1(V: VariationalMorphism) -> SplitResult:
@@ -27,16 +52,16 @@ def canonical_rank1(V: VariationalMorphism) -> SplitResult:
             val = V.value(block, sigma, ())
             for k in range(1, n + 1):
                 val = val - symexpr.total_derivative(
-                    V.antisym_value(block + (k,), sigma, ()), k)
+                    antisym_value(V, block + (k,), sigma, ()), k)
             E.set(block, sigma, (), val)
             for j in range(1, n + 1):
-                vj = V.value(block, sigma, (j,)) - V.antisym_value(block + (j,), sigma, ())
+                vj = V.value(block, sigma, (j,)) - antisym_value(V, block + (j,), sigma, ())
                 E.set(block, sigma, (j,), vj)
     T = VariationalMorphism(ctx, s + 1)
     w = Fraction(1, s + 1)
     for block in itertools.combinations(range(1, n + 1), s + 1):
         for sigma in range(1, ctx.m + 1):
-            T.set(block, sigma, (), V.antisym_value(block, sigma, ()) * w)
+            T.set(block, sigma, (), antisym_value(V, block, sigma, ()) * w)
     return SplitResult(E, T)
 
 
@@ -111,7 +136,7 @@ def split_like_grid(V: VariationalMorphism) -> SplitResult:
         for block in itertools.combinations(range(1, n + 1), s + 1):
             for sigma in range(1, ctx.m + 1):
                 for L in itertools.product(range(1, n + 1), repeat=h):
-                    val = V.antisym_value(block, sigma, L)
+                    val = antisym_value(V, block, sigma, L)
                     for k in range(1, n + 1):
                         val = val - d(that.value(block, sigma, L + (k,)), k)
                     that.set(block, sigma, L, val)
@@ -141,6 +166,6 @@ def is_reduced_grid(V: VariationalMorphism) -> bool:
         for block in itertools.combinations(range(1, n + 1), V.s):
             for sigma in range(1, ctx.m + 1):
                 for J in itertools.product(range(1, n + 1), repeat=h):
-                    if not V.antisym_value(block + (J[0],), sigma, J[1:]).is_zero():
+                    if not antisym_value(V, block + (J[0],), sigma, J[1:]).is_zero():
                         return False
     return True

@@ -30,7 +30,8 @@ from jetform.varmorph import (alpha_discrepancy, formal_field, is_reduced,
                               split_canonical_codegree_s, split_like,
                               to_contact_form, vertical_field)
 from jetform.verify import CHECKS, run_identity
-from form_oracles import d_H_local, wedge_all
+from form_oracles import chi_antisym, d_H_local, wedge_all
+from splitting_oracles import antisym_value
 
 
 def _announce(num, ok, label, t0):
@@ -131,7 +132,7 @@ def test_criterion_04_prop_div():
         for block in itertools.combinations(range(1, n + 1), s):
             for lm in range(1, fam.r + 1):
                 for M in itertools.product(range(1, n + 1), repeat=lm):
-                    anti = fam.chi_antisym(block, M[0], tuple(sorted(M[1:])))
+                    anti = chi_antisym(fam, block, M[0], tuple(sorted(M[1:])))
                     if anti.is_zero():
                         continue
                     lhs = lhs + wedge(total_derivative_form_multi(anti, M),
@@ -176,11 +177,11 @@ def test_criterion_06_prop_da():
                 acc = Scalar.zero()
                 for a in range(1, n + 1):
                     acc = acc + se.total_derivative(
-                        V.antisym_value(block, sigma, (a,)), a)
+                        antisym_value(V, block, sigma, (a,)), a)
                 ok = ok and alpha.value(block, sigma, ()) == acc * Fraction(-1, 6)
                 for a in range(1, n + 1):
                     ok = ok and alpha.value(block, sigma, (a,)) == \
-                        V.antisym_value(block, sigma, (a,)) * Fraction(-1, 6)
+                        antisym_value(V, block, sigma, (a,)) * Fraction(-1, 6)
         # -D(alpha) leading coefficient: 1/3 d_b d_a A^{[ib]a}
         for i in range(1, n + 1):
             for sigma in range(1, m + 1):
@@ -188,7 +189,7 @@ def test_criterion_06_prop_da():
                 for a in range(1, n + 1):
                     for b in range(1, n + 1):
                         acc = acc + se.total_derivative(se.total_derivative(
-                            V.antisym_value((i, b), sigma, (a,)), a), b)
+                            antisym_value(V, (i, b), sigma, (a,)), a), b)
                 ok = ok and dalpha.value((i,), sigma, ()) == acc * Fraction(-1, 3)
     elapsed_ok = (time.time() - t0) < 120
     _announce(6, ok and elapsed_ok, "Prop. Da: alpha and eq:Lepage identities", t0)
@@ -215,17 +216,17 @@ def test_criterion_07_splittfati():
                 #  E' - E = 1/3 d_b d_a A^{[ib]a}; the + sign satisfies both)
                 expect = V.value((i,), sigma, ())
                 for a in range(1, n + 1):
-                    expect = expect - d(V.antisym_value((i, a), sigma, ()), a)
+                    expect = expect - d(antisym_value(V, (i, a), sigma, ()), a)
                 for a in range(1, n + 1):
                     for b in range(1, n + 1):
                         expect = expect + Fraction(2, 3) * d(d(
-                            V.antisym_value((i, b), sigma, (a,)), a), b)
+                            antisym_value(V, (i, b), sigma, (a,)), a), b)
                 ok = ok and canon.volume.value((i,), sigma, ()) == expect
                 diff = like.volume.value((i,), sigma, ()) - canon.volume.value((i,), sigma, ())
                 acc = Scalar.zero()
                 for a in range(1, n + 1):
                     for b in range(1, n + 1):
-                        acc = acc + d(d(V.antisym_value((i, b), sigma, (a,)), a), b)
+                        acc = acc + d(d(antisym_value(V, (i, b), sigma, (a,)), a), b)
                 ok = ok and diff == acc * Fraction(1, 3)
                 # volume omega_{j1}-coefficient with the 2/3 factors
                 for j1 in range(1, n + 1):
@@ -247,15 +248,15 @@ def test_criterion_07_splittfati():
         # boundary: 1/2 (A^{[i1i2]} - 2/3 d_a A^{[i1i2]a}) and (1/2)(4/3) A^{[i1i2]j}
         for block in itertools.combinations(range(1, n + 1), 2):
             for sigma in range(1, m + 1):
-                expect = V.antisym_value(block, sigma, ())
+                expect = antisym_value(V, block, sigma, ())
                 for a in range(1, n + 1):
                     expect = expect - Fraction(2, 3) * d(
-                        V.antisym_value(block, sigma, (a,)), a)
+                        antisym_value(V, block, sigma, (a,)), a)
                 ok = ok and canon.boundary.value(block, sigma, ()) == \
                     expect * Fraction(1, 2)
                 for j in range(1, n + 1):
                     ok = ok and canon.boundary.value(block, sigma, (j,)) == \
-                        V.antisym_value(block, sigma, (j,)) * Fraction(1, 2) * Fraction(4, 3)
+                        antisym_value(V, block, sigma, (j,)) * Fraction(1, 2) * Fraction(4, 3)
     _announce(7, ok, "eq:splittFati coefficients on generic symbolic A", t0)
 
 

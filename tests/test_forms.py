@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -74,6 +75,28 @@ def test_ds_blocks():
     # degenerate mechanics regime: ds_1 at n=1 is the scalar 1
     assert ds_block(CTX1, (1,)) == Form.from_scalar(CTX1, 1)
     assert ds_block(CTX1, (1, 1)).is_zero()
+
+
+def _ds_by_contraction(ctx, block):
+    """ds_block by contracting one index of the block at a time out of vol."""
+    covs = list(range(1, ctx.n + 1))
+    sign = 1
+    for idx in block:
+        if idx not in covs:
+            return Form.zero(ctx)
+        pos = covs.index(idx)
+        sign *= (-1) ** pos
+        covs.remove(idx)
+    return Form(ctx, {tuple(('dx', i) for i in covs): Scalar.from_fraction(sign)})
+
+
+def test_ds_block_sign_is_that_of_the_iterated_contraction():
+    for n in range(1, 5):
+        ctx = Context(n=n, m=1)
+        # 0 and n+1 are out of range; repeats and blocks longer than n vanish
+        for length in range(n + 2):
+            for block in itertools.product(range(n + 2), repeat=length):
+                assert ds_block(ctx, block) == _ds_by_contraction(ctx, block)
 
 
 def test_ds_parts_roundtrip():

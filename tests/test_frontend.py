@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from jetform import cli, interior_euler, lepage, varmorph
+from jetform import cli, interior_euler, lepage, varmorph, verify
 from jetform import symexpr as se
 from jetform.cli import main
 from jetform.forms import (Context, Form, _summed, ds_block, dx, omega,
@@ -204,6 +204,14 @@ def test_cli_verify_fail_names_the_smallest_differing_term(monkeypatch):
     assert out.startswith("FAIL prop-da")
     assert re.search(r"^\w+ volume: smallest differing term: rebuilt .+, expected 0$",
                      out, re.M)
+
+
+def test_cli_verify_prop_div_fails_when_the_chi_gather_is_negated(monkeypatch):
+    gather = verify._gathered_chi
+    monkeypatch.setattr(verify, "_gathered_chi", lambda fam, *args: -gather(fam, *args))
+    code, out, _ = run_cli(["verify", "--identity", "prop-div"])
+    assert code == 1
+    assert out.startswith("FAIL prop-div")
 
 
 def test_cli_usage_error_is_2():

@@ -14,8 +14,9 @@ from jetform.interior_euler import (ExpansionMismatch, RecompositionFailure,
                                     eta_decompose, ibp_expand, interior_euler,
                                     residual)
 from jetform.randomgen import rand_form
+from jetform.verify import _gathered_chi
 from jetform.symexpr import Scalar
-from form_oracles import split_lower, wedge_all
+from form_oracles import chi_antisym, split_lower, wedge_all
 
 CTX1 = Context(n=1, m=1)
 
@@ -250,7 +251,7 @@ def test_prop_div_identity_randomized():
         for block in itertools.combinations(range(1, n + 1), s):
             for lm in range(1, fam.r + 1):
                 for M in itertools.product(range(1, n + 1), repeat=lm):
-                    anti = fam.chi_antisym(block, M[0], tuple(sorted(M[1:])))
+                    anti = chi_antisym(fam, block, M[0], tuple(sorted(M[1:])))
                     if anti.is_zero():
                         continue
                     lhs = lhs + wedge(total_derivative_form_multi(anti, M),
@@ -258,6 +259,24 @@ def test_prop_div_identity_randomized():
         assert lhs == d_H(residual(rho, k))
         checked += 1
     assert checked >= 8
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_chi_gather_over_s_plus_1_lookups_is_the_ordering_walk(s):
+    rng = random.Random(60 + s)
+    n = 4
+    ctx = Context(n=n, m=2)
+    nonzero = 0
+    for k in (1, 2):
+        fam = ibp_expand(rand_form(rng, ctx, n - s, k, 2, terms=4), k)
+        # unsorted blocks too: the gather and the walk both sign the lookup
+        for block in itertools.permutations(range(1, n + 1), s):
+            for i in range(1, n + 1):
+                for I in [()] + [(a,) for a in range(1, n + 1)]:
+                    got = _gathered_chi(fam, block, i, I)
+                    assert got == chi_antisym(fam, block, i, I)
+                    nonzero += not got.is_zero()
+    assert nonzero
 
 
 def test_split_lower_three_way_sum():

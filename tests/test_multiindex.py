@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from jetform.forms import _cov_key, _insert
-from jetform.multiindex import (signed_get, signed_permutations,
-                                sort_with_sign, tuple_multiplicity)
+from jetform.multiindex import signed_get, sort_with_sign, tuple_multiplicity
+from splitting_oracles import signed_permutations
 
 
 def test_tuple_multiplicity():

@@ -15,9 +15,11 @@ from jetform.varmorph import (NotOneContact, VariationalMorphism,
                               from_contact_form, is_reduced,
                               split_canonical_codegree_s, split_like,
                               to_contact_form, vertical_field)
+from jetform.verify import _alpha_display
 from form_oracles import split_lower
-from splitting_oracles import (canonical_rank1, canonical_rank2_codegree1,
-                               is_reduced_grid, split_like_grid)
+from splitting_oracles import (antisym_value, canonical_rank1,
+                               canonical_rank2_codegree1, is_reduced_grid,
+                               split_like_grid)
 
 
 # -- the form <-> morphism correspondence ------------------------------------------
@@ -60,10 +62,13 @@ def test_roundtrip_and_evaluation_contract():
 def test_form_level_roundtrip_recovers_p1():
     from jetform.randomgen import rand_form
     rng = random.Random(38)
-    for (n, m, s) in [(2, 1, 0), (2, 2, 1), (3, 1, 1)]:
+    for (n, m, s) in [(2, 1, 0), (2, 2, 1), (3, 1, 1), (3, 2, 2), (2, 1, 2), (4, 1, 3)]:
         ctx = Context(n=n, m=m)
         rho = rand_form(rng, ctx, n - s, 1, 2)
         assert to_contact_form(from_contact_form(rho)) == p_k(rho, 1)
+        # a 0-contact part of the same horizontal degree is left out
+        rho0 = rand_form(rng, ctx, n - s, 0, 2)
+        assert to_contact_form(from_contact_form(rho + rho0)) == p_k(rho, 1)
 
 
 def test_evaluation_identity_with_polynomial_field():
@@ -87,7 +92,7 @@ def test_boundary_sign_convention():
     ctx = Context(n=2, m=1)
     T = VariationalMorphism(ctx, 1)
     T.set((1,), 1, (), Scalar.one())
-    rt = to_contact_form(T, boundary_sign=True)
+    rt = -to_contact_form(T)
     assert rt == wedge(omega(ctx, 1), ds_block(ctx, (1,))).scale(-1)
 
 
@@ -98,7 +103,7 @@ def test_prop_boundary_div_correspondence():
     T = rand_morphism(rng, ctx, 1, 1)
     xi = vertical_field(ctx)
     lhs = d_H(T.evaluate(xi))
-    rt = to_contact_form(T, boundary_sign=True)
+    rt = -to_contact_form(T)
     rhs = contract_prolonged(d_H(rt), xi)
     assert (lhs - rhs).is_zero()
 
@@ -191,14 +196,14 @@ def test_split_like_r1_closed_formulas():
     for i in range(1, 4):
         expect0 = V.value((i,), 1, ())
         for k in range(1, 4):
-            expect0 = expect0 - d(V.antisym_value((i, k), 1, ()), k)
+            expect0 = expect0 - d(antisym_value(V, (i, k), 1, ()), k)
         assert res.volume.value((i,), 1, ()) == expect0
         for j in range(1, 4):
-            expect1 = V.value((i,), 1, (j,)) - V.antisym_value((i, j), 1, ())
+            expect1 = V.value((i,), 1, (j,)) - antisym_value(V, (i, j), 1, ())
             assert res.volume.value((i,), 1, (j,)) == expect1
     for block in itertools.combinations(range(1, 4), 2):
         assert res.boundary.value(block, 1, ()) == \
-            V.antisym_value(block, 1, ()) * Fraction(1, 2)
+            antisym_value(V, block, 1, ()) * Fraction(1, 2)
 
 
 def test_split_like_antisymmetric_input_has_no_middle_corrections():
@@ -231,19 +236,19 @@ def test_split_like_r2_s1_volume_display():
     for i in range(1, 3):
         expect = V.value((i,), 1, ())
         for a in range(1, 3):
-            expect = expect - d(V.antisym_value((i, a), 1, ()), a)
+            expect = expect - d(antisym_value(V, (i, a), 1, ()), a)
         for a in range(1, 3):
             for b in range(1, 3):
-                expect = expect + d(d(V.antisym_value((i, b), 1, (a,)), a), b)
+                expect = expect + d(d(antisym_value(V, (i, b), 1, (a,)), a), b)
         assert res.volume.value((i,), 1, ()) == expect
         for j1 in range(1, 3):
-            expect = V.value((i,), 1, (j1,)) - V.antisym_value((i, j1), 1, ())
+            expect = V.value((i,), 1, (j1,)) - antisym_value(V, (i, j1), 1, ())
             for a in range(1, 3):
-                expect = expect - d(V.antisym_value((i, a), 1, (j1,)), a)
-                expect = expect + d(V.antisym_value((i, j1), 1, (a,)), a)
+                expect = expect - d(antisym_value(V, (i, a), 1, (j1,)), a)
+                expect = expect + d(antisym_value(V, (i, j1), 1, (a,)), a)
             assert res.volume.value((i,), 1, (j1,)) == expect
             for j2 in range(1, 3):
-                expect = V.value((i,), 1, (j1, j2)) - V.antisym_value((i, j1), 1, (j2,))
+                expect = V.value((i,), 1, (j1, j2)) - antisym_value(V, (i, j1), 1, (j2,))
                 assert res.volume.value((i,), 1, (j1, j2)) == expect
 
 
@@ -345,13 +350,13 @@ def test_splittfati_identity_and_displayed_coefficients():
     d = se.total_derivative
     # T: 1/2 (A^{[i1i2]} - 2/3 d_a A^{[i1i2]a}) and 1/2 * 4/3 A^{[i1i2]j}
     for block in itertools.combinations(range(1, 3), 2):
-        expect0 = V.antisym_value(block, 1, ())
+        expect0 = antisym_value(V, block, 1, ())
         for a in range(1, 3):
-            expect0 = expect0 - Fraction(2, 3) * d(V.antisym_value(block, 1, (a,)), a)
+            expect0 = expect0 - Fraction(2, 3) * d(antisym_value(V, block, 1, (a,)), a)
         assert canon.boundary.value(block, 1, ()) == expect0 * Fraction(1, 2)
         for j in range(1, 3):
             assert canon.boundary.value(block, 1, (j,)) == \
-                V.antisym_value(block, 1, (j,)) * Fraction(2, 3)
+                antisym_value(V, block, 1, (j,)) * Fraction(2, 3)
     # E rank-2 term: the full symmetrization A^{(i j1 j2)}
     for i in range(1, 3):
         for j1 in range(1, 3):
@@ -459,17 +464,21 @@ def test_alpha_displayed_coefficients_and_lepage_identities():
             assert (like.boundary - (canon.boundary + alpha)).is_zero()
             assert (like.volume.evaluate(xi)
                     - canon.volume.evaluate(xi) + dalpha.evaluate(xi)).is_zero()
-            # displayed alpha: -1/6 d_a A^{[i1i2]a} and -1/6 A^{[i1i2]a}
+            # displayed alpha: -1/6 d_a A^{[i1i2]a} and -1/6 A^{[i1i2]a}, for
+            # the library's alpha and for the literal display of verify prop-da
+            display = _alpha_display(V)
             for block in itertools.combinations(range(1, n + 1), 2):
                 for sigma in range(1, m + 1):
                     acc = Scalar.zero()
                     for a in range(1, n + 1):
                         acc = acc + se.total_derivative(
-                            V.antisym_value(block, sigma, (a,)), a)
+                            antisym_value(V, block, sigma, (a,)), a)
                     assert alpha.value(block, sigma, ()) == acc * Fraction(-1, 6)
+                    assert display.value(block, sigma, ()) == acc * Fraction(-1, 6)
                     for a in range(1, n + 1):
-                        assert alpha.value(block, sigma, (a,)) == \
-                            V.antisym_value(block, sigma, (a,)) * Fraction(-1, 6)
+                        want = antisym_value(V, block, sigma, (a,)) * Fraction(-1, 6)
+                        assert alpha.value(block, sigma, (a,)) == want
+                        assert display.value(block, sigma, (a,)) == want
             # -D(alpha) leading coefficient: 1/3 d_b d_a A^{[ib]a}
             for i in range(1, n + 1):
                 for sigma in range(1, m + 1):
@@ -477,7 +486,7 @@ def test_alpha_displayed_coefficients_and_lepage_identities():
                     for a in range(1, n + 1):
                         for b in range(1, n + 1):
                             acc = acc + se.total_derivative(se.total_derivative(
-                                V.antisym_value((i, b), sigma, (a,)), a), b)
+                                antisym_value(V, (i, b), sigma, (a,)), a), b)
                     assert dalpha.value((i,), sigma, ()) == acc * Fraction(-1, 3)
 
 
