@@ -14,7 +14,7 @@ import json
 import sys
 
 from .forms import Context, GradingMismatch, codegree, p_k
-from .interior_euler import interior_euler, residual
+from .interior_euler import _smallest_difference, interior_euler, residual
 from .lepage import (euler_lagrange, kb_second_order, krupka_betounes_first,
                      poincare_cartan, rossi_recurrence)
 from .parser import default_fields, parse_form, parse_lagrangian
@@ -151,8 +151,9 @@ def _run(args) -> int:
             if lam.order == 1 or args.variant == "plain":
                 terminal = rossi_recurrence(lam).terminal
                 if terminal != rho:
-                    print("warning: recurrence and closed form disagree",
-                          file=sys.stderr)
+                    raise AssertionError(
+                        "recurrence and closed form disagree; "
+                        f"{_smallest_difference(terminal, rho)}")
             print(_emit_form(rho, args, fields))
         return 0
 
@@ -204,8 +205,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
-        # a runtime self-check failed: eta recomposition, xi rebuild or the
-        # Poincare-Cartan cross-check
+        # a runtime self-check failed: eta recomposition, xi rebuild, the
+        # Poincare-Cartan cross-check or kb's recurrence cross-check
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

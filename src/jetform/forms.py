@@ -19,8 +19,11 @@ map (``_add_terms``, ``_add_into``), and make a Form of it once at the end
 left operand.  Where one covector joins a wedge that is already ordered (a
 single-covector left factor of ``wedge``, the raised omega of
 ``total_derivative_form``, the new omega of ``wedge_gradients`` and the dx
-of ``d_H``), it is placed at its insertion position (``_insert``),
-which gives the sign without sorting the whole product.  ``_cleared``
+of ``d_H`` = sum over i of dx^i ^ d_i), it is placed at its insertion
+position (``_insert``), which gives the sign without sorting the whole
+product.  ``total_derivative_form`` is the one place a contact covector is
+raised, omega^sigma_J to omega^sigma_Ji; ``d_H`` and every trie sum go
+through it.  ``_cleared``
 clears the denominators of a family of forms, for the integer pipelines of
 ``interior_euler`` and ``lepage``; ``total_derivative_sum`` sums the d_J of
 a family of forms over the trie of the sorted J.
@@ -399,23 +402,22 @@ def total_derivative_sum(ctx: Context, parts: dict) -> Form:
 def d_H(rho: Form) -> Form:
     """Horizontal differential, sum over k of p_k d p_k: only that half of d.
 
-    Each term c w gives (d_i c) dx^i ^ w + c d(w), with d(dx^i) = 0 and
-    d(omega^sigma_J) = dx^j ^ omega^sigma_Jj; d(omega) keeps the contact
-    degree, and no jet-coordinate partial of c is taken.
+    d_H = sum over i of dx^i ^ d_i, with d_i the total derivative of forms
+    (``total_derivative_form``).  Each term c w gives (d_i c) dx^i ^ w + c d(w),
+    with d(dx^i) = 0 and d(omega^sigma_J) = dx^j ^ omega^sigma_Jj, and moving
+    that dx^j from the slot of omega^sigma_J to the front cancels the slot's
+    sign.  A term that already holds dx^i drops out of the i-th summand, so
+    only the others are differentiated.  d_H keeps the contact degree, and
+    no jet-coordinate partial of c is taken.
     """
     ctx = rho.ctx
     acc: dict = {}
-    for w, c in rho.terms.items():
-        for i in range(1, ctx.n + 1):
-            w1, sign = _insert(('dx', i), w)
-            if sign:
-                _add_terms(acc, w1, symexpr.total_derivative(c, i).terms, sign)
-        for t, cov in enumerate(w):
-            if cov[0] != 'w':
-                continue
-            for j in range(1, ctx.n + 1):
-                covs = w[:t] + (('dx', j), ('w', cov[1], tuple(sorted(cov[2] + (j,))))) + w[t + 1:]
-                _add_sorted(acc, covs, c.terms, 1 if t % 2 == 0 else -1)
+    for i in range(1, ctx.n + 1):
+        cov = ('dx', i)
+        part = Form(ctx, {w: c for w, c in rho.terms.items() if cov not in w})
+        for w, c in total_derivative_form(part, i).terms.items():
+            w1, sign = _insert(cov, w)
+            _add_terms(acc, w1, c.terms, sign)
     return _summed(ctx, acc)
 
 

@@ -44,8 +44,7 @@ from math import comb
 # GradingMismatch is re-exported for callers that import it from here
 from .forms import (Form, GradingMismatch, _add_into, _cleared, _summed,
                     codegree, contract_omega, ds_block, ds_parts, omega,
-                    p_k, total_derivative_form, total_derivative_form_multi,
-                    total_derivative_sum, wedge)
+                    p_k, total_derivative_form, total_derivative_sum, wedge)
 from .multiindex import signed_get, tuple_multiplicity
 from .symexpr import Scalar
 
@@ -247,22 +246,26 @@ def ibp_expand(rho: Form, k: int, eta: EtaDecomposition | None = None) -> XiFami
 
 
 def interior_euler(rho: Form, k: int) -> Form:
-    """I(rho) = (1/k) omega^sigma ^ sum_J (-1)^|J| d_J (dy^sigma_J _| p_k rho)."""
-    ctx = rho.ctx
-    part = p_k(rho, k)
+    """I(rho) = (1/k) omega^sigma ^ sum_J (-1)^|J| d_J (dy^sigma_J _| p_k rho).
+
+    The I = () term of the integration by parts.  For each sigma the
+    contractions (-1)^|J| dy^sigma_J _| p_k rho go into a {J: running sum}
+    map, whose d_J are summed over the trie of the sorted J
+    (``forms.total_derivative_sum``), one form total derivative per node;
+    the 1/k is applied once to the whole sum.
+    """
     if k < 1:
         raise ValueError("interior Euler operator needs contact degree k >= 1")
-    keys = _contact_keys(part)
-    out = Form.zero(ctx)
-    for sigma in sorted({sig for sig, _ in keys}):
-        acc = Form.zero(ctx)
-        for sig, J in keys:
-            if sig != sigma:
-                continue
-            inner = contract_omega(part, sigma, J)
-            acc = acc + total_derivative_form_multi(inner, J).scale(Fraction((-1) ** len(J)))
-        out = out + wedge(omega(ctx, sigma), acc)
-    return out.scale(Fraction(1, k))
+    ctx = rho.ctx
+    part = p_k(rho, k)
+    parts: dict = {}  # sigma -> J -> {wedge: {monomial: coefficient}}
+    for sigma, J in sorted(_contact_keys(part)):
+        _add_into(parts.setdefault(sigma, {}).setdefault(J, {}),
+                  contract_omega(part, sigma, J), -1 if len(J) % 2 else 1)
+    acc: dict = {}
+    for sigma, by_J in parts.items():
+        _add_into(acc, wedge(omega(ctx, sigma), total_derivative_sum(ctx, by_J)))
+    return _summed(ctx, acc).scale(Fraction(1, k))
 
 
 def residual(rho: Form, k: int, eta: EtaDecomposition | None = None) -> Form:

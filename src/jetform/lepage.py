@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from . import symexpr
 from .forms import (Context, Form, _add_terms, _cleared, _ds_wedge, _insert,
-                    _summed, d_C, exterior_d, p_k, volume, wedge_gradients)
+                    _summed, d_C, d_H, p_k, volume, wedge_gradients)
 from .interior_euler import eta_decompose, interior_euler, residual
 from .multiindex import tuple_multiplicity
 from .symexpr import Scalar
@@ -287,10 +287,10 @@ class LepageReport:
 def lepage_check(rho: Form, lam: Lagrangian) -> LepageReport:
     """Whether p_0(rho) is the Lagrangian and p_1(d rho) its source form.
 
-    d never lowers the contact degree, so p_1 d rho = p_1 d(p_0 rho + p_1 rho):
-    the higher contact parts are left out before differentiating.
+    d = d_H + d_C, d_H keeps the contact degree and d_C raises it by one, so
+    p_1 d rho = d_C p_0 rho + d_H p_1 rho: only those two halves are built.
     """
     rho0 = p_k(rho, 0)
     hdiff = rho0 - lam.form()
-    sdiff = p_k(exterior_d(rho0 + p_k(rho, 1)), 1) - euler_lagrange(lam)
+    sdiff = d_C(rho0) + d_H(p_k(rho, 1)) - euler_lagrange(lam)
     return LepageReport(hdiff.is_zero(), sdiff.is_zero(), hdiff, sdiff)

@@ -15,12 +15,9 @@ from .varmorph import VariationalMorphism
 
 
 def coordinate_pool(ctx: Context, order: int):
-    coords = [('x', i) for i in range(1, ctx.n + 1)]
-    for sigma in range(1, ctx.m + 1):
-        for k in range(order + 1):
-            for J in itertools.combinations_with_replacement(range(1, ctx.n + 1), k):
-                coords.append(('y', sigma, J))
-    return coords
+    return ([('x', i) for i in range(1, ctx.n + 1)]
+            + [('y', sigma, J) for sigma, J in itertools.product(
+                range(1, ctx.m + 1), symexpr.jet_keys(ctx.n, order))])
 
 
 def rand_scalar(rng, ctx: Context, order: int, degree: int = 2, terms: int = 2) -> Scalar:
@@ -38,10 +35,8 @@ def rand_scalar(rng, ctx: Context, order: int, degree: int = 2, terms: int = 2) 
 def rand_form(rng, ctx: Context, h: int, k: int, order: int,
               terms: int = 3, degree: int = 2) -> Form:
     """A random h-horizontal k-contact form with polynomial coefficients."""
-    omegas = [('w', sigma, J)
-              for sigma in range(1, ctx.m + 1)
-              for ln in range(order + 1)
-              for J in itertools.combinations_with_replacement(range(1, ctx.n + 1), ln)]
+    omegas = [('w', sigma, J) for sigma, J in itertools.product(
+        range(1, ctx.m + 1), symexpr.jet_keys(ctx.n, order))]
     out = Form.zero(ctx)
     for _ in range(terms):
         if len(omegas) < k:
@@ -63,13 +58,11 @@ def _symmetric_morphism(ctx: Context, s: int, r: int, coefficient) -> Variationa
     coeffs = {}
     for block in itertools.combinations(range(1, ctx.n + 1), s):
         for sigma in range(1, ctx.m + 1):
-            for h in range(r + 1):
-                for Js in itertools.combinations_with_replacement(
-                        range(1, ctx.n + 1), h):
-                    val = coefficient(block, sigma, h, Js)
-                    if not val.is_zero():
-                        for Jord in set(itertools.permutations(Js)):
-                            coeffs[(block, sigma, Jord)] = val
+            for Js in symexpr.jet_keys(ctx.n, r):
+                val = coefficient(block, sigma, len(Js), Js)
+                if not val.is_zero():
+                    for Jord in set(itertools.permutations(Js)):
+                        coeffs[(block, sigma, Jord)] = val
     return VariationalMorphism(ctx, s, coeffs)
 
 

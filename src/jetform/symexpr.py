@@ -172,10 +172,6 @@ class Scalar:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_terms(terms: dict) -> "Scalar":
-        return Scalar({m: c for m, c in terms.items() if c != 0})
-
-    @staticmethod
     def from_fraction(c) -> "Scalar":
         """The constant c (an int or a Fraction); integral values become int."""
         if not c:

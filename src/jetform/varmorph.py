@@ -17,8 +17,8 @@ two ways, at every rank and codegree: the split-like recurrence, which
 mirrors integration by parts, and the canonical splitting, whose parts are
 reduced (Kolar's representative, built one hook shape at a time).  They
 coincide at codegree 0 and at rank 1; ``alpha_discrepancy`` measures how far
-apart their boundary parts are elsewhere.  Both splittings, ``divergence``
-and ``is_reduced`` scatter stored coefficients rather than walk every
+apart their boundary parts are elsewhere.  Both splittings and
+``divergence`` scatter stored coefficients rather than walk every
 (block, sigma, J); one kernel, ``_antisymmetrized``, does the
 antisymmetrization over the block plus the first rank index that
 reducedness and both boundary parts are built from.  Sums, the pairing
@@ -79,9 +79,6 @@ class VariationalMorphism:
         else:
             self.coeffs[key] = value
 
-    def add(self, block, sigma: int, J, value: Scalar) -> None:
-        self.set(block, sigma, J, self.value(block, sigma, J) + value)
-
     def value(self, block, sigma: int, J) -> Scalar:
         """Signed coefficient lookup for an arbitrarily ordered block."""
         return signed_get(self.coeffs, block, (sigma, tuple(J)), Scalar.zero())
@@ -89,10 +86,6 @@ class VariationalMorphism:
     @property
     def rank(self) -> int:
         return max((len(J) for _, _, J in self.coeffs), default=0)
-
-    @property
-    def order(self) -> int:
-        return max((v.max_jet_order() for v in self.coeffs.values()), default=0)
 
     def _plus(self, other: "VariationalMorphism", c: int) -> "VariationalMorphism":
         """self + c other."""
@@ -229,11 +222,6 @@ def _antisymmetrized(V: VariationalMorphism, h: int | None = None) -> Variationa
         w = Fraction(-1 if (s - p) % 2 else 1, s + 1)
         _add_terms(acc, (b[:p] + J[:1] + b[p:], sigma, J[1:]), c.terms, w)
     return _morphism(V.ctx, s + 1, acc)
-
-
-def is_reduced(V: VariationalMorphism) -> bool:
-    """Whether V vanishes under block + first-rank-index antisymmetrization."""
-    return _antisymmetrized(V).is_zero()
 
 
 # -- the split-like algorithm -------------------------------------------------

@@ -7,7 +7,8 @@ decomposition and of reducedness that look up ``antisym_value`` at every
 (block, sigma, J).  ``antisym_value`` walks all (s+1)! signed orderings of
 the block plus the moved indices.  They share nothing with the library's
 scatters over stored coefficients beyond the morphism storage, so
-comparing the two checks the scatters.
+comparing the two checks the scatters.  ``is_reduced`` is the reducedness
+test through the library's kernel, which ``is_reduced_grid`` checks.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from fractions import Fraction
 from jetform import symexpr
 from jetform.multiindex import sort_with_sign
 from jetform.symexpr import Scalar
-from jetform.varmorph import SplitResult, VariationalMorphism
+from jetform.varmorph import SplitResult, VariationalMorphism, _antisymmetrized
 
 
 def signed_permutations(seq):
@@ -169,3 +170,8 @@ def is_reduced_grid(V: VariationalMorphism) -> bool:
                     if not antisym_value(V, block + (J[0],), sigma, J[1:]).is_zero():
                         return False
     return True
+
+
+def is_reduced(V: VariationalMorphism) -> bool:
+    """Whether V vanishes under block + first-rank-index antisymmetrization."""
+    return _antisymmetrized(V).is_zero()

@@ -350,6 +350,19 @@ def test_cli_failed_self_check_is_internal_error_3(monkeypatch, module, name,
     assert err.startswith("internal error: ") and message in err
 
 
+@pytest.mark.parametrize("flags", [["--order", "1", "u_x*v_y^2"],
+                                   ["--order", "2", "--variant", "plain", "u_xx*v_y^2"]])
+def test_cli_kb_failed_cross_check_is_internal_error_3(monkeypatch, flags):
+    # a terminal without the contact corrections disagrees with the closed form
+    monkeypatch.setattr(cli, "rossi_recurrence",
+                        lambda lam: lepage.LepageChain([lam.form()]))
+    code, out, err = run_cli(["kb", "--base-dim", "2", "--fiber-dim", "2"] + flags)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: recurrence and closed form disagree; "
+                          "smallest differing term: rebuilt ")
+
+
 def test_cli_kb_runs_the_recurrence_only_to_cross_check(monkeypatch):
     calls = []
     real = cli.rossi_recurrence

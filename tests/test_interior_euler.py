@@ -16,7 +16,8 @@ from jetform.interior_euler import (ExpansionMismatch, RecompositionFailure,
 from jetform.randomgen import rand_form
 from jetform.verify import _gathered_chi
 from jetform.symexpr import Scalar
-from form_oracles import chi_antisym, split_lower, wedge_all
+from form_oracles import (chi_antisym, degree_grid, interior_euler_chain,
+                          split_lower, wedge_all)
 
 CTX1 = Context(n=1, m=1)
 
@@ -148,6 +149,17 @@ def test_ieuler_fixed_point_without_derivatives():
 def test_ieuler_free_particle():
     got = interior_euler(free_particle(), 1)
     assert got == wedge(omega(CTX1, 1), dx(CTX1, 1)).scale(-se.y(1, 1, 1))
+
+
+def test_ieuler_is_the_per_J_chain():
+    # n <= 4, every horizontal degree, contact degree 0-3, k = 1-3
+    nonzero = {1: 0, 2: 0, 3: 0}
+    for rho in degree_grid(31):
+        for k in nonzero:
+            got = interior_euler(rho, k)
+            assert got == interior_euler_chain(rho, k)
+            nonzero[k] += not got.is_zero()
+    assert min(nonzero.values()) >= 10
 
 
 def test_ieuler_kills_dH_of_contact_forms():

@@ -12,14 +12,13 @@ from jetform.randomgen import generic_morphism, rand_morphism, rand_scalar
 from jetform.symexpr import Scalar
 from jetform.varmorph import (NotOneContact, VariationalMorphism,
                               alpha_discrepancy, divergence, formal_field,
-                              from_contact_form, is_reduced,
-                              split_canonical_codegree_s, split_like,
-                              to_contact_form, vertical_field)
+                              from_contact_form, split_canonical_codegree_s,
+                              split_like, to_contact_form, vertical_field)
 from jetform.verify import _alpha_display
 from form_oracles import split_lower
 from splitting_oracles import (antisym_value, canonical_rank1,
-                               canonical_rank2_codegree1, is_reduced_grid,
-                               split_like_grid)
+                               canonical_rank2_codegree1, is_reduced,
+                               is_reduced_grid, split_like_grid)
 
 
 # -- the form <-> morphism correspondence ------------------------------------------
@@ -267,13 +266,18 @@ def test_split_like_agrees_with_form_level_split():
         assert d_H(res.boundary.evaluate(xi)) == contract_prolonged(boundary, xi)
 
 
+def _add(V, block, sigma, J, value):
+    """V^{block sigma J} += value."""
+    V.set(block, sigma, J, V.value(block, sigma, J) + value)
+
+
 def _sparse_morphism(rng, ctx, s, r, count=6):
     """A few coefficients at random (block, sigma, ordered J): not symmetric."""
     V = VariationalMorphism(ctx, s)
     for _ in range(count):
         block = tuple(sorted(rng.sample(range(1, ctx.n + 1), s)))
         J = tuple(rng.randint(1, ctx.n) for _ in range(rng.randint(0, r)))
-        V.add(block, rng.randint(1, ctx.m), J, rand_scalar(rng, ctx, 1, degree=2, terms=2))
+        _add(V, block, rng.randint(1, ctx.m), J, rand_scalar(rng, ctx, 1, degree=2, terms=2))
     return V
 
 
@@ -497,7 +501,7 @@ def test_alpha_vanishes_for_fully_symmetric_coefficients():
         for h in range(3):
             for Js in itertools.product(range(1, 3), repeat=h):
                 key = tuple(sorted((i,) + Js))
-                V.add((i,), 1, Js, se.opaque("S", (h,) + key, n=2, m=1, order=-1))
+                V.set((i,), 1, Js, se.opaque("S", (h,) + key, n=2, m=1, order=-1))
     alpha, dalpha = alpha_discrepancy(V)
     assert alpha.is_zero()
     assert dalpha.is_zero()
