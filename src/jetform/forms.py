@@ -445,9 +445,9 @@ def wedge_gradients(ctx: Context, grads: dict) -> Form:
 
 # -- contractions ---------------------------------------------------------------
 
-def contract_omega(rho: Form, sigma: int, J) -> Form:
-    """Formal interior product with the vector dual to omega^sigma_J."""
-    cov = ('w', sigma, tuple(sorted(J)))
+def _contract(rho: Form, cov) -> Form:
+    """Formal interior product with the vector dual to the basis covector
+    cov, signed (-1)^t for cov at slot t; iota_a is cov = ('dx', a)."""
     # distinct wedges holding cov stay distinct without it: no sum to run
     out = {}
     for w, c in rho.terms.items():
@@ -455,6 +455,11 @@ def contract_omega(rho: Form, sigma: int, J) -> Form:
             t = w.index(cov)
             out[w[:t] + w[t + 1:]] = c if t % 2 == 0 else -c
     return Form(rho.ctx, out)
+
+
+def contract_omega(rho: Form, sigma: int, J) -> Form:
+    """Formal interior product with the vector dual to omega^sigma_J."""
+    return _contract(rho, ('w', sigma, tuple(sorted(J))))
 
 
 def contract_prolonged(rho: Form, xi: dict) -> Form:

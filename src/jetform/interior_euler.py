@@ -19,10 +19,10 @@ The pipeline shared by every operator here:
    The exactness self-check rebuilds D p_k rho as the sum over sorted I of
    d_I(omega ^ D mult(I) xi^I) by Horner's rule over the trie of the I
    (``forms.total_derivative_sum``), one form total derivative per node;
-3. recast each omega^sigma ^ xi^I_sigma as chi^{i_1..i_s I} ^ ds_{i_1..i_s}
-   and assemble the residual operator from the chi family, its total
-   derivatives again summed over a trie; one operator serves every
-   codegree s, the top forms being s = 0.
+3. assemble the residual operator from the xi family by the contraction
+   iota_a dual to dx^a (``_residual``), its total derivatives again summed
+   over a trie; one operator serves every codegree s, the top forms being
+   s = 0.
 
 Multi-index sums follow the ordered-tuple convention; eta is stored per
 sorted key (the basis coefficient), and mult(J) = ``tuple_multiplicity(J)``
@@ -42,9 +42,9 @@ from functools import cached_property
 from math import comb
 
 # GradingMismatch is re-exported for callers that import it from here
-from .forms import (Form, GradingMismatch, _add_into, _cleared, _summed,
-                    codegree, contract_omega, ds_block, ds_parts, omega,
-                    p_k, total_derivative_form, total_derivative_sum, wedge)
+from .forms import (Form, GradingMismatch, _add_into, _cleared, _contract,
+                    _summed, codegree, contract_omega, ds_parts, omega, p_k,
+                    total_derivative_form, total_derivative_sum, wedge)
 from .multiindex import signed_get, tuple_multiplicity
 from .symexpr import Scalar
 
@@ -93,11 +93,6 @@ class EtaDecomposition:
             _add_into(acc, wedge(omega(self.ctx, sigma, *J), eta))
         return _summed(self.ctx, acc)
 
-    @property
-    def denominator(self) -> int:
-        """D, the lcm of the denominators of every eta coefficient."""
-        return _cleared(self.etas.values())[0]
-
 
 def _contact_keys(part: Form) -> set:
     """The (sigma, J) of every contact covector omega^sigma_J in a form."""
@@ -128,22 +123,22 @@ def eta_decompose(rho: Form, k: int, etas: dict | None = None) -> EtaDecompositi
     if got != part:
         raise RecompositionFailure(
             f"eta family does not recompose p_k rho (k={k}, s={s}, "
-            f"D={dec.denominator}); {_smallest_difference(got, part)}")
+            f"D={_cleared(etas.values())[0]}); {_smallest_difference(got, part)}")
     return dec
 
 
 @dataclass
 class XiFamily:
-    """The telescoped family on integers, and its ds-extraction.
+    """The telescoped family on integers, and views of it.
 
-    ``int_xi`` maps (sigma, I sorted) to D mult(I) xi^I_sigma and
-    ``int_chi`` maps (block strictly increasing, I sorted) to
-    D mult(I) chi^{block, I}, a k-contact k-form; every coefficient of both
-    is an int, and ``denominator`` is D.  ``xi`` and ``chi`` are the same
-    families in the ordered convention of the module docstring, divided
-    back once on first read; the residual reads the integer ones.
-    ``chi_at`` is signed in its block, so an antisymmetrization over the
-    block plus one index is s+1 lookups (``verify.check_prop_div``).
+    ``int_xi`` maps (sigma, I sorted) to D mult(I) xi^I_sigma, every
+    coefficient an int, with D = ``denominator``; the residual reads only
+    it.  Built on first read, ``xi`` is the family in the ordered convention
+    of the module docstring and ``chi`` maps (block strictly increasing,
+    I sorted) to the k-contact k-forms with omega^sigma ^ xi^I_sigma = sum
+    of chi^{block, I} ^ ds_block (``forms.ds_parts``).  ``chi_at`` is signed
+    in its block, so an antisymmetrization over the block plus one index is
+    s+1 lookups (``verify.check_prop_div``).
     """
 
     ctx: object
@@ -152,19 +147,20 @@ class XiFamily:
     r: int
     denominator: int
     int_xi: dict
-    int_chi: dict
-
-    def _divided(self, family: dict) -> dict:
-        return {key: f.scale(Fraction(1, self.denominator * tuple_multiplicity(key[1])))
-                for key, f in family.items()}
 
     @cached_property
     def xi(self) -> dict:
-        return self._divided(self.int_xi)
+        return {key: f.scale(Fraction(1, self.denominator * tuple_multiplicity(key[1])))
+                for key, f in self.int_xi.items()}
 
     @cached_property
     def chi(self) -> dict:
-        return self._divided(self.int_chi)
+        acc: dict = {}
+        for (sigma, I), x in self.xi.items():
+            if I:
+                for block, part in ds_parts(wedge(omega(self.ctx, sigma), x)).items():
+                    _add_into(acc.setdefault((block, I), {}), part)
+        return {key: f for key, v in acc.items() if not (f := _summed(self.ctx, v)).is_zero()}
 
     def chi_at(self, block, M_sorted) -> Form:
         """Signed chi lookup for an arbitrarily ordered block."""
@@ -210,7 +206,7 @@ def _telescope(acc: dict, sigma: int, K: tuple, eta: Form) -> None:
 
 
 def ibp_expand(rho: Form, k: int, eta: EtaDecomposition | None = None) -> XiFamily:
-    """Build the integer xi/chi families with the exactness identity verified."""
+    """Build the integer xi family with the exactness identity verified."""
     ctx = rho.ctx
     dec = eta if eta is not None else eta_decompose(rho, k)
     D, cleared = _cleared(dec.etas.values())
@@ -228,21 +224,14 @@ def ibp_expand(rho: Form, k: int, eta: EtaDecomposition | None = None) -> XiFami
     # exactness on the stored family: sum over sorted I of
     # d_I(omega ^ D mult(I) xi^I) rebuilds D p_k rho
     parts: dict = {}
-    int_chi: dict = {}
     for (sigma, I), x in int_xi.items():
-        term = wedge(omega(ctx, sigma), x)
-        _add_into(parts.setdefault(I, {}), term)
-        if I:
-            for block, part in ds_parts(term).items():
-                _add_into(int_chi.setdefault((block, I), {}), part)
+        _add_into(parts.setdefault(I, {}), wedge(omega(ctx, sigma), x))
     got, want = total_derivative_sum(ctx, parts), p_k(rho, k)
     if not _is_multiple(got, want, D):
         raise ExpansionMismatch(
             f"xi telescoping does not rebuild p_k rho (k={k}, s={dec.s}, D={D}); "
             f"{_smallest_difference(got.scale(Fraction(1, D)), want)}")
-
-    int_chi = {key: f for key, v in int_chi.items() if not (f := _summed(ctx, v)).is_zero()}
-    return XiFamily(ctx, k, dec.s, dec.r, D, int_xi, int_chi)
+    return XiFamily(ctx, k, dec.s, dec.r, D, int_xi)
 
 
 def interior_euler(rho: Form, k: int) -> Form:
@@ -271,11 +260,12 @@ def interior_euler(rho: Form, k: int) -> Form:
 def residual(rho: Form, k: int, eta: EtaDecomposition | None = None) -> Form:
     """Residual operator for (n-s)-horizontal k-contact (n-s+k)-forms.
 
-    The codegree s is read off p_k rho and the factor is (-1)^k/(s+1).  At
-    s = 0 this is the top-form residual: for k = 1 the single minus sign
-    of the top-form construction, and what the k-contact decomposition
-    p_k rho = I(rho) + p_k d p_k R(rho) requires for k >= 2.  A target
-    block longer than n vanishes.
+    With the codegree s read off p_k rho, sums over ordered M and b,
+    R(rho) = (-1)^k/(s+1) d_{M[1:]} chi^{b M} ^ ds_{b M[0]}
+           = 1/(s+1) d_{M[1:]} iota_{M[0]}(omega^sigma ^ xi^M_sigma)
+    (the proof is at ``_residual``).  At s = 0 this is the top-form
+    residual: for k = 1 the single minus sign of the top-form construction,
+    and what p_k rho = I(rho) + p_k d p_k R(rho) requires for k >= 2.
     """
     if k < 1:
         raise ValueError("residual operator needs contact degree k >= 1")
@@ -283,31 +273,31 @@ def residual(rho: Form, k: int, eta: EtaDecomposition | None = None) -> Form:
 
 
 def _residual(fam: XiFamily) -> Form:
-    """(-1)^k/(s+1) times the sum over ordered M of d_{M[1:]} chi^{block, M}
-    ^ ds_{block M[0]}.
+    """The contraction form of ``residual``, on the integer xi family.
 
-    Total derivatives commute and kill ds, so the orderings M of one sorted
-    Ms with the same first index a give one term mult(Ms - a)
-    d_{Ms - a}(chi^{block, Ms} ^ ds_{block a}), and the d_I are summed over
-    the trie of the sorted I = Ms - a.  The sum runs on the integer chi
-    family, with each 1/(D mult(Ms)) cleared by L, the lcm of every
-    mult(Ms); the one rational step is the final scaling by
-    (-1)^k/((s+1) D L).
+    iota_a, dual to dx^a, is an antiderivation that kills the k-contact
+    chi^{b M} and takes ds_b to ds_{b a}, so chi ^ ds_{b a} =
+    (-1)^k iota_a(chi ^ ds_b), and the sum over b of chi^{b M} ^ ds_b is
+    omega^sigma ^ xi^M_sigma.  Total derivatives commute with iota_a, so
+    the orderings M of one sorted Ms with first index a give one term
+    mult(Ms - a) d_{Ms - a} iota_a(omega^sigma ^ xi^Ms_sigma), summed over
+    the trie of the I = Ms - a.  Each 1/(D mult(Ms)) is cleared by L, the
+    lcm of every mult(Ms); the one rational step is the final scaling by
+    1/((s+1) D L).
     """
     ctx = fam.ctx
-    L = math.lcm(*{tuple_multiplicity(Ms) for _, Ms in fam.int_chi})
+    L = math.lcm(*{tuple_multiplicity(Ms) for _, Ms in fam.int_xi})
     parts: dict = {}
-    for (block, Ms), val in fam.int_chi.items():
+    for (sigma, Ms), x in fam.int_xi.items():
+        if not Ms:
+            continue
+        term = wedge(omega(ctx, sigma), x)
         weight = L // tuple_multiplicity(Ms)
         for t, a in enumerate(Ms):
             if t and Ms[t - 1] == a:
                 continue
-            target = ds_block(ctx, block + (a,))
-            if target.is_zero():
-                continue
             I = Ms[:t] + Ms[t + 1:]
-            _add_into(parts.setdefault(I, {}), wedge(val, target),
+            _add_into(parts.setdefault(I, {}), _contract(term, ('dx', a)),
                       weight * tuple_multiplicity(I))
-    factor = Fraction((-1) ** fam.k, (fam.s + 1) * fam.denominator * L)
+    factor = Fraction(1, (fam.s + 1) * fam.denominator * L)
     return total_derivative_sum(ctx, parts).scale(factor)
-

@@ -227,6 +227,8 @@ def _closed_equivalent(lam: Lagrangian, slots: tuple) -> Form:
             for pairs in itertools.product(slot_pairs, repeat=q - 1):
                 plain = tuple(('w', sigma, ()) for sigma, _ in pairs)
                 for i, lead, base in leads:
+                    if len({*plain, lead}) <= len(plain):
+                        continue  # a repeated omega wedges to zero: take no partial
                     horiz, sign = _ds_wedge(n, tuple(k for _, k in pairs) + (i,))
                     if not sign:
                         continue

@@ -6,6 +6,7 @@ is driven by a caller-owned random.Random so runs are reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import symexpr
@@ -14,10 +15,11 @@ from .symexpr import Scalar
 from .varmorph import VariationalMorphism
 
 
-def coordinate_pool(ctx: Context, order: int):
-    return ([('x', i) for i in range(1, ctx.n + 1)]
-            + [('y', sigma, J) for sigma, J in itertools.product(
-                range(1, ctx.m + 1), symexpr.jet_keys(ctx.n, order))])
+@functools.cache  # pure in (ctx, order), and every draw asks for it
+def coordinate_pool(ctx: Context, order: int) -> tuple:
+    return (tuple(('x', i) for i in range(1, ctx.n + 1))
+            + tuple(('y', sigma, J) for sigma, J in itertools.product(
+                range(1, ctx.m + 1), symexpr.jet_keys(ctx.n, order))))
 
 
 def rand_scalar(rng, ctx: Context, order: int, degree: int = 2, terms: int = 2) -> Scalar:
@@ -37,15 +39,14 @@ def rand_form(rng, ctx: Context, h: int, k: int, order: int,
     """A random h-horizontal k-contact form with polynomial coefficients."""
     omegas = [('w', sigma, J) for sigma, J in itertools.product(
         range(1, ctx.m + 1), symexpr.jet_keys(ctx.n, order))]
-    out = Form.zero(ctx)
+    pairs = []
     for _ in range(terms):
         if len(omegas) < k:
             break
         dxs = [('dx', i) for i in sorted(rng.sample(range(1, ctx.n + 1), h))]
         ws = rng.sample(omegas, k)
-        out = out + Form.from_terms(
-            ctx, [(dxs + ws, rand_scalar(rng, ctx, order, degree=degree))])
-    return out
+        pairs.append((dxs + ws, rand_scalar(rng, ctx, order, degree=degree)))
+    return Form.from_terms(ctx, pairs)
 
 
 def _symmetric_morphism(ctx: Context, s: int, r: int, coefficient) -> VariationalMorphism:

@@ -13,8 +13,8 @@ import random
 from fractions import Fraction
 
 from . import randomgen, symexpr, varmorph
-from .forms import (Context, Form, contract_prolonged, d_H, ds_block,
-                    exterior_d, omega, p_k, total_derivative_form_multi, wedge)
+from .forms import (Context, Form, contract_prolonged, d_H, ds_block, omega,
+                    p_k, total_derivative_form_multi, wedge)
 from .interior_euler import (_smallest_difference, ibp_expand, interior_euler,
                              residual)
 from .lepage import (Lagrangian, generic_lagrangian, kb_second_order,
@@ -44,7 +44,7 @@ def check_eq32(seed: int, n: int = 2, m: int = 2, trials: int = 4) -> tuple:
         I = interior_euler(rho, k)
         R = residual(rho, k)
         lhs = p_k(rho, k)
-        rhs = I + p_k(exterior_d(p_k(R, k)), k)
+        rhs = I + d_H(p_k(R, k))  # = p_k d p_k R: d_H keeps the contact degree
         diffs.append((f"trial {t} (n={nn},m={mm},k={k},r={r})", lhs - rhs))
     return _report(diffs)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from jetform import symexpr as se
-from jetform.forms import (Context, Form, GradingMismatch, codegree,
+from jetform.forms import (Context, Form, GradingMismatch, _contract, codegree,
                            contract_prolonged, d_C, d_H, dx, ds_block,
                            ds_parts, exterior_d, omega, p_k, to_contact_basis,
                            total_derivative_form, total_derivative_form_multi,
@@ -113,6 +113,21 @@ def test_ds_parts_roundtrip():
             assert part.degrees() <= {(0, k) for k in range(3)}
             rebuilt = rebuilt + wedge(part, ds_block(ctx, block))
         assert rebuilt == rho
+
+
+def test_iota_a_extends_the_ds_block_past_a_pure_contact_factor():
+    """chi ^ ds_{b a} = (-1)^k iota_a(chi ^ ds_b) for a k-contact k-form chi,
+    the identity the residual operator rests on; a in b gives 0 on both sides."""
+    rng = random.Random(17)
+    for n in range(1, 5):
+        ctx = Context(n=n, m=2)
+        for k in range(4):
+            chi = rand_form(rng, ctx, 0, k, 1)
+            for length in range(n + 1):
+                for b in itertools.permutations(range(1, n + 1), length):
+                    for a in range(1, n + 1):
+                        iota = _contract(wedge(chi, ds_block(ctx, b)), ('dx', a))
+                        assert wedge(chi, ds_block(ctx, b + (a,))) == iota.scale((-1) ** k)
 
 
 # -- contact basis and grading ------------------------------------------------------

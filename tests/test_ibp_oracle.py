@@ -4,7 +4,8 @@
 code, kept here as a reference only: they sum over ordered multi-indices
 J, divide each eta by its tuple multiplicity first, and carry Fraction
 coefficients throughout.  The engine's ordered-convention views must
-equal them, and so must its residual.
+equal them, and so must its residual, which the engine reads off the xi
+family by a contraction and never through chi.
 """
 
 import itertools
@@ -21,6 +22,8 @@ from jetform.forms import (Context, Form, ds_block, ds_parts, omega, p_k,
 from jetform.interior_euler import eta_decompose, ibp_expand, residual
 from jetform.multiindex import tuple_multiplicity
 from jetform.randomgen import rand_form
+
+from form_oracles import degree_grid
 
 
 def reference_xi_chi(rho: Form, k: int):
@@ -69,16 +72,36 @@ def reference_residual(ctx, k: int, s: int, chi: dict) -> Form:
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3), m=st.integers(1, 2),
-       k=st.sampled_from([1, 2]), r=st.integers(0, 2), s=st.sampled_from([0, 1]),
-       weight=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]))
-def test_integer_telescope_matches_the_ordered_fraction_reference(seed, n, m, k, r, s, weight):
-    assume(s <= n)
+@given(data=st.data(), seed=st.integers(0, 2 ** 16), n=st.integers(1, 4), m=st.integers(1, 2),
+       k=st.integers(1, 3), r=st.integers(0, 2),
+       weight=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]),
+       opaque_order=st.sampled_from([None, 0, 1, 2]))
+def test_integer_telescope_matches_the_ordered_fraction_reference(data, seed, n, m, k, r,
+                                                                  weight, opaque_order):
+    s = data.draw(st.integers(0, n), label="s")
     ctx = Context(n=n, m=m)
-    rho = rand_form(random.Random(seed), ctx, n - s, k, r).scale(se.rational(weight))
+    factor = se.rational(weight)
+    if opaque_order is not None:
+        factor = factor * se.opaque("F", n=n, m=m, order=opaque_order)
+    rho = rand_form(random.Random(seed), ctx, n - s, k, r).scale(factor)
     assume(not p_k(rho, k).is_zero())
+    _assert_matches_reference(rho, k)
+
+
+def test_integer_telescope_matches_the_reference_on_the_degree_grid():
+    """Every contact degree 1-3 and codegree at n <= 4, jet order <= 3."""
+    checked = 0
+    for rho in degree_grid(0):
+        k = rho.contact_degree()
+        if k:
+            _assert_matches_reference(rho, k)
+            checked += 1
+    assert checked > 60
+
+
+def _assert_matches_reference(rho: Form, k: int) -> None:
     xi, chi, s_read = reference_xi_chi(rho, k)
     fam = ibp_expand(rho, k)
     assert fam.xi == xi
     assert fam.chi == chi
-    assert residual(rho, k) == reference_residual(ctx, k, s_read, chi)
+    assert residual(rho, k) == reference_residual(rho.ctx, k, s_read, chi)

@@ -90,9 +90,8 @@ def test_stored_family_is_int_when_eta_has_denominators_2_and_3():
     fam = ibp_expand(rho, 1)
     assert fam.denominator == 6
     assert {I for _, I in fam.int_xi} == {(), (1,), (2,), (1, 2)}
-    assert {I for _, I in fam.int_chi} == {(1,), (2,), (1, 2)}
-    coeffs = [v for family in (fam.int_xi, fam.int_chi) for f in family.values()
-              for c in f.terms.values() for v in c.terms.values()]
+    assert {I for _, I in fam.chi} == {(1,), (2,), (1, 2)}
+    coeffs = [v for f in fam.int_xi.values() for c in f.terms.values() for v in c.terms.values()]
     assert coeffs and all(type(v) is int for v in coeffs)
     # the views divide back by D mult(I): eta^{12} is stored per sorted key
     assert fam.xi[(1, (1, 2))] == volume(ctx).scale(se.rational(1, 6) * se.y(1, 1))
