@@ -18,11 +18,15 @@ The pipeline shared by every operator here:
    until the residual.  D and the cleared etas come from ``forms._cleared``.
    The exactness self-check rebuilds D p_k rho as the sum over sorted I of
    d_I(omega ^ D mult(I) xi^I) by Horner's rule over the trie of the I
-   (``forms.total_derivative_sum``), one form total derivative per node;
+   (``forms.total_derivative_sum``), one form total derivative per node.
+   The telescope and the rebuild run in a ``symexpr._formal_scope``: each
+   d_I of an opaque atom f stays one formal atom D_I f, so the stored
+   family is formal, and the rebuilt form is expanded to the chain-rule
+   normal form before it is compared with D p_k rho;
 3. assemble the residual operator from the xi family by the contraction
    iota_a dual to dx^a (``_residual``), its total derivatives again summed
-   over a trie; one operator serves every codegree s, the top forms being
-   s = 0.
+   over a trie, formally, and expanded once before the final scaling; one
+   operator serves every codegree s, the top forms being s = 0.
 
 Multi-index sums follow the ordered-tuple convention; eta is stored per
 sorted key (the basis coefficient), and mult(J) = ``tuple_multiplicity(J)``
@@ -46,7 +50,7 @@ from .forms import (Form, GradingMismatch, _add_into, _cleared, _contract,
                     _summed, codegree, contract_omega, ds_parts, omega, p_k,
                     total_derivative_form, total_derivative_sum, wedge)
 from .multiindex import signed_get, tuple_multiplicity
-from .symexpr import Scalar
+from .symexpr import Scalar, _formal_scope, _memo_scope, expand
 
 
 class RecompositionFailure(AssertionError):
@@ -131,9 +135,12 @@ def eta_decompose(rho: Form, k: int, etas: dict | None = None) -> EtaDecompositi
 class XiFamily:
     """The telescoped family on integers, and views of it.
 
-    ``int_xi`` maps (sigma, I sorted) to D mult(I) xi^I_sigma, every
-    coefficient an int, with D = ``denominator``; the residual reads only
-    it.  Built on first read, ``xi`` is the family in the ordered convention
+    ``int_xi`` is the formal integer family: it maps (sigma, I sorted) to
+    D mult(I) xi^I_sigma, every coefficient an int, with D =
+    ``denominator``, and its coefficients may hold formal atoms D_I f
+    (``symexpr``), so a form in it may expand to zero.  Only the residual
+    reads it.  Built on first read and expanded, with the entries that
+    expand to zero dropped, ``xi`` is the family in the ordered convention
     of the module docstring and ``chi`` maps (block strictly increasing,
     I sorted) to the k-contact k-forms with omega^sigma ^ xi^I_sigma = sum
     of chi^{block, I} ^ ds_block (``forms.ds_parts``).  ``chi_at`` is signed
@@ -150,8 +157,10 @@ class XiFamily:
 
     @cached_property
     def xi(self) -> dict:
+        with _memo_scope():  # one memo of expansions for the whole family
+            expanded = {key: _expanded(f) for key, f in self.int_xi.items()}
         return {key: f.scale(Fraction(1, self.denominator * tuple_multiplicity(key[1])))
-                for key, f in self.int_xi.items()}
+                for key, f in expanded.items() if not f.is_zero()}
 
     @cached_property
     def chi(self) -> dict:
@@ -165,6 +174,12 @@ class XiFamily:
     def chi_at(self, block, M_sorted) -> Form:
         """Signed chi lookup for an arbitrarily ordered block."""
         return signed_get(self.chi, block, (M_sorted,), Form.zero(self.ctx))
+
+
+def _expanded(rho: Form) -> Form:
+    """rho with every formal atom expanded (``symexpr.expand``)."""
+    return Form(rho.ctx, {w: c for w, s in rho.terms.items()
+                          if not (c := expand(s)).is_zero()})
 
 
 def _is_multiple(got: Form, want: Form, D: int) -> bool:
@@ -211,22 +226,25 @@ def ibp_expand(rho: Form, k: int, eta: EtaDecomposition | None = None) -> XiFami
     dec = eta if eta is not None else eta_decompose(rho, k)
     D, cleared = _cleared(dec.etas.values())
 
-    acc: dict = {}
-    for (sigma, K), eta_K in zip(dec.etas, cleared):
-        _telescope(acc, sigma, K, eta_K)
-    int_xi = {}
-    for key in list(acc):
-        # popped, so each bucket dies as soon as its form is made
-        x = _summed(ctx, acc.pop(key))
-        if not x.is_zero():
-            int_xi[key] = x
+    with _formal_scope():
+        acc: dict = {}
+        for (sigma, K), eta_K in zip(dec.etas, cleared):
+            _telescope(acc, sigma, K, eta_K)
+        int_xi = {}
+        for key in list(acc):
+            # popped, so each bucket dies as soon as its form is made; a
+            # formal zero is a zero, a formal nonzero may expand to zero
+            x = _summed(ctx, acc.pop(key))
+            if not x.is_zero():
+                int_xi[key] = x
 
-    # exactness on the stored family: sum over sorted I of
-    # d_I(omega ^ D mult(I) xi^I) rebuilds D p_k rho
-    parts: dict = {}
-    for (sigma, I), x in int_xi.items():
-        _add_into(parts.setdefault(I, {}), wedge(omega(ctx, sigma), x))
-    got, want = total_derivative_sum(ctx, parts), p_k(rho, k)
+        # exactness on the stored family: sum over sorted I of
+        # d_I(omega ^ D mult(I) xi^I) rebuilds D p_k rho
+        parts: dict = {}
+        for (sigma, I), x in int_xi.items():
+            _add_into(parts.setdefault(I, {}), wedge(omega(ctx, sigma), x))
+        got = _expanded(total_derivative_sum(ctx, parts))
+    want = p_k(rho, k)
     if not _is_multiple(got, want, D):
         raise ExpansionMismatch(
             f"xi telescoping does not rebuild p_k rho (k={k}, s={dec.s}, D={D}); "
@@ -283,7 +301,9 @@ def _residual(fam: XiFamily) -> Form:
     mult(Ms - a) d_{Ms - a} iota_a(omega^sigma ^ xi^Ms_sigma), summed over
     the trie of the I = Ms - a.  Each 1/(D mult(Ms)) is cleared by L, the
     lcm of every mult(Ms); the one rational step is the final scaling by
-    1/((s+1) D L).
+    1/((s+1) D L).  L cancels in it, so a formal key whose form expands to
+    zero changes nothing.  The trie sum runs formally and is expanded once,
+    before the scaling.
     """
     ctx = fam.ctx
     L = math.lcm(*{tuple_multiplicity(Ms) for _, Ms in fam.int_xi})
@@ -300,4 +320,6 @@ def _residual(fam: XiFamily) -> Form:
             _add_into(parts.setdefault(I, {}), _contract(term, ('dx', a)),
                       weight * tuple_multiplicity(I))
     factor = Fraction(1, (fam.s + 1) * fam.denominator * L)
-    return total_derivative_sum(ctx, parts).scale(factor)
+    with _formal_scope():
+        total = _expanded(total_derivative_sum(ctx, parts))
+    return total.scale(factor)

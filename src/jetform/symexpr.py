@@ -7,11 +7,13 @@ depend on which one a coefficient happens to be; the constructors store
 integral constants as ``int``, but arithmetic may leave an integral value
 as a ``Fraction`` (``rational(1, 2) * 2`` stores ``Fraction(1, 1)``).  A
 monomial is a tuple of (atom, exponent) pairs.  An atom is an ``Atom``,
-made from its key tuple by ``atom(key)``; three kinds of keys exist:
+made from its key tuple by ``atom(key)``; four kinds of keys exist:
 
 * ``('x', i)``             -- base coordinate x^i, 1 <= i <= n
 * ``('y', sigma, J)``      -- jet coordinate y^sigma_J, J a sorted tuple
 * ``('f', name, idx, n, m, order, partials)`` -- opaque function symbol
+* ``('g', f, I)``          -- formal total derivative D_I f of the opaque
+  symbol with key f, I a sorted nonempty tuple (see below)
 
 Atoms are interned: while an atom is alive, ``atom(key)`` returns that one
 object, so atoms compare and hash by identity and no monomial lookup
@@ -48,6 +50,20 @@ the jet coordinates of an opaque shape (n, m, order).  ``_memo_scope``
 opens both memos, nested scopes reuse the outer ones, and the outermost
 scope drops them in ``finally``: no entry outlives the call, so nothing is
 carried from one input to the next.
+
+Inside a ``_formal_scope`` the total derivative of an opaque atom skips
+the chain rule: d_i f is the one formal atom D_i f, and d_i D_I f is
+D_{I+i} f.  The integration-by-parts telescope and the residual in
+``interior_euler`` run there, where most of what the chain rule would build
+cancels.  Formal and chain-rule atoms are not algebraically independent
+(D_i f is a sum of labelled partials), so a formal zero is a zero but a
+formal nonzero proves nothing; ``expand`` turns every D_I f back into the
+chain-rule normal form before anything is compared or handed out, so no
+formal atom leaves ``interior_euler``.  Expanding is a ring homomorphism
+that commutes with d_i, so it gives exactly the chain-rule result.  The
+formal atom of (atom, i) and the expansion of each formal atom, d_{I[-1]}
+of the expansion of D_{I[:-1]} f, are kept in the scope's second memo; the
+chain-rule memo holds chain rules only.
 """
 
 from __future__ import annotations
@@ -127,7 +143,7 @@ def opaque(name: str, indices: tuple = (), *, n: int, m: int, order: int) -> "Sc
 
     ``indices`` are tensor component labels (a flat tuple of ints) telling
     distinct components of one coefficient family apart.  ``order == -1``
-    declares a function of x alone, whose total derivatives stay formal.
+    declares a function of x alone, whose d_i is its labelled x^i-partial.
     """
     return Scalar({((atom(('f', name, tuple(indices), n, m, order, ())), 1),): 1})
 
@@ -333,6 +349,7 @@ def _coerce(v) -> Scalar:
 
 _memo: dict | None = None     # (atom, i) -> _atom_total(atom, i) inside a scope
 _derived: dict | None = None  # atoms derived from atoms inside a scope
+_formal = False               # d_i of an opaque atom stays one formal atom
 
 
 @contextmanager
@@ -348,6 +365,20 @@ def _memo_scope():
         yield
     finally:
         _memo = _derived = None
+
+
+@contextmanager
+def _formal_scope():
+    """Keep every total derivative of an opaque atom formal until the span
+    ends, inside a memo scope; the previous setting comes back on any exit."""
+    global _formal
+    outer = _formal
+    with _memo_scope():
+        _formal = True
+        try:
+            yield
+        finally:
+            _formal = outer
 
 
 def _labelled(a: Atom, c: Atom, derived: dict) -> Atom:
@@ -366,6 +397,19 @@ def _raised(c: Atom, i: int, derived: dict) -> Atom:
         _, sigma, J = c.key
         r = derived[c, i] = y_atom(sigma, J + (i,))
     return r
+
+
+def _deferred(a: Atom, i: int, derived: dict) -> Atom:
+    """The formal atom D_i f for a = f opaque, or D_{I+i} f for a = D_I f."""
+    d = derived.get((a, i))
+    if d is None:
+        if a.kind == 'f':
+            key = ('g', a.key, (i,))
+        else:
+            _, f, I = a.key
+            key = ('g', f, tuple(sorted(I + (i,))))
+        d = derived[a, i] = atom(key)
+    return d
 
 
 def _coords(n: int, m: int, order: int, derived: dict) -> list:
@@ -449,23 +493,79 @@ def _atom_total(a: Atom, i: int) -> Scalar:
     return Scalar(out)
 
 
-def total_derivative(e: Scalar, i: int) -> Scalar:
-    """The i-th formal derivative d_i, raising the jet order by one."""
+def _total_rule(i: int, derived: dict | None):
+    """d_i on atoms: the chain rule from the memo, or, for ``derived`` not
+    None, one formal atom for an opaque or formal atom."""
     memo = {} if _memo is None else _memo
 
     def rule(a):
+        if derived is not None and a.kind in ('f', 'g'):
+            return Scalar({((_deferred(a, i, derived), 1),): 1})
         da = memo.get((a, i))
         if da is None:
             da = memo[a, i] = _atom_total(a, i)
         return da
 
-    return _derive_monomials(e, rule)
+    return rule
+
+
+def total_derivative(e: Scalar, i: int) -> Scalar:
+    """The i-th formal derivative d_i, raising the jet order by one.
+
+    Inside a ``_formal_scope`` an opaque atom's d_i is the formal atom
+    D_i f, and d_i D_I f is D_{I+i} f; ``expand`` reads them back.
+    """
+    return _derive_monomials(e, _total_rule(i, _derived if _formal else None))
 
 
 def total_derivative_multi(e: Scalar, J: Iterable[int]) -> Scalar:
     for j in J:
         e = total_derivative(e, j)
     return e
+
+
+def _expansion(g: Atom, derived: dict) -> Scalar:
+    """d_I f in chain-rule normal form, for g = D_I f: d_{I[-1]} of the
+    expansion of D_{I[:-1]} f."""
+    ex = derived.get(g)
+    if ex is None:
+        _, f, I = g.key
+        base = (Scalar({((atom(f), 1),): 1}) if len(I) == 1
+                else _expansion(atom(('g', f, I[:-1])), derived))
+        ex = derived[g] = _derive_monomials(base, _total_rule(I[-1], None))
+    return ex
+
+
+def expand(e: Scalar) -> Scalar:
+    """e with every formal atom D_I f replaced by d_I f in chain-rule form.
+
+    Expansion is a ring homomorphism that commutes with d_i, so expanding
+    a formally derived expression gives exactly the chain-rule derivative.
+    The monomials are grouped by their formal factors, so each group takes
+    one product with the expansions.
+    """
+    groups: dict = {}
+    for mono, coeff in e.terms.items():
+        formal = tuple(p for p in mono if p[0].kind == 'g')
+        rest = tuple(p for p in mono if p[0].kind != 'g') if formal else mono
+        groups.setdefault(formal, {})[rest] = coeff
+    if not any(groups):
+        return e
+    derived = {} if _derived is None else _derived
+    out: dict = {}
+    for formal, rests in groups.items():
+        part = Scalar(rests)
+        for g, k in formal:
+            part = part * _expansion(g, derived) ** k
+        for m, c in part.terms.items():
+            old = out.get(m)
+            if old is None:
+                out[m] = c
+            elif s := old + c:
+                out[m] = s
+            else:
+                del out[m]
+    return Scalar(out)
 
 
 def jet_keys(n: int, order: int) -> Iterator[tuple]:

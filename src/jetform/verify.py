@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import randomgen, symexpr, varmorph
 from .forms import (Context, Form, contract_prolonged, d_H, ds_block, omega,
                     p_k, total_derivative_form_multi, wedge)
-from .interior_euler import (_smallest_difference, ibp_expand, interior_euler,
-                             residual)
+from .interior_euler import (_residual, _smallest_difference, ibp_expand,
+                             interior_euler, residual)
 from .lepage import (Lagrangian, generic_lagrangian, kb_second_order,
                      krupka_betounes_first, lepage_check, rossi_recurrence)
 
@@ -114,7 +114,7 @@ def check_prop_div(seed: int, n: int = 3, m: int = 2) -> tuple:
                         continue
                     lhs = lhs + wedge(total_derivative_form_multi(anti, M),
                                       ds_block(ctx, block))
-        rhs = d_H(residual(rho, k))
+        rhs = d_H(_residual(fam))
         diffs.append((f"trial {t} (n={nn},m={mm},k={k},s={s},r={r})", lhs - rhs))
     return _report(diffs)
 

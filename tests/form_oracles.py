@@ -86,6 +86,12 @@ def degree_grid(seed: int):
     return out
 
 
+def formal_atoms(forms) -> set:
+    """The formal total-derivative atoms D_I f in the coefficients of forms."""
+    return {a for rho in forms for c in rho.terms.values() for a in c.atoms()
+            if a.kind == 'g'}
+
+
 def chi_antisym(fam: ie.XiFamily, block, i: int, I_sorted) -> Form:
     """chi^{[block i] I}: normalized antisymmetrization over block + i."""
     idxs = tuple(block) + (i,)

@@ -17,13 +17,13 @@ import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from jetform import symexpr as se
-from jetform.forms import (Context, Form, ds_block, ds_parts, omega, p_k,
-                           total_derivative_form_multi, wedge)
+from jetform.forms import (Context, Form, d_C, ds_block, ds_parts, omega, p_k,
+                           total_derivative_form_multi, volume, wedge)
 from jetform.interior_euler import eta_decompose, ibp_expand, residual
 from jetform.multiindex import tuple_multiplicity
 from jetform.randomgen import rand_form
 
-from form_oracles import degree_grid
+from form_oracles import degree_grid, formal_atoms
 
 
 def reference_xi_chi(rho: Form, k: int):
@@ -97,6 +97,16 @@ def test_integer_telescope_matches_the_reference_on_the_degree_grid():
             _assert_matches_reference(rho, k)
             checked += 1
     assert checked > 60
+
+
+def test_order_three_opaque_density_matches_the_reference():
+    # eta^J reaches |J| = 3, so the telescope, the rebuild and the residual
+    # carry formal chains D_I F of depth 3 until they expand
+    ctx = Context(n=2, m=1)
+    rho = d_C(volume(ctx).scale(se.opaque("F", n=2, m=1, order=3)))
+    fam = ibp_expand(rho, 1)
+    assert {len(a.key[2]) for a in formal_atoms(fam.int_xi.values())} == {1, 2, 3}
+    _assert_matches_reference(rho, 1)
 
 
 def _assert_matches_reference(rho: Form, k: int) -> None:

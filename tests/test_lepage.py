@@ -15,7 +15,7 @@ from jetform.lepage import (Lagrangian, UnsupportedOrder, euler_lagrange,
                             poincare_cartan, rossi_recurrence)
 from jetform.randomgen import rand_density
 from jetform.symexpr import Scalar
-from form_oracles import wedge_all
+from form_oracles import formal_atoms, wedge_all
 
 CTX21 = Context(n=2, m=1)
 CTX22 = Context(n=2, m=2)
@@ -400,6 +400,23 @@ def test_intern_table_is_not_a_cache_across_calls():
         assert len(se._interned) == before
 
 
+def test_no_formal_atom_leaves_the_integration_by_parts():
+    # total derivatives of opaque atoms stay formal inside ibp_expand and the
+    # residual; every form handed out is expanded, and the formal atoms die
+    # with the family that holds them
+    lam = generic_lagrangian(CTX22, 2, name="Lformal")
+    chain = rossi_recurrence(lam)
+    rho = d_C(lam.form())
+    fam = ie.ibp_expand(rho, 1)
+    assert formal_atoms(fam.int_xi.values())
+    assert not formal_atoms(chain.forms)
+    assert not formal_atoms([ie.residual(rho, 1)])
+    assert not formal_atoms([*fam.xi.values(), *fam.chi.values()])
+    del fam
+    gc.collect()
+    assert not [key for key in se._interned if key[0] == 'g']
+
+
 def test_a_kept_result_equals_the_same_result_built_later():
     kept = rossi_recurrence(generic_lagrangian(CTX22, 2, name="Lkept")).terminal
     for k in range(3):
@@ -436,9 +453,11 @@ def test_recurrence_builds_each_chain_rule_once(monkeypatch):
     keys, _ = _spy_atom_total(monkeypatch)
     lam = generic_lagrangian(Context(n=3, m=1), 2)
     terminal = rossi_recurrence(lam).terminal
-    # without the memo the same recurrence builds 732 chain rules; the
-    # exactness rebuild over the trie of the sorted I derives fewer forms
-    assert len(keys) == len(set(keys)) == 189
+    # without the memo the same recurrence builds 732 chain rules, and 189
+    # with it while the telescope expanded every d_i of an opaque atom; with
+    # d_I f formal until the end, only the 9 d_j L_{y_{jK}} of the
+    # Poincare-Cartan form are ever expanded
+    assert len(keys) == len(set(keys)) == 9
     assert terminal == kb_second_order(lam)
 
 

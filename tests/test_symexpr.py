@@ -194,6 +194,51 @@ def test_opaque_chain_rule_matches_ring_reference(order):
             assert se.total_derivative(e, i) == _reference_total_derivative(e, i)
 
 
+# -- formal total derivatives of opaque atoms -----------------------------------------
+
+def _rand_opaque_expr(rng, n=2, m=2):
+    """A sum of products of opaque atoms of order -1..2, their powers and
+    labelled partials, with polynomial factors."""
+    atoms = [se.opaque(f"F{order}", (rng.randint(1, 2),), n=n, m=m, order=order)
+             for order in (-1, 0, 1, 2)]
+    atoms.append(se.partial(atoms[2], ('y', 2, (1,))))
+    out = rand_expr(rng, n, m, order=1, degree=2, terms=2)
+    for _ in range(3):
+        term = se.rational(rng.randint(-3, 3) or 1, rng.choice([1, 2]))
+        for a in rng.sample(atoms, rng.randint(1, 2)):
+            term = term * a ** rng.randint(1, 2)
+        out = out + term * rand_expr(rng, n, m, order=1, degree=1, terms=1)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_expanded_formal_derivative_is_the_chain_rule_derivative(seed):
+    e = _rand_opaque_expr(random.Random(seed))
+    for I in se.jet_keys(2, 3):
+        if not I:
+            continue
+        with se._formal_scope():
+            formal = se.total_derivative_multi(e, I)
+            inside = se.expand(formal)  # expansions kept in the scope's memo
+        assert any(a.kind == 'g' for a in formal.atoms())
+        assert se.expand(formal) == inside == se.total_derivative_multi(e, I)
+
+
+def test_formal_scope_is_restored_on_every_exit():
+    f = se.opaque("Fs", n=1, m=1, order=1)
+    with se._formal_scope():
+        with se._formal_scope():
+            assert se._formal
+        assert se._formal and se._derived is not None
+        assert next(se.total_derivative(f, 1).atoms()).kind == 'g'
+    assert not se._formal and se._derived is None
+    with pytest.raises(RuntimeError):
+        with se._formal_scope():
+            raise RuntimeError
+    assert not se._formal and se._memo is None
+    assert se.total_derivative(f, 1) == se.expand(se.total_derivative(f, 1))
+
+
 # -- integer and Fraction coefficients ------------------------------------------------
 
 _MONOMIALS = [next(iter(e.terms)) for e in (
