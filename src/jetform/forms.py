@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from . import symexpr
 from .multiindex import sort_with_sign
-from .symexpr import Scalar
+from .symexpr import Scalar, _merge
 
 @dataclass(frozen=True)
 class Context:
@@ -276,17 +276,8 @@ def _add_terms(acc: dict, w: tuple, terms: dict, c: int = 1) -> None:
     bucket = acc.get(w)
     if bucket is None:
         acc[w] = dict(terms) if c == 1 else {m: v * c for m, v in terms.items()}
-        return
-    for m, v in terms.items():
-        if c != 1:
-            v = v * c
-        old = bucket.get(m)
-        if old is None:
-            bucket[m] = v
-        elif t := old + v:
-            bucket[m] = t
-        else:
-            del bucket[m]
+    else:
+        _merge(bucket, terms, c)
 
 
 def _add_sorted(acc: dict, covs: tuple, terms: dict, c: int = 1) -> None:

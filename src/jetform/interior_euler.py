@@ -33,7 +33,8 @@ sorted key (the basis coefficient), and mult(J) = ``tuple_multiplicity(J)``
 converts between the two.  The eta decomposition is not unique for
 k >= 2; the default is the 1/k-weighted formal contraction, and every
 consumer validates recomposition instead of relying on uniqueness.  The
-Lepage recurrence passes its own eta family built from term provenance.
+Lepage recurrence hands ``residual`` its own eta family, built from term
+provenance, as a dict; ``eta_decompose`` validates it like any other.
 """
 
 from __future__ import annotations
@@ -220,10 +221,13 @@ def _telescope(acc: dict, sigma: int, K: tuple, eta: Form) -> None:
     walk(0, eta, (), 1)
 
 
-def ibp_expand(rho: Form, k: int, eta: EtaDecomposition | None = None) -> XiFamily:
-    """Build the integer xi family with the exactness identity verified."""
+def ibp_expand(rho: Form, k: int, etas: dict | None = None) -> XiFamily:
+    """Build the integer xi family with the exactness identity verified.
+
+    ``eta_decompose`` validates ``etas``, or builds the canonical family.
+    """
     ctx = rho.ctx
-    dec = eta if eta is not None else eta_decompose(rho, k)
+    dec = eta_decompose(rho, k, etas)
     D, cleared = _cleared(dec.etas.values())
 
     with _formal_scope():
@@ -275,7 +279,7 @@ def interior_euler(rho: Form, k: int) -> Form:
     return _summed(ctx, acc).scale(Fraction(1, k))
 
 
-def residual(rho: Form, k: int, eta: EtaDecomposition | None = None) -> Form:
+def residual(rho: Form, k: int, etas: dict | None = None) -> Form:
     """Residual operator for (n-s)-horizontal k-contact (n-s+k)-forms.
 
     With the codegree s read off p_k rho, sums over ordered M and b,
@@ -284,10 +288,11 @@ def residual(rho: Form, k: int, eta: EtaDecomposition | None = None) -> Form:
     (the proof is at ``_residual``).  At s = 0 this is the top-form
     residual: for k = 1 the single minus sign of the top-form construction,
     and what p_k rho = I(rho) + p_k d p_k R(rho) requires for k >= 2.
+    ``etas`` is the eta family handed to ``ibp_expand``.
     """
     if k < 1:
         raise ValueError("residual operator needs contact degree k >= 1")
-    return _residual(ibp_expand(rho, k, eta=eta))
+    return _residual(ibp_expand(rho, k, etas))
 
 
 def _residual(fam: XiFamily) -> Form:

@@ -1,18 +1,18 @@
 """Lepage equivalents: Poincare-Cartan forms, the residual-operator
 recurrence, and the closed Krupka-Betounes formulas (first and second order).
 
-The recurrence is rho_1 = lambda - p_1 R(d lambda), then at each contact
-degree q >= 2, rho_q = rho_{q-1} - p_q R(d rho_{q-1}) with the residual
-operator at codegree q - 1.  R reads only the q-contact part of its input,
-so only the contact half of d is built.  d lambda = d_C lambda, because
-d_H lambda = d_i L dx^i ^ vol vanishes.  And rho_{q-1} has contact degree
+The recurrence starts at rho_0 = lambda and at each contact degree q >= 1
+takes rho_q = rho_{q-1} - p_q R(d rho_{q-1}), with the residual operator
+at codegree q - 1; its first step rho_1 is the Poincare-Cartan form theta.
+One ``_step`` builds every member.  R reads only the q-contact part of its
+input, so only the contact half of d is built: rho_{q-1} has contact degree
 <= q - 1, while d_H keeps the contact degree and d_C raises it by one, so
-p_q(d rho_{q-1}) = d_C p_{q-1} rho_{q-1}: the jet-coordinate partials of
-each coefficient, each wedged with a new omega.  No total derivative is
-taken there.  Each step runs on integers: p_{q-1} rho_{q-1} is cleared by
-N, the lcm of its denominators, the gradient, eta and residual are built
-from N p_{q-1} rho_{q-1}, and since R is linear the correction is divided
-by N once.
+p_q(d rho_{q-1}) = d_C p_{q-1} rho_{q-1} (at q = 1, d lambda = d_C lambda):
+the jet-coordinate partials of each coefficient, each wedged with a new
+omega.  No total derivative is taken there.  Each step runs on integers:
+p_{q-1} rho_{q-1} is cleared by N, the lcm of its denominators, the
+gradient, eta and residual are built from N p_{q-1} rho_{q-1}, and since R
+is linear the correction is divided by N once.
 
 The eta decomposition feeding R is not unique for q >= 2 and the choice
 matters.  At first order the canonical 1/k-contraction eta is the right
@@ -22,8 +22,10 @@ second order the canonical eta does not reproduce the known expansion;
 there the eta family is built by provenance: a q-contact term of
 d rho_{q-1} whose new contact factor (the one generated by differentiating
 the coefficient) is first-order leads the decomposition when the remaining
-factors still carry a first-order contact form, and every other term is
-parked on an order-zero factor, where it cannot enter the residual.
+factors still carry a first-order contact form, and every other term leads
+on its first contact factor of lowest jet order: an order-zero one, where
+there is one, keeps it out of the residual.  At q = 1 the new factor is the
+only one, so the provenance eta is the canonical one.
 
 The closed formulas are truncations of one pure-contact tower, built by
 ``_closed_equivalent(lam, slots)`` from one momentum family
@@ -47,7 +49,7 @@ from fractions import Fraction
 from . import symexpr
 from .forms import (Context, Form, _add_terms, _cleared, _ds_wedge, _insert,
                     _summed, d_C, d_H, p_k, volume, wedge_gradients)
-from .interior_euler import eta_decompose, interior_euler, residual
+from .interior_euler import interior_euler, residual
 from .multiindex import tuple_multiplicity
 from .symexpr import Scalar
 
@@ -78,14 +80,15 @@ class Lagrangian:
 
         p^{JK}_sigma is dL/dy^sigma_{JK} over the tuple multiplicity of the
         sorted key.  J = () gives E_sigma(L); at order 2, (i,) is p^i - d_k p^{ik}.
+        d_K and the key depend only on sorted K, so the sum runs over sorted
+        K, each weighted by its multiplicity.
         """
         out = Scalar.zero()
-        for lk in range(self.order - len(J) + 1):
-            for K in itertools.product(range(1, self.ctx.n + 1), repeat=lk):
-                key = tuple(sorted(J + K))
-                base = symexpr.partial(self.density, ('y', sigma, key))
-                out = out + symexpr.total_derivative_multi(
-                    base * Fraction((-1) ** lk, tuple_multiplicity(key)), K)
+        for K in symexpr.jet_keys(self.ctx.n, self.order - len(J)):
+            key = tuple(sorted(J + K))
+            base = symexpr.partial(self.density, ('y', sigma, key))
+            weight = Fraction((-1) ** len(K) * tuple_multiplicity(K), tuple_multiplicity(key))
+            out = out + symexpr.total_derivative_multi(base * weight, K)
         return out
 
 
@@ -113,11 +116,8 @@ def poincare_cartan_closed(lam: Lagrangian) -> Form:
 
 @symexpr._memo_scope()
 def poincare_cartan(lam: Lagrangian) -> Form:
-    """theta = lambda - p_1 R(d lambda), cross-checked against the chart form.
-
-    d lambda = d_C lambda, since d_H lambda = d_i L dx^i ^ vol = 0.
-    """
-    theta = lam.form() - p_k(residual(d_C(lam.form()), 1), 1)
+    """theta = rho_1 = lambda - p_1 R(d lambda), cross-checked against the chart form."""
+    theta = _step(lam, lam.form(), 1)
     closed = poincare_cartan_closed(lam)
     if theta != closed:
         raise AssertionError("residual route disagrees with the chart "
@@ -140,13 +140,11 @@ def _provenance_eta(ctx: Context, grads: dict) -> dict:
         raised = any(cov[0] == 'w' and len(cov[2]) >= 1 for cov in w)
         for (_, nu, K), dc in grad.items():
             new = ('w', nu, K)
-            if len(K) == 1 and raised:
-                _add_terms(acc.setdefault((nu, K), {}), w, dc.terms)
-                continue
             seq = (new,) + w
-            candidates = [(t, cov) for t, cov in enumerate(seq) if cov[0] == 'w']
-            order0 = [t for t, cov in candidates if len(cov[2]) == 0]
-            t = order0[0] if order0 else min(candidates, key=lambda tc: len(tc[1][2]))[0]
+            if len(K) == 1 and raised:
+                t = 0
+            else:
+                _, t = min((len(cov[2]), t) for t, cov in enumerate(seq) if cov[0] == 'w')
             cov = seq[t]
             # seq minus its slot t: w itself, or new placed among the rest of w
             rest, sign = (w, 1) if t == 0 else _insert(new, w[:t - 1] + w[t:])
@@ -158,38 +156,33 @@ def _provenance_eta(ctx: Context, grads: dict) -> dict:
     return {key: eta for key, eta in etas.items() if not eta.is_zero()}
 
 
+def _step(lam: Lagrangian, prev: Form, q: int) -> Form:
+    """rho_q = rho_{q-1} - p_q R(d rho_{q-1}), for rho_{q-1} = ``prev``.
+
+    One gradient pass over N p_{q-1} rho_{q-1}, N the lcm of its
+    denominators, builds N p_q(d rho_{q-1}) and feeds the provenance eta;
+    R is linear, so the correction is divided by N once.
+    """
+    ctx = lam.ctx
+    N, [part] = _cleared([p_k(prev, q - 1)])
+    grads = {w: symexpr.gradient(c, ctx.n, ctx.m) for w, c in part.terms.items()}
+    diff = wedge_gradients(ctx, grads)
+    if diff.is_zero():
+        return prev
+    etas = None if lam.order == 1 else _provenance_eta(ctx, grads)
+    return prev - p_k(residual(diff, q, etas), q).scale(Fraction(1, N))
+
+
 @symexpr._memo_scope()
 def rossi_recurrence(lam: Lagrangian) -> LepageChain:
     """The full chain rho_1 .. rho_n of residual-operator corrections.
 
-    Each member rho_q has contact degree <= q, so the only q-contact part
-    of d rho_{q-1} is d_C p_{q-1} rho_{q-1}: d_H keeps the contact degree,
-    and d_C of a lower-contact part stays below q.  One gradient pass over
-    p_{q-1} rho_{q-1} builds it and feeds the provenance eta.  The step
-    runs on N p_{q-1} rho_{q-1}, N the lcm of its denominators, whose
-    coefficients are ints; R is linear, so the correction is divided by N
-    once at the end.
+    rho_1 is the Poincare-Cartan form, and each later member is one
+    ``_step`` from the one before.
     """
-    ctx = lam.ctx
     chain = [poincare_cartan(lam)]
-    for q in range(2, ctx.n + 1):
-        prev = chain[-1]
-        N, [part] = _cleared([p_k(prev, q - 1)])
-        grads = {w: symexpr.gradient(c, ctx.n, ctx.m) for w, c in part.terms.items()}
-        diff = wedge_gradients(ctx, grads)
-        if diff.is_zero():
-            chain.append(prev)
-            continue
-        if lam.order == 1:
-            dec = None
-        else:
-            etas = _provenance_eta(ctx, grads)
-            if not etas:
-                chain.append(prev)
-                continue
-            dec = eta_decompose(diff, q, etas=etas)
-        correction = p_k(residual(diff, q, eta=dec), q).scale(Fraction(1, N))
-        chain.append(prev - correction)
+    for q in range(2, lam.ctx.n + 1):
+        chain.append(_step(lam, chain[-1], q))
     return LepageChain(chain)
 
 

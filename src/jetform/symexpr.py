@@ -152,6 +152,21 @@ def rational(p: int, q: int = 1) -> "Scalar":
     return Scalar.from_fraction(Fraction(p, q))
 
 
+def _merge(out: dict, terms: dict, c=1) -> None:
+    """out += c terms in place, both {monomial: coefficient}; a monomial
+    that cancels is dropped."""
+    for m, v in terms.items():
+        if c != 1:
+            v = v * c
+        old = out.get(m)
+        if old is None:
+            out[m] = v
+        elif s := old + v:
+            out[m] = s
+        else:
+            del out[m]
+
+
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -226,14 +241,7 @@ class Scalar:
         if not other.terms:
             return self
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            old = out.get(m)
-            if old is None:
-                out[m] = c
-            elif s := old + c:
-                out[m] = s
-            else:
-                del out[m]
+        _merge(out, other.terms)
         return Scalar(out)
 
     __radd__ = __add__
@@ -557,14 +565,7 @@ def expand(e: Scalar) -> Scalar:
         part = Scalar(rests)
         for g, k in formal:
             part = part * _expansion(g, derived) ** k
-        for m, c in part.terms.items():
-            old = out.get(m)
-            if old is None:
-                out[m] = c
-            elif s := old + c:
-                out[m] = s
-            else:
-                del out[m]
+        _merge(out, part.terms)
     return Scalar(out)
 
 

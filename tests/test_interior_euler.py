@@ -7,7 +7,7 @@ import pytest
 from jetform import cli
 from jetform import interior_euler as ie
 from jetform import symexpr as se
-from jetform.forms import (Context, Form, d_H, ds_block, dx, exterior_d,
+from jetform.forms import (Context, Form, d_C, d_H, ds_block, dx, exterior_d,
                            omega, p_k, total_derivative_form_multi, volume,
                            wedge)
 from jetform.interior_euler import (ExpansionMismatch, RecompositionFailure,
@@ -159,6 +159,35 @@ def test_ieuler_is_the_per_J_chain():
             assert got == interior_euler_chain(rho, k)
             nonzero[k] += not got.is_zero()
     assert min(nonzero.values()) >= 10
+
+
+def test_ieuler_is_the_empty_index_term_of_the_telescope():
+    # two independent routes: the trie of contractions against the
+    # I = () term of the integration by parts, sum of omega^sigma ^ xi^()
+    rng = random.Random(70)
+    rhos = []
+    for _ in range(30):
+        n, m = rng.choice([1, 2, 3]), rng.choice([1, 2])
+        k, s = rng.choice([1, 2]), rng.choice([0, 1])
+        ctx = Context(n=n, m=m)
+        rhos.append((rand_form(rng, ctx, n - s, k, rng.choice([1, 2])), k))
+    for n, m, order in [(1, 1, 2), (2, 1, 1), (2, 2, 1), (3, 1, 2)]:
+        ctx = Context(n=n, m=m)
+        density = se.opaque("L", n=n, m=m, order=order)
+        rhos.append((d_C(volume(ctx).scale(density)), 1))
+    checked = 0
+    for rho, k in rhos:
+        if p_k(rho, k).is_zero():
+            continue
+        ctx = rho.ctx
+        fam = ibp_expand(rho, k)
+        want = Form.zero(ctx)
+        for (sigma, I), x in fam.xi.items():
+            if not I:
+                want = want + wedge(omega(ctx, sigma), x)
+        assert interior_euler(rho, k) == want
+        checked += 1
+    assert checked >= 25
 
 
 def test_ieuler_kills_dH_of_contact_forms():

@@ -438,6 +438,21 @@ def test_dlambda_is_its_contact_differential(order):
             assert d_C(lam.form()) == exterior_d(lam.form())
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_provenance_eta_is_canonical_at_the_first_step(n, m):
+    # poincare_cartan is the recurrence's step q = 1, which takes the
+    # provenance eta at order 2; it must be the canonical one there
+    ctx = Context(n=n, m=m)
+    rng = random.Random(80 + 10 * n + m)
+    for order in (1, 2):
+        for lam in [generic_lagrangian(ctx, order),
+                    Lagrangian(ctx, order, rand_density(rng, ctx, order))]:
+            grads = {w: se.gradient(c, n, m) for w, c in p_k(lam.form(), 0).terms.items()}
+            canonical = ie.eta_decompose(d_C(lam.form()), 1).etas
+            assert canonical
+            assert lepage._provenance_eta(ctx, grads) == canonical
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_chain_member_q_has_contact_degree_at_most_q(n, m, order):
@@ -520,11 +535,11 @@ def test_integer_chain_matches_the_uncleared_step(n, m, order):
         part = p_k(prev, q - 1)
         denominators.append(forms._cleared([part])[0])
         diff = p_k(exterior_d(prev), q)
-        dec = None
+        etas = None
         if order == 2:
             grads = {w: se.gradient(c, n, m) for w, c in part.terms.items()}
-            dec = ie.eta_decompose(diff, q, etas=lepage._provenance_eta(ctx, grads))
-        assert chain[q - 1] == prev - p_k(ie.residual(diff, q, eta=dec), q)
+            etas = lepage._provenance_eta(ctx, grads)
+        assert chain[q - 1] == prev - p_k(ie.residual(diff, q, etas), q)
     # the cleared steps did divide something
     assert max(denominators) > 1
     closed = krupka_betounes_first(lam) if order == 1 else kb_second_order(lam)
