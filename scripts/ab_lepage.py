@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time two jetform source trees against each other in one process.
 
-Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 alpha/n4m2 verify/prop-da/n3m2]
-                                            [--reps 12]
+Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 alpha/n4m2 verify/prop-da/n3m2
+                                                     cli/el/n2m1] [--reps 12]
 
 A_SRC and B_SRC are ``src`` directories (a checkout of the parent commit
 and the working tree, say).  Both are imported into this interpreter under
@@ -14,12 +14,15 @@ case ``alpha/nNmM`` times ``alpha_discrepancy``, both splittings of a
 morphism, on a generic opaque and a seeded random polynomial morphism of
 codegree 1 and rank 2.  A case ``verify/<identity>/nNmM`` times
 ``jetform verify --identity <identity> -n N -m M`` through ``cli.main``,
-for seeds 0-3.  Each repetition runs every case on both sides back to
-back, A first on even repetitions and B first on odd ones; the two runs of
-a pair share a density name that no earlier pair used, so every run
-starts cold.  The host's speed drifts over minutes, so only runs made this
-close together tell a gain of a few percent; separate-process timings do
-not.
+for seeds 0-3.  A case ``cli/<el|pc|kb>/nNmM`` times the short request
+``jetform <cmd> -n N -m M -r 1 --format json -- <expr>`` through
+``cli.main``, where ``<expr>`` is the seeded random first-order density
+of ``randomgen.rand_density`` for seeds 0-3.  Each repetition runs every
+case on both sides back to back, A first on even repetitions and B first
+on odd ones; the two runs of a pair share a density name that no earlier
+pair used, so every run starts cold.  The host's speed drifts over
+minutes, so only runs made this close together tell a gain of a few
+percent; separate-process timings do not.
 
 Per case it prints the median seconds of A and B, the ratio of the
 medians (B/A, below 1 when B is faster), the median of the per-pair ratios
@@ -27,8 +30,8 @@ and in how many repetitions B was faster.  A pair's two runs share the
 host's speed of the moment, so the median of their ratios drifts less
 than the ratio of the medians; the total line takes it over the per-pair
 sums of all cases.  The first repetition also checks that both sides print
-the same forms, or for a verify case the same stdout and exit codes; a
-difference exits 1.
+the same forms, or for a verify or cli case the same stdout and exit
+codes; a difference exits 1.
 """
 
 import argparse
@@ -47,14 +50,16 @@ GRID = [f"n{n}m{m}r{r}" for n in (2, 3, 4) for m in (1, 2) for r in (1, 2)
         if (n, m, r) != (4, 2, 2)]
 ALPHA = [f"alpha/n{n}m{m}" for n in (2, 3, 4) for m in (1, 2)]
 VERIFY = re.compile(r"verify/([a-z0-9-]+)/n([1-9])m([1-9])")
+CLI = re.compile(r"cli/(el|pc|kb)/n([1-9])m([1-9])")
 SEEDS = range(4)
 
 
 def case_name(text: str) -> str:
-    if text in GRID or text in ALPHA or VERIFY.fullmatch(text):
+    if text in GRID or text in ALPHA or VERIFY.fullmatch(text) or CLI.fullmatch(text):
         return text
     raise argparse.ArgumentTypeError(
-        f"{text!r} is none of {', '.join(GRID + ALPHA)} or verify/<identity>/nNmM")
+        f"{text!r} is none of {', '.join(GRID + ALPHA)}, verify/<identity>/nNmM "
+        "or cli/<el|pc|kb>/nNmM")
 
 
 def load(src: str):
@@ -84,18 +89,32 @@ def run_alpha(side, slot: str, name: str):
                      for pair in pairs for W in pair]
 
 
-def run_verify(side, slot: str):
-    identity, n, m = VERIFY.fullmatch(slot).groups()
+def run_main(side, argvs):
+    """Seconds for ``cli.main`` over ``argvs``, and each call's (exit code, stdout)."""
     outs = []
     gc.collect()
     t0 = time.perf_counter()
-    for seed in SEEDS:
+    for argv in argvs:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = side["cli"].main(["verify", "--identity", identity, "--seed", str(seed),
-                                     "-n", n, "-m", m])
+            code = side["cli"].main(argv)
         outs.append((code, buf.getvalue()))
     return time.perf_counter() - t0, outs
+
+
+def run_verify(side, slot: str):
+    identity, n, m = VERIFY.fullmatch(slot).groups()
+    return run_main(side, [["verify", "--identity", identity, "--seed", str(seed),
+                            "-n", n, "-m", m] for seed in SEEDS])
+
+
+def run_cli(side, slot: str):
+    cmd, n, m = CLI.fullmatch(slot).groups()
+    ctx = side["forms"].Context(n=int(n), m=int(m))
+    exprs = [side["printers"].scalar_text(
+        side["randomgen"].rand_density(random.Random(seed), ctx, 1)) for seed in SEEDS]
+    return run_main(side, [[cmd, "-n", n, "-m", m, "-r", "1", "--format", "json", "--", expr]
+                           for expr in exprs])
 
 
 def run_case(side, slot: str, name: str):
@@ -104,6 +123,8 @@ def run_case(side, slot: str, name: str):
         return run_alpha(side, slot, name)
     if slot.startswith("verify/"):
         return run_verify(side, slot)
+    if slot.startswith("cli/"):
+        return run_cli(side, slot)
     forms, lepage = side["forms"], side["lepage"]
     n, m, r = (int(slot[i]) for i in (1, 3, 5))
     lam = lepage.generic_lagrangian(forms.Context(n=n, m=m), r, name=name)

@@ -5,11 +5,16 @@ el, verify.  Dimensions and the working order come from flags only; a
 form's codegree is read off the form.  The exit status is one of EXIT_CODES:
 an input error is a ValueError, a failed self-check an AssertionError.  The
 expression argument reads stdin when given as "-".
+
+main(argv) may be called repeatedly in one process.  The argparse tree is
+built on the first call and kept; every call parses into a fresh
+Namespace, reads its own stdin and streams, and opens a fresh memo scope.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -52,6 +57,9 @@ def _expr_arg(sub):
     sub.add_argument("expr", help="expression, or - to read stdin")
 
 
+# parsing leaves the tree as it was, and argparse looks sys.stdout and
+# sys.stderr up when it prints, so one tree serves every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="jetform",

@@ -47,6 +47,8 @@ _ALIASES = {'x': 1, 'y': 2, 'z': 3}
 # grammar reads first: ds, the coordinates x1.. and their differentials dx1..
 _FIELD = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _SHADOWED = re.compile(r"ds|d?x[0-9]+")
+_DX = re.compile(r"dx[0-9]+")
+_X = re.compile(r"x[0-9]+")
 
 
 def default_fields(m: int):
@@ -187,12 +189,12 @@ class _Parser:
             return self.ds_atom()
         if name in ('w', 'dy') and self.peek()[0] == '(':
             return self.omega_atom(name == 'dy')
-        if re.fullmatch(r"dx[0-9]+", name):
+        if _DX.fullmatch(name):
             i = int(name[2:])
             if not 1 <= i <= self.ctx.n:
                 raise UnknownIdentifier(f"dx{i}: base index out of range 1..{self.ctx.n}")
             return Form(self.ctx, {(('dx', i),): Scalar.one()})
-        if re.fullmatch(r"x[0-9]+", name):
+        if _X.fullmatch(name):
             i = int(name[1:])
             if not 1 <= i <= self.ctx.n:
                 raise UnknownIdentifier(f"x{i}: base index out of range 1..{self.ctx.n}")

@@ -1,10 +1,13 @@
+import argparse
 import json
 import random
 import re
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from jetform import cli, interior_euler, lepage, varmorph, verify
 from jetform import symexpr as se
@@ -502,3 +505,113 @@ def test_cli_alpha_at_codegree_zero_prints_zero_parts():
                               "u_1 * w(u,12) /\\ ds + u_2 * w(u,1) /\\ ds"])
     assert code == 0, err
     assert out == "alpha: 0\nDiv(alpha): 0\n"
+
+
+# -- one parser per process ---------------------------------------------------------
+
+LAPLACE = ["el", "-n", "2", "-m", "1", "1/2*(u_x^2+u_y^2)"]
+LAPLACE_EL = (0, "(-u_11 - u_22) * w(u) /\\ ds\n", "")
+
+
+def test_cli_builds_one_parser_per_process(monkeypatch):
+    run_cli(LAPLACE)  # warm-up: the first call may build the tree
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv in (LAPLACE, ["el"], ["verify", "--identity", "eq32"],
+                 ["kb", "-r", "2", "u_xx"]):
+        run_cli(argv)
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+INTERLEAVED = [
+    ["el"],                                               # usage error
+    ["--help"],
+    ["verify", "--identity", "eq32"],
+    ["el", "--format", "json", "-n", "2", "-m", "1", "u_x^2 + u_x*u_y"],
+    ["el", "u_x^2 + u_x*u_y"],                            # every default
+    ["kb", "--variant", "generalized", "-r", "2", "u_xx*u_y"],
+    ["kb", "-r", "2", "u_xx*u_y"],                        # the plain default again
+    ["el", "-m", "2", "--fields", "a", "a_1^2"],          # one name for two fields
+    ["el", "--format", "latex", "--fields", "p", "p_x^2"],
+    ["el", "u_x^2 + u_x*u_y"],
+]
+
+
+def test_cli_requests_do_not_leak_into_each_other():
+    def fresh(argv):
+        cli.build_parser.cache_clear()
+        return run_cli(argv)
+
+    expected = {tuple(argv): fresh(argv) for argv in INTERLEAVED}
+    assert [expected[tuple(argv)][0] for argv in INTERLEAVED] == [2, 0, 0, 0, 0, 0, 0, 2, 0, 0]
+    for order in (INTERLEAVED, INTERLEAVED[::-1]):
+        for argv in order:
+            assert run_cli(argv) == expected[tuple(argv)], argv
+
+
+def test_cli_usage_message_goes_to_the_stderr_of_the_call():
+    first, second = run_cli(["el"]), run_cli(["el"])
+    for code, out, err in (first, second):
+        assert code == 2 and out == ""
+        assert err.startswith("usage: jetform el ")
+        assert "the following arguments are required: expr" in err
+    assert first == second
+    code, out, err = run_cli(["--help"])
+    assert code == 0 and out.startswith("usage: jetform ") and err == ""
+
+
+# -- argv fuzzing -------------------------------------------------------------------
+
+COMMANDS = ["decompose", "ieuler", "residual", "split", "splitlike", "alpha",
+            "pc", "kb", "el", "verify"]
+COMMON_FLAGS = ["--base-dim", "-n", "--fiber-dim", "-m", "--order", "-r", "--format", "--fields"]
+COMMAND_FLAGS = {"ieuler": ["--contact"], "residual": ["--contact", "--codegree"],
+                 "kb": ["--variant"], "verify": ["-n", "-m", "--seed"]}
+FLAGS = COMMON_FLAGS + ["--contact", "--codegree", "--variant", "--identity", "--seed",
+                        "--help", "-h", "--"]
+NUMBERS = ["-1", "0", "1", "2"]
+# a request keeps its dimensions valid, so that it reaches the engine; the
+# free draws still give -1 and 0
+OWN_VALUES = {"--format": ["text", "latex", "json"], "--variant": ["plain", "generalized"],
+              "--identity": [*sorted(verify.CHECKS), "all"], "--fields": ["u", "u,v", "a,a"],
+              **dict.fromkeys(["--base-dim", "-n", "--fiber-dim", "-m"], ["1", "2"])}
+VALUES = list(dict.fromkeys(NUMBERS + [value for values in OWN_VALUES.values()
+                                       for value in values]))
+EXPRESSIONS = ["1/0", "u_xx", "w(u) /\\ dx1", "1/2*(u_x^2+u_y^2)", "u_x*v_y - u_y*v_x",
+               "u_1 * w(u,1) /\\ ds", "dy(u) /\\ dy(u,1)", "x1*u + dx2", "u_1 +* u_2",
+               "q_x", "(u", "u/u_x", "w(v,2) /\\ dx1 /\\ dx2"]
+
+
+def _request(command):
+    """argv shaped like a request: the command, its own flags each with a
+    value of its own kind, then the expression (verify: the identity)."""
+    if command == "verify":
+        flags, head = COMMAND_FLAGS["verify"], ["--identity", OWN_VALUES["--identity"]]
+    else:
+        flags, head = COMMON_FLAGS + COMMAND_FLAGS.get(command, []), [EXPRESSIONS]
+    pair = st.sampled_from(flags).flatmap(lambda flag: st.tuples(
+        st.just(flag), st.sampled_from(OWN_VALUES.get(flag, NUMBERS))))
+    last = st.tuples(*(st.sampled_from(w) if isinstance(w, list) else st.just(w) for w in head))
+    return st.tuples(st.lists(pair, max_size=3), last).map(
+        lambda t: [command, *(word for pair in t[0] for word in pair), *t[1]])
+
+
+# half the draws are any words of the vocabulary, half are shaped like a
+# request, so that many get past argparse into the engine
+ARGV = (st.lists(st.sampled_from(COMMANDS + FLAGS + VALUES + EXPRESSIONS), max_size=8)
+        | st.sampled_from(COMMANDS).flatmap(_request))
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=ARGV)
+def test_cli_main_on_drawn_argv_exits_0_or_2(argv):
+    code, _, _ = run_cli(argv)
+    assert code in (0, 2), argv
+    assert run_cli(LAPLACE) == LAPLACE_EL
