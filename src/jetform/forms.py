@@ -5,7 +5,9 @@ ordered wedge of basis covectors.  Covectors are
 
 * ``('dx', i)``       -- horizontal basis 1-form dx^i
 * ``('w', sigma, J)`` -- contact basis 1-form omega^sigma_J, J sorted
-* ``('dy', sigma, J)``-- input-only notation, eliminated by to_contact_basis
+
+and nothing else: the parser reads dy^sigma_J as omega^sigma_J +
+y^sigma_{Jj} dx^j.
 
 The covector total order puts every dx before every omega, dx sorted by i,
 omega sorted by (sigma, |J|, J); fixing one order keeps printed output and
@@ -32,7 +34,6 @@ a family of forms over the trie of the sorted J.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -55,11 +56,10 @@ class Context:
 
 
 def _cov_key(cov):
-    # dy (input notation only) sorts after every omega, so the key is
-    # injective and equal keys mean a repeated covector
+    # injective, so equal keys mean a repeated covector
     if cov[0] == 'dx':
         return (0, cov[1], 0, ())
-    return (1 if cov[0] == 'w' else 2, cov[1], len(cov[2]), cov[2])
+    return (1, cov[1], len(cov[2]), cov[2])
 
 
 class Form:
@@ -312,33 +312,6 @@ def _cleared(forms) -> tuple:
 
 # -- contact decomposition -----------------------------------------------------
 
-def to_contact_basis(ctx: Context, raw_terms) -> Form:
-    """Eliminate dy-notation: dy^sigma_J = omega^sigma_J + y^sigma_{Jj} dx^j.
-
-    ``raw_terms`` is an iterable of (covector list, Scalar) where covectors
-    may include ('dy', sigma, J) entries.  The output is a pure-basis form
-    living on one order higher.
-    """
-    acc: dict = {}
-    for covs, coeff in raw_terms:
-        expansions = []
-        for cov in covs:
-            if cov[0] == 'dy':
-                sigma, J = cov[1], tuple(sorted(cov[2]))
-                pieces = [(('w', sigma, J), Scalar.one())]
-                for j in range(1, ctx.n + 1):
-                    pieces.append((('dx', j), symexpr.y(sigma, *(J + (j,)))))
-                expansions.append(pieces)
-            else:
-                expansions.append([(cov, Scalar.one())])
-        for choice in itertools.product(*expansions):
-            c = coeff
-            for _, factor in choice:
-                c = c * factor
-            _add_sorted(acc, tuple(cv for cv, _ in choice), c.terms)
-    return _summed(ctx, acc)
-
-
 def p_k(rho: Form, k: int) -> Form:
     """The k-contact component: terms with exactly k omega factors."""
     out = {w: c for w, c in rho.terms.items()
@@ -418,9 +391,7 @@ def d_C(rho: Form) -> Form:
     Each term c w gives dc/dy^sigma_J omega^sigma_J ^ w, read off one
     gradient pass over c; no total derivative is taken.
     """
-    ctx = rho.ctx
-    return wedge_gradients(ctx, {w: symexpr.gradient(c, ctx.n, ctx.m)
-                                 for w, c in rho.terms.items()})
+    return wedge_gradients(rho.ctx, {w: symexpr.gradient(c) for w, c in rho.terms.items()})
 
 
 def wedge_gradients(ctx: Context, grads: dict) -> Form:

@@ -49,7 +49,7 @@ from fractions import Fraction
 from . import symexpr
 from .forms import (Context, Form, _add_terms, _cleared, _ds_wedge, _insert,
                     _summed, d_C, d_H, p_k, volume, wedge_gradients)
-from .interior_euler import interior_euler, residual
+from .interior_euler import _smallest_difference, interior_euler, residual
 from .multiindex import tuple_multiplicity
 from .symexpr import Scalar
 
@@ -121,7 +121,8 @@ def poincare_cartan(lam: Lagrangian) -> Form:
     closed = poincare_cartan_closed(lam)
     if theta != closed:
         raise AssertionError("residual route disagrees with the chart "
-                             "Poincare-Cartan form; decomposition bug")
+                             "Poincare-Cartan form; decomposition bug; "
+                             f"{_smallest_difference(theta, closed)}")
     return theta
 
 
@@ -165,7 +166,7 @@ def _step(lam: Lagrangian, prev: Form, q: int) -> Form:
     """
     ctx = lam.ctx
     N, [part] = _cleared([p_k(prev, q - 1)])
-    grads = {w: symexpr.gradient(c, ctx.n, ctx.m) for w, c in part.terms.items()}
+    grads = {w: symexpr.gradient(c) for w, c in part.terms.items()}
     diff = wedge_gradients(ctx, grads)
     if diff.is_zero():
         return prev

@@ -5,7 +5,8 @@ sigma = 1..m in roster order (u, v, w by default).  Jet subscripts take
 index digits (u_12) or the letter aliases x,y,z for 1,2,3 (u_xy).  The
 scalar operators are + - * / ^ with ^ binding tightest, then * and /,
 then the wedge /\\, then + and -.  Form atoms are dx1.., w(u,J), dy(u,J),
-ds, and ds(i,..); dy atoms are rewritten into the contact basis on exit.
+ds, and ds(i,..); dy(u,J) is read in the contact basis, as
+w(u,J) + u_Jj dx^j summed over j.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import re
 
 from . import symexpr
-from .forms import Context, Form, ds_block, to_contact_basis, wedge
+from .forms import Context, Form, ds_block, dx, omega, wedge
 from .lepage import Lagrangian
 from .printers import field_name
 from .symexpr import Scalar
@@ -193,7 +194,7 @@ class _Parser:
             i = int(name[2:])
             if not 1 <= i <= self.ctx.n:
                 raise UnknownIdentifier(f"dx{i}: base index out of range 1..{self.ctx.n}")
-            return Form(self.ctx, {(('dx', i),): Scalar.one()})
+            return dx(self.ctx, i)
         if _X.fullmatch(name):
             i = int(name[1:])
             if not 1 <= i <= self.ctx.n:
@@ -260,8 +261,12 @@ class _Parser:
                 raise OrderViolation(
                     f"contact index {sub[1]}: order {len(J)} exceeds the working order")
         self.expect(')')
-        kind = 'dy' if is_dy else 'w'
-        return Form(self.ctx, {((kind, sigma, tuple(sorted(J))),): Scalar.one()})
+        form = omega(self.ctx, sigma, *J)
+        if is_dy:
+            # dy^sigma_J = omega^sigma_J + sum over j of y^sigma_{Jj} dx^j
+            for j in range(1, self.ctx.n + 1):
+                form = form + dx(self.ctx, j).scale(symexpr.y(sigma, *J, j))
+        return form
 
 
 # -- operations on mixed scalar/form values ------------------------------------
@@ -324,8 +329,4 @@ def parse_lagrangian(text: str, ctx: Context, order: int, fields=None) -> Lagran
 def parse_form(text: str, ctx: Context, order: int | None = None, fields=None) -> Form:
     order = order if order is not None else ctx.r
     value = _Parser(text, ctx, order, fields).parse()
-    if not isinstance(value, Form):
-        value = Form.from_scalar(ctx, value)
-    if any(cov[0] == 'dy' for w in value.terms for cov in w):
-        return to_contact_basis(value.ctx, list(value.terms.items()))
-    return value
+    return value if isinstance(value, Form) else Form.from_scalar(ctx, value)

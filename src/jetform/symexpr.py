@@ -34,36 +34,35 @@ coordinate dependence: the symbol depends on all x^i and on all y^sigma_J
 with |J| <= order (order -1 means a function of the base point x only).
 ``partials`` is the sorted multiset of the keys of the formal partial
 derivatives already applied; mixed partials commute, so the sorted tuple
-is canonical.  Total derivatives of opaque symbols expand through the chain
-rule over the declared dependencies, producing new labelled atoms.
-Equality of expressions is literal equality of the normal forms.
+is canonical.  Equality of expressions is literal equality of the normal forms.
+
+d_i of an opaque atom f is the formal atom D_i f, and d_i D_I f is
+D_{I+i} f; outside a ``_formal_scope`` that atom is replaced at once by its
+expansion, the chain-rule normal form of d_I f.  ``_expansion`` is the one
+place that builds it: the chain rule of f (``_chain_rule``) for one index,
+d_{I[-1]} of the expansion of D_{I[:-1]} f for more.  Which jet
+coordinates an opaque atom depends on is read off its key by ``_coords``.
 
 While an outermost library call runs (the Lepage builders in ``lepage``
-and one CLI command), ``total_derivative`` reads the chain rule of each
-atom from a memo keyed by (atom, i) and filled on first use.  An entry is
-a pure function of its key, since the atom's key carries name, indices, n,
-m, order and partials, and scalars are never mutated, so every call inside
-the scope may share it.  A second memo of the scope holds the atoms derived
-from atoms, looked up by identity: the labelled partial for (atom,
-coordinate), the raised coordinate y^sigma_{J+i} for (coordinate, i), and
-the jet coordinates of an opaque shape (n, m, order).  ``_memo_scope``
-opens both memos, nested scopes reuse the outer ones, and the outermost
-scope drops them in ``finally``: no entry outlives the call, so nothing is
-carried from one input to the next.
+and one CLI command), one memo holds everything derived from atoms, by
+identity: d_i of each atom in the formal ring (``_formal_total``), the
+labelled partial for (atom, coordinate), the expansion of each formal atom
+and the jet coordinates of an opaque shape.  An entry is a pure function of
+its key, since an atom's key carries name, indices, n, m, order and
+partials, and scalars are never mutated, so every call inside the scope may
+share it.  ``_memo_scope`` opens the memo, nested scopes reuse it, and the
+outermost scope drops it in ``finally``: nothing is carried from one input
+to the next.
 
-Inside a ``_formal_scope`` the total derivative of an opaque atom skips
-the chain rule: d_i f is the one formal atom D_i f, and d_i D_I f is
-D_{I+i} f.  The integration-by-parts telescope and the residual in
-``interior_euler`` run there, where most of what the chain rule would build
-cancels.  Formal and chain-rule atoms are not algebraically independent
-(D_i f is a sum of labelled partials), so a formal zero is a zero but a
-formal nonzero proves nothing; ``expand`` turns every D_I f back into the
-chain-rule normal form before anything is compared or handed out, so no
-formal atom leaves ``interior_euler``.  Expanding is a ring homomorphism
-that commutes with d_i, so it gives exactly the chain-rule result.  The
-formal atom of (atom, i) and the expansion of each formal atom, d_{I[-1]}
-of the expansion of D_{I[:-1]} f, are kept in the scope's second memo; the
-chain-rule memo holds chain rules only.
+Inside a ``_formal_scope`` the formal atoms stay formal.  The
+integration-by-parts telescope and the residual in ``interior_euler`` run
+there, where most of what the chain rule would build cancels.  Formal and
+chain-rule atoms are not algebraically independent (D_i f is a sum of
+labelled partials), so a formal zero is a zero but a formal nonzero proves
+nothing; ``expand`` turns every D_I f back into the chain-rule normal form
+before anything is compared or handed out, so no formal atom leaves
+``interior_euler``.  Expanding is a ring homomorphism that commutes with
+d_i, so it gives exactly the chain-rule result.
 """
 
 from __future__ import annotations
@@ -355,24 +354,23 @@ def _coerce(v) -> Scalar:
 
 # -- differentiation -------------------------------------------------------
 
-_memo: dict | None = None     # (atom, i) -> _atom_total(atom, i) inside a scope
-_derived: dict | None = None  # atoms derived from atoms inside a scope
+_derived: dict | None = None  # everything derived from atoms, inside a scope
 _formal = False               # d_i of an opaque atom stays one formal atom
 
 
 @contextmanager
 def _memo_scope():
-    """Keep d_i of every atom, and the atoms derived from atoms, for the
-    rest of the outermost open scope."""
-    global _memo, _derived
-    if _memo is not None:
+    """Keep everything derived from atoms for the rest of the outermost open
+    scope."""
+    global _derived
+    if _derived is not None:
         yield
         return
-    _memo, _derived = {}, {}
+    _derived = {}
     try:
         yield
     finally:
-        _memo = _derived = None
+        _derived = None
 
 
 @contextmanager
@@ -398,34 +396,34 @@ def _labelled(a: Atom, c: Atom, derived: dict) -> Atom:
     return f
 
 
-def _raised(c: Atom, i: int, derived: dict) -> Atom:
-    """The jet coordinate y^sigma_{J+i} for c = y^sigma_J."""
-    r = derived.get((c, i))
-    if r is None:
-        _, sigma, J = c.key
-        r = derived[c, i] = y_atom(sigma, J + (i,))
-    return r
-
-
-def _deferred(a: Atom, i: int, derived: dict) -> Atom:
-    """The formal atom D_i f for a = f opaque, or D_{I+i} f for a = D_I f."""
-    d = derived.get((a, i))
-    if d is None:
-        if a.kind == 'f':
-            key = ('g', a.key, (i,))
+def _formal_total(a: Atom, i: int, derived: dict) -> Scalar:
+    """d_i of one atom in the formal ring: 1 or 0 for x^j, y^sigma_{J+i}
+    for y^sigma_J, the formal atom D_i f for f opaque and D_{I+i} f for
+    D_I f."""
+    da = derived.get((a, i))
+    if da is None:
+        kind, key = a.kind, a.key
+        if kind == 'x':
+            da = Scalar.one() if key[1] == i else Scalar.zero()
         else:
-            _, f, I = a.key
-            key = ('g', f, tuple(sorted(I + (i,))))
-        d = derived[a, i] = atom(key)
-    return d
+            if kind == 'y':
+                d = y_atom(key[1], key[2] + (i,))
+            elif kind == 'f':
+                d = atom(('g', key, (i,)))
+            else:
+                d = atom(('g', key[1], tuple(sorted(key[2] + (i,)))))
+            da = Scalar({((d, 1),): 1})
+        derived[a, i] = da
+    return da
 
 
-def _coords(n: int, m: int, order: int, derived: dict) -> list:
-    """The jet coordinates y^sigma_J, |J| <= order, that an opaque atom of
-    shape (n, m, order) depends on."""
-    shape = (n, m, order)
+def _coords(a: Atom, derived: dict) -> list:
+    """The jet coordinates y^sigma_J, |J| <= order, that the opaque atom a
+    depends on, for the shape (n, m, order) in its key."""
+    shape = a.key[3:6]
     cs = derived.get(shape)
     if cs is None:
+        n, m, order = shape
         cs = derived[shape] = [y_atom(sigma, J) for sigma in range(1, m + 1)
                                for J in jet_keys(n, order)]
     return cs
@@ -482,37 +480,20 @@ def partial(e: Scalar, coord: tuple) -> Scalar:
     return _derive_monomials(e, lambda a: _atom_partial(a, c, derived))
 
 
-def _atom_total(a: Atom, i: int) -> Scalar:
-    kind = a.kind
-    if kind == 'x':
-        return Scalar.one() if a.key[1] == i else Scalar.zero()
+def _total_rule(i: int, formal: bool):
+    """d_i on atoms: ``_formal_total``, with the formal atom D_{I+i} f that
+    an opaque or formal atom goes to expanded unless ``formal`` is set."""
     derived = {} if _derived is None else _derived
-    if kind == 'y':
-        return Scalar({((_raised(a, i, derived), 1),): 1})
-    # chain rule over the declared dependencies: d_i f = f'x^i plus
-    # f'y^sigma_J * y^sigma_{J+i} over sigma and |J| <= order.  Each labelled
-    # partial is a distinct atom, so every monomial below has coefficient 1
-    # once its two atoms are put in rank order.
-    n, m, order = a.key[3:6]
-    out = {((_labelled(a, atom(('x', i)), derived), 1),): 1}
-    for c in _coords(n, m, order, derived):
-        f, r = _labelled(a, c, derived), _raised(c, i, derived)
-        out[((f, 1), (r, 1)) if f.rank < r.rank else ((r, 1), (f, 1))] = 1
-    return Scalar(out)
-
-
-def _total_rule(i: int, derived: dict | None):
-    """d_i on atoms: the chain rule from the memo, or, for ``derived`` not
-    None, one formal atom for an opaque or formal atom."""
-    memo = {} if _memo is None else _memo
 
     def rule(a):
-        if derived is not None and a.kind in ('f', 'g'):
-            return Scalar({((_deferred(a, i, derived), 1),): 1})
-        da = memo.get((a, i))
+        da = derived.get((a, i))  # _formal_total's lookup, inlined: one per factor
         if da is None:
-            da = memo[a, i] = _atom_total(a, i)
-        return da
+            da = _formal_total(a, i, derived)
+        if formal or a.kind in ('x', 'y'):
+            return da
+        [((g, _),)] = da.terms
+        ex = derived.get(g)
+        return _expansion(g, derived) if ex is None else ex
 
     return rule
 
@@ -523,7 +504,7 @@ def total_derivative(e: Scalar, i: int) -> Scalar:
     Inside a ``_formal_scope`` an opaque atom's d_i is the formal atom
     D_i f, and d_i D_I f is D_{I+i} f; ``expand`` reads them back.
     """
-    return _derive_monomials(e, _total_rule(i, _derived if _formal else None))
+    return _derive_monomials(e, _total_rule(i, _formal))
 
 
 def total_derivative_multi(e: Scalar, J: Iterable[int]) -> Scalar:
@@ -532,15 +513,33 @@ def total_derivative_multi(e: Scalar, J: Iterable[int]) -> Scalar:
     return e
 
 
+def _chain_rule(a: Atom, i: int, derived: dict) -> Scalar:
+    """d_i f in chain-rule normal form, for a = f opaque: f'x^i plus
+    f'y^sigma_J * y^sigma_{J+i} over the coordinates ``_coords`` of f.
+
+    Each labelled partial is a distinct atom, so every monomial has
+    coefficient 1 once its two atoms are put in rank order.
+    """
+    out = {((_labelled(a, atom(('x', i)), derived), 1),): 1}
+    for c in _coords(a, derived):
+        f = _labelled(a, c, derived)
+        [((r, _),)] = _formal_total(c, i, derived).terms  # y^sigma_{J+i}
+        out[((f, 1), (r, 1)) if f.rank < r.rank else ((r, 1), (f, 1))] = 1
+    return Scalar(out)
+
+
 def _expansion(g: Atom, derived: dict) -> Scalar:
-    """d_I f in chain-rule normal form, for g = D_I f: d_{I[-1]} of the
-    expansion of D_{I[:-1]} f."""
+    """d_I f in chain-rule normal form, for g = D_I f: the chain rule of f
+    for one index, and d_{I[-1]} of the expansion of D_{I[:-1]} f for more."""
     ex = derived.get(g)
     if ex is None:
         _, f, I = g.key
-        base = (Scalar({((atom(f), 1),): 1}) if len(I) == 1
-                else _expansion(atom(('g', f, I[:-1])), derived))
-        ex = derived[g] = _derive_monomials(base, _total_rule(I[-1], None))
+        if len(I) == 1:
+            ex = _chain_rule(atom(f), I[0], derived)
+        else:
+            base = _expansion(atom(('g', f, I[:-1])), derived)
+            ex = _derive_monomials(base, _total_rule(I[-1], False))
+        derived[g] = ex
     return ex
 
 
@@ -575,12 +574,12 @@ def jet_keys(n: int, order: int) -> Iterator[tuple]:
         yield from combinations_with_replacement(range(1, n + 1), k)
 
 
-def gradient(e: Scalar, n: int, m: int) -> dict:
+def gradient(e: Scalar) -> dict:
     """Every nonzero partial in a jet coordinate, from one pass over e.
 
     Returns ``{('y', sigma, J): partial(e, ('y', sigma, J))}`` over the jet
-    coordinates present in e and those its opaque atoms declare over
-    (n, m).
+    coordinates present in e and those its opaque atoms depend on
+    (``_coords``).
     """
     derived = {} if _derived is None else _derived
     factors: dict = {}   # opaque atom -> [(coordinate, the labelled monomial)]
@@ -598,7 +597,7 @@ def gradient(e: Scalar, n: int, m: int) -> dict:
                 pairs = factors.get(a)
                 if pairs is None:
                     pairs = factors[a] = [(c, ((_labelled(a, c, derived), 1),))
-                                          for c in _coords(n, m, a.key[5], derived)]
+                                          for c in _coords(a, derived)]
                 hits = ((c, _mul_monomials(rest, f)) for c, f in pairs)
             for c, mb in hits:
                 terms = out.get(c)

@@ -202,13 +202,13 @@ def _morphism(ctx: Context, s: int, acc: dict) -> VariationalMorphism:
 # -- the block-plus-first-index antisymmetrization -----------------------------
 
 
-def _antisymmetrized(V: VariationalMorphism, h: int | None = None) -> VariationalMorphism:
-    """A^{[b' L]}: antisymmetrize over the block plus the first rank index.
+def _antisymmetrized(V: VariationalMorphism, h: int) -> VariationalMorphism:
+    """A^{[b' L]}: antisymmetrize rank h >= 1 over the block plus J[0].
 
     The codegree-(s+1) morphism whose coefficient at (b', sigma, L) is
     1/(s+1)! times the sum, over the orderings q of b', of sign(q) times
-    V^{q[:s] sigma (q[s],) + L}, read off the stored coefficients of V (only
-    those of rank h when h is given).  Each c = V^{b sigma J} with i = J[0]
+    V^{q[:s] sigma (q[s],) + L}, read off the stored coefficients of V of
+    rank h.  Each c = V^{b sigma J} with i = J[0]
     not in b lands once: with b' = b with i inserted at position p,
     (-1)^(s-p) c/(s+1) goes to (b', sigma, J[1:]).  The block lookup is
     already signed, so the (s+1)! orderings collapse to these s+1 terms.
@@ -216,7 +216,7 @@ def _antisymmetrized(V: VariationalMorphism, h: int | None = None) -> Variationa
     s = V.s
     acc: dict = {}
     for (b, sigma, J), c in V.coeffs.items():
-        if not J or (h is not None and len(J) != h) or J[0] in b:
+        if len(J) != h or J[0] in b:
             continue
         p = bisect.bisect(b, J[0])
         w = Fraction(-1 if (s - p) % 2 else 1, s + 1)
@@ -267,6 +267,27 @@ def split_like(V: VariationalMorphism) -> SplitResult:
     return SplitResult(E, T)
 
 
+def _symmetrized(V: VariationalMorphism) -> VariationalMorphism:
+    """V averaged over the orderings of each rank string, which pairs as V
+    does since d_J Xi is symmetric in J.  A family of coefficients that is
+    already equal at every ordering of its J is kept as it is."""
+    coeffs, groups = {}, {}
+    for key, c in V.coeffs.items():
+        b, sigma, J = key
+        if len(J) < 2:  # one ordering
+            coeffs[key] = c
+        else:
+            groups.setdefault((b, sigma, tuple(sorted(J))), []).append(c)
+    for (b, sigma, K), cs in groups.items():
+        orderings = set(itertools.permutations(K))
+        share = cs[0]
+        if len(cs) < len(orderings) or any(c != share for c in cs[1:]):
+            share = sum(cs, Scalar.zero()) * Fraction(1, len(orderings))
+        if not share.is_zero():
+            coeffs.update(((b, sigma, J), share) for J in orderings)
+    return VariationalMorphism(V.ctx, V.s, coeffs)
+
+
 # -- the canonical splitting ---------------------------------------------------
 
 
@@ -274,20 +295,21 @@ def split_canonical_codegree_s(V: VariationalMorphism) -> SplitResult:
     """The canonical splitting <V|J^r Xi> = <E|J^r Xi> + Div(<T|J^{r-1}Xi>).
 
     Built top-down from stored coefficients, for every rank r and codegree
-    s >= 1.  E starts as a copy of V and T empty; for h = r .. 1,
+    s >= 1.  E starts as V averaged over the orderings of each rank string
+    (``_symmetrized``), which pairs as V does, and T empty; for h = r .. 1,
     T_{h-1} = h/(s+h) ``_antisymmetrized(E, h)``, T gains T_{h-1}, and E
     loses ``divergence(T_{h-1})``.  The part of that divergence which moves
     a block index into the rank string antisymmetrizes back to (s+h)/h
     times T_{h-1}, which fixes the weight: 1/(s+1) at h = 1, and 2/3 at
-    rank 2, codegree 1.  What is left at rank h is the hook part, so for V
-    symmetric in its rank strings both E and T are reduced, and E stays
-    symmetric.  At codegree 0 the blocks are empty, the two splittings
-    coincide, and the split-like recurrence computes it directly.
+    rank 2, codegree 1.  What is left at rank h is the hook part, so both
+    E and T are reduced, and E stays symmetric.  At codegree 0 the blocks
+    are empty, the two splittings coincide, and the split-like recurrence
+    computes it directly.
     """
     ctx, s = V.ctx, V.s
     if s == 0:
         return split_like(V)
-    E = VariationalMorphism(ctx, s, dict(V.coeffs))
+    E = _symmetrized(V)
     T = VariationalMorphism(ctx, s + 1)
     for h in range(V.rank, 0, -1):
         w = Fraction(h, s + h)

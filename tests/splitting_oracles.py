@@ -173,5 +173,6 @@ def is_reduced_grid(V: VariationalMorphism) -> bool:
 
 
 def is_reduced(V: VariationalMorphism) -> bool:
-    """Whether V vanishes under block + first-rank-index antisymmetrization."""
-    return _antisymmetrized(V).is_zero()
+    """Whether each rank of V vanishes under block + first-rank-index
+    antisymmetrization."""
+    return all(_antisymmetrized(V, h).is_zero() for h in range(1, V.rank + 1))

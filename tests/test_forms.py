@@ -6,9 +6,11 @@ import pytest
 from jetform import symexpr as se
 from jetform.forms import (Context, Form, GradingMismatch, _contract, codegree,
                            contract_prolonged, d_C, d_H, dx, ds_block,
-                           ds_parts, exterior_d, omega, p_k, to_contact_basis,
+                           ds_parts, exterior_d, omega, p_k,
                            total_derivative_form, total_derivative_form_multi,
                            total_derivative_sum, volume, wedge)
+from jetform.parser import parse_form
+from jetform.printers import scalar_text
 from jetform.randomgen import rand_form, rand_scalar
 from jetform.symexpr import Scalar
 from form_oracles import d_H_walk, degree_grid
@@ -133,7 +135,7 @@ def test_iota_a_extends_the_ds_block_past_a_pure_contact_factor():
 # -- contact basis and grading ------------------------------------------------------
 
 def test_dy_definition():
-    f = to_contact_basis(CTX1, [([('dy', 1, ())], Scalar.one())])
+    f = parse_form("dy(u)", CTX1, 0)
     assert f == omega(CTX1, 1) + dx(CTX1, 1).scale(se.y(1, 1))
 
 
@@ -144,11 +146,17 @@ def test_horizontal_form_unchanged():
 
 def test_dy_wedge_dy1_chart_expression():
     # dy ^ dy_1 at n=1: w ^ w_1 + y_2 w ^ dx - y_1 w_1 ^ dx
-    f = to_contact_basis(CTX1, [([('dy', 1, ()), ('dy', 1, (1,))], Scalar.one())])
+    f = parse_form("dy(u) /\\ dy(u,1)", CTX1, 1)
     expect = wedge(omega(CTX1, 1), omega(CTX1, 1, 1)) \
         + wedge(omega(CTX1, 1), dx(CTX1, 1)).scale(se.y(1, 1, 1)) \
         - wedge(omega(CTX1, 1, 1), dx(CTX1, 1)).scale(se.y(1, 1))
     assert f == expect
+
+
+def _rand_dy(rng):
+    """dy(u) or dy(v), or one with a jet index 1 or 2, as the parser reads it."""
+    field, j = rng.choice("uv"), rng.randint(1, 2)
+    return f"dy({field},{j})" if rng.randint(0, 1) else f"dy({field})"
 
 
 def test_grading_completeness():
@@ -156,11 +164,10 @@ def test_grading_completeness():
     for _ in range(10):
         raw = []
         for _ in range(3):
-            covs = [('dy', rng.randint(1, 2), (rng.randint(1, 2),) * rng.randint(0, 1))
-                    for _ in range(rng.randint(1, 2))]
-            covs += [('dx', i) for i in range(1, rng.randint(1, 2) + 1)]
-            raw.append((covs, rand_scalar(rng, CTX2, 1)))
-        f = to_contact_basis(CTX2, raw)
+            covs = [_rand_dy(rng) for _ in range(rng.randint(1, 2))]
+            covs += [f"dx{i}" for i in range(1, rng.randint(1, 2) + 1)]
+            raw.append(f"({scalar_text(rand_scalar(rng, CTX2, 1))}) * " + " /\\ ".join(covs))
+        f = parse_form(" + ".join(raw), CTX2, 1)
         total = Form.zero(CTX2)
         for k in range(5):
             total = total + p_k(f, k)

@@ -351,6 +351,8 @@ def test_cli_failed_self_check_is_internal_error_3(monkeypatch, module, name,
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ") and message in err
+    # every self-check names the smallest term in which its two sides differ
+    assert "; smallest differing term: rebuilt " in err
 
 
 @pytest.mark.parametrize("flags", [["--order", "1", "u_x*v_y^2"],
@@ -383,26 +385,29 @@ def test_cli_kb_runs_the_recurrence_only_to_cross_check(monkeypatch):
 
 def test_cli_command_shares_one_chain_rule_memo(monkeypatch):
     keys, memos = [], []
-    build = se._atom_total
+    build = se._chain_rule
 
-    def spy(atom, i):
+    def spy(atom, i, derived):
         keys.append((atom, i))
-        memos.append(se._memo)
-        return build(atom, i)
+        memos.append(se._derived)
+        return build(atom, i, derived)
 
-    monkeypatch.setattr(se, "_atom_total", spy)
+    monkeypatch.setattr(se, "_chain_rule", spy)
+    # the grammar has no opaque symbols, so the command reads a generic density
+    monkeypatch.setattr(cli, "parse_lagrangian",
+                        lambda text, ctx, order, fields: lepage.generic_lagrangian(ctx, order))
     # the closed form and its cross-check recurrence build each rule once
     code, out, err = run_cli(["kb", "--base-dim", "2", "--fiber-dim", "1",
                               "--order", "2", "u_xx*u_y^2 + u_x*u_xy"])
     assert code == 0 and out and err == ""
     assert keys and len(keys) == len(set(keys))
     assert memos[0] is not None and all(memo is memos[0] for memo in memos)
-    assert se._memo is None
+    assert se._derived is None
     monkeypatch.setattr(lepage, "poincare_cartan_closed", lambda lam: volume(lam.ctx))
     code, _, _ = run_cli(["pc", "--base-dim", "2", "--fiber-dim", "1",
                           "--order", "1", "1/2*(u_x^2+u_y^2)"])
     assert code == 3
-    assert se._memo is None
+    assert se._derived is None
 
 
 def test_cli_stdin():

@@ -334,29 +334,31 @@ def test_lepage_check_fails_for_bare_lambda():
     assert not rep.source_diff.is_zero()
 
 
-# -- the chain-rule memo lives for one outermost call -------------------------------------
+# -- the memo lives for one outermost call -------------------------------------------
 
-def _spy_atom_total(monkeypatch):
-    """Record the key of every chain rule built, and the memo it went into."""
-    keys, memos = [], []
-    build = se._atom_total
+def _spy_chain_rule(monkeypatch):
+    """Record the key of every chain rule built, the rule, and the memo it
+    went into."""
+    keys, rules, memos = [], [], []
+    build = se._chain_rule
 
-    def spy(atom, i):
+    def spy(atom, i, derived):
         keys.append((atom, i))
-        memos.append(se._memo)
-        return build(atom, i)
+        memos.append(se._derived)
+        rules.append(build(atom, i, derived))
+        return rules[-1]
 
-    monkeypatch.setattr(se, "_atom_total", spy)
-    return keys, memos
+    monkeypatch.setattr(se, "_chain_rule", spy)
+    return keys, rules, memos
 
 
 @pytest.mark.parametrize("call", [
     poincare_cartan, rossi_recurrence, euler_lagrange, krupka_betounes_first])
 def test_memo_is_gone_after_a_public_call_returns(call):
     lam = generic_lagrangian(Context(n=2, m=2), 1)
-    assert se._memo is None
+    assert se._derived is None
     call(lam)
-    assert se._memo is None
+    assert se._derived is None
 
 
 def test_memo_is_gone_after_a_self_check_raises(monkeypatch):
@@ -366,22 +368,24 @@ def test_memo_is_gone_after_a_self_check_raises(monkeypatch):
     for call in (poincare_cartan, rossi_recurrence):
         with pytest.raises(AssertionError):
             call(lam)
-        assert se._memo is None
+        assert se._derived is None
 
 
 def test_nested_entry_points_share_one_memo(monkeypatch):
-    keys, memos = _spy_atom_total(monkeypatch)
+    keys, rules, memos = _spy_chain_rule(monkeypatch)
     lam = generic_lagrangian(CTX21, 2)
     # rossi_recurrence -> poincare_cartan -> _closed_equivalent, each a scope
     rossi_recurrence(lam)
     assert memos[0] is not None and all(memo is memos[0] for memo in memos)
-    assert len(memos[0]) == len(keys)
+    # each rule built is kept as the expansion of its formal atom D_i f
+    assert keys and all(memos[0][se.atom(('g', a.key, (i,)))] is rule
+                        for (a, i), rule in zip(keys, rules))
     memos.clear()
     with se._memo_scope():
-        outer = se._memo
+        outer = se._derived
         euler_lagrange(lam)
         kb_second_order(lam)
-        assert se._memo is outer
+        assert se._derived is outer
     assert memos and all(memo is outer for memo in memos)
 
 
@@ -447,7 +451,7 @@ def test_provenance_eta_is_canonical_at_the_first_step(n, m):
     for order in (1, 2):
         for lam in [generic_lagrangian(ctx, order),
                     Lagrangian(ctx, order, rand_density(rng, ctx, order))]:
-            grads = {w: se.gradient(c, n, m) for w, c in p_k(lam.form(), 0).terms.items()}
+            grads = {w: se.gradient(c) for w, c in p_k(lam.form(), 0).terms.items()}
             canonical = ie.eta_decompose(d_C(lam.form()), 1).etas
             assert canonical
             assert lepage._provenance_eta(ctx, grads) == canonical
@@ -465,7 +469,7 @@ def test_chain_member_q_has_contact_degree_at_most_q(n, m, order):
 
 
 def test_recurrence_builds_each_chain_rule_once(monkeypatch):
-    keys, _ = _spy_atom_total(monkeypatch)
+    keys, _, _ = _spy_chain_rule(monkeypatch)
     lam = generic_lagrangian(Context(n=3, m=1), 2)
     terminal = rossi_recurrence(lam).terminal
     # without the memo the same recurrence builds 732 chain rules, and 189
@@ -479,7 +483,7 @@ def test_recurrence_builds_each_chain_rule_once(monkeypatch):
 def test_lepage_check_builds_each_chain_rule_once(monkeypatch):
     lam = generic_lagrangian(Context(n=3, m=1), 2)
     rho = kb_second_order(lam)
-    keys, _ = _spy_atom_total(monkeypatch)
+    keys, _, _ = _spy_chain_rule(monkeypatch)
     assert lepage_check(rho, lam).ok
     assert keys and len(keys) == len(set(keys))
 
@@ -537,7 +541,7 @@ def test_integer_chain_matches_the_uncleared_step(n, m, order):
         diff = p_k(exterior_d(prev), q)
         etas = None
         if order == 2:
-            grads = {w: se.gradient(c, n, m) for w, c in part.terms.items()}
+            grads = {w: se.gradient(c) for w, c in part.terms.items()}
             etas = lepage._provenance_eta(ctx, grads)
         assert chain[q - 1] == prev - p_k(ie.residual(diff, q, etas), q)
     # the cleared steps did divide something

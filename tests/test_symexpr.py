@@ -224,6 +224,20 @@ def test_expanded_formal_derivative_is_the_chain_rule_derivative(seed):
         assert se.expand(formal) == inside == se.total_derivative_multi(e, I)
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_total_derivative_of_a_formal_atom_outside_the_scope(seed):
+    # outside a formal scope d_i D_I f is the expansion of D_{I+i} f, so a
+    # formal expression derives to the chain-rule derivative once expanded
+    e = _rand_opaque_expr(random.Random(seed))
+    with se._formal_scope():
+        formal = se.total_derivative(e, 2)
+    assert any(a.kind == 'g' for a in formal.atoms())
+    for i in (1, 2):
+        got = se.expand(se.total_derivative(formal, i))
+        assert got == se.total_derivative(se.expand(formal), i)
+        assert got == se.total_derivative_multi(e, (2, i))
+
+
 def test_formal_scope_is_restored_on_every_exit():
     f = se.opaque("Fs", n=1, m=1, order=1)
     with se._formal_scope():
@@ -235,7 +249,7 @@ def test_formal_scope_is_restored_on_every_exit():
     with pytest.raises(RuntimeError):
         with se._formal_scope():
             raise RuntimeError
-    assert not se._formal and se._memo is None
+    assert not se._formal and se._derived is None
     assert se.total_derivative(f, 1) == se.expand(se.total_derivative(f, 1))
 
 
@@ -380,13 +394,13 @@ def test_gradient_equals_one_partial_per_declared_coordinate(case):
             d = se.partial(e, ('y', sigma, J))
             if not d.is_zero():
                 expect[('y', sigma, J)] = d
-    assert se.gradient(e, n, m) == expect
+    assert se.gradient(e) == expect
 
 
 def test_gradient_of_a_cancelling_pair():
     f = se.opaque("F", n=2, m=1, order=0)
     f_u = se.partial(f, ('y', 1, ()))
-    grad = se.gradient(f - se.y(1) * f_u, 2, 1)
+    grad = se.gradient(f - se.y(1) * f_u)
     assert grad == {('y', 1, ()): Scalar.zero() - se.y(1) * se.partial(f_u, ('y', 1, ()))}
 
 
@@ -396,7 +410,7 @@ def test_gradient_builds_each_coordinate_label_once():
     f = se.opaque("F", n=3, m=2, order=2)
     e = f * se.opaque("G", n=3, m=2, order=1) + f ** 2 * se.y(1, 2)
     labels: dict = {}
-    for d in se.gradient(e, 3, 2).values():
+    for d in se.gradient(e).values():
         for mono in d.terms:
             for a, _ in mono:
                 for key in a.key[6] if a.kind == 'f' else ():

@@ -300,6 +300,11 @@ def test_splittings_read_off_stored_coefficients_match_the_grid_walks(n, m, s, r
         canon = split_canonical_codegree_s(V)
         for W in (V, like.volume, like.boundary, canon.volume, canon.boundary):
             assert is_reduced(W) == is_reduced_grid(W)
+        if s:  # the canonical parts are reduced on non-symmetric input too
+            assert is_reduced(canon.volume) and is_reduced(canon.boundary)
+            xi = formal_field(ctx)
+            assert (V.evaluate(xi) - canon.volume.evaluate(xi)
+                    - d_H(canon.boundary.evaluate(xi))).is_zero()
 
 
 def test_is_reduced_is_false_on_a_non_reduced_rank1_morphism():
