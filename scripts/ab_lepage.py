@@ -2,7 +2,7 @@
 """Time two jetform source trees against each other in one process.
 
 Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 alpha/n4m2 verify/prop-da/n3m2
-                                                     cli/el/n2m1] [--reps 12]
+                                                     cli/el/n2m1 cli/split/n3m2] [--reps 12]
 
 A_SRC and B_SRC are ``src`` directories (a checkout of the parent commit
 and the working tree, say).  Both are imported into this interpreter under
@@ -14,15 +14,18 @@ case ``alpha/nNmM`` times ``alpha_discrepancy``, both splittings of a
 morphism, on a generic opaque and a seeded random polynomial morphism of
 codegree 1 and rank 2.  A case ``verify/<identity>/nNmM`` times
 ``jetform verify --identity <identity> -n N -m M`` through ``cli.main``,
-for seeds 0-3.  A case ``cli/<el|pc|kb>/nNmM`` times the short request
+for seeds 0-3.  A case ``cli/<cmd>/nNmM`` times the short request
 ``jetform <cmd> -n N -m M -r 1 --format json -- <expr>`` through
-``cli.main``, where ``<expr>`` is the seeded random first-order density
-of ``randomgen.rand_density`` for seeds 0-3.  Each repetition runs every
-case on both sides back to back, A first on even repetitions and B first
-on odd ones; the two runs of a pair share a density name that no earlier
-pair used, so every run starts cold.  The host's speed drifts over
-minutes, so only runs made this close together tell a gain of a few
-percent; separate-process timings do not.
+``cli.main`` for seeds 0-3: parse, compute, print.  For ``el``, ``pc``
+and ``kb``, ``<expr>`` is the seeded random first-order density of
+``randomgen.rand_density``; for ``split``, ``splitlike`` and ``alpha`` it
+is the contact form of the seeded random morphism of
+``randomgen.rand_morphism`` of rank 2 and codegree 1 (codegree 0 at
+N = 1).  Each repetition runs every case on both sides back to back, A
+first on even repetitions and B first on odd ones; the two runs of a pair
+share a density name that no earlier pair used, so every run starts cold.
+The host's speed drifts over minutes, so only runs made this close
+together tell a gain of a few percent; separate-process timings do not.
 
 Per case it prints the median seconds of A and B, the ratio of the
 medians (B/A, below 1 when B is faster), the median of the per-pair ratios
@@ -50,7 +53,8 @@ GRID = [f"n{n}m{m}r{r}" for n in (2, 3, 4) for m in (1, 2) for r in (1, 2)
         if (n, m, r) != (4, 2, 2)]
 ALPHA = [f"alpha/n{n}m{m}" for n in (2, 3, 4) for m in (1, 2)]
 VERIFY = re.compile(r"verify/([a-z0-9-]+)/n([1-9])m([1-9])")
-CLI = re.compile(r"cli/(el|pc|kb)/n([1-9])m([1-9])")
+CLI = re.compile(r"cli/(el|pc|kb|split|splitlike|alpha)/n([1-9])m([1-9])")
+MORPHISM_COMMANDS = ("split", "splitlike", "alpha")
 SEEDS = range(4)
 
 
@@ -59,7 +63,7 @@ def case_name(text: str) -> str:
         return text
     raise argparse.ArgumentTypeError(
         f"{text!r} is none of {', '.join(GRID + ALPHA)}, verify/<identity>/nNmM "
-        "or cli/<el|pc|kb>/nNmM")
+        "or cli/<el|pc|kb|split|splitlike|alpha>/nNmM")
 
 
 def load(src: str):
@@ -111,8 +115,14 @@ def run_verify(side, slot: str):
 def run_cli(side, slot: str):
     cmd, n, m = CLI.fullmatch(slot).groups()
     ctx = side["forms"].Context(n=int(n), m=int(m))
-    exprs = [side["printers"].scalar_text(
-        side["randomgen"].rand_density(random.Random(seed), ctx, 1)) for seed in SEEDS]
+    printers, randomgen = side["printers"], side["randomgen"]
+    if cmd in MORPHISM_COMMANDS:
+        s = min(1, ctx.n - 1)
+        exprs = [printers.form_text(side["varmorph"].to_contact_form(
+            randomgen.rand_morphism(random.Random(seed), ctx, s, 2))) for seed in SEEDS]
+    else:
+        exprs = [printers.scalar_text(randomgen.rand_density(random.Random(seed), ctx, 1))
+                 for seed in SEEDS]
     return run_main(side, [[cmd, "-n", n, "-m", m, "-r", "1", "--format", "json", "--", expr]
                            for expr in exprs])
 

@@ -25,10 +25,12 @@ of ``d_H`` = sum over i of dx^i ^ d_i), it is placed at its insertion
 position (``_insert``), which gives the sign without sorting the whole
 product.  ``total_derivative_form`` is the one place a contact covector is
 raised, omega^sigma_J to omega^sigma_Ji; ``d_H`` and every trie sum go
-through it.  ``_cleared``
-clears the denominators of a family of forms, for the integer pipelines of
-``interior_euler`` and ``lepage``; ``total_derivative_sum`` sums the d_J of
-a family of forms over the trie of the sorted J.
+through it.  ``_cleared_terms`` clears the denominators of a family of
+{key: Scalar} maps into integer running sums, and ``_cleared`` does so for
+a family of forms, for the integer pipelines of ``interior_euler``,
+``lepage`` and ``varmorph``, which divide once at the end (``_divided``,
+or ``_summed`` with a divisor); ``total_derivative_sum`` sums the d_J of a
+family of forms over the trie of the sorted J.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import symexpr
 from .multiindex import sort_with_sign
@@ -293,21 +296,50 @@ def _add_into(acc: dict, rho: Form, c: int = 1) -> None:
         _add_terms(acc, w, s.terms, c)
 
 
-def _summed(ctx: Context, acc: dict) -> Form:
-    """The form held by a {wedge: {monomial: coefficient}} running sum."""
+def _summed(ctx: Context, acc: dict, D: int = 1) -> Form:
+    """The form held by a {wedge: {monomial: coefficient}} running sum,
+    divided by D."""
+    if D != 1:
+        quotients: dict = {}
+        return Form(ctx, {w: Scalar(_divided(t, D, quotients)) for w, t in acc.items() if t})
     return Form(ctx, {w: Scalar(t) for w, t in acc.items() if t})
+
+
+def _cleared_terms(maps) -> tuple:
+    """(D, [D times each map]) for maps from keys to Scalars, D the lcm of
+    the denominators of every coefficient; each D map is a {key: {monomial:
+    int}} running sum of new dicts, free to be added into."""
+    maps = list(maps)
+    D = math.lcm(*{v.denominator for terms in maps
+                   for c in terms.values() for v in c.terms.values()})
+    return D, [{key: {m: v.numerator * (D // v.denominator) for m, v in c.terms.items()}
+                for key, c in terms.items()} for terms in maps]
 
 
 def _cleared(forms) -> tuple:
     """(D, [D rho for each rho in forms]), D the lcm of the denominators of
     every coefficient, so that each D rho has int coefficients."""
     forms = list(forms)
-    D = math.lcm(*{v.denominator for rho in forms
-                   for c in rho.terms.values() for v in c.terms.values()})
-    return D, [Form(rho.ctx, {w: Scalar({m: v.numerator * (D // v.denominator)
-                                         for m, v in c.terms.items()})
-                              for w, c in rho.terms.items()})
-               for rho in forms]
+    D, accs = _cleared_terms(rho.terms for rho in forms)
+    return D, [_summed(rho.ctx, acc) for rho, acc in zip(forms, accs)]
+
+
+def _divided(terms: dict, D: int, quotients: dict) -> dict:
+    """{monomial: coefficient / D}; a quotient that is whole stays an int.
+
+    ``quotients`` holds the quotients already taken by D in one pass over a
+    running sum: its few distinct values repeat over many monomials, so
+    each Fraction is made once per pass.
+    """
+    if D == 1:
+        return terms
+    out = {}
+    for m, v in terms.items():
+        q = quotients.get(v)
+        if q is None:
+            q = quotients[v] = v // D if type(v) is int and not v % D else Fraction(v, D)
+        out[m] = q
+    return out
 
 
 # -- contact decomposition -----------------------------------------------------

@@ -62,7 +62,10 @@ labelled partials), so a formal zero is a zero but a formal nonzero proves
 nothing; ``expand`` turns every D_I f back into the chain-rule normal form
 before anything is compared or handed out, so no formal atom leaves
 ``interior_euler``.  Expanding is a ring homomorphism that commutes with
-d_i, so it gives exactly the chain-rule result.
+d_i, so it gives exactly the chain-rule result.  For the same reason a
+formal atom has no partial derivatives of its own: ``partial`` and
+``gradient`` raise ``UnexpandedFormalAtom`` on one rather than read it as
+a constant.
 """
 
 from __future__ import annotations
@@ -429,9 +432,19 @@ def _coords(a: Atom, derived: dict) -> list:
     return cs
 
 
+class UnexpandedFormalAtom(AssertionError):
+    """A partial derivative was asked of a formal atom D_I f."""
+
+    def __init__(self, g: Atom):
+        super().__init__(f"the partial derivatives of the formal atom {g.key!r} are "
+                         "undefined until it is expanded (symexpr.expand)")
+
+
 def _atom_partial(a: Atom, c: Atom, derived: dict) -> Scalar:
     """Partial derivative of a single atom with respect to a coordinate."""
     if a.kind != 'f':
+        if a.kind == 'g':
+            raise UnexpandedFormalAtom(a)
         return Scalar.one() if a is c else Scalar.zero()
     # an opaque atom depends on every x^i and on y^sigma_J for |J| <= order
     if c.kind == 'x' or (c.kind == 'y' and len(c.key[2]) <= a.key[5]):
@@ -471,7 +484,10 @@ def partial(e: Scalar, coord: tuple) -> Scalar:
     """Formal partial derivative with respect to a single stored coordinate.
 
     ``coord`` is a coordinate key.  For jet coordinates the multi-index is
-    matched after sorting and no multinomial weight is applied.
+    matched after sorting and no multinomial weight is applied.  A formal
+    atom D_I f has no partials until it is expanded, since it is not
+    independent of the coordinates its expansion holds: ``partial`` raises
+    ``UnexpandedFormalAtom`` on one.
     """
     if coord[0] == 'y':
         coord = ('y', coord[1], tuple(sorted(coord[2])))
@@ -579,7 +595,8 @@ def gradient(e: Scalar) -> dict:
 
     Returns ``{('y', sigma, J): partial(e, ('y', sigma, J))}`` over the jet
     coordinates present in e and those its opaque atoms depend on
-    (``_coords``).
+    (``_coords``).  Like ``partial``, it raises ``UnexpandedFormalAtom`` on
+    a formal atom.
     """
     derived = {} if _derived is None else _derived
     factors: dict = {}   # opaque atom -> [(coordinate, the labelled monomial)]
@@ -593,6 +610,8 @@ def gradient(e: Scalar) -> dict:
             ck = coeff if k == 1 else coeff * k
             if kind == 'y':
                 hits = ((a, rest),)
+            elif kind == 'g':
+                raise UnexpandedFormalAtom(a)
             else:
                 pairs = factors.get(a)
                 if pairs is None:

@@ -26,6 +26,26 @@ reducedness and both boundary parts are built from.  Sums, the pairing
 writes the stored coefficients once into a {key: {monomial: coefficient}}
 running sum and makes a morphism or form of it at the end.
 
+All of it runs on integers:
+
+1. each public entry point clears its input once: with N the lcm of the
+   denominators of every coefficient (``forms._cleared_terms``, the rule
+   of ``forms._cleared``), N V is an integer family ``_Family``, a
+   running sum of ints together with its scale N;
+2. every rational weight is folded into that one scale instead of being
+   multiplied in: the 1/(s+1) of ``_antisymmetrized``, the h/(s+h) of the
+   canonical splitting, the (s+1)/(h+1) of ``divergence`` (over the lcm
+   of every h+1), the 1/(s+1) of the split-like T and the 1/|orderings|
+   of ``_symmetrized``; a family only ever gains integer multiples;
+3. each result is divided by its scale once, at return (``_morphism``,
+   and ``forms._summed`` for a form), so a coefficient that is whole
+   stays an int and the only Fractions made are the stored ones.
+
+``alpha_discrepancy`` runs both splittings, alpha and Dalpha on one
+clearing of V; alpha is T' - T over the lcm of the two scales.  Sums of
+pairings, which the ``verify`` identities compare, are one integer running
+sum too (``_pairing_sum``): a sum that cancels makes no Fraction at all.
+
 The fibered connection is fixed to the zero-coefficient one of the working
 chart, so covariant derivatives are total derivatives throughout.
 """
@@ -36,13 +56,13 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import symexpr
-from .forms import (Context, Form, _add_terms, _ds_wedge, _insert, _summed,
-                    codegree, ds_parts, p_k)
+from .forms import (Context, Form, _add_terms, _cleared, _cleared_terms, _divided,
+                    _ds_wedge, _insert, _summed, codegree, ds_parts, p_k)
 from .multiindex import signed_get, tuple_multiplicity
-from .symexpr import Scalar
+from .symexpr import Scalar, _merge
 
 
 class NotOneContact(ValueError):
@@ -88,13 +108,13 @@ class VariationalMorphism:
         return max((len(J) for _, _, J in self.coeffs), default=0)
 
     def _plus(self, other: "VariationalMorphism", c: int) -> "VariationalMorphism":
-        """self + c other."""
+        """self + c other, on one clearing of both."""
         if self.s != other.s:
             raise ValueError("codegrees differ")
-        acc = {key: dict(v.terms) for key, v in self.coeffs.items()}
-        for key, v in other.coeffs.items():
-            _add_terms(acc, key, v.terms, c)
-        return _morphism(self.ctx, self.s, acc)
+        N, [acc, more] = _cleared_terms([self.coeffs, other.coeffs])
+        for key, t in more.items():
+            _add_terms(acc, key, t, c)
+        return _morphism(_Family(self.ctx, self.s, N, acc))
 
     def __sub__(self, other: "VariationalMorphism") -> "VariationalMorphism":
         return self._plus(other, -1)
@@ -109,24 +129,79 @@ class VariationalMorphism:
 
     def evaluate(self, xi: dict) -> Form:
         """<V | J^r Xi> as an (n-s)-horizontal form."""
-        ctx = self.ctx
-        sfact = math.factorial(self.s)
-        cache: dict = {}  # total derivatives commute: one entry per sorted J
-        acc: dict = {}
-        for (block, sigma, J), v in self.coeffs.items():
-            key = (sigma, tuple(sorted(J)))
-            if key not in cache:
-                cache[key] = symexpr.total_derivative_multi(xi[sigma], key[1])
-            w, sign = _ds_wedge(ctx.n, block)
-            if sign:
-                _add_terms(acc, w, (v * cache[key]).terms, sign * sfact)
-        return _summed(ctx, acc)
+        return _pairing_sum(xi, [(self, 1)])
 
 
 @dataclass
 class SplitResult:
     volume: VariationalMorphism
     boundary: VariationalMorphism
+
+
+# -- integer families ------------------------------------------------------------
+
+
+class _Family(NamedTuple):
+    """A morphism of codegree s on integers: its coefficient at each key is
+    acc[key] / scale, acc a {(block, sigma, J): {monomial: int}} running sum."""
+
+    ctx: Context
+    s: int
+    scale: int
+    acc: dict
+
+
+def _family(V: VariationalMorphism) -> _Family:
+    """V with its denominators cleared (``forms._cleared_terms``)."""
+    N, [acc] = _cleared_terms([V.coeffs])
+    return _Family(V.ctx, V.s, N, acc)
+
+
+def _morphism(F: _Family) -> VariationalMorphism:
+    """The morphism a family holds: the one division."""
+    quotients: dict = {}
+    return VariationalMorphism(F.ctx, F.s, {key: Scalar(_divided(t, F.scale, quotients))
+                                            for key, t in F.acc.items() if t})
+
+
+def _pairing_sum(xi: dict, terms) -> Form:
+    """The sum of c <F|J^r Xi> over the (F, c) in terms, F a morphism or a
+    family, and of c rho for a form rho among them.
+
+    Each F or rho is cleared on its own; all are written into one integer
+    running sum over the lcm S of their scales, which is divided by S at
+    the end, so a sum that cancels makes no Fraction.  d_J Xi^sigma is
+    taken once per sorted J, since total derivatives commute.
+    """
+    parts = []
+    for F, c in terms:
+        if isinstance(F, VariationalMorphism):
+            F = _family(F)
+        if isinstance(F, Form):
+            N, [acc] = _cleared_terms([F.terms])
+            parts.append((None, N, acc, c))
+        else:
+            parts.append((F, F.scale, F.acc, c))
+    S = math.lcm(*(N for _, N, _, _ in parts))
+    cache: dict = {}
+    out: dict = {}
+    for F, N, acc, c in parts:
+        k = c * (S // N)
+        if F is None:
+            for w, t in acc.items():
+                _add_terms(out, w, t, k)
+            continue
+        n, k = F.ctx.n, k * math.factorial(F.s)
+        for (block, sigma, J), t in acc.items():
+            w, sign = _ds_wedge(n, block)
+            if not sign:
+                continue
+            key = (sigma, tuple(sorted(J)))
+            d = cache.get(key)
+            if d is None:
+                d = cache[key] = symexpr.total_derivative_multi(xi[sigma], key[1])
+            _add_terms(out, w, (Scalar(t) * d).terms, sign * k)
+    return _summed(terms[0][0].ctx, out, S)
 
 
 # -- conversions with contact forms ------------------------------------------
@@ -137,14 +212,15 @@ def from_contact_form(rho: Form) -> VariationalMorphism:
     ctx = rho.ctx
     if rho.contact_degree() > 1:
         raise NotOneContact("form has contact components of degree >= 2")
-    part = p_k(rho, 1)
+    N, [part] = _cleared([p_k(rho, 1)])
     s = codegree(part)
     sfact = math.factorial(s)
-    coeffs = {}
+    coeffs, quotients = {}, {}
     for block, contact in ds_parts(part).items():
         for [(_, sigma, J)], c in contact.terms.items():
             # a sorted-key coefficient, shared out over the orderings of J
-            share = c * Fraction(1, sfact * tuple_multiplicity(J))
+            D = N * sfact * tuple_multiplicity(J)
+            share = Scalar(_divided(c.terms, D, quotients.setdefault(D, {})))
             for Jord in set(itertools.permutations(J)):
                 coeffs[(block, sigma, Jord)] = share
     return VariationalMorphism(ctx, s, coeffs)
@@ -156,15 +232,18 @@ def to_contact_form(V: VariationalMorphism) -> Form:
 
     Div(<T|J^{r-1}Xi>) = J^r Xi _| d_H of minus the form of T.
     """
-    ctx = V.ctx
-    sfact = math.factorial(V.s)
+    F = _family(V)
+    n, sfact = V.ctx.n, math.factorial(V.s)
     acc: dict = {}
-    for (block, sigma, J), v in V.coeffs.items():
-        horiz, sign = _ds_wedge(ctx.n, block)
+    for (block, sigma, J), t in F.acc.items():
+        horiz, sign = _ds_wedge(n, block)
         if sign:
             w, flip = _insert(('w', sigma, tuple(sorted(J))), horiz)
-            _add_terms(acc, w, v.terms, flip * sign * sfact)
-    return _summed(ctx, acc)
+            _add_terms(acc, w, t, flip * sign * sfact)
+    return _summed(V.ctx, acc, F.scale)
+
+
+# -- the divergence --------------------------------------------------------------
 
 
 def divergence(Q: VariationalMorphism) -> VariationalMorphism:
@@ -179,54 +258,70 @@ def divergence(Q: VariationalMorphism) -> VariationalMorphism:
     t = 0 .. h.  The result pairs to Div(<Q|J^r Xi>) for every Q, and it is
     symmetric in its rank strings whenever Q is.
     """
-    s = Q.s - 1
+    return _morphism(_divergence(_family(Q)))
+
+
+def _divergence(F: _Family) -> _Family:
+    """Div F on integers: the 1/(h+1) of each rank h is cleared by L, the
+    lcm of every h+1, so the result is L Div F over the scale of F times L."""
+    s = F.s - 1
+    ranks = {len(K) for _, _, K in F.acc}
+    L = math.lcm(*(h + 1 for h in ranks))
     acc: dict = {}
-    for (bp, sigma, K), c in Q.coeffs.items():
-        moved = Fraction(s + 1, len(K) + 1)
+    _scatter_divergence(acc, F.acc, s, {h: (s + 1) * (L // (h + 1)) for h in ranks})
+    return _Family(F.ctx, s, F.scale * L, acc)
+
+
+def _scatter_divergence(out: dict, acc: dict, s: int, weight: dict) -> None:
+    """out += the sum, over the stored c at (b', sigma, K) of the codegree-(s+1)
+    running sum acc, of weight[h] (h+1)/(s+1) times the part of Div that
+    ``divergence`` scatters from c, h = |K|: eps weight[h] (h+1) d_i c at
+    (b, sigma, K) and eps weight[h] c at each insertion of i into K."""
+    for (bp, sigma, K), c in acc.items():
+        h = len(K)
+        k = weight[h]
         for p, i in enumerate(bp):
             b = bp[:p] + bp[p + 1:]
-            eps = -1 if (s - p) % 2 else 1
-            _add_terms(acc, (b, sigma, K), symexpr.total_derivative(c, i).terms,
-                       eps * (s + 1))
-            for t in range(len(K) + 1):
-                _add_terms(acc, (b, sigma, K[:t] + (i,) + K[t:]), c.terms, eps * moved)
-    return _morphism(Q.ctx, s, acc)
-
-
-def _morphism(ctx: Context, s: int, acc: dict) -> VariationalMorphism:
-    """The morphism held by a {(block, sigma, J): {monomial: coefficient}}
-    running sum."""
-    return VariationalMorphism(ctx, s, {key: Scalar(t) for key, t in acc.items() if t})
+            e = -k if (s - p) % 2 else k
+            _add_terms(out, (b, sigma, K), symexpr.total_derivative(Scalar(c), i).terms,
+                       e * (h + 1))
+            for t in range(h + 1):
+                _add_terms(out, (b, sigma, K[:t] + (i,) + K[t:]), c, e)
 
 
 # -- the block-plus-first-index antisymmetrization -----------------------------
 
 
-def _antisymmetrized(V: VariationalMorphism, h: int) -> VariationalMorphism:
-    """A^{[b' L]}: antisymmetrize rank h >= 1 over the block plus J[0].
+def _antisymmetrized(acc: dict, s: int, h: int) -> dict:
+    """(s+1) A^{[b' L]}: rank h >= 1 of a codegree-s running sum
+    antisymmetrized over the block plus J[0], on integers.
 
-    The codegree-(s+1) morphism whose coefficient at (b', sigma, L) is
-    1/(s+1)! times the sum, over the orderings q of b', of sign(q) times
-    V^{q[:s] sigma (q[s],) + L}, read off the stored coefficients of V of
-    rank h.  Each c = V^{b sigma J} with i = J[0]
-    not in b lands once: with b' = b with i inserted at position p,
-    (-1)^(s-p) c/(s+1) goes to (b', sigma, J[1:]).  The block lookup is
-    already signed, so the (s+1)! orderings collapse to these s+1 terms.
+    The coefficient at (b', sigma, L) is 1/(s+1)! times the sum, over the
+    orderings q of b', of sign(q) times A^{q[:s] sigma (q[s],) + L}; the
+    result is s+1 times that.  Each c = A^{b sigma J} of rank h with
+    i = J[0] not in b lands once: with b' = b with i inserted at position
+    p, (-1)^(s-p) c goes to (b', sigma, J[1:]).  The block lookup is
+    already signed, so the (s+1)! orderings collapse to these s+1 terms,
+    and the 1/(s+1) is left to the caller's scale.
     """
-    s = V.s
-    acc: dict = {}
-    for (b, sigma, J), c in V.coeffs.items():
+    out: dict = {}
+    for (b, sigma, J), c in acc.items():
         if len(J) != h or J[0] in b:
             continue
         p = bisect.bisect(b, J[0])
-        w = Fraction(-1 if (s - p) % 2 else 1, s + 1)
-        _add_terms(acc, (b[:p] + J[:1] + b[p:], sigma, J[1:]), c.terms, w)
-    return _morphism(V.ctx, s + 1, acc)
+        _add_terms(out, (b[:p] + J[:1] + b[p:], sigma, J[1:]), c,
+                   -1 if (s - p) % 2 else 1)
+    return {key: t for key, t in out.items() if t}
+
+
+def _rank(F: _Family) -> int:
+    return max((len(J) for _, _, J in F.acc), default=0)
 
 
 # -- the split-like algorithm -------------------------------------------------
 
 
+@symexpr._memo_scope()
 def split_like(V: VariationalMorphism) -> SplitResult:
     """The canonical-splitting-like decomposition, for every codegree s.
 
@@ -243,97 +338,148 @@ def split_like(V: VariationalMorphism) -> SplitResult:
     one-index blocks make the antisymmetrization trivial and this is the
     canonical splitting.
     """
-    ctx, s = V.ctx, V.s
+    return SplitResult(*map(_morphism, _split_like(_family(V))))
+
+
+def _split_like(F: _Family) -> tuple:
+    """(E, T) of ``split_like`` on integers.  The family is held times s+1,
+    which clears the 1/(s+1) of every antisymmetrization, so E is over the
+    scale of F times s+1 and T over that times s+1 again."""
+    s = F.s
     that: dict = {}
     layer: dict = {}
-    for h in range(V.rank, 0, -1):
-        acc = {key: dict(v.terms) for key, v in _antisymmetrized(V, h).coeffs.items()}
+    for h in range(_rank(F), 0, -1):
+        acc = _antisymmetrized(F.acc, s, h)
         for (bp, sigma, L), c in layer.items():
             _add_terms(acc, (bp, sigma, L[:-1]),
-                       symexpr.total_derivative(c, L[-1]).terms, -1)
-        layer = {key: Scalar(t) for key, t in acc.items() if t}
+                       symexpr.total_derivative(Scalar(c), L[-1]).terms, -1)
+        layer = {key: t for key, t in acc.items() if t}
         that.update(layer)
-    w = Fraction(1, s + 1)
-    T = VariationalMorphism(ctx, s + 1, {key: v * w for key, v in that.items()})
 
-    acc = {key: dict(v.terms) for key, v in V.coeffs.items()}
+    acc = {key: {m: v * (s + 1) for m, v in t.items()} for key, t in F.acc.items()}
     for (bp, sigma, K), c in that.items():
         for p, i in enumerate(bp):
             b = bp[:p] + bp[p + 1:]
             eps = -1 if (s - p) % 2 else 1
-            _add_terms(acc, (b, sigma, K), symexpr.total_derivative(c, i).terms, -eps)
-            _add_terms(acc, (b, sigma, (i,) + K), c.terms, -eps)
-    E = _morphism(ctx, s, acc)
-    return SplitResult(E, T)
+            _add_terms(acc, (b, sigma, K), symexpr.total_derivative(Scalar(c), i).terms, -eps)
+            _add_terms(acc, (b, sigma, (i,) + K), c, -eps)
+    scale = F.scale * (s + 1)
+    return _Family(F.ctx, s, scale, acc), _Family(F.ctx, s + 1, scale * (s + 1), that)
 
 
-def _symmetrized(V: VariationalMorphism) -> VariationalMorphism:
-    """V averaged over the orderings of each rank string, which pairs as V
+def _symmetrized(F: _Family) -> _Family:
+    """F averaged over the orderings of each rank string, which pairs as F
     does since d_J Xi is symmetric in J.  A family of coefficients that is
-    already equal at every ordering of its J is kept as it is."""
-    coeffs, groups = {}, {}
-    for key, c in V.coeffs.items():
+    already equal at every ordering of its J is kept as it is.  The 1/|orderings|
+    of the averages is cleared by L, their lcm: the result is over the
+    scale of F times L."""
+    kept, groups = {}, {}
+    for key, c in F.acc.items():
         b, sigma, J = key
         if len(J) < 2:  # one ordering
-            coeffs[key] = c
+            kept[key] = c
         else:
-            groups.setdefault((b, sigma, tuple(sorted(J))), []).append(c)
-    for (b, sigma, K), cs in groups.items():
-        orderings = set(itertools.permutations(K))
-        share = cs[0]
-        if len(cs) < len(orderings) or any(c != share for c in cs[1:]):
-            share = sum(cs, Scalar.zero()) * Fraction(1, len(orderings))
-        if not share.is_zero():
-            coeffs.update(((b, sigma, J), share) for J in orderings)
-    return VariationalMorphism(V.ctx, V.s, coeffs)
+            groups.setdefault((b, sigma, tuple(sorted(J))), {})[key] = c
+    averaged = {}
+    for gkey, cs in groups.items():
+        orderings = set(itertools.permutations(gkey[2]))
+        first, *rest = cs.values()
+        if len(cs) < len(orderings) or any(c != first for c in rest):
+            averaged[gkey] = orderings
+        else:
+            kept.update(cs)
+    L = math.lcm(*map(len, averaged.values()))
+    acc = kept if L == 1 else {key: {m: v * L for m, v in t.items()} for key, t in kept.items()}
+    for gkey, orderings in averaged.items():
+        share: dict = {}
+        for c in groups[gkey].values():
+            _merge(share, c, L // len(orderings))
+        if share:
+            b, sigma, _ = gkey
+            acc.update(((b, sigma, J), share) for J in orderings)
+    return _Family(F.ctx, F.s, F.scale * L, acc)
 
 
 # -- the canonical splitting ---------------------------------------------------
 
 
+@symexpr._memo_scope()
 def split_canonical_codegree_s(V: VariationalMorphism) -> SplitResult:
     """The canonical splitting <V|J^r Xi> = <E|J^r Xi> + Div(<T|J^{r-1}Xi>).
 
     Built top-down from stored coefficients, for every rank r and codegree
     s >= 1.  E starts as V averaged over the orderings of each rank string
     (``_symmetrized``), which pairs as V does, and T empty; for h = r .. 1,
-    T_{h-1} = h/(s+h) ``_antisymmetrized(E, h)``, T gains T_{h-1}, and E
-    loses ``divergence(T_{h-1})``.  The part of that divergence which moves
-    a block index into the rank string antisymmetrizes back to (s+h)/h
-    times T_{h-1}, which fixes the weight: 1/(s+1) at h = 1, and 2/3 at
-    rank 2, codegree 1.  What is left at rank h is the hook part, so both
-    E and T are reduced, and E stays symmetric.  At codegree 0 the blocks
-    are empty, the two splittings coincide, and the split-like recurrence
-    computes it directly.
+    T_{h-1} = h/(s+h) times the antisymmetrization of E's rank h, T gains
+    T_{h-1}, and E loses ``divergence(T_{h-1})``.  The part of that
+    divergence which moves a block index into the rank string
+    antisymmetrizes back to (s+h)/h times T_{h-1}, which fixes the weight:
+    1/(s+1) at h = 1, and 2/3 at rank 2, codegree 1.  What is left at rank
+    h is the hook part, so both E and T are reduced, and E stays symmetric.
+    At codegree 0 the blocks are empty, the two splittings coincide, and
+    the split-like recurrence computes it directly.
     """
-    ctx, s = V.ctx, V.s
+    return SplitResult(*map(_morphism, _split_canonical(_family(V))))
+
+
+def _split_canonical(F: _Family) -> tuple:
+    """(E, T) of ``split_canonical_codegree_s`` on integers.
+
+    With E = acc / S and a = (s+1) S times the antisymmetrization of its
+    rank h, T_{h-1} = h a / ((s+1) S (s+h)), and Div T_{h-1} is
+    h/((s+1) S (s+h)) Div a, a of rank h-1: the weight -1 of
+    ``_scatter_divergence``.  So each step takes E to (s+h) acc plus that
+    scatter, over (s+h) S; T_{h-1}, whose rank strings no other step
+    writes, goes over the last scale of E times s+1 at once.
+    """
+    s = F.s
     if s == 0:
-        return split_like(V)
-    E = _symmetrized(V)
-    T = VariationalMorphism(ctx, s + 1)
-    for h in range(V.rank, 0, -1):
-        w = Fraction(h, s + h)
-        A = _antisymmetrized(E, h)
-        Th = VariationalMorphism(ctx, s + 1, {key: v * w for key, v in A.coeffs.items()})
-        T = T + Th
-        E = E - divergence(Th)
-    return SplitResult(E, T)
+        return _split_like(F)
+    E = _symmetrized(F)
+    acc, scale = E.acc, E.scale
+    r = _rank(F)
+    last = scale * math.prod(range(s + 1, s + r + 1))
+    T: dict = {}
+    for h in range(r, 0, -1):
+        a = _antisymmetrized(acc, s, h)
+        scale *= s + h
+        k = h * (last // scale)
+        T.update((key, {m: v * k for m, v in t.items()}) for key, t in a.items())
+        acc = {key: {m: v * (s + h) for m, v in t.items()} for key, t in acc.items()}
+        _scatter_divergence(acc, a, s, {h - 1: -1})
+    return _Family(F.ctx, s, scale, acc), _Family(F.ctx, s + 1, last * (s + 1), T)
 
 
 # -- the discrepancy of the two splittings --------------------------------------
 
 
+@symexpr._memo_scope()
 def alpha_discrepancy(V: VariationalMorphism):
     """alpha with T' = T + alpha and E' = E - D(alpha), at every rank and codegree.
 
     T', E' is the split-like decomposition and T, E the canonical splitting.
     Returns (alpha, Dalpha); Dalpha is the unique morphism whose pairing with
-    J^r Xi is Div(<alpha|J^{r-1} Xi>).  At codegree 0 both vanish.
+    J^r Xi is Div(<alpha|J^{r-1} Xi>).  At codegree 0 both vanish.  One
+    clearing of V serves both splittings, alpha and Dalpha.
     """
-    return _discrepancy(split_like(V), split_canonical_codegree_s(V))
+    return tuple(map(_morphism, _discrepancy(*_splittings(_family(V)))))
 
 
-def _discrepancy(like: SplitResult, canon: SplitResult):
-    """(alpha, Dalpha) from the two splittings of one morphism."""
-    alpha = like.boundary - canon.boundary
-    return alpha, divergence(alpha)
+def _splittings(F: _Family) -> tuple:
+    """((E', T'), (E, T)): the split-like and the canonical splitting of F,
+    as integer families."""
+    like = _split_like(F)
+    return like, like if F.s == 0 else _split_canonical(F)
+
+
+def _discrepancy(like: tuple, canon: tuple) -> tuple:
+    """(alpha, Dalpha) as integer families, from the integer splittings of
+    one morphism: alpha = T' - T over the lcm of their scales."""
+    (_, Tl), (_, Tc) = like, canon
+    S = math.lcm(Tl.scale, Tc.scale)
+    acc: dict = {}
+    for T, c in ((Tl, 1), (Tc, -1)):
+        for key, t in T.acc.items():
+            _add_terms(acc, key, t, c * (S // T.scale))
+    alpha = _Family(Tl.ctx, Tl.s, S, acc)
+    return alpha, _divergence(alpha)

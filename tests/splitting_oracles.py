@@ -175,4 +175,5 @@ def is_reduced_grid(V: VariationalMorphism) -> bool:
 def is_reduced(V: VariationalMorphism) -> bool:
     """Whether each rank of V vanishes under block + first-rank-index
     antisymmetrization."""
-    return all(_antisymmetrized(V, h).is_zero() for h in range(1, V.rank + 1))
+    terms = {key: c.terms for key, c in V.coeffs.items()}
+    return not any(_antisymmetrized(terms, V.s, h) for h in range(1, V.rank + 1))

@@ -26,14 +26,16 @@ def test_ab_lepage_times_a_tree_against_itself():
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, "scripts/ab_lepage.py", "src", "src",
                            "--cases", "n2m1r1", "alpha/n2m1", "verify/prop-da/n2m1",
-                           "cli/el/n2m1", "--reps", "1"],
+                           "cli/el/n2m1", "cli/split/n2m1", "cli/alpha/n1m1",
+                           "--reps", "1"],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, *rows, total = proc.stdout.splitlines()
     assert header.split() == ["case", "a_median_s", "b_median_s", "b/a",
                               "pair_b/a", "b_wins"]
     assert [row.split()[0] for row in rows] == ["n2m1r1", "alpha/n2m1", "verify/prop-da/n2m1",
-                                                  "cli/el/n2m1"]
+                                                  "cli/el/n2m1", "cli/split/n2m1",
+                                                  "cli/alpha/n1m1"]
     assert all(row.split()[-1] in ("0/1", "1/1") for row in rows)
     assert total.split()[0] == "total"
     # one repetition: the median of the per-pair ratios is that pair's

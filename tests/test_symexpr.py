@@ -238,6 +238,23 @@ def test_total_derivative_of_a_formal_atom_outside_the_scope(seed):
         assert got == se.total_derivative_multi(e, (2, i))
 
 
+def test_partial_and_gradient_of_a_formal_atom_raise():
+    # D_1 f is not independent of the coordinates its expansion holds, so
+    # reading it as a constant would give a wrong zero
+    f = se.opaque("F", n=2, m=1, order=1)
+    with se._formal_scope():
+        g = se.total_derivative(f, 1)
+    assert next(g.atoms()).kind == 'g'
+    e = se.y(1, 2) * g + se.x(1)
+    for call in (lambda: se.partial(e, ('y', 1, (1,))), lambda: se.partial(e, ('x', 2)),
+                 lambda: se.gradient(e), lambda: se.gradient(g)):
+        with pytest.raises(se.UnexpandedFormalAtom, match="until it is expanded"):
+            call()
+    expanded = se.expand(g)
+    assert len(se.partial(expanded, ('y', 1, (1,))).terms) == 5
+    assert se.gradient(expanded)[('y', 1, (1,))] == se.partial(expanded, ('y', 1, (1,)))
+
+
 def test_formal_scope_is_restored_on_every_exit():
     f = se.opaque("Fs", n=1, m=1, order=1)
     with se._formal_scope():

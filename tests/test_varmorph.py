@@ -14,7 +14,7 @@ from jetform.varmorph import (NotOneContact, VariationalMorphism,
                               alpha_discrepancy, divergence, formal_field,
                               from_contact_form, split_canonical_codegree_s,
                               split_like, to_contact_form, vertical_field)
-from jetform.verify import _alpha_display
+from jetform.verify import _alpha_display, run_identity
 from form_oracles import split_lower
 from splitting_oracles import (antisym_value, canonical_rank1,
                                canonical_rank2_codegree1, is_reduced,
@@ -538,3 +538,53 @@ def test_alpha_lepage_identities_at_rank3():
         assert (like.volume.evaluate(xi)
                 - canon.volume.evaluate(xi) + dalpha.evaluate(xi)).is_zero()
         assert dalpha.evaluate(xi) == d_H(alpha.evaluate(xi))
+
+
+# -- memo scopes and the integer pipeline ---------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    split_like, split_canonical_codegree_s, alpha_discrepancy,
+    pytest.param(lambda V: run_identity("prop-da", 0, n=V.ctx.n, m=V.ctx.m),
+                 id="run_identity")])
+def test_splittings_build_each_chain_rule_once(monkeypatch, call):
+    # each entry point is one memo scope, so a chain rule built for one
+    # total derivative serves every later one of the call
+    keys = []
+    build = se._chain_rule
+
+    def spy(atom, i, derived):
+        keys.append((atom, i))
+        return build(atom, i, derived)
+
+    monkeypatch.setattr(se, "_chain_rule", spy)
+    call(generic_morphism(Context(n=3, m=1), 1, 2, order=1))
+    assert keys and len(keys) == len(set(keys))
+    assert se._derived is None
+
+
+def test_alpha_discrepancy_runs_on_integers(monkeypatch):
+    # the splittings, alpha and Dalpha run on one clearing of V: no
+    # Fraction arithmetic at all, and one Fraction made per distinct
+    # coefficient of alpha, and of Dalpha, that is not whole
+    V = rand_morphism(random.Random(7), Context(n=3, m=2), 1, 2)
+    assert any(type(c) is Fraction for v in V.coeffs.values() for c in v.terms.values())
+    ops = {name: 0 for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__",
+                                "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                                "__neg__", "__pos__", "__abs__")}
+
+    def counted(name, method):
+        def op(*args, **kwargs):
+            ops[name] += 1
+            return method(*args, **kwargs)
+        return staticmethod(op) if name == "__new__" else op
+
+    for name in ops:
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    alpha, dalpha = alpha_discrepancy(V)
+    monkeypatch.undo()
+    made = ops.pop("__new__")
+    # before the layer ran on integers: 1,708 operations and 1,841 Fractions made
+    assert sum(ops.values()) == 0
+    assert made == 28
+    assert made == sum(len({c for v in W.coeffs.values() for c in v.terms.values()
+                            if type(c) is Fraction}) for W in (alpha, dalpha))
