@@ -11,8 +11,10 @@ modules.  A case ``nNmMrR`` is the lepage-generic benchmark case: the
 closed Krupka-Betounes equivalent, the Rossi recurrence and the
 Euler-Lagrange form of a generic opaque Lagrangian at (n, m, order).  A
 case ``alpha/nNmM`` times ``alpha_discrepancy``, both splittings of a
-morphism, on a generic opaque and a seeded random polynomial morphism of
-codegree 1 and rank 2.  A case ``verify/<identity>/nNmM`` times
+morphism, and the contact forms of alpha and Dalpha, where their
+coefficients are divided, on a generic opaque and a seeded random
+polynomial morphism of codegree 1 and rank 2.  A case
+``verify/<identity>/nNmM`` times
 ``jetform verify --identity <identity> -n N -m M`` through ``cli.main``,
 for seeds 0-3.  A case ``cli/<cmd>/nNmM`` times the short request
 ``jetform <cmd> -n N -m M -r 1 --format json -- <expr>`` through
@@ -87,10 +89,10 @@ def run_alpha(side, slot: str, name: str):
                  randomgen.rand_morphism(random.Random(slot), ctx, 1, 2)]
     gc.collect()
     t0 = time.perf_counter()
-    pairs = [varmorph.alpha_discrepancy(V) for V in morphisms]
+    forms = [varmorph.to_contact_form(W) for V in morphisms
+             for W in varmorph.alpha_discrepancy(V)]
     elapsed = time.perf_counter() - t0
-    return elapsed, [side["printers"].form_text(varmorph.to_contact_form(W))
-                     for pair in pairs for W in pair]
+    return elapsed, [side["printers"].form_text(f) for f in forms]
 
 
 def run_main(side, argvs):

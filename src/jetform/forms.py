@@ -27,10 +27,12 @@ product.  ``total_derivative_form`` is the one place a contact covector is
 raised, omega^sigma_J to omega^sigma_Ji; ``d_H`` and every trie sum go
 through it.  ``_cleared_terms`` clears the denominators of a family of
 {key: Scalar} maps into integer running sums, and ``_cleared`` does so for
-a family of forms, for the integer pipelines of ``interior_euler``,
-``lepage`` and ``varmorph``, which divide once at the end (``_divided``,
-or ``_summed`` with a divisor); ``total_derivative_sum`` sums the d_J of a
-family of forms over the trie of the sorted J.
+a family of forms, for the integer pipelines of ``interior_euler`` and
+``lepage``, which divide once at the end (``_divided``, or ``_summed`` with
+a divisor), and for ``varmorph``, whose morphisms are stored as such
+integer sums over a scale and divided where they are read;
+``total_derivative_sum`` sums the d_J of a family of forms over the trie of
+the sorted J.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ def _symmetric_morphism(ctx: Context, s: int, r: int, coefficient) -> Variationa
                 if not val.is_zero():
                     for Jord in set(itertools.permutations(Js)):
                         coeffs[(block, sigma, Jord)] = val
-    return VariationalMorphism(ctx, s, coeffs)
+    return VariationalMorphism.of(ctx, s, coeffs)
 
 
 def rand_morphism(rng, ctx: Context, s: int, r: int, order: int = 1,

@@ -23,28 +23,25 @@ apart their boundary parts are elsewhere.  Both splittings and
 antisymmetrization over the block plus the first rank index that
 reducedness and both boundary parts are built from.  Sums, the pairing
 ``evaluate`` and the conversions with contact forms scatter too: each
-writes the stored coefficients once into a {key: {monomial: coefficient}}
-running sum and makes a morphism or form of it at the end.
+writes the stored coefficients once into a running sum.
 
-All of it runs on integers:
-
-1. each public entry point clears its input once: with N the lcm of the
-   denominators of every coefficient (``forms._cleared_terms``, the rule
-   of ``forms._cleared``), N V is an integer family ``_Family``, a
-   running sum of ints together with its scale N;
-2. every rational weight is folded into that one scale instead of being
-   multiplied in: the 1/(s+1) of ``_antisymmetrized``, the h/(s+h) of the
-   canonical splitting, the (s+1)/(h+1) of ``divergence`` (over the lcm
-   of every h+1), the 1/(s+1) of the split-like T and the 1/|orderings|
-   of ``_symmetrized``; a family only ever gains integer multiples;
-3. each result is divided by its scale once, at return (``_morphism``,
-   and ``forms._summed`` for a form), so a coefficient that is whole
-   stays an int and the only Fractions made are the stored ones.
-
-``alpha_discrepancy`` runs both splittings, alpha and Dalpha on one
-clearing of V; alpha is T' - T over the lcm of the two scales.  Sums of
+A morphism is stored on integers: one {monomial: int} bucket per
+(block, sigma, J) and one positive integer scale, the coefficient being
+the bucket over the scale.  Coefficients are cleared once, where they come
+in: ``VariationalMorphism.of`` clears a {key: Scalar} map by the lcm of its
+denominators (``forms._cleared_terms``), and ``from_contact_form`` clears
+the form.  Every rational weight is then folded into the scale of a result
+instead of being multiplied in: the 1/(s+1) of ``_antisymmetrized``, the
+h/(s+h) of the canonical splitting, the (s+1)/(h+1) of ``divergence`` (over
+the lcm of every h+1), the 1/(s+1) of the split-like T, the 1/|orderings|
+of ``_symmetrized``, and the 1/s! and 1/|orderings of J| that
+``from_contact_form`` shares a form's coefficient out by.  Sums take the
+lcm of the scales.  A coefficient is divided only where it is read
+(``coeffs``, ``value``), and a form once, at the end (``to_contact_form``
+and the pairing, through ``forms._summed``): a coefficient that is whole
+stays an int, and the only Fractions made are the ones read.  Sums of
 pairings, which the ``verify`` identities compare, are one integer running
-sum too (``_pairing_sum``): a sum that cancels makes no Fraction at all.
+sum (``_pairing_sum``): a sum that cancels makes no Fraction at all.
 
 The fibered connection is fixed to the zero-coefficient one of the working
 chart, so covariant derivatives are total derivatives throughout.
@@ -56,12 +53,11 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from . import symexpr
 from .forms import (Context, Form, _add_terms, _cleared, _cleared_terms, _divided,
                     _ds_wedge, _insert, _summed, codegree, ds_parts, p_k)
-from .multiindex import signed_get, tuple_multiplicity
+from .multiindex import sort_with_sign, tuple_multiplicity
 from .symexpr import Scalar, _merge
 
 
@@ -81,49 +77,94 @@ def vertical_field(ctx: Context, name: str = "Xi") -> dict:
             for sigma in range(1, ctx.m + 1)}
 
 
-@dataclass
+@dataclass(eq=False)
 class VariationalMorphism:
+    """A morphism of codegree s whose coefficient at (block, sigma, J) is
+    acc[(block, sigma, J)] / scale, each acc value a {monomial: int} bucket.
+
+    A stored bucket is never mutated, like the terms of a Scalar: every
+    operation writes its result into new buckets.  So one bucket may be
+    stored at several keys (at every ordering of a rank string) and in
+    several morphisms (an input and the parts built from it), while each
+    morphism owns its acc map.  A bucket that cancelled may stay, empty;
+    every reader skips it.  Two morphisms are equal when their coefficients
+    are, whatever their scales.
+    """
+
     ctx: Context
     s: int
-    coeffs: dict = field(default_factory=dict)  # (block, sigma, J) -> Scalar
+    scale: int = 1
+    acc: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, ctx: Context, s: int, coeffs: dict) -> "VariationalMorphism":
+        """The morphism with these {(block, sigma, J): Scalar} coefficients."""
+        N, [acc] = _cleared_terms([coeffs])
+        return cls(ctx, s, N, acc)
 
     # -- storage -----------------------------------------------------------
 
     def set(self, block, sigma: int, J, value: Scalar) -> None:
+        """Store value at (block, sigma, J); the scale rises to a multiple of
+        every denominator of value."""
         block = tuple(block)
         if tuple(sorted(block)) != block or len(set(block)) != len(block):
             raise ValueError("blocks are stored strictly increasing")
         key = (block, sigma, tuple(J))
         if value.is_zero():
-            self.coeffs.pop(key, None)
-        else:
-            self.coeffs[key] = value
+            self.acc.pop(key, None)
+            return
+        N = math.lcm(self.scale, *(v.denominator for v in value.terms.values()))
+        if N != self.scale:
+            k = N // self.scale
+            self.acc = {w: {m: v * k for m, v in t.items()} for w, t in self.acc.items()}
+            self.scale = N
+        self.acc[key] = {m: v.numerator * (N // v.denominator) for m, v in value.terms.items()}
+
+    @property
+    def coeffs(self) -> dict:
+        """{(block, sigma, J): Scalar}, the nonzero stored coefficients."""
+        quotients: dict = {}
+        return {key: Scalar(_divided(t, self.scale, quotients))
+                for key, t in self.acc.items() if t}
 
     def value(self, block, sigma: int, J) -> Scalar:
         """Signed coefficient lookup for an arbitrarily ordered block."""
-        return signed_get(self.coeffs, block, (sigma, tuple(J)), Scalar.zero())
+        block, sign = sort_with_sign(block)
+        t = self.acc.get((block, sigma, tuple(J))) if sign else None
+        if not t:
+            return Scalar.zero()
+        c = Scalar(_divided(t, self.scale, {}))
+        return c if sign == 1 else -c
 
     @property
     def rank(self) -> int:
-        return max((len(J) for _, _, J in self.coeffs), default=0)
+        return max((len(J) for (_, _, J), t in self.acc.items() if t), default=0)
+
+    def is_zero(self) -> bool:
+        return not any(self.acc.values())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VariationalMorphism):
+            return NotImplemented
+        return (self.ctx, self.s, self.coeffs) == (other.ctx, other.s, other.coeffs)
 
     def _plus(self, other: "VariationalMorphism", c: int) -> "VariationalMorphism":
-        """self + c other, on one clearing of both."""
+        """self + c other, over the lcm of the two scales."""
         if self.s != other.s:
             raise ValueError("codegrees differ")
-        N, [acc, more] = _cleared_terms([self.coeffs, other.coeffs])
-        for key, t in more.items():
-            _add_terms(acc, key, t, c)
-        return _morphism(_Family(self.ctx, self.s, N, acc))
+        S = math.lcm(self.scale, other.scale)
+        acc: dict = {}
+        for F, k in ((self, S // self.scale), (other, c * (S // other.scale))):
+            for key, t in F.acc.items():
+                _add_terms(acc, key, t, k)
+        return VariationalMorphism(self.ctx, self.s, S, acc)
 
     def __sub__(self, other: "VariationalMorphism") -> "VariationalMorphism":
         return self._plus(other, -1)
 
     def __add__(self, other: "VariationalMorphism") -> "VariationalMorphism":
         return self._plus(other, 1)
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.coeffs.values())
 
     # -- pairing -----------------------------------------------------------
 
@@ -138,45 +179,17 @@ class SplitResult:
     boundary: VariationalMorphism
 
 
-# -- integer families ------------------------------------------------------------
-
-
-class _Family(NamedTuple):
-    """A morphism of codegree s on integers: its coefficient at each key is
-    acc[key] / scale, acc a {(block, sigma, J): {monomial: int}} running sum."""
-
-    ctx: Context
-    s: int
-    scale: int
-    acc: dict
-
-
-def _family(V: VariationalMorphism) -> _Family:
-    """V with its denominators cleared (``forms._cleared_terms``)."""
-    N, [acc] = _cleared_terms([V.coeffs])
-    return _Family(V.ctx, V.s, N, acc)
-
-
-def _morphism(F: _Family) -> VariationalMorphism:
-    """The morphism a family holds: the one division."""
-    quotients: dict = {}
-    return VariationalMorphism(F.ctx, F.s, {key: Scalar(_divided(t, F.scale, quotients))
-                                            for key, t in F.acc.items() if t})
-
-
 def _pairing_sum(xi: dict, terms) -> Form:
-    """The sum of c <F|J^r Xi> over the (F, c) in terms, F a morphism or a
-    family, and of c rho for a form rho among them.
+    """The sum of c <V|J^r Xi> over the (V, c) in terms, V a morphism, and
+    of c rho for a form rho among them.
 
-    Each F or rho is cleared on its own; all are written into one integer
-    running sum over the lcm S of their scales, which is divided by S at
-    the end, so a sum that cancels makes no Fraction.  d_J Xi^sigma is
-    taken once per sorted J, since total derivatives commute.
+    Each rho is cleared on its own; all are written into one integer
+    running sum over the lcm S of the scales, which is divided by S at the
+    end, so a sum that cancels makes no Fraction.  d_J Xi^sigma is taken
+    once per sorted J, since total derivatives commute.
     """
     parts = []
     for F, c in terms:
-        if isinstance(F, VariationalMorphism):
-            F = _family(F)
         if isinstance(F, Form):
             N, [acc] = _cleared_terms([F.terms])
             parts.append((None, N, acc, c))
@@ -208,39 +221,45 @@ def _pairing_sum(xi: dict, terms) -> Form:
 
 
 def from_contact_form(rho: Form) -> VariationalMorphism:
-    """Read a 1-contact (n-s)-horizontal form as a morphism."""
+    """Read a 1-contact (n-s)-horizontal form as a morphism.
+
+    rho is cleared once, by N.  The coefficient c of omega^sigma_J ^ ds_block,
+    J sorted, is shared out over the mult(J) orderings of J and the s!
+    orderings of the block: with L the lcm of every mult(J), each ordering
+    holds the one bucket (L / mult(J)) N c over the scale N s! L.
+    """
     ctx = rho.ctx
     if rho.contact_degree() > 1:
         raise NotOneContact("form has contact components of degree >= 2")
     N, [part] = _cleared([p_k(rho, 1)])
     s = codegree(part)
-    sfact = math.factorial(s)
-    coeffs, quotients = {}, {}
-    for block, contact in ds_parts(part).items():
-        for [(_, sigma, J)], c in contact.terms.items():
-            # a sorted-key coefficient, shared out over the orderings of J
-            D = N * sfact * tuple_multiplicity(J)
-            share = Scalar(_divided(c.terms, D, quotients.setdefault(D, {})))
-            for Jord in set(itertools.permutations(J)):
-                coeffs[(block, sigma, Jord)] = share
-    return VariationalMorphism(ctx, s, coeffs)
+    terms = [(block, sigma, J, c.terms, tuple_multiplicity(J))
+             for block, contact in ds_parts(part).items()
+             for [(_, sigma, J)], c in contact.terms.items()]
+    L = math.lcm(*(mult for *_, mult in terms))
+    acc: dict = {}
+    for block, sigma, J, t, mult in terms:
+        k = L // mult
+        share = t if k == 1 else {m: v * k for m, v in t.items()}
+        for Jord in set(itertools.permutations(J)):
+            acc[(block, sigma, Jord)] = share
+    return VariationalMorphism(ctx, s, N * math.factorial(s) * L, acc)
 
 
 def to_contact_form(V: VariationalMorphism) -> Form:
     """The 1-contact form associated with a morphism: the sum of
-    s! A^{block J}_sigma omega^sigma_J ^ ds_block.
+    s! A^{block J}_sigma omega^sigma_J ^ ds_block, divided once.
 
     Div(<T|J^{r-1}Xi>) = J^r Xi _| d_H of minus the form of T.
     """
-    F = _family(V)
     n, sfact = V.ctx.n, math.factorial(V.s)
     acc: dict = {}
-    for (block, sigma, J), t in F.acc.items():
+    for (block, sigma, J), t in V.acc.items():
         horiz, sign = _ds_wedge(n, block)
         if sign:
             w, flip = _insert(('w', sigma, tuple(sorted(J))), horiz)
             _add_terms(acc, w, t, flip * sign * sfact)
-    return _summed(V.ctx, acc, F.scale)
+    return _summed(V.ctx, acc, V.scale)
 
 
 # -- the divergence --------------------------------------------------------------
@@ -256,20 +275,16 @@ def divergence(Q: VariationalMorphism) -> VariationalMorphism:
     into b', the result gains eps (s+1) d_i c at (b, sigma, K) and
     eps (s+1) c/(h+1) at (b, sigma, K with i inserted at t) for every
     t = 0 .. h.  The result pairs to Div(<Q|J^r Xi>) for every Q, and it is
-    symmetric in its rank strings whenever Q is.
+    symmetric in its rank strings whenever Q is.  The 1/(h+1) of each rank
+    h is cleared by L, the lcm of every h+1: the result is over the scale
+    of Q times L.
     """
-    return _morphism(_divergence(_family(Q)))
-
-
-def _divergence(F: _Family) -> _Family:
-    """Div F on integers: the 1/(h+1) of each rank h is cleared by L, the
-    lcm of every h+1, so the result is L Div F over the scale of F times L."""
-    s = F.s - 1
-    ranks = {len(K) for _, _, K in F.acc}
+    s = Q.s - 1
+    ranks = {len(K) for _, _, K in Q.acc}
     L = math.lcm(*(h + 1 for h in ranks))
     acc: dict = {}
-    _scatter_divergence(acc, F.acc, s, {h: (s + 1) * (L // (h + 1)) for h in ranks})
-    return _Family(F.ctx, s, F.scale * L, acc)
+    _scatter_divergence(acc, Q.acc, s, {h: (s + 1) * (L // (h + 1)) for h in ranks})
+    return VariationalMorphism(Q.ctx, s, Q.scale * L, acc)
 
 
 def _scatter_divergence(out: dict, acc: dict, s: int, weight: dict) -> None:
@@ -314,10 +329,6 @@ def _antisymmetrized(acc: dict, s: int, h: int) -> dict:
     return {key: t for key, t in out.items() if t}
 
 
-def _rank(F: _Family) -> int:
-    return max((len(J) for _, _, J in F.acc), default=0)
-
-
 # -- the split-like algorithm -------------------------------------------------
 
 
@@ -337,44 +348,42 @@ def split_like(V: VariationalMorphism) -> SplitResult:
     neither symmetric in its rank indices nor reduced.  At s = 0 the
     one-index blocks make the antisymmetrization trivial and this is the
     canonical splitting.
+
+    The family is held times s+1, which clears the 1/(s+1) of every
+    antisymmetrization, so E is over the scale of V times s+1 and T over
+    that times s+1 again.
     """
-    return SplitResult(*map(_morphism, _split_like(_family(V))))
-
-
-def _split_like(F: _Family) -> tuple:
-    """(E, T) of ``split_like`` on integers.  The family is held times s+1,
-    which clears the 1/(s+1) of every antisymmetrization, so E is over the
-    scale of F times s+1 and T over that times s+1 again."""
-    s = F.s
+    s = V.s
     that: dict = {}
     layer: dict = {}
-    for h in range(_rank(F), 0, -1):
-        acc = _antisymmetrized(F.acc, s, h)
+    for h in range(V.rank, 0, -1):
+        acc = _antisymmetrized(V.acc, s, h)
         for (bp, sigma, L), c in layer.items():
             _add_terms(acc, (bp, sigma, L[:-1]),
                        symexpr.total_derivative(Scalar(c), L[-1]).terms, -1)
         layer = {key: t for key, t in acc.items() if t}
         that.update(layer)
 
-    acc = {key: {m: v * (s + 1) for m, v in t.items()} for key, t in F.acc.items()}
+    acc = {key: {m: v * (s + 1) for m, v in t.items()} for key, t in V.acc.items()}
     for (bp, sigma, K), c in that.items():
         for p, i in enumerate(bp):
             b = bp[:p] + bp[p + 1:]
             eps = -1 if (s - p) % 2 else 1
             _add_terms(acc, (b, sigma, K), symexpr.total_derivative(Scalar(c), i).terms, -eps)
             _add_terms(acc, (b, sigma, (i,) + K), c, -eps)
-    scale = F.scale * (s + 1)
-    return _Family(F.ctx, s, scale, acc), _Family(F.ctx, s + 1, scale * (s + 1), that)
+    scale = V.scale * (s + 1)
+    return SplitResult(VariationalMorphism(V.ctx, s, scale, acc),
+                       VariationalMorphism(V.ctx, s + 1, scale * (s + 1), that))
 
 
-def _symmetrized(F: _Family) -> _Family:
-    """F averaged over the orderings of each rank string, which pairs as F
-    does since d_J Xi is symmetric in J.  A family of coefficients that is
-    already equal at every ordering of its J is kept as it is.  The 1/|orderings|
-    of the averages is cleared by L, their lcm: the result is over the
-    scale of F times L."""
+def _symmetrized(V: VariationalMorphism) -> VariationalMorphism:
+    """V averaged over the orderings of each rank string, which pairs as V
+    does since d_J Xi is symmetric in J.  The coefficients at a rank string
+    that are already equal at every one of its orderings keep their
+    buckets.  The 1/|orderings| of the averages is cleared by L, their lcm:
+    the result is over the scale of V times L."""
     kept, groups = {}, {}
-    for key, c in F.acc.items():
+    for key, c in V.acc.items():
         b, sigma, J = key
         if len(J) < 2:  # one ordering
             kept[key] = c
@@ -397,7 +406,7 @@ def _symmetrized(F: _Family) -> _Family:
         if share:
             b, sigma, _ = gkey
             acc.update(((b, sigma, J), share) for J in orderings)
-    return _Family(F.ctx, F.s, F.scale * L, acc)
+    return VariationalMorphism(V.ctx, V.s, V.scale * L, acc)
 
 
 # -- the canonical splitting ---------------------------------------------------
@@ -418,26 +427,20 @@ def split_canonical_codegree_s(V: VariationalMorphism) -> SplitResult:
     h is the hook part, so both E and T are reduced, and E stays symmetric.
     At codegree 0 the blocks are empty, the two splittings coincide, and
     the split-like recurrence computes it directly.
-    """
-    return SplitResult(*map(_morphism, _split_canonical(_family(V))))
 
-
-def _split_canonical(F: _Family) -> tuple:
-    """(E, T) of ``split_canonical_codegree_s`` on integers.
-
-    With E = acc / S and a = (s+1) S times the antisymmetrization of its
-    rank h, T_{h-1} = h a / ((s+1) S (s+h)), and Div T_{h-1} is
-    h/((s+1) S (s+h)) Div a, a of rank h-1: the weight -1 of
+    On integers, with E = acc / S and a = (s+1) S times the
+    antisymmetrization of its rank h, T_{h-1} = h a / ((s+1) S (s+h)), and
+    Div T_{h-1} is h/((s+1) S (s+h)) Div a, a of rank h-1: the weight -1 of
     ``_scatter_divergence``.  So each step takes E to (s+h) acc plus that
     scatter, over (s+h) S; T_{h-1}, whose rank strings no other step
     writes, goes over the last scale of E times s+1 at once.
     """
-    s = F.s
+    s = V.s
     if s == 0:
-        return _split_like(F)
-    E = _symmetrized(F)
+        return split_like(V)
+    E = _symmetrized(V)
     acc, scale = E.acc, E.scale
-    r = _rank(F)
+    r = V.rank
     last = scale * math.prod(range(s + 1, s + r + 1))
     T: dict = {}
     for h in range(r, 0, -1):
@@ -447,7 +450,8 @@ def _split_canonical(F: _Family) -> tuple:
         T.update((key, {m: v * k for m, v in t.items()}) for key, t in a.items())
         acc = {key: {m: v * (s + h) for m, v in t.items()} for key, t in acc.items()}
         _scatter_divergence(acc, a, s, {h - 1: -1})
-    return _Family(F.ctx, s, scale, acc), _Family(F.ctx, s + 1, last * (s + 1), T)
+    return SplitResult(VariationalMorphism(V.ctx, s, scale, acc),
+                       VariationalMorphism(V.ctx, s + 1, last * (s + 1), T))
 
 
 # -- the discrepancy of the two splittings --------------------------------------
@@ -459,27 +463,9 @@ def alpha_discrepancy(V: VariationalMorphism):
 
     T', E' is the split-like decomposition and T, E the canonical splitting.
     Returns (alpha, Dalpha); Dalpha is the unique morphism whose pairing with
-    J^r Xi is Div(<alpha|J^{r-1} Xi>).  At codegree 0 both vanish.  One
-    clearing of V serves both splittings, alpha and Dalpha.
+    J^r Xi is Div(<alpha|J^{r-1} Xi>).  At codegree 0 both vanish.
     """
-    return tuple(map(_morphism, _discrepancy(*_splittings(_family(V)))))
-
-
-def _splittings(F: _Family) -> tuple:
-    """((E', T'), (E, T)): the split-like and the canonical splitting of F,
-    as integer families."""
-    like = _split_like(F)
-    return like, like if F.s == 0 else _split_canonical(F)
-
-
-def _discrepancy(like: tuple, canon: tuple) -> tuple:
-    """(alpha, Dalpha) as integer families, from the integer splittings of
-    one morphism: alpha = T' - T over the lcm of their scales."""
-    (_, Tl), (_, Tc) = like, canon
-    S = math.lcm(Tl.scale, Tc.scale)
-    acc: dict = {}
-    for T, c in ((Tl, 1), (Tc, -1)):
-        for key, t in T.acc.items():
-            _add_terms(acc, key, t, c * (S // T.scale))
-    alpha = _Family(Tl.ctx, Tl.s, S, acc)
-    return alpha, _divergence(alpha)
+    like = split_like(V)
+    canon = like if V.s == 0 else split_canonical_codegree_s(V)
+    alpha = like.boundary - canon.boundary
+    return alpha, divergence(alpha)

@@ -6,10 +6,10 @@ passes, a short summary.  The same routines are exercised with fixed seeds
 by the acceptance suite.
 
 The identities that compare pairings of morphisms (prop-volume, prop-r1,
-prop-da) take both splittings as integer families from one clearing of
-the morphism and write each difference of pairings into one integer
-running sum (``varmorph._pairing_sum``), so a difference that cancels
-makes no Fraction.
+prop-da) run the splittings on the morphism as it is stored, on integers,
+and write each difference of pairings into one integer running sum over
+the lcm of the scales (``varmorph._pairing_sum``), so a difference that
+cancels makes no Fraction.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ def check_prop_volume(seed: int, n: int = 2, m: int = 2) -> tuple:
         ctx = Context(n=nn, m=mm)
         V = randomgen.rand_morphism(rng, ctx, 0, r)
         xi = varmorph.vertical_field(ctx)
-        _, (E, T) = varmorph._splittings(varmorph._family(V))
+        res = varmorph.split_canonical_codegree_s(V)
+        E = res.volume
         rho = varmorph.to_contact_form(V)
-        boundary = d_H(_pairing_sum(xi, [(T, 1)]))
+        boundary = d_H(res.boundary.evaluate(xi))
         diffs.append((f"trial {t} volume", _pairing_sum(
             xi, [(E, 1), (contract_prolonged(interior_euler(rho, 1), xi), -1)])))
         diffs.append((f"trial {t} boundary", _pairing_sum(
@@ -138,10 +139,12 @@ def check_prop_r1(seed: int, n: int = 3, m: int = 2) -> tuple:
         s = rng.choice(range(1, nn))
         ctx = Context(n=nn, m=mm)
         V = randomgen.rand_morphism(rng, ctx, s, 1)
-        (El, Tl), (Ec, Tc) = varmorph._splittings(varmorph._family(V))
+        like, canon = varmorph.split_like(V), varmorph.split_canonical_codegree_s(V)
         xi = varmorph.formal_field(ctx)
-        diffs.append((f"trial {t} volume", _pairing_sum(xi, [(El, 1), (Ec, -1)])))
-        diffs.append((f"trial {t} boundary", _pairing_sum(xi, [(Tl, 1), (Tc, -1)])))
+        diffs.append((f"trial {t} volume",
+                      _pairing_sum(xi, [(like.volume, 1), (canon.volume, -1)])))
+        diffs.append((f"trial {t} boundary",
+                      _pairing_sum(xi, [(like.boundary, 1), (canon.boundary, -1)])))
     return _report(diffs)
 
 
@@ -152,7 +155,7 @@ def _alpha_display(V: varmorph.VariationalMorphism) -> varmorph.VariationalMorph
     with A^{[ij]a} = 1/2 (A^{i(ja)} - A^{j(ia)}) read off ``V.value``.
     """
     ctx = V.ctx
-    adisp = varmorph.VariationalMorphism(ctx, 2)
+    adisp = {}
     for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
         for sigma in range(1, ctx.m + 1):
             acc: dict = {}  # the sum over a of d_a A^{[ij]a}
@@ -160,9 +163,9 @@ def _alpha_display(V: varmorph.VariationalMorphism) -> varmorph.VariationalMorph
                 val = (V.value((i,), sigma, (j, a)) - V.value((j,), sigma, (i, a))) \
                     * Fraction(1, 2)
                 _merge(acc, symexpr.total_derivative(val, a).terms)
-                adisp.set((i, j), sigma, (a,), val * Fraction(-1, 6))
-            adisp.set((i, j), sigma, (), Scalar(acc) * Fraction(-1, 6))
-    return adisp
+                adisp[((i, j), sigma, (a,))] = val * Fraction(-1, 6)
+            adisp[((i, j), sigma, ())] = Scalar(acc) * Fraction(-1, 6)
+    return varmorph.VariationalMorphism.of(ctx, 2, adisp)
 
 
 def check_prop_da(seed: int, n: int = 2, m: int = 1) -> tuple:
@@ -171,14 +174,14 @@ def check_prop_da(seed: int, n: int = 2, m: int = 1) -> tuple:
     diffs = []
     for label, V in [("generic", randomgen.generic_morphism(ctx, 1, 2)),
                      ("random", randomgen.rand_morphism(random.Random(seed), ctx, 1, 2))]:
-        like, canon = varmorph._splittings(varmorph._family(V))
-        alpha, dalpha = varmorph._discrepancy(like, canon)
-        (El, Tl), (Ec, Tc) = like, canon
+        like, canon = varmorph.split_like(V), varmorph.split_canonical_codegree_s(V)
+        alpha = like.boundary - canon.boundary
+        dalpha = varmorph.divergence(alpha)
         xi = varmorph.formal_field(ctx)
-        diffs.append((f"{label} boundary",
-                      _pairing_sum(xi, [(Tl, 1), (Tc, -1), (alpha, -1)])))
-        diffs.append((f"{label} volume",
-                      _pairing_sum(xi, [(El, 1), (Ec, -1), (dalpha, 1)])))
+        diffs.append((f"{label} boundary", _pairing_sum(
+            xi, [(like.boundary, 1), (canon.boundary, -1), (alpha, -1)])))
+        diffs.append((f"{label} volume", _pairing_sum(
+            xi, [(like.volume, 1), (canon.volume, -1), (dalpha, 1)])))
         diffs.append((f"{label} alpha display",
                       _pairing_sum(xi, [(alpha, 1), (_alpha_display(V), -1)])))
     return _report(diffs)

@@ -175,5 +175,4 @@ def is_reduced_grid(V: VariationalMorphism) -> bool:
 def is_reduced(V: VariationalMorphism) -> bool:
     """Whether each rank of V vanishes under block + first-rank-index
     antisymmetrization."""
-    terms = {key: c.terms for key, c in V.coeffs.items()}
-    return not any(_antisymmetrized(terms, V.s, h) for h in range(1, V.rank + 1))
+    return not any(_antisymmetrized(V.acc, V.s, h) for h in range(1, V.rank + 1))

@@ -200,8 +200,8 @@ def test_cli_verify_pass():
 
 
 def test_cli_verify_fail_names_the_smallest_differing_term(monkeypatch):
-    monkeypatch.setattr(varmorph, "_divergence",
-                        lambda F: varmorph._Family(F.ctx, F.s - 1, 1, {}))
+    monkeypatch.setattr(varmorph, "divergence",
+                        lambda Q: varmorph.VariationalMorphism(Q.ctx, Q.s - 1))
     code, out, _ = run_cli(["verify", "-n", "3", "-m", "2", "--identity", "prop-da"])
     assert code == 1
     assert out.startswith("FAIL prop-da")
