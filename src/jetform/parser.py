@@ -2,11 +2,16 @@
 
 Coordinates are x1..xn; fiber fields are named identifiers mapped to
 sigma = 1..m in roster order (u, v, w by default).  Jet subscripts take
-index digits (u_12) or the letter aliases x,y,z for 1,2,3 (u_xy).  The
-scalar operators are + - * / ^ with ^ binding tightest, then * and /,
-then the wedge /\\, then + and -.  Form atoms are dx1.., w(u,J), dy(u,J),
-ds, and ds(i,..); dy(u,J) is read in the contact basis, as
-w(u,J) + u_Jj dx^j summed over j.
+index digits (u_12) or the letter aliases x,y,z for 1,2,3 (u_xy).  Form
+atoms are dx1.., w(u,J), dy(u,J), ds, and ds(i,..); dy(u,J) is read in the
+contact basis, as w(u,J) + u_Jj dx^j summed over j.
+
+One precedence table, ``_BINARY``, orders the binary operators, all
+left-associative: * and / bind tightest, then the wedge /\\, then + and -.
+A prefix sign binds tighter than any of them, and a postfix ^NUMBER on an
+atom or a parenthesized group tighter still.  ``_Parser.parse`` is one
+loop over an explicit operand stack and operator stack, so nesting depth
+costs no Python frames.
 """
 
 from __future__ import annotations
@@ -120,47 +125,49 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse(self):
-        try:
-            value = self.expression()
-        except RecursionError:
-            self.error("expression nested too deeply")
-        if self.peek()[0] != 'END':
-            self.error(f"trailing input starting at {self.peek()[1]!r}")
-        return value
+        """One operator-precedence loop over an operand stack and an operator
+        stack.  A binary operator goes on the stack as its ``_BINARY`` entry
+        (binding power, combine function), and '(' as (-1, whether the
+        prefix signs before it negate the group), so no reduction passes
+        it; the prefix signs before an atom negate the atom.  After each
+        operand, every operator on top that binds at least as tightly as
+        the next token combines, so a combine sees the token after its
+        right operand, as in recursive descent."""
+        tokens, values, ops = self.tokens, [], []
+        negate = False
+        while True:
+            kind = tokens[self.pos][0]
+            if kind in ('+', '-', '('):
+                self.pos += 1
+                if kind == '(':
+                    ops.append((-1, negate))
+                    negate = False
+                else:
+                    negate ^= kind == '-'
+                continue
+            value = self.power(self.atom())
+            while True:
+                values.append(-value if negate else value)
+                kind = tokens[self.pos][0]
+                op = _BINARY.get(kind)
+                bind = op[0] if op else 0
+                while ops and ops[-1][0] >= bind:
+                    rhs = values.pop()
+                    values.append(ops.pop()[1](self, values.pop(), rhs))
+                if op:
+                    self.pos += 1
+                    ops.append(op)
+                    negate = False
+                    break
+                if not ops:
+                    if kind != 'END':
+                        self.error(f"trailing input starting at {self.peek()[1]!r}")
+                    return values.pop()
+                self.expect(')')
+                negate = ops.pop()[1]
+                value = self.power(values.pop())
 
-    def expression(self):
-        value = self.wedge_term()
-        while self.peek()[0] in ('+', '-'):
-            op = self.next()[0]
-            rhs = self.wedge_term()
-            rhs = rhs if op == '+' else -rhs
-            value = _add(self, value, rhs)
-        return value
-
-    def wedge_term(self):
-        value = self.product()
-        while self.peek()[0] == 'WEDGE':
-            self.next()
-            value = _wedge(self, value, self.product())
-        return value
-
-    def product(self):
-        value = self.unary()
-        while self.peek()[0] in ('*', '/'):
-            op = self.next()[0]
-            rhs = self.unary()
-            value = _multiply(self, value, rhs) if op == '*' else _divide(self, value, rhs)
-        return value
-
-    def unary(self):
-        if self.peek()[0] in ('+', '-'):
-            op = self.next()[0]
-            value = self.unary()
-            return value if op == '+' else -value
-        return self.power()
-
-    def power(self):
-        base = self.atom()
+    def power(self, base):
         if self.peek()[0] == '^':
             self.next()
             tok = self.expect('NUMBER')
@@ -174,10 +181,6 @@ class _Parser:
         kind, value = tok[0], tok[1]
         if kind == 'NUMBER':
             return symexpr.rational(int(value))
-        if kind == '(':
-            inner = self.expression()
-            self.expect(')')
-            return inner
         if kind == 'IDENT':
             return self.identifier(tok)
         raise InputSyntaxError(f"unexpected token {value!r}", tok[2], tok[3])
@@ -310,6 +313,11 @@ def _wedge(p, a, b):
     a0 = a if isinstance(a, Form) else Form.from_scalar(p.ctx, a)
     b0 = b if isinstance(b, Form) else Form.from_scalar(p.ctx, b)
     return wedge(a0, b0)
+
+
+# binding power and combine function of each binary operator, all left-associative
+_BINARY = {'+': (1, _add), '-': (1, lambda p, a, b: _add(p, a, -b)),
+           'WEDGE': (2, _wedge), '*': (3, _multiply), '/': (3, _divide)}
 
 
 # -- public entry points ---------------------------------------------------------

@@ -2,13 +2,14 @@
 
 The text format round-trips through the parser for forms built from
 coordinates and rationals.  Opaque function symbols print in a readable
-bracket notation that is not part of the input grammar.
+bracket notation that is not part of the input grammar.  One renderer,
+``_render``, writes a scalar in both text and LaTeX; the two formats
+differ only in the pieces it takes (``_TEXT``, ``_LATEX``).
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from operator import itemgetter
 
 from .forms import Form
@@ -60,33 +61,40 @@ def _atom_text(key, fields) -> str:
     return label
 
 
-def _coeff_text(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _render(e: Scalar, fields, atom, power: str, times: str, fraction: str,
+            before_body: str, sign: int = 1) -> str:
+    """sign times e, in one format: its atoms, the format of a power and of
+    a non-whole magnitude, the separator of factors and the one between a
+    coefficient and its factors.  Sign and magnitude come off the
+    numerator and denominator of each coefficient, so no Fraction is made."""
+    if e.is_zero():
+        return "0"
+    out = []
+    for mono, c in _keyed_terms(e):
+        body = times.join(atom(key, fields) if k == 1 else power % (atom(key, fields), k)
+                          for key, k in mono)
+        num, den = sign * c.numerator, c.denominator
+        mag = -num if num < 0 else num
+        coeff = str(mag) if den == 1 else fraction % (mag, den)
+        if not body:
+            text = coeff
+        elif coeff == "1":
+            text = body
+        else:
+            text = coeff + before_body + body
+        if out:
+            out.append(" - " if num < 0 else " + ")
+        elif num < 0:
+            out.append("-")
+        out.append(text)
+    return "".join(out)
+
+
+_TEXT = (_atom_text, "%s^%d", "*", "%d/%d", "*")
 
 
 def scalar_text(e: Scalar, fields=None) -> str:
-    if e.is_zero():
-        return "0"
-    pieces = []
-    for mono, c in _keyed_terms(e):
-        factors = []
-        for key, k in mono:
-            a = _atom_text(key, fields)
-            factors.append(a if k == 1 else f"{a}^{k}")
-        body = "*".join(factors)
-        mag = abs(c)
-        if not body:
-            text = _coeff_text(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{_coeff_text(mag)}*{body}"
-        pieces.append(("-" if c < 0 else "+", text))
-    sign, first = pieces[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, text in pieces[1:]:
-        out += f" {sign} {text}"
-    return out
+    return _render(e, fields, *_TEXT)
 
 
 def _cov_text(cov, ctx, fields) -> str:
@@ -113,12 +121,12 @@ def form_text(rho: Form, fields=None) -> str:
         wpart = w[len(dxpart):]
         if dxpart == full:
             covs = [_cov_text(cov, ctx, fields) for cov in wpart] + ["ds"]
-            if (ctx.n * len(wpart)) % 2 == 1:
-                c = Scalar.zero() - c
+            sign = -1 if (ctx.n * len(wpart)) % 2 else 1
         else:
             covs = [_cov_text(cov, ctx, fields) for cov in w]
+            sign = 1
         body = " /\\ ".join(covs)
-        coeff = scalar_text(c, fields)
+        coeff = _render(c, fields, *_TEXT, sign)
         if not body:
             pieces.append(f"({coeff})")
         elif coeff == "1":
@@ -147,33 +155,11 @@ def _atom_latex(key, fields) -> str:
     return out
 
 
+_LATEX = (_atom_latex, "%s^{%d}", r"\, ", r"\tfrac{%d}{%d}", "")
+
+
 def scalar_latex(e: Scalar, fields=None) -> str:
-    if e.is_zero():
-        return "0"
-    pieces = []
-    for mono, c in _keyed_terms(e):
-        factors = []
-        for key, k in mono:
-            a = _atom_latex(key, fields)
-            factors.append(a if k == 1 else f"{a}^{{{k}}}")
-        body = r"\, ".join(factors)
-        mag = abs(c)
-        if mag.denominator == 1:
-            coeff = str(mag.numerator)
-        else:
-            coeff = r"\tfrac{%d}{%d}" % (mag.numerator, mag.denominator)
-        if not body:
-            text = coeff
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{coeff}{body}"
-        pieces.append(("-" if c < 0 else "+", text))
-    sign, first = pieces[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, text in pieces[1:]:
-        out += f" {sign} {text}"
-    return out
+    return _render(e, fields, *_LATEX)
 
 
 def _cov_latex(cov, fields) -> str:

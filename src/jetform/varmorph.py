@@ -102,25 +102,6 @@ class VariationalMorphism:
         N, [acc] = _cleared_terms([coeffs])
         return cls(ctx, s, N, acc)
 
-    # -- storage -----------------------------------------------------------
-
-    def set(self, block, sigma: int, J, value: Scalar) -> None:
-        """Store value at (block, sigma, J); the scale rises to a multiple of
-        every denominator of value."""
-        block = tuple(block)
-        if tuple(sorted(block)) != block or len(set(block)) != len(block):
-            raise ValueError("blocks are stored strictly increasing")
-        key = (block, sigma, tuple(J))
-        if value.is_zero():
-            self.acc.pop(key, None)
-            return
-        N = math.lcm(self.scale, *(v.denominator for v in value.terms.values()))
-        if N != self.scale:
-            k = N // self.scale
-            self.acc = {w: {m: v * k for m, v in t.items()} for w, t in self.acc.items()}
-            self.scale = N
-        self.acc[key] = {m: v.numerator * (N // v.denominator) for m, v in value.terms.items()}
-
     @property
     def coeffs(self) -> dict:
         """{(block, sigma, J): Scalar}, the nonzero stored coefficients."""
@@ -185,8 +166,10 @@ def _pairing_sum(xi: dict, terms) -> Form:
 
     Each rho is cleared on its own; all are written into one integer
     running sum over the lcm S of the scales, which is divided by S at the
-    end, so a sum that cancels makes no Fraction.  d_J Xi^sigma is taken
-    once per sorted J, since total derivatives commute.
+    end, so a sum that cancels makes no Fraction.  d_J Xi^sigma is
+    symmetric in J, since total derivatives commute: it is taken once per
+    sorted J, and the buckets at the orderings of each (block, sigma,
+    sorted J) are summed first and multiplied by it once.
     """
     parts = []
     for F, c in terms:
@@ -205,14 +188,16 @@ def _pairing_sum(xi: dict, terms) -> Form:
                 _add_terms(out, w, t, k)
             continue
         n, k = F.ctx.n, k * math.factorial(F.s)
+        merged: dict = {}
         for (block, sigma, J), t in acc.items():
+            _merge(merged.setdefault((block, sigma, tuple(sorted(J))), {}), t)
+        for (block, sigma, J), t in merged.items():
             w, sign = _ds_wedge(n, block)
-            if not sign:
+            if not (t and sign):
                 continue
-            key = (sigma, tuple(sorted(J)))
-            d = cache.get(key)
+            d = cache.get((sigma, J))
             if d is None:
-                d = cache[key] = symexpr.total_derivative_multi(xi[sigma], key[1])
+                d = cache[sigma, J] = symexpr.total_derivative_multi(xi[sigma], J)
             _add_terms(out, w, (Scalar(t) * d).terms, sign * k)
     return _summed(terms[0][0].ctx, out, S)
 

@@ -152,20 +152,24 @@ def _alpha_display(V: varmorph.VariationalMorphism) -> varmorph.VariationalMorph
     """The displayed alpha of a rank-2, codegree-1 morphism, term by term.
 
     -1/6 d_a A^{[ij]a} at rank 0 and -1/6 A^{[ij]a} at rank 1, for i < j,
-    with A^{[ij]a} = 1/2 (A^{i(ja)} - A^{j(ia)}) read off ``V.value``.
+    with A^{[ij]a} = 1/2 (A^{i(ja)} - A^{j(ia)}) read off ``V.acc``.  Over
+    the scale 12 V.scale, which folds in the 1/2 and the -1/6, the bucket
+    at rank 1 is that of A^{j(ia)} minus that of A^{i(ja)}, and the bucket
+    at rank 0 is the sum over a of its d_a.
     """
     ctx = V.ctx
-    adisp = {}
+    acc = {}
     for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
         for sigma in range(1, ctx.m + 1):
-            acc: dict = {}  # the sum over a of d_a A^{[ij]a}
+            rank0: dict = {}  # the sum over a of d_a of the rank-1 buckets
             for a in range(1, ctx.n + 1):
-                val = (V.value((i,), sigma, (j, a)) - V.value((j,), sigma, (i, a))) \
-                    * Fraction(1, 2)
-                _merge(acc, symexpr.total_derivative(val, a).terms)
-                adisp[((i, j), sigma, (a,))] = val * Fraction(-1, 6)
-            adisp[((i, j), sigma, ())] = Scalar(acc) * Fraction(-1, 6)
-    return varmorph.VariationalMorphism.of(ctx, 2, adisp)
+                t: dict = {}
+                _merge(t, V.acc.get(((j,), sigma, (i, a)), {}))
+                _merge(t, V.acc.get(((i,), sigma, (j, a)), {}), -1)
+                acc[((i, j), sigma, (a,))] = t
+                _merge(rank0, symexpr.total_derivative(Scalar(t), a).terms)
+            acc[((i, j), sigma, ())] = rank0
+    return varmorph.VariationalMorphism(ctx, 2, 12 * V.scale, acc)
 
 
 def check_prop_da(seed: int, n: int = 2, m: int = 1) -> tuple:

@@ -47,23 +47,23 @@ def canonical_rank1(V: VariationalMorphism) -> SplitResult:
     """E: (A^B - d_k A^{[Bk]}) and (A^{Bj} - A^{[Bj]}); T: A^{[Bi]}/(s+1)."""
     ctx, s = V.ctx, V.s
     n = ctx.n
-    E = VariationalMorphism(ctx, s)
+    E = {}
     for block in itertools.combinations(range(1, n + 1), s):
         for sigma in range(1, ctx.m + 1):
             val = V.value(block, sigma, ())
             for k in range(1, n + 1):
                 val = val - symexpr.total_derivative(
                     antisym_value(V, block + (k,), sigma, ()), k)
-            E.set(block, sigma, (), val)
+            E[block, sigma, ()] = val
             for j in range(1, n + 1):
-                vj = V.value(block, sigma, (j,)) - antisym_value(V, block + (j,), sigma, ())
-                E.set(block, sigma, (j,), vj)
-    T = VariationalMorphism(ctx, s + 1)
+                E[block, sigma, (j,)] = \
+                    V.value(block, sigma, (j,)) - antisym_value(V, block + (j,), sigma, ())
+    T = {}
     w = Fraction(1, s + 1)
     for block in itertools.combinations(range(1, n + 1), s + 1):
         for sigma in range(1, ctx.m + 1):
-            T.set(block, sigma, (), antisym_value(V, block, sigma, ()) * w)
-    return SplitResult(E, T)
+            T[block, sigma, ()] = antisym_value(V, block, sigma, ()) * w
+    return SplitResult(VariationalMorphism.of(ctx, s, E), VariationalMorphism.of(ctx, s + 1, T))
 
 
 def canonical_rank2_codegree1(V: VariationalMorphism) -> SplitResult:
@@ -87,7 +87,7 @@ def canonical_rank2_codegree1(V: VariationalMorphism) -> SplitResult:
         return (V.value((i,), sigma, (a,) + tail) - V.value((a,), sigma, (i,) + tail)) \
             * Fraction(1, 2)
 
-    E = VariationalMorphism(ctx, 1)
+    E = {}
     for i in range(1, n + 1):
         for sigma in range(1, m + 1):
             # the +2/3 sign on the second-derivative term is pinned by the
@@ -99,39 +99,41 @@ def canonical_rank2_codegree1(V: VariationalMorphism) -> SplitResult:
             for a in range(1, n + 1):
                 for b in range(1, n + 1):
                     val = val + Fraction(2, 3) * d(d(anti2(i, b, sigma, (a,)), a), b)
-            E.set((i,), sigma, (), val)
+            E[(i,), sigma, ()] = val
             for j1 in range(1, n + 1):
                 val = sym2(i, sigma, j1)
                 for a in range(1, n + 1):
                     val = val + Fraction(2, 3) * d(V.value((a,), sigma, (i, j1)), a)
                     val = val - Fraction(2, 3) * d(sym2_tail(i, sigma, j1, a), a)
-                E.set((i,), sigma, (j1,), val)
+                E[(i,), sigma, (j1,)] = val
                 for j2 in range(1, n + 1):
-                    E.set((i,), sigma, (j1, j2), sym3(i, sigma, j1, j2))
+                    E[(i,), sigma, (j1, j2)] = sym3(i, sigma, j1, j2)
 
-    T = VariationalMorphism(ctx, 2)
+    T = {}
     for block in itertools.combinations(range(1, n + 1), 2):
         i1, i2 = block
         for sigma in range(1, m + 1):
             val = anti2(i1, i2, sigma, ())
             for a in range(1, n + 1):
                 val = val - Fraction(2, 3) * d(anti2(i1, i2, sigma, (a,)), a)
-            T.set(block, sigma, (), val * Fraction(1, 2))
+            T[block, sigma, ()] = val * Fraction(1, 2)
             for j in range(1, n + 1):
-                T.set(block, sigma, (j,), anti2(i1, i2, sigma, (j,)) * Fraction(2, 3))
-    return SplitResult(E, T)
+                T[block, sigma, (j,)] = anti2(i1, i2, sigma, (j,)) * Fraction(2, 3)
+    return SplitResult(VariationalMorphism.of(ctx, 1, E), VariationalMorphism.of(ctx, 2, T))
 
 
 def split_like_grid(V: VariationalMorphism) -> SplitResult:
     """The split-like decomposition, one (block, sigma, J) at a time.
 
     The boundary family is built top-down, h = r-1 .. 0, from
-    ``antisym_value`` and the total derivatives of the rank above; the
-    volume part subtracts it at every block, field and rank string.
+    ``antisym_value`` and the total derivatives of the rank above, which
+    the family holds once each rank is done; the volume part subtracts it
+    at every block, field and rank string.
     """
     ctx, s, r = V.ctx, V.s, V.rank
     n = ctx.n
     d = symexpr.total_derivative
+    coeffs = {}
     that = VariationalMorphism(ctx, s + 1)
     for h in range(r - 1, -1, -1):
         for block in itertools.combinations(range(1, n + 1), s + 1):
@@ -140,12 +142,12 @@ def split_like_grid(V: VariationalMorphism) -> SplitResult:
                     val = antisym_value(V, block, sigma, L)
                     for k in range(1, n + 1):
                         val = val - d(that.value(block, sigma, L + (k,)), k)
-                    that.set(block, sigma, L, val)
-    T = VariationalMorphism(ctx, s + 1)
-    for (block, sigma, L), v in that.coeffs.items():
-        T.set(block, sigma, L, v * Fraction(1, s + 1))
+                    coeffs[block, sigma, L] = val
+        that = VariationalMorphism.of(ctx, s + 1, coeffs)
+    T = VariationalMorphism.of(ctx, s + 1, {key: v * Fraction(1, s + 1)
+                                            for key, v in that.coeffs.items()})
 
-    E = VariationalMorphism(ctx, s)
+    E = {}
     for block in itertools.combinations(range(1, n + 1), s):
         for sigma in range(1, ctx.m + 1):
             for h in range(r + 1):
@@ -155,8 +157,8 @@ def split_like_grid(V: VariationalMorphism) -> SplitResult:
                         val = val - d(that.value(block + (i,), sigma, J), i)
                     if J:
                         val = val - that.value(block + (J[0],), sigma, J[1:])
-                    E.set(block, sigma, J, val)
-    return SplitResult(E, T)
+                    E[block, sigma, J] = val
+    return SplitResult(VariationalMorphism.of(ctx, s, E), T)
 
 
 def is_reduced_grid(V: VariationalMorphism) -> bool:

@@ -27,3 +27,23 @@ def test_every_private_definition_is_used_in_the_library():
                        for node in t.body if node is not d):
                 unused.append(f"{module}:{d.name}")
     assert unused == []
+
+
+def test_the_parser_has_no_recursion():
+    # nesting costs no Python frames: no method of _Parser reaches itself
+    # through calls on self, and nothing catches a RecursionError
+    tree = ast.parse((SRC / "parser.py").read_text())
+    assert not _reads(tree, "RecursionError")
+    [parser] = [d for d in tree.body if isinstance(d, ast.ClassDef) and d.name == "_Parser"]
+    calls = {f.name: {n.func.attr for n in ast.walk(f)
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                      and isinstance(n.func.value, ast.Name) and n.func.value.id == "self"}
+             for f in parser.body if isinstance(f, ast.FunctionDef)}
+    for start in calls:
+        reached, todo = set(), list(calls[start])
+        while todo:
+            name = todo.pop()
+            if name in calls and name not in reached:
+                reached.add(name)
+                todo += calls[name]
+        assert start not in reached, start

@@ -10,12 +10,13 @@ from jetform.forms import (Context, contract_prolonged, d_H, ds_block, dx,
 from jetform.interior_euler import interior_euler, residual
 from jetform.randomgen import generic_morphism, rand_morphism, rand_scalar
 from jetform.symexpr import Scalar
-from jetform.varmorph import (NotOneContact, SplitResult, VariationalMorphism,
+from jetform.varmorph import (NotOneContact, VariationalMorphism,
                               alpha_discrepancy, divergence, formal_field,
                               from_contact_form, split_canonical_codegree_s,
                               split_like, to_contact_form, vertical_field)
 from jetform.verify import _alpha_display, run_identity
 from form_oracles import split_lower
+from fraction_ops import fraction_ops
 from splitting_oracles import (antisym_value, canonical_rank1,
                                canonical_rank2_codegree1, is_reduced,
                                is_reduced_grid, split_like_grid)
@@ -89,8 +90,7 @@ def test_evaluation_identity_with_polynomial_field():
 
 def test_boundary_sign_convention():
     ctx = Context(n=2, m=1)
-    T = VariationalMorphism(ctx, 1)
-    T.set((1,), 1, (), Scalar.one())
+    T = VariationalMorphism.of(ctx, 1, {((1,), 1, ()): Scalar.one()})
     rt = -to_contact_form(T)
     assert rt == wedge(omega(ctx, 1), ds_block(ctx, (1,))).scale(-1)
 
@@ -116,8 +116,7 @@ def test_zero_morphism_is_zero_form():
 
 def test_split0_rank0_trivial():
     ctx = Context(n=2, m=1)
-    V = VariationalMorphism(ctx, 0)
-    V.set((), 1, (), se.y(1))
+    V = VariationalMorphism.of(ctx, 0, {((), 1, ()): se.y(1)})
     res = split_like(V)
     assert res.volume.coeffs == V.coeffs
     assert res.boundary.is_zero()
@@ -165,13 +164,11 @@ def test_split_rank0_volume_is_a_copy_of_the_input():
     # the volume part of a rank-0 split has V's coefficients, in its own dict
     ctx = Context(n=3, m=1)
     for s, block in [(0, ()), (1, (2,)), (2, (1, 3))]:
-        V = VariationalMorphism(ctx, s)
-        V.set(block, 1, (), se.y(1) * se.y(1, 2))
+        V = VariationalMorphism.of(ctx, s, {(block, 1, ()): se.y(1) * se.y(1, 2)})
         res = split_canonical_codegree_s(V)
         assert res.volume is not V and res.volume.coeffs == V.coeffs
         assert res.boundary.is_zero()
-        res.volume.set(block, 1, (), Scalar.zero())
-        assert V.value(block, 1, ()) == se.y(1) * se.y(1, 2)
+        assert res.volume.acc is not V.acc
 
 
 # -- split-like --------------------------------------------------------------------
@@ -208,7 +205,7 @@ def test_split_like_r1_closed_formulas():
 def test_split_like_antisymmetric_input_has_no_middle_corrections():
     # fully block-antisymmetric rank-1 input: E' loses its rank-1 part
     ctx = Context(n=3, m=1)
-    V = VariationalMorphism(ctx, 1)
+    coeffs = {}
     base = {}
     for i in range(1, 4):
         for j in range(1, 4):
@@ -217,8 +214,8 @@ def test_split_like_antisymmetric_input_has_no_middle_corrections():
                 continue
             if key not in base:
                 base[key] = se.opaque("C", key, n=3, m=1, order=-1)
-            V.set((i,), 1, (j,), base[key] if (i, j) == key else -base[key])
-    res = split_like(V)
+            coeffs[(i,), 1, (j,)] = base[key] if (i, j) == key else -base[key]
+    res = split_like(VariationalMorphism.of(ctx, 1, coeffs))
     for i in range(1, 4):
         for j in range(1, 4):
             assert res.volume.value((i,), 1, (j,)).is_zero()
@@ -266,19 +263,16 @@ def test_split_like_agrees_with_form_level_split():
         assert d_H(res.boundary.evaluate(xi)) == contract_prolonged(boundary, xi)
 
 
-def _add(V, block, sigma, J, value):
-    """V^{block sigma J} += value."""
-    V.set(block, sigma, J, V.value(block, sigma, J) + value)
-
-
 def _sparse_morphism(rng, ctx, s, r, count=6):
     """A few coefficients at random (block, sigma, ordered J): not symmetric."""
-    V = VariationalMorphism(ctx, s)
+    coeffs = {}
     for _ in range(count):
         block = tuple(sorted(rng.sample(range(1, ctx.n + 1), s)))
         J = tuple(rng.randint(1, ctx.n) for _ in range(rng.randint(0, r)))
-        _add(V, block, rng.randint(1, ctx.m), J, rand_scalar(rng, ctx, 1, degree=2, terms=2))
-    return V
+        key = (block, rng.randint(1, ctx.m), J)
+        coeffs[key] = coeffs.get(key, Scalar.zero()) + rand_scalar(rng, ctx, 1, degree=2,
+                                                                   terms=2)
+    return VariationalMorphism.of(ctx, s, coeffs)
 
 
 @pytest.mark.parametrize("n,m,s,r", [(2, 1, 0, 2), (3, 2, 0, 3), (2, 2, 1, 0),
@@ -309,29 +303,22 @@ def test_splittings_read_off_stored_coefficients_match_the_grid_walks(n, m, s, r
 
 def test_is_reduced_is_false_on_a_non_reduced_rank1_morphism():
     ctx = Context(n=2, m=1)
-    V = VariationalMorphism(ctx, 1)
-    V.set((1,), 1, (2,), se.y(1))
-    assert not is_reduced(V)
+    assert not is_reduced(VariationalMorphism.of(ctx, 1, {((1,), 1, (2,)): se.y(1)}))
 
 
 def test_is_reduced_reads_every_rank():
     # the rank-1 part is symmetric in (block, J[0]), so reduced; a rank-2
     # coefficient with no partner at the swapped position is not
     ctx = Context(n=2, m=1)
-    V = VariationalMorphism(ctx, 1)
-    V.set((1,), 1, (2,), se.y(1))
-    V.set((2,), 1, (1,), se.y(1))
-    assert is_reduced(V)
-    V.set((1,), 1, (2, 1), se.x(2))
-    assert not is_reduced(V)
+    rank1 = {((1,), 1, (2,)): se.y(1), ((2,), 1, (1,)): se.y(1)}
+    assert is_reduced(VariationalMorphism.of(ctx, 1, rank1))
+    assert not is_reduced(VariationalMorphism.of(ctx, 1, {**rank1, ((1,), 1, (2, 1)): se.x(2)}))
 
 
 def test_is_reduced_holds_for_rank0_coefficients():
     ctx = Context(n=3, m=2)
     for s, block in [(0, ()), (1, (2,)), (2, (1, 3))]:
-        V = VariationalMorphism(ctx, s)
-        V.set(block, 2, (), se.y(1, 2) * se.x(1))
-        assert is_reduced(V)
+        assert is_reduced(VariationalMorphism.of(ctx, s, {(block, 2, ()): se.y(1, 2) * se.x(1)}))
 
 
 # -- Prop r=1 ----------------------------------------------------------------------
@@ -381,12 +368,12 @@ def test_splittfati_identity_and_displayed_coefficients():
 
 def test_splittfati_symmetric_input_kills_boundary_rank1():
     ctx = Context(n=2, m=1)
-    V = VariationalMorphism(ctx, 1)
+    coeffs = {}
     for i in range(1, 3):
         for Js in itertools.product(range(1, 3), repeat=2):
             key = tuple(sorted((i,) + Js))
-            V.set((i,), 1, Js, se.opaque("S", key, n=2, m=1, order=-1))
-    canon = split_canonical_codegree_s(V)
+            coeffs[(i,), 1, Js] = se.opaque("S", key, n=2, m=1, order=-1)
+    canon = split_canonical_codegree_s(VariationalMorphism.of(ctx, 1, coeffs))
     for block in itertools.combinations(range(1, 3), 2):
         for j in range(1, 3):
             assert canon.boundary.value(block, 1, (j,)).is_zero()
@@ -426,12 +413,10 @@ def test_canonical_splitting_matches_the_hand_formulas(r, s):
 
 def test_divergence_constant_coefficients():
     ctx = Context(n=2, m=1)
-    Q0 = VariationalMorphism(ctx, 1)
-    Q0.set((1,), 1, (), se.x(2))  # depends on base only
+    Q0 = VariationalMorphism.of(ctx, 1, {((1,), 1, ()): se.x(2)})  # depends on base only
     # a Q not symmetric in its rank strings pairs to Div all the same
-    Qa = VariationalMorphism(Context(n=3, m=1), 1)
-    Qa.set((2,), 1, (1, 3), se.y(1, 2))
-    Qa.set((1,), 1, (3,), se.x(2))
+    Qa = VariationalMorphism.of(Context(n=3, m=1), 1, {((2,), 1, (1, 3)): se.y(1, 2),
+                                                      ((1,), 1, (3,)): se.x(2)})
     symmetric = [Q0, generic_morphism(ctx, 1, 1), generic_morphism(ctx, 1, 2, order=1),
                  generic_morphism(Context(n=3, m=2), 2, 1)]
     for Q in symmetric + [Qa]:
@@ -501,13 +486,13 @@ def test_alpha_displayed_coefficients_and_lepage_identities():
 
 def test_alpha_vanishes_for_fully_symmetric_coefficients():
     ctx = Context(n=2, m=1)
-    V = VariationalMorphism(ctx, 1)
+    coeffs = {}
     for i in range(1, 3):
         for h in range(3):
             for Js in itertools.product(range(1, 3), repeat=h):
                 key = tuple(sorted((i,) + Js))
-                V.set((i,), 1, Js, se.opaque("S", (h,) + key, n=2, m=1, order=-1))
-    alpha, dalpha = alpha_discrepancy(V)
+                coeffs[(i,), 1, Js] = se.opaque("S", (h,) + key, n=2, m=1, order=-1)
+    alpha, dalpha = alpha_discrepancy(VariationalMorphism.of(ctx, 1, coeffs))
     assert alpha.is_zero()
     assert dalpha.is_zero()
 
@@ -562,31 +547,19 @@ def test_splittings_build_each_chain_rule_once(monkeypatch, call):
     assert se._derived is None
 
 
-def test_cli_morphism_path_clears_once_and_divides_once_per_part(monkeypatch):
+def test_cli_morphism_path_clears_once_and_divides_once_per_part():
     # jetform split|splitlike|alpha: the parsed form is cleared once, the
     # splittings and alpha run on that clearing, and each printed part is
     # divided once: no Fraction arithmetic at all, and one Fraction made per
     # distinct coefficient of a part that is not whole
     rho = to_contact_form(rand_morphism(random.Random(7), Context(n=3, m=2), 1, 2))
     assert any(type(c) is Fraction for v in rho.terms.values() for c in v.terms.values())
-    ops = {name: 0 for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__",
-                                "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
-                                "__neg__", "__pos__", "__abs__")}
-
-    def counted(name, method):
-        def op(*args, **kwargs):
-            ops[name] += 1
-            return method(*args, **kwargs)
-        return staticmethod(op) if name == "__new__" else op
-
-    for name in ops:
-        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
     parts = []
-    for split in (split_canonical_codegree_s, split_like):
-        res = split(from_contact_form(rho))
-        parts += [to_contact_form(res.volume), to_contact_form(res.boundary)]
-    parts += map(to_contact_form, alpha_discrepancy(from_contact_form(rho)))
-    monkeypatch.undo()
+    with fraction_ops() as ops:
+        for split in (split_canonical_codegree_s, split_like):
+            res = split(from_contact_form(rho))
+            parts += [to_contact_form(res.volume), to_contact_form(res.boundary)]
+        parts += map(to_contact_form, alpha_discrepancy(from_contact_form(rho)))
     made = ops.pop("__new__")
     # 181 made when each public boundary divided and cleared again, for 80 here
     assert sum(ops.values()) == 0
@@ -611,12 +584,7 @@ def test_operations_leave_their_inputs_acc_unchanged():
         before = _buckets(V), _buckets(W)
         for op in (split_canonical_codegree_s, split_like, alpha_discrepancy,
                    lambda V: (V + W, W + V), lambda V: (V - W, W - V)):
-            res = op(V)
-            assert (_buckets(V), _buckets(W)) == before, op
-            # nor does writing into a result reach its inputs
-            for part in (res.volume, res.boundary) if isinstance(res, SplitResult) else res:
-                for block, sigma, J in list(part.acc):
-                    part.set(block, sigma, J, se.x(1))
+            op(V)
             assert (_buckets(V), _buckets(W)) == before, op
 
 
@@ -632,3 +600,34 @@ def test_equal_coefficients_at_different_scales_are_equal():
                                   {key: {m: 2 * v for m, v in t.items()} for key, t in V.acc.items()})
     assert doubled == V and doubled != V + W
     assert (V - V).is_zero() and V - V == VariationalMorphism(ctx, 1)
+
+
+def test_alpha_display_runs_on_integers():
+    # the display family is read off the integer buckets over 12 times the
+    # scale of V: it makes no Fraction, and it is the displayed alpha
+    V = rand_morphism(random.Random(7), Context(n=3, m=2), 1, 2)
+    with fraction_ops() as ops:
+        display = _alpha_display(V)
+    assert sum(ops.values()) == 0
+    assert display == alpha_discrepancy(V)[0]
+
+
+def test_pairing_multiplies_once_per_sorted_rank_string(monkeypatch):
+    # d_J Xi is symmetric in J, so the orderings of a rank string are summed
+    # first: one product per (block, sigma, sorted J), 10 per block and
+    # field at n = 3, rank 2 (the 13 orderings would take 13)
+    ctx = Context(n=3, m=1)
+    V = generic_morphism(ctx, 1, 2)
+    xi = formal_field(ctx)
+    expected = V.evaluate(xi)
+    products = []
+    mul = Scalar.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    assert V.evaluate(xi) == expected
+    sorted_keys = {(block, sigma, tuple(sorted(J))) for block, sigma, J in V.coeffs}
+    assert len(products) == len(sorted_keys) == 3 * 10
