@@ -9,7 +9,9 @@ and the working tree, say).  Both are imported into this interpreter under
 the package name ``jetform``, one after the other, and each keeps its own
 modules.  A case ``nNmMrR`` is the lepage-generic benchmark case: the
 closed Krupka-Betounes equivalent, the Rossi recurrence and the
-Euler-Lagrange form of a generic opaque Lagrangian at (n, m, order).  A
+Euler-Lagrange form of a generic opaque Lagrangian at (n, m, order), for
+any N, M >= 1 and R in {1, 2}; the default cases are the benchmark's grid,
+which leaves out n4m2r2.  A
 case ``alpha/nNmM`` times ``alpha_discrepancy``, both splittings of a
 morphism, and the contact forms of alpha and Dalpha, where their
 coefficients are divided, on a generic opaque and a seeded random
@@ -53,6 +55,7 @@ from itertools import count
 
 GRID = [f"n{n}m{m}r{r}" for n in (2, 3, 4) for m in (1, 2) for r in (1, 2)
         if (n, m, r) != (4, 2, 2)]
+LEPAGE = re.compile(r"n([1-9][0-9]*)m([1-9][0-9]*)r([12])")
 ALPHA = [f"alpha/n{n}m{m}" for n in (2, 3, 4) for m in (1, 2)]
 VERIFY = re.compile(r"verify/([a-z0-9-]+)/n([1-9])m([1-9])")
 CLI = re.compile(r"cli/(el|pc|kb|split|splitlike|alpha)/n([1-9])m([1-9])")
@@ -61,11 +64,11 @@ SEEDS = range(4)
 
 
 def case_name(text: str) -> str:
-    if text in GRID or text in ALPHA or VERIFY.fullmatch(text) or CLI.fullmatch(text):
+    if any(p.fullmatch(text) for p in (LEPAGE, VERIFY, CLI)) or text in ALPHA:
         return text
     raise argparse.ArgumentTypeError(
-        f"{text!r} is none of {', '.join(GRID + ALPHA)}, verify/<identity>/nNmM "
-        "or cli/<el|pc|kb|split|splitlike|alpha>/nNmM")
+        f"{text!r} is none of nNmMr1, nNmMr2 (N, M >= 1), {', '.join(ALPHA)}, "
+        "verify/<identity>/nNmM or cli/<el|pc|kb|split|splitlike|alpha>/nNmM")
 
 
 def load(src: str):
@@ -138,7 +141,7 @@ def run_case(side, slot: str, name: str):
     if slot.startswith("cli/"):
         return run_cli(side, slot)
     forms, lepage = side["forms"], side["lepage"]
-    n, m, r = (int(slot[i]) for i in (1, 3, 5))
+    n, m, r = map(int, LEPAGE.fullmatch(slot).groups())
     lam = lepage.generic_lagrangian(forms.Context(n=n, m=m), r, name=name)
     gc.collect()
     t0 = time.perf_counter()

@@ -21,12 +21,15 @@ The pipeline shared by every operator here:
    (``forms.total_derivative_sum``), one form total derivative per node.
    The telescope and the rebuild run in a ``symexpr._formal_scope``: each
    d_I of an opaque atom f stays one formal atom D_I f, so the stored
-   family is formal, and the rebuilt form is expanded to the chain-rule
-   normal form before it is compared with D p_k rho;
+   family is formal.  The rebuilt form is compared with D p_k rho by
+   ``_mismatch``, the one decision rule of every self-check on formal
+   data: a literal equality passes, and otherwise the difference is
+   expanded to the chain-rule normal form and compared with zero;
 3. assemble the residual operator from the xi family by the contraction
    iota_a dual to dx^a (``_residual``), its total derivatives again summed
-   over a trie, formally, and expanded once before the final scaling; one
-   operator serves every codegree s, the top forms being s = 0.
+   over a trie, formally; ``residual`` expands it once, and the Lepage
+   recurrence, whose input is formal too, keeps it formal.  One operator
+   serves every codegree s, the top forms being s = 0.
 
 Multi-index sums follow the ordered-tuple convention; eta is stored per
 sorted key (the basis coefficient), and mult(J) = ``tuple_multiplicity(J)``
@@ -82,6 +85,23 @@ def _smallest_difference(got: Form, want: Form) -> str:
             f"expected {term(want, w, mono)}")
 
 
+def _mismatch(got: Form, want: Form, D: int = 1) -> str | None:
+    """None when got == D want, else the smallest term of the expanded
+    difference (``_smallest_difference``): the decision of every self-check.
+
+    A literal equality holds; so does a difference that expands to zero.
+    Formal and chain-rule atoms are not algebraically independent, so a
+    formal nonzero proves nothing, but expansion is a ring homomorphism
+    that commutes with d_i and with every partial, so the expanded
+    difference decides the same equality as expanding both sides.
+    """
+    if got == want if D == 1 else _is_multiple(got, want, D):
+        return None
+    if _expanded(got - want.scale(D)).is_zero():
+        return None
+    return _smallest_difference(_expanded(got).scale(Fraction(1, D)), _expanded(want))
+
+
 @dataclass
 class EtaDecomposition:
     """p_k rho = sum over sorted (sigma, J) of omega^sigma_J ^ eta^J_sigma."""
@@ -124,11 +144,9 @@ def eta_decompose(rho: Form, k: int, etas: dict | None = None) -> EtaDecompositi
                 etas[(sigma, J)] = eta
     r = max((len(J) for _, J in etas), default=0)
     dec = EtaDecomposition(ctx, k, s, r, etas)
-    got = dec.recompose()
-    if got != part:
-        raise RecompositionFailure(
-            f"eta family does not recompose p_k rho (k={k}, s={s}, "
-            f"D={_cleared(etas.values())[0]}); {_smallest_difference(got, part)}")
+    if failure := _mismatch(dec.recompose(), part):
+        raise RecompositionFailure(f"eta family does not recompose p_k rho (k={k}, s={s}, "
+                                   f"D={_cleared(etas.values())[0]}); {failure}")
     return dec
 
 
@@ -247,12 +265,10 @@ def ibp_expand(rho: Form, k: int, etas: dict | None = None) -> XiFamily:
         parts: dict = {}
         for (sigma, I), x in int_xi.items():
             _add_into(parts.setdefault(I, {}), wedge(omega(ctx, sigma), x))
-        got = _expanded(total_derivative_sum(ctx, parts))
-    want = p_k(rho, k)
-    if not _is_multiple(got, want, D):
+        got = total_derivative_sum(ctx, parts)
+    if failure := _mismatch(got, p_k(rho, k), D):
         raise ExpansionMismatch(
-            f"xi telescoping does not rebuild p_k rho (k={k}, s={dec.s}, D={D}); "
-            f"{_smallest_difference(got.scale(Fraction(1, D)), want)}")
+            f"xi telescoping does not rebuild p_k rho (k={k}, s={dec.s}, D={D}); {failure}")
     return XiFamily(ctx, k, dec.s, dec.r, D, int_xi)
 
 
@@ -290,6 +306,11 @@ def residual(rho: Form, k: int, etas: dict | None = None) -> Form:
     and what p_k rho = I(rho) + p_k d p_k R(rho) requires for k >= 2.
     ``etas`` is the eta family handed to ``ibp_expand``.
     """
+    return _expanded(_formal_residual(rho, k, etas))
+
+
+def _formal_residual(rho: Form, k: int, etas: dict | None = None) -> Form:
+    """``residual`` before its expansion: R(rho) in the formal ring."""
     if k < 1:
         raise ValueError("residual operator needs contact degree k >= 1")
     return _residual(ibp_expand(rho, k, etas))
@@ -307,8 +328,9 @@ def _residual(fam: XiFamily) -> Form:
     the trie of the I = Ms - a.  Each 1/(D mult(Ms)) is cleared by L, the
     lcm of every mult(Ms); the one rational step is the final scaling by
     1/((s+1) D L).  L cancels in it, so a formal key whose form expands to
-    zero changes nothing.  The trie sum runs formally and is expanded once,
-    before the scaling.
+    zero changes nothing.  The trie sum runs formally, and the result is
+    formal: ``residual`` expands it once, and the Lepage recurrence keeps it
+    formal until it returns.
     """
     ctx = fam.ctx
     L = math.lcm(*{tuple_multiplicity(Ms) for _, Ms in fam.int_xi})
@@ -326,5 +348,4 @@ def _residual(fam: XiFamily) -> Form:
                       weight * tuple_multiplicity(I))
     factor = Fraction(1, (fam.s + 1) * fam.denominator * L)
     with _formal_scope():
-        total = _expanded(total_derivative_sum(ctx, parts))
-    return total.scale(factor)
+        return total_derivative_sum(ctx, parts).scale(factor)

@@ -14,6 +14,16 @@ p_{q-1} rho_{q-1} is cleared by N, the lcm of its denominators, the
 gradient, eta and residual are built from N p_{q-1} rho_{q-1}, and since R
 is linear the correction is divided by N once.
 
+The recurrence runs in the formal ring (``symexpr._formal_scope``): each
+d_I of an opaque atom stays one formal atom D_I f, the gradients of the
+q >= 2 steps take partials of those atoms by the commutator rule of
+``symexpr``, and theta is cross-checked against the chart form built
+formally too.  The three self-checks of each run (eta recomposition, the
+xi rebuild and that cross-check) are decided by ``interior_euler._mismatch``,
+which expands only a difference that is not literally zero.
+``poincare_cartan`` and ``rossi_recurrence`` expand each member once, as
+they return it, so no formal atom leaves the module.
+
 The eta decomposition feeding R is not unique for q >= 2 and the choice
 matters.  At first order the canonical 1/k-contraction eta is the right
 one: the chain then terminates on the Krupka-Betounes equivalent (in
@@ -49,7 +59,7 @@ from fractions import Fraction
 from . import symexpr
 from .forms import (Context, Form, _add_terms, _cleared, _ds_wedge, _insert,
                     _summed, d_C, d_H, p_k, volume, wedge_gradients)
-from .interior_euler import _smallest_difference, interior_euler, residual
+from .interior_euler import _expanded, _formal_residual, _mismatch, interior_euler
 from .multiindex import tuple_multiplicity
 from .symexpr import Scalar
 
@@ -117,12 +127,16 @@ def poincare_cartan_closed(lam: Lagrangian) -> Form:
 @symexpr._memo_scope()
 def poincare_cartan(lam: Lagrangian) -> Form:
     """theta = rho_1 = lambda - p_1 R(d lambda), cross-checked against the chart form."""
-    theta = _step(lam, lam.form(), 1)
-    closed = poincare_cartan_closed(lam)
-    if theta != closed:
-        raise AssertionError("residual route disagrees with the chart "
-                             "Poincare-Cartan form; decomposition bug; "
-                             f"{_smallest_difference(theta, closed)}")
+    return _expanded(_theta(lam))
+
+
+def _theta(lam: Lagrangian) -> Form:
+    """The formal theta, checked against the chart form built formally."""
+    with symexpr._formal_scope():
+        theta = _step(lam, lam.form(), 1)
+        if failure := _mismatch(theta, poincare_cartan_closed(lam)):
+            raise AssertionError("residual route disagrees with the chart "
+                                 f"Poincare-Cartan form; decomposition bug; {failure}")
     return theta
 
 
@@ -162,16 +176,18 @@ def _step(lam: Lagrangian, prev: Form, q: int) -> Form:
 
     One gradient pass over N p_{q-1} rho_{q-1}, N the lcm of its
     denominators, builds N p_q(d rho_{q-1}) and feeds the provenance eta;
-    R is linear, so the correction is divided by N once.
+    R is linear, so the correction is divided by N once.  The step runs in
+    the formal ring: ``prev`` and the result may hold formal atoms D_I f.
     """
     ctx = lam.ctx
-    N, [part] = _cleared([p_k(prev, q - 1)])
-    grads = {w: symexpr.gradient(c) for w, c in part.terms.items()}
-    diff = wedge_gradients(ctx, grads)
-    if diff.is_zero():
-        return prev
-    etas = None if lam.order == 1 else _provenance_eta(ctx, grads)
-    return prev - p_k(residual(diff, q, etas), q).scale(Fraction(1, N))
+    with symexpr._formal_scope():
+        N, [part] = _cleared([p_k(prev, q - 1)])
+        grads = {w: symexpr.gradient(c) for w, c in part.terms.items()}
+        diff = wedge_gradients(ctx, grads)
+        if diff.is_zero():
+            return prev
+        etas = None if lam.order == 1 else _provenance_eta(ctx, grads)
+        return prev - p_k(_formal_residual(diff, q, etas), q).scale(Fraction(1, N))
 
 
 @symexpr._memo_scope()
@@ -179,12 +195,13 @@ def rossi_recurrence(lam: Lagrangian) -> LepageChain:
     """The full chain rho_1 .. rho_n of residual-operator corrections.
 
     rho_1 is the Poincare-Cartan form, and each later member is one
-    ``_step`` from the one before.
+    ``_step`` from the one before.  The chain is built formally, and each
+    member is expanded once, as it is returned.
     """
-    chain = [poincare_cartan(lam)]
+    chain = [_theta(lam)]
     for q in range(2, lam.ctx.n + 1):
         chain.append(_step(lam, chain[-1], q))
-    return LepageChain(chain)
+    return LepageChain([_expanded(rho) for rho in chain])
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -210,12 +227,18 @@ def _closed_equivalent(lam: Lagrangian, slots: tuple) -> Form:
     ctx = lam.ctx
     n = ctx.n
     slot_pairs = list(itertools.product(range(1, ctx.m + 1), range(1, n + 1)))
+    momenta: dict = {}  # f^J_sigma depends on the sorted J only
     terms = []
     for h, top in enumerate(slots):
-        leads = [(i, ('w', sigma, tuple(sorted(Jp))), lam.momentum(sigma, (i,) + Jp))
-                 for sigma, i in slot_pairs
-                 for Jp in itertools.product(range(1, n + 1), repeat=h)]
-        leads = [lead for lead in leads if not lead[2].is_zero()]
+        leads = []
+        for sigma, i in slot_pairs:
+            for Jp in itertools.product(range(1, n + 1), repeat=h):
+                key = (sigma, tuple(sorted((i,) + Jp)))
+                base = momenta.get(key)
+                if base is None:
+                    base = momenta[key] = lam.momentum(*key)
+                if not base.is_zero():
+                    leads.append((i, ('w', sigma, tuple(sorted(Jp))), base))
         for q in range(1, top + 1):
             weight = Fraction(1, math.factorial(q) ** (2 if h == 0 else 1))
             for pairs in itertools.product(slot_pairs, repeat=q - 1):

@@ -324,9 +324,18 @@ _BINARY = {'+': (1, _add), '-': (1, lambda p, a, b: _add(p, a, -b)),
 
 
 def parse_scalar(text: str, ctx: Context, order: int, fields=None) -> Scalar:
-    value = _Parser(text, ctx, order, fields).parse()
+    parser = _Parser(text, ctx, order, fields)
+    value = parser.parse()
     if isinstance(value, Form):
-        raise InputSyntaxError("expected a scalar expression, found a form", 1, 1)
+        # a form comes only from a covector (ds, dxN, w(...), dy(...)) or a
+        # wedge: name the first of those tokens
+        tokens = parser.tokens
+        _, _, line, column = next(
+            tok for t, tok in enumerate(tokens)
+            if tok[0] == 'WEDGE' or tok[0] == 'IDENT' and (
+                tok[1] == 'ds' or _DX.fullmatch(tok[1])
+                or tok[1] in ('w', 'dy') and tokens[t + 1][0] == '('))
+        raise InputSyntaxError("expected a scalar expression, found a form", line, column)
     return value
 
 

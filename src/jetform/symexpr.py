@@ -41,31 +41,39 @@ D_{I+i} f; outside a ``_formal_scope`` that atom is replaced at once by its
 expansion, the chain-rule normal form of d_I f.  ``_expansion`` is the one
 place that builds it: the chain rule of f (``_chain_rule``) for one index,
 d_{I[-1]} of the expansion of D_{I[:-1]} f for more.  Which jet
-coordinates an opaque atom depends on is read off its key by ``_coords``.
+coordinates an opaque atom depends on is read off the shape in its key by
+``_coords``.
 
 While an outermost library call runs (the Lepage builders in ``lepage``
 and one CLI command), one memo holds everything derived from atoms, by
 identity: d_i of each atom in the formal ring (``_formal_total``), the
-labelled partial for (atom, coordinate), the expansion of each formal atom
-and the jet coordinates of an opaque shape.  An entry is a pure function of
-its key, since an atom's key carries name, indices, n, m, order and
-partials, and scalars are never mutated, so every call inside the scope may
-share it.  ``_memo_scope`` opens the memo, nested scopes reuse it, and the
-outermost scope drops it in ``finally``: nothing is carried from one input
-to the next.
+labelled partial for (atom, coordinate), the partial of each formal atom
+in each coordinate, the nonzero partials that ``gradient`` reads per atom,
+the expansion of each formal atom and the jet coordinates of an opaque
+shape.  An entry is a pure function of its key, since an atom's key
+carries name, indices, n, m, order and partials, and scalars are never
+mutated, so every call inside the scope may share it.  ``_memo_scope``
+opens the memo, nested scopes reuse it, and the outermost scope drops it
+in ``finally``: nothing is carried from one input to the next.
 
 Inside a ``_formal_scope`` the formal atoms stay formal.  The
-integration-by-parts telescope and the residual in ``interior_euler`` run
-there, where most of what the chain rule would build cancels.  Formal and
-chain-rule atoms are not algebraically independent (D_i f is a sum of
-labelled partials), so a formal zero is a zero but a formal nonzero proves
-nothing; ``expand`` turns every D_I f back into the chain-rule normal form
-before anything is compared or handed out, so no formal atom leaves
-``interior_euler``.  Expanding is a ring homomorphism that commutes with
-d_i, so it gives exactly the chain-rule result.  For the same reason a
-formal atom has no partial derivatives of its own: ``partial`` and
-``gradient`` raise ``UnexpandedFormalAtom`` on one rather than read it as
-a constant.
+integration-by-parts telescope, the residual in ``interior_euler`` and the
+Lepage recurrence in ``lepage`` run there, where most of what the chain
+rule would build cancels.  D_i acts as a derivation of the free
+differential ring, and a formal atom has partials of its own, by the
+commutator [d/dy^sigma_K, D_i] = d/dy^sigma_{K-i} (``_formal_partial``):
+
+    d/dc D_{I+i} f = D_i(d/dc D_I f) + d/d(c - i) D_I f,
+
+where c - i is y^sigma_{K-i} for c = y^sigma_K with i in K and no
+coordinate otherwise (x-partials commute with D_i), and D_I f depends on
+jet order up to order(f) + |I|.  Formal and chain-rule atoms are not
+algebraically independent (D_i f is a sum of labelled partials), so a
+formal zero is a zero but a formal nonzero proves nothing; ``expand``
+turns every D_I f back into the chain-rule normal form before a formal
+difference is read as nonzero or a result is handed out, so no formal atom
+leaves the library.  Expanding is a ring homomorphism that commutes with
+d_i and with every partial, so it gives exactly the chain-rule result.
 """
 
 from __future__ import annotations
@@ -420,10 +428,9 @@ def _formal_total(a: Atom, i: int, derived: dict) -> Scalar:
     return da
 
 
-def _coords(a: Atom, derived: dict) -> list:
-    """The jet coordinates y^sigma_J, |J| <= order, that the opaque atom a
-    depends on, for the shape (n, m, order) in its key."""
-    shape = a.key[3:6]
+def _coords(shape: tuple, derived: dict) -> list:
+    """The jet coordinates y^sigma_J, |J| <= order, for the shape (n, m,
+    order): those an opaque atom with that shape in its key depends on."""
     cs = derived.get(shape)
     if cs is None:
         n, m, order = shape
@@ -432,24 +439,41 @@ def _coords(a: Atom, derived: dict) -> list:
     return cs
 
 
-class UnexpandedFormalAtom(AssertionError):
-    """A partial derivative was asked of a formal atom D_I f."""
-
-    def __init__(self, g: Atom):
-        super().__init__(f"the partial derivatives of the formal atom {g.key!r} are "
-                         "undefined until it is expanded (symexpr.expand)")
-
-
 def _atom_partial(a: Atom, c: Atom, derived: dict) -> Scalar:
     """Partial derivative of a single atom with respect to a coordinate."""
-    if a.kind != 'f':
-        if a.kind == 'g':
-            raise UnexpandedFormalAtom(a)
+    kind = a.kind
+    if kind == 'g':
+        return _formal_partial(a, c, derived)
+    if kind != 'f':
         return Scalar.one() if a is c else Scalar.zero()
     # an opaque atom depends on every x^i and on y^sigma_J for |J| <= order
     if c.kind == 'x' or (c.kind == 'y' and len(c.key[2]) <= a.key[5]):
         return Scalar({((_labelled(a, c, derived), 1),): 1})
     return Scalar.zero()
+
+
+def _formal_partial(g: Atom, c: Atom, derived: dict) -> Scalar:
+    """The partial of g = D_I f in the coordinate c, in the formal ring.
+
+    With I = I' + (i,): d/dc D_I f = D_i(d/dc D_I' f) + d/d(c - i) D_I' f,
+    where c - i is y^sigma_{K-i} for c = y^sigma_K with i in K, and no
+    coordinate otherwise (x-partials commute with D_i).  D_I f depends on
+    no y^sigma_K with |K| > order(f) + |I|.
+    """
+    dg = derived.get((g, c))
+    if dg is None:
+        _, f, I = g.key
+        if c.kind == 'y' and len(c.key[2]) > f[5] + len(I):
+            dg = Scalar.zero()
+        else:
+            i, base = I[-1], atom(('g', f, I[:-1]) if len(I) > 1 else f)
+            dg = _derive_monomials(_atom_partial(base, c, derived), _total_rule(i, True, derived))
+            if c.kind == 'y' and i in c.key[2]:
+                K = list(c.key[2])
+                K.remove(i)
+                dg = dg + _atom_partial(base, y_atom(c.key[1], K), derived)
+        derived[g, c] = dg
+    return dg
 
 
 def _derive_monomials(e: Scalar, atom_rule) -> Scalar:
@@ -485,9 +509,7 @@ def partial(e: Scalar, coord: tuple) -> Scalar:
 
     ``coord`` is a coordinate key.  For jet coordinates the multi-index is
     matched after sorting and no multinomial weight is applied.  A formal
-    atom D_I f has no partials until it is expanded, since it is not
-    independent of the coordinates its expansion holds: ``partial`` raises
-    ``UnexpandedFormalAtom`` on one.
+    atom D_I f goes to its partial in the formal ring (``_formal_partial``).
     """
     if coord[0] == 'y':
         coord = ('y', coord[1], tuple(sorted(coord[2])))
@@ -496,10 +518,9 @@ def partial(e: Scalar, coord: tuple) -> Scalar:
     return _derive_monomials(e, lambda a: _atom_partial(a, c, derived))
 
 
-def _total_rule(i: int, formal: bool):
+def _total_rule(i: int, formal: bool, derived: dict):
     """d_i on atoms: ``_formal_total``, with the formal atom D_{I+i} f that
     an opaque or formal atom goes to expanded unless ``formal`` is set."""
-    derived = {} if _derived is None else _derived
 
     def rule(a):
         da = derived.get((a, i))  # _formal_total's lookup, inlined: one per factor
@@ -520,7 +541,7 @@ def total_derivative(e: Scalar, i: int) -> Scalar:
     Inside a ``_formal_scope`` an opaque atom's d_i is the formal atom
     D_i f, and d_i D_I f is D_{I+i} f; ``expand`` reads them back.
     """
-    return _derive_monomials(e, _total_rule(i, _formal))
+    return _derive_monomials(e, _total_rule(i, _formal, {} if _derived is None else _derived))
 
 
 def total_derivative_multi(e: Scalar, J: Iterable[int]) -> Scalar:
@@ -537,7 +558,7 @@ def _chain_rule(a: Atom, i: int, derived: dict) -> Scalar:
     coefficient 1 once its two atoms are put in rank order.
     """
     out = {((_labelled(a, atom(('x', i)), derived), 1),): 1}
-    for c in _coords(a, derived):
+    for c in _coords(a.key[3:6], derived):
         f = _labelled(a, c, derived)
         [((r, _),)] = _formal_total(c, i, derived).terms  # y^sigma_{J+i}
         out[((f, 1), (r, 1)) if f.rank < r.rank else ((r, 1), (f, 1))] = 1
@@ -554,7 +575,7 @@ def _expansion(g: Atom, derived: dict) -> Scalar:
             ex = _chain_rule(atom(f), I[0], derived)
         else:
             base = _expansion(atom(('g', f, I[:-1])), derived)
-            ex = _derive_monomials(base, _total_rule(I[-1], False))
+            ex = _derive_monomials(base, _total_rule(I[-1], False, derived))
         derived[g] = ex
     return ex
 
@@ -590,16 +611,33 @@ def jet_keys(n: int, order: int) -> Iterator[tuple]:
         yield from combinations_with_replacement(range(1, n + 1), k)
 
 
+def _gradient_pairs(a: Atom, derived: dict) -> list:
+    """[(c, monomial, coefficient)] over the terms of the partial of the
+    opaque or formal atom a in each jet coordinate c in which it is
+    nonzero, put in the memo under (a, 'gradient').
+
+    An opaque atom's partials are its labelled partials in ``_coords``;
+    D_I f may depend on jet order up to order(f) + |I|.
+    """
+    if a.kind == 'f':
+        pairs = [(c, ((_labelled(a, c, derived), 1),), 1)
+                 for c in _coords(a.key[3:6], derived)]
+    else:
+        _, f, I = a.key
+        pairs = [(c, mb, cb) for c in _coords(f[3:5] + (f[5] + len(I),), derived)
+                 for mb, cb in _formal_partial(a, c, derived).terms.items()]
+    derived[a, 'gradient'] = pairs
+    return pairs
+
+
 def gradient(e: Scalar) -> dict:
     """Every nonzero partial in a jet coordinate, from one pass over e.
 
     Returns ``{('y', sigma, J): partial(e, ('y', sigma, J))}`` over the jet
-    coordinates present in e and those its opaque atoms depend on
-    (``_coords``).  Like ``partial``, it raises ``UnexpandedFormalAtom`` on
-    a formal atom.
+    coordinates present in e and those its opaque and formal atoms depend
+    on (``_gradient_pairs``).
     """
     derived = {} if _derived is None else _derived
-    factors: dict = {}   # opaque atom -> [(coordinate, the labelled monomial)]
     out: dict = {}
     for mono, coeff in e.terms.items():
         for t, (a, k) in enumerate(mono):
@@ -609,24 +647,19 @@ def gradient(e: Scalar) -> dict:
             rest = mono[:t] + ((a, k - 1),) * (k > 1) + mono[t + 1:]
             ck = coeff if k == 1 else coeff * k
             if kind == 'y':
-                hits = ((a, rest),)
-            elif kind == 'g':
-                raise UnexpandedFormalAtom(a)
-            else:
-                pairs = factors.get(a)
-                if pairs is None:
-                    pairs = factors[a] = [(c, ((_labelled(a, c, derived), 1),))
-                                          for c in _coords(a, derived)]
-                hits = ((c, _mul_monomials(rest, f)) for c, f in pairs)
-            for c, mb in hits:
+                pairs = ((a, (), 1),)
+            elif (pairs := derived.get((a, 'gradient'))) is None:
+                pairs = _gradient_pairs(a, derived)
+            for c, mb, cb in pairs:
+                m = _mul_monomials(rest, mb) if mb else rest
+                v = ck if cb == 1 else ck * cb
                 terms = out.get(c)
                 if terms is None:
-                    out[c] = {mb: ck}
-                elif (old := terms.get(mb)) is None:
-                    terms[mb] = ck
-                elif s := old + ck:
-                    terms[mb] = s
+                    out[c] = {m: v}
+                elif (old := terms.get(m)) is None:
+                    terms[m] = v
+                elif s := old + v:
+                    terms[m] = s
                 else:
-                    del terms[mb]
+                    del terms[m]
     return {c.key: Scalar(terms) for c, terms in out.items() if terms}
-

@@ -21,8 +21,8 @@ from fractions import Fraction
 from . import randomgen, symexpr, varmorph
 from .forms import (Context, Form, _add_into, _summed, contract_prolonged, d_H,
                     ds_block, omega, p_k, total_derivative_form_multi, wedge)
-from .interior_euler import (_residual, _smallest_difference, ibp_expand,
-                             interior_euler, residual)
+from .interior_euler import (_expanded, _residual, _smallest_difference,
+                             ibp_expand, interior_euler, residual)
 from .lepage import (Lagrangian, generic_lagrangian, kb_second_order,
                      krupka_betounes_first, lepage_check, rossi_recurrence)
 from .symexpr import Scalar, _merge
@@ -116,7 +116,7 @@ def check_prop_div(seed: int, n: int = 3, m: int = 2) -> tuple:
             continue
         fam = ibp_expand(rho, k)
         acc: dict = {}  # the left side minus the right
-        _add_into(acc, d_H(_residual(fam)), -1)
+        _add_into(acc, d_H(_expanded(_residual(fam))), -1)
         for block in itertools.combinations(range(1, nn + 1), s):
             for lm in range(1, fam.r + 1):
                 for M in itertools.product(range(1, nn + 1), repeat=lm):

@@ -270,6 +270,20 @@ def test_cli_non_constant_divisor_is_2(argv):
                         r"\(line 1, column \d+\)\n", err)
 
 
+@pytest.mark.parametrize("expr,line,column", [
+    ("u_1^2 + 3*dx2", 1, 11),
+    ("u_1 /\\ u_2", 1, 5),
+    ("u_x*(1 +\n  w(u,1))", 2, 3),
+    ("u_1 + dy(u) + ds", 1, 7),
+])
+def test_cli_form_where_a_scalar_is_expected_names_its_first_covector(expr, line, column):
+    code, out, err = run_cli(["el", "-n", "2", "-m", "1", "--", expr])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: expected a scalar expression, found a form "
+                   f"(line {line}, column {column})\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["residual", "--codegree", "0", "u_1 * w(u,1) /\\ dx2"],
      "form has codegree 1, expected 0"),
@@ -377,6 +391,61 @@ def test_cli_failed_self_check_is_internal_error_3(monkeypatch, module, name,
     assert err.startswith("internal error: ") and message in err
     # every self-check names the smallest term in which its two sides differ
     assert "; smallest differing term: rebuilt " in err
+
+
+def _formal_perturbations():
+    """(D_2 G, D_1 F minus its chain rule) at n = 2, m = 1: a formal term
+    that expands to the nonzero G'x2, and a formally nonzero one that
+    expands to zero."""
+    F = se.opaque("F", n=2, m=1, order=1)
+    G = se.opaque("G", n=2, m=1, order=-1)
+    with se._formal_scope():
+        dF, dG = se.total_derivative(F, 1), se.total_derivative(G, 2)
+    return dG * se.y(1, 1), dF - se.expand(dF)
+
+
+def _perturb_theta(monkeypatch, s):
+    real = lepage._step
+
+    def step(lam, prev, q):
+        rho = real(lam, prev, q)
+        return rho + volume(lam.ctx).scale(s) if q == 1 else rho
+
+    monkeypatch.setattr(lepage, "_step", step)
+
+
+def _perturb_rebuild(monkeypatch, s):
+    # the exactness rebuild and the residual's trie sum both gain s w(u) /\ ds
+    real = interior_euler.total_derivative_sum
+    monkeypatch.setattr(interior_euler, "total_derivative_sum", lambda ctx, parts: real(
+        ctx, parts) + wedge(omega(ctx, 1), volume(ctx)).scale(s))
+
+
+@pytest.mark.parametrize("perturb,message", [
+    (_perturb_theta, "residual route disagrees with the chart Poincare-Cartan form; "
+     "decomposition bug; smallest differing term: rebuilt (G'x2*u_1) * ds, expected 0"),
+    (_perturb_rebuild, "xi telescoping does not rebuild p_k rho (k=1, s=0, D=1); "
+     "smallest differing term: rebuilt (G'x2*u_1) * w(u) /\\ ds, expected 0"),
+])
+def test_self_checks_decide_formal_differences_by_their_expansion(monkeypatch, perturb,
+                                                                   message):
+    # a formal difference is expanded before it is read: one that expands to
+    # a nonzero term fails and names it, one that expands to zero passes
+    argv = ["pc", "--base-dim", "2", "--fiber-dim", "1", "--order", "1",
+            "1/2*(u_x^2+u_y^2)"]
+    expected = run_cli(argv)
+    nonzero, zero = _formal_perturbations()
+    lam = lepage.Lagrangian(Context(n=2, m=1), 1, se.y(1, 1) ** 2 * se.rational(1, 2))
+    theta = lepage.poincare_cartan(lam)
+    with monkeypatch.context() as patch:
+        perturb(patch, nonzero)
+        assert run_cli(argv) == (3, "", f"internal error: {message}\n")
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            lepage.poincare_cartan(lam)
+    with monkeypatch.context() as patch:
+        perturb(patch, zero)
+        assert run_cli(argv) == expected
+        assert lepage.poincare_cartan(lam) == theta
 
 
 @pytest.mark.parametrize("flags", [["--order", "1", "u_x*v_y^2"],

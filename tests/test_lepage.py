@@ -405,9 +405,9 @@ def test_intern_table_is_not_a_cache_across_calls():
 
 
 def test_no_formal_atom_leaves_the_integration_by_parts():
-    # total derivatives of opaque atoms stay formal inside ibp_expand and the
-    # residual; every form handed out is expanded, and the formal atoms die
-    # with the family that holds them
+    # total derivatives of opaque atoms stay formal inside ibp_expand, the
+    # residual and the recurrence; every form handed out is expanded, and
+    # the formal atoms die with the family that holds them
     lam = generic_lagrangian(CTX22, 2, name="Lformal")
     chain = rossi_recurrence(lam)
     rho = d_C(lam.form())
@@ -468,14 +468,51 @@ def test_chain_member_q_has_contact_degree_at_most_q(n, m, order):
         assert rho.contact_degree() <= q
 
 
+@pytest.mark.parametrize("n,m,order", [(2, 2, 2), (3, 1, 2), (3, 2, 1), (3, 2, 2)])
+def test_recurrence_self_checks_hold_in_the_formal_ring(monkeypatch, n, m, order):
+    # the recurrence runs formally: its eta recompositions, xi rebuilds and
+    # the Poincare-Cartan cross-check all hold before anything is expanded
+    literal = []
+    mismatch = ie._mismatch
+
+    def spy(got, want, D=1):
+        literal.append(got == want if D == 1 else ie._is_multiple(got, want, D))
+        return mismatch(got, want, D)
+
+    for module in (ie, lepage):
+        monkeypatch.setattr(module, "_mismatch", spy)
+    lam = generic_lagrangian(Context(n=n, m=m), order)
+    chain = rossi_recurrence(lam)
+    # two checks a step, and the cross-check at the first
+    assert len(literal) == 2 * n + 1 and all(literal)
+    theta = poincare_cartan(lam)
+    assert theta == chain.forms[0]
+    assert not formal_atoms([theta, *chain.forms])
+
+
+def test_closed_tower_takes_one_momentum_per_sorted_index(monkeypatch):
+    calls = []
+    momentum = Lagrangian.momentum
+    monkeypatch.setattr(Lagrangian, "momentum",
+                        lambda self, sigma, J: calls.append((sigma, J)) or momentum(self, sigma, J))
+    lam = generic_lagrangian(Context(n=3, m=2), 2)
+    for build in (kb_second_order, poincare_cartan):
+        calls.clear()
+        build(lam)
+        # m n leads f^i at h = 0 and m n(n+1)/2 leads f^{ij} at h = 1; one
+        # call per ordered J' made 6 + 18
+        assert len({(sigma, tuple(sorted(J))) for sigma, J in calls}) == len(calls) == 18
+
+
 def test_recurrence_builds_each_chain_rule_once(monkeypatch):
     keys, _, _ = _spy_chain_rule(monkeypatch)
     lam = generic_lagrangian(Context(n=3, m=1), 2)
     terminal = rossi_recurrence(lam).terminal
     # without the memo the same recurrence builds 732 chain rules, and 189
     # with it while the telescope expanded every d_i of an opaque atom; with
-    # d_I f formal until the end, only the 9 d_j L_{y_{jK}} of the
-    # Poincare-Cartan form are ever expanded
+    # the whole recurrence formal and each member expanded once, as it is
+    # returned, only the 9 d_j L_{y_{jK}} of the Poincare-Cartan form are
+    # ever expanded
     assert len(keys) == len(set(keys)) == 9
     assert terminal == kb_second_order(lam)
 

@@ -1,5 +1,7 @@
 """The example scripts run to completion against the library."""
 
+import argparse
+import importlib.util
 import os
 import subprocess
 import sys
@@ -43,3 +45,29 @@ def test_ab_lepage_times_a_tree_against_itself():
     for line in rows + [total]:
         ratio, pair = line.split()[3:5]
         assert float(pair) > 0 and pair == ratio
+
+
+def _ab_lepage():
+    spec = importlib.util.spec_from_file_location("ab_lepage", ROOT / "scripts" / "ab_lepage.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_lepage_takes_any_lepage_case_and_keeps_the_default_grid():
+    ab = _ab_lepage()
+    for case in ("n4m2r2", "n1m1r1", "n12m3r2", "n2m1r1"):
+        assert ab.case_name(case) == case
+    for case in ("n0m1r1", "n2m0r2", "n2m1r3", "n2m1r0", "n02m1r1", "n2m1", "n2m1r1x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            ab.case_name(case)
+    assert ab.GRID == [f"n{n}m{m}r{r}" for n in (2, 3, 4) for m in (1, 2) for r in (1, 2)
+                       if (n, m, r) != (4, 2, 2)]
+    # a case off the grid runs: n1m1r2 is the cheapest
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run([sys.executable, "scripts/ab_lepage.py", "src", "src",
+                           "--cases", "n1m1r2", "--reps", "1"],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[1].split()[0] == "n1m1r2"

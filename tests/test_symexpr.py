@@ -238,21 +238,72 @@ def test_total_derivative_of_a_formal_atom_outside_the_scope(seed):
         assert got == se.total_derivative_multi(e, (2, i))
 
 
-def test_partial_and_gradient_of_a_formal_atom_raise():
-    # D_1 f is not independent of the coordinates its expansion holds, so
-    # reading it as a constant would give a wrong zero
+def _rand_formal_expr(rng, n, m):
+    """A polynomial in jet coordinates whose terms each hold a formal atom
+    D_I f, |I| <= 3, of an opaque atom f of order -1..2 or of a labelled
+    partial of one, with order(f) + |I| <= 3 so that the expansion stays
+    small; times, in some terms, a power of an opaque atom or a D_i f."""
+    fs = [se.opaque(f"F{order}", (rng.randint(1, 2),), n=n, m=m, order=order)
+          for order in (-1, 0, 1, 2)]
+    fs.append(se.partial(fs[2], ('y', m, (n,))))
+    with se._formal_scope():
+        atoms = [se.total_derivative_multi(f, [rng.randint(1, n) for _ in range(
+                     rng.randint(1, 3 - max(next(f.atoms()).key[5], 0)))])
+                 for f in fs]
+        firsts = [se.total_derivative(f, rng.randint(1, n)) for f in fs]
+    out = rand_expr(rng, n, m, order=1, degree=2, terms=2)
+    for _ in range(3):
+        term = se.rational(rng.randint(-3, 3) or 1, rng.choice([1, 2])) * rng.choice(atoms)
+        pick = rng.randrange(3)
+        if pick == 1:
+            term = term * rng.choice(fs) ** rng.randint(1, 2)
+        elif pick == 2:
+            term = term * rng.choice(firsts)
+        out = out + term * rand_expr(rng, n, m, order=1, degree=1, terms=1)
+    return out
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_partials_of_formal_atoms_commute_with_expand(n, m):
+    # d/dc D_{I+i} f = D_i(d/dc D_I f) + d/d(c - i) D_I f: the partial of a
+    # formal expression expands to the partial of its expansion, in every
+    # coordinate, and so does its total derivative; gradient agrees with
+    # partial key by key
+    rng = random.Random(10 * n + m)
+    coords = [('x', i) for i in range(1, n + 1)]
+    coords += [('y', sigma, J) for sigma in range(1, m + 1) for J in se.jet_keys(n, 4)]
+    for _ in range(3):
+        F = _rand_formal_expr(rng, n, m)
+        assert any(a.kind == 'g' for a in F.atoms())
+        with se._formal_scope():
+            E = se.expand(F)
+            grad = se.gradient(F)
+            assert set(grad) <= set(coords)
+            for c in coords:
+                dF = se.partial(F, c)
+                assert se.expand(dF) == se.partial(E, c)
+                if c[0] == 'y':
+                    assert grad.get(c, Scalar.zero()) == dF
+            totals = [se.total_derivative(F, i) for i in range(1, n + 1)]
+        assert all(any(a.kind == 'g' for a in d.atoms()) for d in totals)
+        for i, d in enumerate(totals, start=1):
+            assert se.expand(d) == se.total_derivative(E, i)
+
+
+def test_partial_of_a_formal_atom_is_its_commutator_expansion():
+    # d/dy_1 D_1 f = D_1 f_{y_1} + f_y, and no partial past order(f) + |I|
     f = se.opaque("F", n=2, m=1, order=1)
     with se._formal_scope():
         g = se.total_derivative(f, 1)
-    assert next(g.atoms()).kind == 'g'
-    e = se.y(1, 2) * g + se.x(1)
-    for call in (lambda: se.partial(e, ('y', 1, (1,))), lambda: se.partial(e, ('x', 2)),
-                 lambda: se.gradient(e), lambda: se.gradient(g)):
-        with pytest.raises(se.UnexpandedFormalAtom, match="until it is expanded"):
-            call()
+        got = se.partial(g, ('y', 1, (1,)))
+        f_y1 = se.partial(f, ('y', 1, (1,)))
+        assert got == se.total_derivative(f_y1, 1) + se.partial(f, ('y', 1, ()))
+        assert se.partial(g, ('y', 1, (1, 2))) == se.partial(g, ('y', 1, (2, 1)))
+        assert se.partial(g, ('y', 1, (1, 1, 2))).is_zero()
+        assert se.partial(g, ('x', 2)) == se.total_derivative(se.partial(f, ('x', 2)), 1)
     expanded = se.expand(g)
     assert len(se.partial(expanded, ('y', 1, (1,))).terms) == 5
-    assert se.gradient(expanded)[('y', 1, (1,))] == se.partial(expanded, ('y', 1, (1,)))
+    assert se.expand(got) == se.partial(expanded, ('y', 1, (1,)))
 
 
 def test_formal_scope_is_restored_on_every_exit():
