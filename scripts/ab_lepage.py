@@ -7,7 +7,9 @@ Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 alpha/n4m2 verify/
 A_SRC and B_SRC are ``src`` directories (a checkout of the parent commit
 and the working tree, say).  Both are imported into this interpreter under
 the package name ``jetform``, one after the other, and each keeps its own
-modules.  A case ``nNmMrR`` is the lepage-generic benchmark case: the
+modules; each run installs its side's modules in ``sys.modules`` first, so
+an import made at call time inside the package reaches the tree that is
+running, whose covector table its forms were built with.  A case ``nNmMrR`` is the lepage-generic benchmark case: the
 closed Krupka-Betounes equivalent, the Rossi recurrence and the
 Euler-Lagrange form of a generic opaque Lagrangian at (n, m, order), for
 any N, M >= 1 and R in {1, 2}; the default cases are the benchmark's grid,
@@ -71,9 +73,17 @@ def case_name(text: str) -> str:
         "verify/<identity>/nNmM or cli/<el|pc|kb|split|splitlike|alpha>/nNmM")
 
 
+def _package_modules() -> dict:
+    return {k: v for k, v in sys.modules.items() if k == "jetform" or k.startswith("jetform.")}
+
+
 def load(src: str):
-    """Import the jetform package found in ``src``, apart from any other."""
-    for name in [k for k in sys.modules if k == "jetform" or k.startswith("jetform.")]:
+    """Import the jetform package found in ``src``, apart from any other.
+
+    The side maps each module name the cases use to its module, and
+    ``"modules"`` to every ``sys.modules`` entry of the package it loaded.
+    """
+    for name in _package_modules():
         del sys.modules[name]
     sys.path.insert(0, src)
     try:
@@ -82,6 +92,7 @@ def load(src: str):
                              "varmorph", "verify")}
     finally:
         sys.path.remove(src)
+    mods["modules"] = _package_modules()
     return mods
 
 
@@ -133,7 +144,9 @@ def run_cli(side, slot: str):
 
 
 def run_case(side, slot: str, name: str):
-    """(seconds, what the case printed) for one run of a case."""
+    """(seconds, what the case printed) for one run of a case, made with
+    the side's modules installed in ``sys.modules``."""
+    sys.modules.update(side["modules"])
     if slot.startswith("alpha/"):
         return run_alpha(side, slot, name)
     if slot.startswith("verify/"):

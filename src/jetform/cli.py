@@ -167,7 +167,7 @@ def _run(args) -> int:
 
     rho = parse_form(text, ctx, args.order, fields)
     if cmd == "decompose":
-        top = max((len(w) for w in rho.terms), default=0)
+        top = max((w.bit_count() for w in rho.terms), default=0)
         parts = [(f"p_{k}", p_k(rho, k)) for k in range(top + 1)]
         parts = [(name, part) for name, part in parts if not part.is_zero()] \
             or [("p_0", p_k(rho, 0))]

@@ -1,7 +1,7 @@
 """Exterior algebra on jet prolongations in the contact basis.
 
-A form is a sum of terms, each a scalar coefficient times a strictly
-ordered wedge of basis covectors.  Covectors are
+A form is a sum of terms, each a scalar coefficient times a wedge of
+distinct basis covectors.  Covectors are
 
 * ``('dx', i)``       -- horizontal basis 1-form dx^i
 * ``('w', sigma, J)`` -- contact basis 1-form omega^sigma_J, J sorted
@@ -9,43 +9,56 @@ ordered wedge of basis covectors.  Covectors are
 and nothing else: the parser reads dy^sigma_J as omega^sigma_J +
 y^sigma_{Jj} dx^j.
 
-The covector total order puts every dx before every omega, dx sorted by i,
-omega sorted by (sigma, |J|, J); fixing one order keeps printed output and
-golden files stable.  Contact degree is then a syntactic grading and p_k is
-plain term selection.  Jet-projection pullbacks are identity maps on this
-representation, so order bookkeeping only ever increases.
+A wedge is one int, a bitmask over covectors.  Each covector takes a bit
+of its own the first time it is used (``_bit``), from one table for the
+whole process: ``_COVS`` maps a bit index back to its covector, and
+``_CONTACT`` is the union of the contact bits.  The coefficient stored at
+a mask is that of the wedge of its covectors in ascending bit order, and
+the empty wedge is 0.  Every sign is a count of bits, as for the bitmap
+basis blades of Dorst, Fontijne and Mann (*Geometric Algebra for Computer
+Science*, 2007, 19.1): a covector with bit b joins a wedge w as
+(-1)^popcount(w & (b - 1)) times the mask w | b (``_insert``), two wedges
+that share a bit wedge to zero, and otherwise their product is signed by
+counting, for each bit of the right factor, the bits of the left factor
+above it (``_wedge_sign``).  Contact degree is the popcount of the contact
+bits, so p_k is plain term selection.  Jet-projection pullbacks are
+identity maps on this representation, so order bookkeeping only ever
+increases.
+
+Bit order is the order of first use, so it depends on what ran before.
+The printers alone restore the fixed covector order, every dx before every
+omega, dx sorted by i, omega sorted by (sigma, |J|, J): they decode each
+mask and sort it with its sign, which keeps printed output and golden files
+stable.  A mask means something only in the process that built it, so a
+Form stays in its process: nothing pickles one.
 
 The builders write into one running sum, a {wedge: {monomial: coefficient}}
 map (``_add_terms``, ``_add_into``), and make a Form of it once at the end
 (``_summed``); no builder chains Form additions, each of which copies its
-left operand.  Where one covector joins a wedge that is already ordered (a
-single-covector left factor of ``wedge``, the raised omega of
-``total_derivative_form``, the new omega of ``wedge_gradients`` and the dx
-of ``d_H`` = sum over i of dx^i ^ d_i), it is placed at its insertion
-position (``_insert``), which gives the sign without sorting the whole
-product.  ``total_derivative_form`` is the one place a contact covector is
-raised, omega^sigma_J to omega^sigma_Ji; ``d_H`` and every trie sum go
-through it.  ``_cleared_terms`` clears the denominators of a family of
-{key: Scalar} maps into integer running sums, and ``_cleared`` does so for
-a family of forms, for the integer pipelines of ``interior_euler`` and
+left operand.  ``total_derivative_form`` is the one place a contact
+covector is raised, omega^sigma_J to omega^sigma_Ji, its bit taken from a
+map keyed by (bit, i); ``d_H`` = sum over i of dx^i ^ d_i and every trie
+sum go through it.  ``_cleared_terms`` clears the denominators of a family
+of {key: Scalar} maps into integer running sums, and ``_cleared`` does so
+for a family of forms, for the integer pipelines of ``interior_euler`` and
 ``lepage``, which divide once at the end (``_divided``, or ``_summed`` with
 a divisor), and for ``varmorph``, whose morphisms are stored as such
 integer sums over a scale and divided where they are read;
 ``total_derivative_sum`` sums the d_J of a family of forms over the trie of
-the sorted J.
+the sorted J, and divides the sum once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
 from .multiindex import sort_with_sign
 from .symexpr import Scalar, _merge
+
 
 @dataclass(frozen=True)
 class Context:
@@ -60,11 +73,72 @@ class Context:
             raise ValueError("need n >= 1, m >= 1, r >= 0")
 
 
-def _cov_key(cov):
-    # injective, so equal keys mean a repeated covector
-    if cov[0] == 'dx':
-        return (0, cov[1], 0, ())
-    return (1, cov[1], len(cov[2]), cov[2])
+# -- the covector table --------------------------------------------------------
+
+_BITS: dict = {}    # covector -> its bit
+_COVS: list = []    # bit index -> covector
+_CONTACT = 0        # the union of the contact bits
+_RAISED: dict = {}  # (bit of omega^sigma_J, i) -> bit of omega^sigma_Ji
+
+
+def _bit(cov) -> int:
+    """1 << the index of a covector, the index assigned on its first use."""
+    b = _BITS.get(cov)
+    if b is None:
+        global _CONTACT
+        b = _BITS[cov] = 1 << len(_COVS)
+        _COVS.append(cov)
+        if cov[0] == 'w':
+            _CONTACT |= b
+    return b
+
+
+def _raised(b: int, i: int) -> int:
+    """The bit of omega^sigma_Ji, for b the bit of omega^sigma_J."""
+    r = _RAISED.get((b, i))
+    if r is None:
+        _, sigma, J = _COVS[b.bit_length() - 1]
+        r = _RAISED[b, i] = _bit(('w', sigma, tuple(sorted(J + (i,)))))
+    return r
+
+
+def _covectors(w: int) -> tuple:
+    """The covectors of the mask w, in ascending bit order."""
+    out = []
+    while w:
+        low = w & -w
+        out.append(_COVS[low.bit_length() - 1])
+        w ^= low
+    return tuple(out)
+
+
+def _mask(covs) -> tuple:
+    """(mask, sign): the wedge of covs, in their order, is sign times the
+    wedge of the mask; sign is 0 when a covector repeats."""
+    bits, sign = sort_with_sign(map(_bit, covs))
+    return sum(bits), sign
+
+
+def _insert(b: int, w: int):
+    """(w | b, the sign of the covector with bit b wedged onto w against it).
+
+    The sign is (-1)^popcount(w & (b - 1)), the bits of w below b, or 0
+    when w already holds b.
+    """
+    if w & b:
+        return w, 0
+    return w | b, -1 if (w & (b - 1)).bit_count() & 1 else 1
+
+
+def _wedge_sign(a: int, b: int) -> int:
+    """The sign of the wedge a ^ b against the mask a | b, for disjoint
+    masks: -1 to the number of bits of a above each bit of b."""
+    above = 0
+    while b:
+        low = b & -b
+        above += (a & -low).bit_count()
+        b ^= low
+    return -1 if above & 1 else 1
 
 
 class Form:
@@ -85,13 +159,17 @@ class Form:
     @staticmethod
     def from_scalar(ctx: Context, c) -> "Form":
         c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
-        return Form(ctx, {(): c} if not c.is_zero() else {})
+        return Form(ctx, {0: c} if not c.is_zero() else {})
 
     @staticmethod
     def from_terms(ctx: Context, pairs) -> "Form":
+        """The sum of c times the wedge of covs, over the (covs, c) in
+        pairs, each covs a sequence of covectors in any order."""
         acc: dict = {}
         for covs, c in pairs:
-            _add_sorted(acc, covs, c.terms)
+            w, sign = _mask(covs)
+            if sign:
+                _add_terms(acc, w, c.terms, sign)
         return _summed(ctx, acc)
 
     # -- linear structure ----------------------------------------------------
@@ -142,21 +220,22 @@ class Form:
     # -- grading -------------------------------------------------------------
 
     def contact_degree(self) -> int:
-        return max((sum(1 for c in w if c[0] == 'w') for w in self.terms), default=0)
+        contact = _CONTACT
+        return max(((w & contact).bit_count() for w in self.terms), default=0)
 
     def degrees(self):
         """Set of (horizontal, contact) bidegrees present."""
-        return {(sum(1 for c in w if c[0] == 'dx'),
-                 sum(1 for c in w if c[0] == 'w')) for w in self.terms}
+        contact = _CONTACT
+        return {((w & ~contact).bit_count(), (w & contact).bit_count()) for w in self.terms}
 
     def order(self) -> int:
         """Working jet order: highest |J| among covectors and coefficients."""
-        r = self.ctx.r
+        r, mask = self.ctx.r, 0
         for w, c in self.terms.items():
-            for cov in w:
-                if cov[0] == 'w':
-                    r = max(r, len(cov[2]))
+            mask |= w
             r = max(r, c.max_jet_order())
+        for cov in _covectors(mask & _CONTACT):
+            r = max(r, len(cov[2]))
         return r
 
 
@@ -177,17 +256,17 @@ def codegree(rho: Form) -> int:
 def dx(ctx: Context, i: int) -> Form:
     if not 1 <= i <= ctx.n:
         raise ValueError(f"dx index {i} out of range 1..{ctx.n}")
-    return Form(ctx, {(('dx', i),): Scalar.one()})
+    return Form(ctx, {_bit(('dx', i)): Scalar.one()})
 
 
 def omega(ctx: Context, sigma: int, *J: int) -> Form:
     if not 1 <= sigma <= ctx.m:
         raise ValueError(f"fiber index {sigma} out of range 1..{ctx.m}")
-    return Form(ctx, {(('w', sigma, tuple(sorted(J))),): Scalar.one()})
+    return Form(ctx, {_bit(('w', sigma, tuple(sorted(J)))): Scalar.one()})
 
 
 def volume(ctx: Context) -> Form:
-    return Form(ctx, {tuple(('dx', i) for i in range(1, ctx.n + 1)): Scalar.one()})
+    return ds_block(ctx, ())
 
 
 def ds_block(ctx: Context, block) -> Form:
@@ -201,39 +280,46 @@ def ds_block(ctx: Context, block) -> Form:
     return Form(ctx, {w: Scalar.from_fraction(sign)} if sign else {})
 
 
-@functools.cache  # pure in (n, block), and few distinct blocks are asked for
+@functools.cache  # pure in (n, block), since bits never change once assigned
 def _ds_wedge(n: int, block: tuple) -> tuple:
-    """(w, sign) with ds_block = sign w at base dimension n; sign 0 when it
-    vanishes.
+    """(w, sign) with ds_block = sign times the wedge of the mask w at base
+    dimension n; sign 0 when it vanishes.
 
-    w is dx of the indices missing from the block, in order.  Contracting
-    the block out of dx_block ^ w leaves w, and dx_block ^ w is the volume
-    form times the sign that sorts block + rest, so that is the sign; it is
-    0 unless block + rest orders to 1..n (an index out of range or repeated).
+    w holds dx of the indices missing from the block, the rest.
+    Contracting the block out of dx_block ^ dx_rest leaves dx_rest, with
+    the rest in order, and dx_block ^ dx_rest is the volume form times the
+    sign that sorts block + rest, so that is the sign, times the one that
+    puts dx_rest in bit order; it is 0 unless block + rest orders to 1..n
+    (an index out of range or repeated).
     """
     rest = tuple(i for i in range(1, n + 1) if i not in block)
     order, sign = sort_with_sign(block + rest)
     if order != tuple(range(1, n + 1)):
-        sign = 0
-    return tuple(('dx', i) for i in rest), sign
+        return 0, 0
+    w, order_sign = _mask([('dx', i) for i in rest])
+    return w, sign * order_sign
 
 
 def ds_parts(rho: Form) -> dict:
     """{block: contact part} with rho = sum of wedge(part, ds_block(ctx, block)).
 
-    A stored term c dx_H ^ omega_C is read as +-c omega_C ^ ds_block with the
-    block the complement of H: ds_block's sign times (-1)^(|H| |C|).
+    A stored term c [H | C], H its horizontal and C its contact bits, is
+    c times the sign of [H] ^ [C] against [H | C] times (-1)^(|H| |C|)
+    times [C] ^ [H], and [H] is ds_block of the block the complement of H
+    times that ds_block's sign.
     """
-    ctx = rho.ctx
+    ctx, contact = rho.ctx, _CONTACT
+    dxs = [(i, _bit(('dx', i))) for i in range(1, ctx.n + 1)]
     parts: dict = {}
     for w, c in rho.terms.items():
-        h = sum(1 for cov in w if cov[0] == 'dx')
-        horiz, contact = w[:h], w[h:]
-        block = tuple(i for i in range(1, ctx.n + 1) if ('dx', i) not in horiz)
+        H, C = w & ~contact, w & contact
+        block = tuple(i for i, b in dxs if not H & b)
         _, sign = _ds_wedge(ctx.n, block)
-        if (sign == 1) != (h * len(contact) % 2 == 0):
+        if H.bit_count() * C.bit_count() % 2:
+            sign = -sign
+        if sign * _wedge_sign(H, C) < 0:
             c = -c
-        parts.setdefault(block, Form(ctx)).terms[contact] = c
+        parts.setdefault(block, Form(ctx)).terms[C] = c
     return parts
 
 
@@ -242,12 +328,12 @@ def wedge(a: Form, b: Form) -> Form:
     a._check(b)
     if len(a.terms) == 1:
         [(wa, ca)] = a.terms.items()
-        if len(wa) == 1:
+        if wa and not wa & (wa - 1):
             # one covector joins each wedge of b; distinct wedges of b stay
             # distinct, so every product lands in a term of its own
             out = {}
             for wb, cb in b.terms.items():
-                w, sign = _insert(wa[0], wb)
+                w, sign = _insert(wa, wb)
                 if sign:
                     c = ca * cb
                     out[w] = c if sign == 1 else -c
@@ -255,26 +341,16 @@ def wedge(a: Form, b: Form) -> Form:
     acc: dict = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            _add_sorted(acc, wa + wb, (ca * cb).terms)
+            if not wa & wb:
+                _add_terms(acc, wa | wb, (ca * cb).terms, _wedge_sign(wa, wb))
     return _summed(a.ctx, acc)
 
 
 # -- running sums ----------------------------------------------------------------
 
 
-def _insert(cov, w: tuple):
-    """(cov placed into the ordered wedge w, the sign of cov ^ w against it).
-
-    The sign is (-1)^position, or 0 when w already holds cov.
-    """
-    pos = bisect_left(w, _cov_key(cov), key=_cov_key)
-    if pos < len(w) and w[pos] == cov:
-        return w, 0
-    return w[:pos] + (cov,) + w[pos:], -1 if pos & 1 else 1
-
-
-def _add_terms(acc: dict, w: tuple, terms: dict, c: int = 1) -> None:
-    """acc[w] += c times the scalar with these terms; w is an ordered wedge.
+def _add_terms(acc: dict, w: int, terms: dict, c: int = 1) -> None:
+    """acc[w] += c times the scalar with these terms, w a mask.
 
     An emptied bucket stays in acc as {}.
     """
@@ -283,13 +359,6 @@ def _add_terms(acc: dict, w: tuple, terms: dict, c: int = 1) -> None:
         acc[w] = dict(terms) if c == 1 else {m: v * c for m, v in terms.items()}
     else:
         _merge(bucket, terms, c)
-
-
-def _add_sorted(acc: dict, covs: tuple, terms: dict, c: int = 1) -> None:
-    """acc += c times the scalar with these terms, on any ordering of covs."""
-    w, sign = sort_with_sign(covs, _cov_key)
-    if sign:
-        _add_terms(acc, w, terms, c * sign)
 
 
 def _add_into(acc: dict, rho: Form, c: int = 1) -> None:
@@ -348,9 +417,9 @@ def _divided(terms: dict, D: int, quotients: dict) -> dict:
 
 def p_k(rho: Form, k: int) -> Form:
     """The k-contact component: terms with exactly k omega factors."""
-    out = {w: c for w, c in rho.terms.items()
-           if sum(1 for cov in w if cov[0] == 'w') == k}
-    return Form(rho.ctx, out)
+    contact = _CONTACT
+    return Form(rho.ctx, {w: c for w, c in rho.terms.items()
+                          if (w & contact).bit_count() == k})
 
 
 # -- differentials -------------------------------------------------------------
@@ -361,17 +430,25 @@ def exterior_d(rho: Form) -> Form:
 
 
 def total_derivative_form(rho: Form, i: int) -> Form:
-    """d_i on forms: a degree-0 derivation with d_i dx^j = 0, d_i w^s_J = w^s_Ji."""
+    """d_i on forms: a degree-0 derivation with d_i dx^j = 0, d_i w^s_J = w^s_Ji.
+
+    The raised omega, bit r, takes the slot of omega^s_J, bit b, and moves
+    to its place among the rest: the sign is -1 to the bits of w below b
+    plus the bits of w - b below r.
+    """
     acc: dict = {}
+    contact = _CONTACT
     for w, c in rho.terms.items():
         _add_terms(acc, w, symexpr.total_derivative(c, i).terms)
-        for t, cov in enumerate(w):
-            if cov[0] != 'w':
-                continue
-            # the raised omega moves from slot t to its place among the rest
-            w1, sign = _insert(('w', cov[1], tuple(sorted(cov[2] + (i,)))), w[:t] + w[t + 1:])
-            if sign:
-                _add_terms(acc, w1, c.terms, sign if t % 2 == 0 else -sign)
+        bits = w & contact
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            r = _raised(b, i)
+            rest = w ^ b
+            if not rest & r:
+                odd = (w & (b - 1)).bit_count() + (rest & (r - 1)).bit_count()
+                _add_terms(acc, rest | r, c.terms, -1 if odd & 1 else 1)
     return _summed(rho.ctx, acc)
 
 
@@ -381,20 +458,22 @@ def total_derivative_form_multi(rho: Form, J) -> Form:
     return rho
 
 
-def total_derivative_sum(ctx: Context, parts: dict) -> Form:
-    """Sum over sorted J of d_J parts[J], for parts a map from sorted J to
-    {wedge: {monomial: coefficient}} running sums; parts is consumed.
+def total_derivative_sum(ctx: Context, parts: dict, D: int = 1) -> Form:
+    """Sum over sorted J of d_J parts[J], divided by D, for parts a map from
+    sorted J to {wedge: {monomial: coefficient}} running sums; parts is
+    consumed.
 
     Horner's rule over the trie of the J: Y(p) = X_p + sum over j >= last(p)
     of d_j Y(p + j), so each trie node takes one form total derivative, of
     the sum of its subtree.  The deepest nodes go first, and each node's sum
-    is popped as soon as its derivative has gone to its parent.
+    is popped as soon as its derivative has gone to its parent.  d_j is
+    linear, so the root's sum alone is divided.
     """
     for depth in range(max(map(len, parts), default=0), 0, -1):
         for J in [J for J in parts if len(J) == depth]:
             y = _summed(ctx, parts.pop(J))
             _add_into(parts.setdefault(J[:-1], {}), total_derivative_form(y, J[-1]))
-    return _summed(ctx, parts.pop((), {}))
+    return _summed(ctx, parts.pop((), {}), D)
 
 
 def d_H(rho: Form) -> Form:
@@ -411,10 +490,10 @@ def d_H(rho: Form) -> Form:
     ctx = rho.ctx
     acc: dict = {}
     for i in range(1, ctx.n + 1):
-        cov = ('dx', i)
-        part = Form(ctx, {w: c for w, c in rho.terms.items() if cov not in w})
+        b = _bit(('dx', i))
+        part = Form(ctx, {w: c for w, c in rho.terms.items() if not w & b})
         for w, c in total_derivative_form(part, i).terms.items():
-            w1, sign = _insert(cov, w)
+            w1, sign = _insert(b, w)
             _add_terms(acc, w1, c.terms, sign)
     return _summed(ctx, acc)
 
@@ -433,7 +512,7 @@ def wedge_gradients(ctx: Context, grads: dict) -> Form:
     acc: dict = {}
     for w, grad in grads.items():
         for (_, sigma, J), dc in grad.items():
-            w1, sign = _insert(('w', sigma, J), w)
+            w1, sign = _insert(_bit(('w', sigma, J)), w)
             if sign:
                 _add_terms(acc, w1, dc.terms, sign)
     return _summed(ctx, acc)
@@ -443,13 +522,13 @@ def wedge_gradients(ctx: Context, grads: dict) -> Form:
 
 def _contract(rho: Form, cov) -> Form:
     """Formal interior product with the vector dual to the basis covector
-    cov, signed (-1)^t for cov at slot t; iota_a is cov = ('dx', a)."""
+    cov, signed -1 to the bits below it; iota_a is cov = ('dx', a)."""
     # distinct wedges holding cov stay distinct without it: no sum to run
+    b = _bit(cov)
     out = {}
     for w, c in rho.terms.items():
-        if cov in w:
-            t = w.index(cov)
-            out[w[:t] + w[t + 1:]] = c if t % 2 == 0 else -c
+        if w & b:
+            out[w ^ b] = -c if (w & (b - 1)).bit_count() & 1 else c
     return Form(rho.ctx, out)
 
 
@@ -466,16 +545,18 @@ def contract_prolonged(rho: Form, xi: dict) -> Form:
     """
     acc: dict = {}
     cache: dict = {}
+    contact = _CONTACT
     for w, c in rho.terms.items():
-        for t, cov in enumerate(w):
-            if cov[0] != 'w':
-                continue
-            sigma, J = cov[1], cov[2]
+        bits = w & contact
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            _, sigma, J = _COVS[b.bit_length() - 1]
             if sigma not in xi:
                 continue
             key = (sigma, J)
             if key not in cache:
                 cache[key] = symexpr.total_derivative_multi(xi[sigma], J)
-            _add_terms(acc, w[:t] + w[t + 1:], (c * cache[key]).terms,
-                       1 if t % 2 == 0 else -1)
+            _add_terms(acc, w ^ b, (c * cache[key]).terms,
+                       -1 if (w & (b - 1)).bit_count() & 1 else 1)
     return _summed(rho.ctx, acc)

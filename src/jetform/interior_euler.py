@@ -51,8 +51,9 @@ from math import comb
 
 # GradingMismatch is re-exported for callers that import it from here
 from .forms import (Form, GradingMismatch, _add_into, _cleared, _contract,
-                    _summed, codegree, contract_omega, ds_parts, omega, p_k,
-                    total_derivative_form, total_derivative_sum, wedge)
+                    _covectors, _summed, codegree, contract_omega, ds_parts,
+                    omega, p_k, total_derivative_form, total_derivative_sum,
+                    wedge)
 from .multiindex import signed_get, tuple_multiplicity
 from .symexpr import Scalar, _formal_scope, _memo_scope, expand
 
@@ -80,7 +81,8 @@ def _smallest_difference(got: Form, want: Form) -> str:
 
     diff = got - want
     w, mono = min(((w, mono) for w, s in diff.terms.items() for mono in s.terms),
-                  key=lambda wm: (len(wm[0]), sum(k for _, k in wm[1]), term(diff, *wm)))
+                  key=lambda wm: (wm[0].bit_count(), sum(k for _, k in wm[1]),
+                                 term(diff, *wm)))
     return (f"smallest differing term: rebuilt {term(got, w, mono)}, "
             f"expected {term(want, w, mono)}")
 
@@ -121,7 +123,10 @@ class EtaDecomposition:
 
 def _contact_keys(part: Form) -> set:
     """The (sigma, J) of every contact covector omega^sigma_J in a form."""
-    return {(cov[1], cov[2]) for w in part.terms for cov in w if cov[0] == 'w'}
+    mask = 0
+    for w in part.terms:
+        mask |= w
+    return {(cov[1], cov[2]) for cov in _covectors(mask) if cov[0] == 'w'}
 
 
 def eta_decompose(rho: Form, k: int, etas: dict | None = None) -> EtaDecomposition:
@@ -309,15 +314,16 @@ def residual(rho: Form, k: int, etas: dict | None = None) -> Form:
     return _expanded(_formal_residual(rho, k, etas))
 
 
-def _formal_residual(rho: Form, k: int, etas: dict | None = None) -> Form:
-    """``residual`` before its expansion: R(rho) in the formal ring."""
+def _formal_residual(rho: Form, k: int, etas: dict | None = None, N: int = 1) -> Form:
+    """``residual`` before its expansion: R(rho) / N in the formal ring."""
     if k < 1:
         raise ValueError("residual operator needs contact degree k >= 1")
-    return _residual(ibp_expand(rho, k, etas))
+    return _residual(ibp_expand(rho, k, etas), N)
 
 
-def _residual(fam: XiFamily) -> Form:
-    """The contraction form of ``residual``, on the integer xi family.
+def _residual(fam: XiFamily, N: int = 1) -> Form:
+    """The contraction form of ``residual``, on the integer xi family,
+    divided by N.
 
     iota_a, dual to dx^a, is an antiderivation that kills the k-contact
     chi^{b M} and takes ds_b to ds_{b a}, so chi ^ ds_{b a} =
@@ -326,11 +332,12 @@ def _residual(fam: XiFamily) -> Form:
     the orderings M of one sorted Ms with first index a give one term
     mult(Ms - a) d_{Ms - a} iota_a(omega^sigma ^ xi^Ms_sigma), summed over
     the trie of the I = Ms - a.  Each 1/(D mult(Ms)) is cleared by L, the
-    lcm of every mult(Ms); the one rational step is the final scaling by
-    1/((s+1) D L).  L cancels in it, so a formal key whose form expands to
-    zero changes nothing.  The trie sum runs formally, and the result is
-    formal: ``residual`` expands it once, and the Lepage recurrence keeps it
-    formal until it returns.
+    lcm of every mult(Ms); the one rational step is the division of the
+    trie sum by (s+1) D L N, where N is the caller's: the Lepage step
+    passes the lcm its input was cleared by.  L cancels in it, so a formal
+    key whose form expands to zero changes nothing.  The trie sum runs
+    formally, and the result is formal: ``residual`` expands it once, and
+    the Lepage recurrence keeps it formal until it returns.
     """
     ctx = fam.ctx
     L = math.lcm(*{tuple_multiplicity(Ms) for _, Ms in fam.int_xi})
@@ -346,6 +353,5 @@ def _residual(fam: XiFamily) -> Form:
             I = Ms[:t] + Ms[t + 1:]
             _add_into(parts.setdefault(I, {}), _contract(term, ('dx', a)),
                       weight * tuple_multiplicity(I))
-    factor = Fraction(1, (fam.s + 1) * fam.denominator * L)
     with _formal_scope():
-        return total_derivative_sum(ctx, parts).scale(factor)
+        return total_derivative_sum(ctx, parts, (fam.s + 1) * fam.denominator * L * N)

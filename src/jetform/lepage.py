@@ -57,8 +57,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
-from .forms import (Context, Form, _add_terms, _cleared, _ds_wedge, _insert,
-                    _summed, d_C, d_H, p_k, volume, wedge_gradients)
+from .forms import (Context, Form, _add_terms, _bit, _cleared, _covectors, _ds_wedge,
+                    _insert, _summed, d_C, d_H, p_k, volume, wedge_gradients)
 from .interior_euler import _expanded, _formal_residual, _mismatch, interior_euler
 from .multiindex import tuple_multiplicity
 from .symexpr import Scalar
@@ -147,26 +147,30 @@ def _provenance_eta(ctx: Context, grads: dict) -> dict:
     """Second-order eta family for p_q(d rho_{q-1}); see the module docstring.
 
     ``grads`` maps each wedge w of p_{q-1} rho_{q-1} to the gradient of its
-    coefficient, the same pass that builds p_q(d rho_{q-1}).  Each eta is a
-    running sum until the end.
+    coefficient, the same pass that builds p_q(d rho_{q-1}).  The lead of a
+    term new ^ w is the contact factor of lowest jet order; ties go to the
+    new omega, then to the factor of w first in printed order, (sigma, J).
+    Each eta is a running sum until the end.
     """
     acc: dict = {}  # (sigma, J) -> {wedge: {monomial: coefficient}}
     for w, grad in grads.items():
-        raised = any(cov[0] == 'w' and len(cov[2]) >= 1 for cov in w)
+        factors = [(len(cov[2]), cov[1], cov[2]) for cov in _covectors(w) if cov[0] == 'w']
+        low = min(factors, default=None)
+        raised = any(h for h, _, _ in factors)
         for (_, nu, K), dc in grad.items():
-            new = ('w', nu, K)
-            seq = (new,) + w
-            if len(K) == 1 and raised:
-                t = 0
-            else:
-                _, t = min((len(cov[2]), t) for t, cov in enumerate(seq) if cov[0] == 'w')
-            cov = seq[t]
-            # seq minus its slot t: w itself, or new placed among the rest of w
-            rest, sign = (w, 1) if t == 0 else _insert(new, w[:t - 1] + w[t:])
-            if t % 2:
-                sign = -sign
+            if low is None or len(K) <= low[0] or len(K) == 1 and raised:
+                # new leads and the rest is w, even when w holds new: such
+                # a term wedges to zero, but it changes R
+                _add_terms(acc.setdefault((nu, K), {}), w, dc.terms)
+                continue
+            # new ^ [w] = -(-1)^pos lead ^ new ^ [w - lead], pos the bits
+            # of w below the lead's
+            lead = _bit(('w', low[1], low[2]))
+            rest, sign = _insert(_bit(('w', nu, K)), w ^ lead)
             if sign:
-                _add_terms(acc.setdefault((cov[1], cov[2]), {}), rest, dc.terms, sign)
+                if not (w & (lead - 1)).bit_count() & 1:
+                    sign = -sign
+                _add_terms(acc.setdefault(low[1:], {}), rest, dc.terms, sign)
     etas = {key: _summed(ctx, v) for key, v in acc.items()}
     return {key: eta for key, eta in etas.items() if not eta.is_zero()}
 
@@ -176,8 +180,9 @@ def _step(lam: Lagrangian, prev: Form, q: int) -> Form:
 
     One gradient pass over N p_{q-1} rho_{q-1}, N the lcm of its
     denominators, builds N p_q(d rho_{q-1}) and feeds the provenance eta;
-    R is linear, so the correction is divided by N once.  The step runs in
-    the formal ring: ``prev`` and the result may hold formal atoms D_I f.
+    R is linear, so the residual divides the correction by N in its one
+    division.  The step runs in the formal ring: ``prev`` and the result
+    may hold formal atoms D_I f.
     """
     ctx = lam.ctx
     with symexpr._formal_scope():
@@ -187,7 +192,7 @@ def _step(lam: Lagrangian, prev: Form, q: int) -> Form:
         if diff.is_zero():
             return prev
         etas = None if lam.order == 1 else _provenance_eta(ctx, grads)
-        return prev - p_k(_formal_residual(diff, q, etas), q).scale(Fraction(1, N))
+        return prev - p_k(_formal_residual(diff, q, etas, N), q)
 
 
 @symexpr._memo_scope()
@@ -254,7 +259,7 @@ def _closed_equivalent(lam: Lagrangian, slots: tuple) -> Form:
                         coeff = symexpr.partial(coeff, ('y', sigma, (k,)))
                     if coeff.is_zero():
                         continue
-                    terms.append((plain + (lead,) + horiz, coeff * sign * weight))
+                    terms.append((plain + (lead,) + _covectors(horiz), coeff * sign * weight))
     return lam.form() + Form.from_terms(ctx, terms)
 
 

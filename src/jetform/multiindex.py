@@ -4,14 +4,17 @@ Sums written over a multi-index of length k are sums over ordered k-tuples
 of base indices.  Internally symmetric data is keyed by the sorted tuple;
 ``tuple_multiplicity`` converts between the two conventions.
 
-Every permutation sign in the library comes from ``sort_with_sign``: the
-canonical order of a wedge of covectors, the sign of ``forms.ds_block``,
-and the signed lookup of coefficients stored per strictly increasing block
-(``signed_get``).  A single move is signed by the parity of its distance:
-a covector inserted into an ordered wedge (``forms._insert``), and an index
-moved into or out of a block by ``varmorph``.  A lookup signed in its block
-stands for every ordering of the block, so an antisymmetrization over a
-block plus one index takes s+1 terms, not (s+1)! orderings.
+Every permutation sign in the library that sorts a sequence comes from
+``sort_with_sign``: a covector sequence put in bit order (``forms._mask``),
+a decoded wedge put in printed order (``printers``), the sign of
+``forms.ds_block``, and the signed lookup of coefficients stored per
+strictly increasing block (``signed_get``).  A single move is signed by
+the parity of its distance, with no sort: an index moved into or out of a
+block by ``varmorph``, and a covector joining a wedge stored as a bitmask
+(``forms._insert``), where the distance is the count of the wedge's bits
+below the covector's.  A lookup signed in its block stands for every
+ordering of the block, so an antisymmetrization over a block plus one
+index takes s+1 terms, not (s+1)! orderings.
 """
 
 from __future__ import annotations

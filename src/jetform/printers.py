@@ -5,14 +5,24 @@ coordinates and rationals.  Opaque function symbols print in a readable
 bracket notation that is not part of the input grammar.  One renderer,
 ``_render``, writes a scalar in both text and LaTeX; the two formats
 differ only in the pieces it takes (``_TEXT``, ``_LATEX``).
+
+A form stores each wedge as a bitmask in the order its covectors were
+first used (``forms``).  The printers alone restore the fixed order, every
+dx before every omega, dx sorted by i, omega sorted by (sigma, |J|, J)
+(``_cov_key``): ``_printed_wedge`` decodes a mask and sorts its covectors
+with the sign of that sort, once per mask while it stays in its cache,
+and ``_printed_terms`` hands that sign to ``_render`` with the
+coefficient.  Terms are printed by (length, covector tuple).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from operator import itemgetter
 
-from .forms import Form
+from .forms import Form, _covectors
+from .multiindex import sort_with_sign
 from .symexpr import Scalar
 
 JSON_VERSION = "jetform-json/1"
@@ -44,6 +54,28 @@ def _keyed_terms(e: Scalar) -> list:
     return out
 
 
+def _cov_key(cov):
+    # injective, so equal keys mean a repeated covector
+    if cov[0] == 'dx':
+        return (0, cov[1], 0, ())
+    return (1, cov[1], len(cov[2]), cov[2])
+
+
+@functools.lru_cache(maxsize=4096)  # a mask's covectors never change
+def _printed_wedge(w: int) -> tuple:
+    """(covectors, sign): the covectors of the mask w sorted by
+    ``_cov_key``, and the sign of that sort."""
+    return sort_with_sign(_covectors(w), _cov_key)
+
+
+def _printed_terms(rho: Form) -> list:
+    """[(covectors, sign, coefficient)] for the terms of rho, in printed
+    order (``_printed_wedge``)."""
+    out = [(*_printed_wedge(w), c) for w, c in rho.terms.items()]
+    out.sort(key=lambda t: (len(t[0]), t[0]))
+    return out
+
+
 def _atom_text(key, fields) -> str:
     kind = key[0]
     if kind == 'x':
@@ -51,6 +83,8 @@ def _atom_text(key, fields) -> str:
     if kind == 'y':
         name = field_name(key[1], fields)
         return name if not key[2] else f"{name}_{_subscript(key[2])}"
+    if kind == 'g':
+        return f"D{_subscript(key[2])}({_atom_text(key[1], fields)})"
     name, idx, partials = key[1], key[2], key[6]
     label = name + ("{" + ",".join(map(str, idx)) + "}" if idx else "")
     for c in partials:
@@ -115,16 +149,15 @@ def form_text(rho: Form, fields=None) -> str:
     ctx = rho.ctx
     full = tuple(('dx', i) for i in range(1, ctx.n + 1))
     pieces = []
-    for w in sorted(rho.terms, key=lambda w: (len(w), w)):
-        c = rho.terms[w]
+    for w, sign, c in _printed_terms(rho):
         dxpart = w[:sum(1 for cov in w if cov[0] == 'dx')]
         wpart = w[len(dxpart):]
         if dxpart == full:
             covs = [_cov_text(cov, ctx, fields) for cov in wpart] + ["ds"]
-            sign = -1 if (ctx.n * len(wpart)) % 2 else 1
+            if (ctx.n * len(wpart)) % 2:
+                sign = -sign
         else:
             covs = [_cov_text(cov, ctx, fields) for cov in w]
-            sign = 1
         body = " /\\ ".join(covs)
         coeff = _render(c, fields, *_TEXT, sign)
         if not body:
@@ -145,6 +178,8 @@ def _atom_latex(key, fields) -> str:
     if kind == 'y':
         name = field_name(key[1], fields)
         return name if not key[2] else f"{name}_{{{_subscript(key[2])}}}"
+    if kind == 'g':
+        return f"D_{{{_subscript(key[2])}}}\\left({_atom_latex(key[1], fields)}\\right)"
     name, idx, partials = key[1], key[2], key[6]
     out = name
     if idx:
@@ -174,10 +209,9 @@ def form_latex(rho: Form, fields=None) -> str:
     if rho.is_zero():
         return "0"
     pieces = []
-    for w in sorted(rho.terms, key=lambda w: (len(w), w)):
-        c = rho.terms[w]
+    for w, sign, c in _printed_terms(rho):
         body = r" \wedge ".join(_cov_latex(cov, fields) for cov in w)
-        coeff = scalar_latex(c, fields)
+        coeff = _render(c, fields, *_LATEX, sign)
         if not body:
             pieces.append(f"\\left({coeff}\\right)")
         elif coeff == "1":
@@ -205,8 +239,8 @@ def form_json_doc(rho: Form, fields=None) -> dict:
     else:
         grading = {"horizontal": None, "contact": None}
     terms = []
-    for w in sorted(rho.terms, key=lambda w: (len(w), w)):
-        terms.append({"coeff": scalar_text(rho.terms[w], fields),
+    for w, sign, c in _printed_terms(rho):
+        terms.append({"coeff": _render(c, fields, *_TEXT, sign),
                       "wedge": [_cov_json(cov, fields) for cov in w]})
     return {"version": JSON_VERSION, "order": rho.order(),
             "grading": grading, "terms": terms}

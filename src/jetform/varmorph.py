@@ -55,8 +55,9 @@ import math
 from dataclasses import dataclass, field
 
 from . import symexpr
-from .forms import (Context, Form, _add_terms, _cleared, _cleared_terms, _divided,
-                    _ds_wedge, _insert, _summed, codegree, ds_parts, p_k)
+from .forms import (Context, Form, _add_terms, _bit, _cleared, _cleared_terms,
+                    _covectors, _divided, _ds_wedge, _insert, _summed, codegree,
+                    ds_parts, p_k)
 from .multiindex import sort_with_sign, tuple_multiplicity
 from .symexpr import Scalar, _merge
 
@@ -218,9 +219,11 @@ def from_contact_form(rho: Form) -> VariationalMorphism:
         raise NotOneContact("form has contact components of degree >= 2")
     N, [part] = _cleared([p_k(rho, 1)])
     s = codegree(part)
-    terms = [(block, sigma, J, c.terms, tuple_multiplicity(J))
-             for block, contact in ds_parts(part).items()
-             for [(_, sigma, J)], c in contact.terms.items()]
+    terms = []
+    for block, contact in ds_parts(part).items():
+        for w, c in contact.terms.items():
+            [(_, sigma, J)] = _covectors(w)
+            terms.append((block, sigma, J, c.terms, tuple_multiplicity(J)))
     L = math.lcm(*(mult for *_, mult in terms))
     acc: dict = {}
     for block, sigma, J, t, mult in terms:
@@ -242,7 +245,7 @@ def to_contact_form(V: VariationalMorphism) -> Form:
     for (block, sigma, J), t in V.acc.items():
         horiz, sign = _ds_wedge(n, block)
         if sign:
-            w, flip = _insert(('w', sigma, tuple(sorted(J))), horiz)
+            w, flip = _insert(_bit(('w', sigma, tuple(sorted(J)))), horiz)
             _add_terms(acc, w, t, flip * sign * sfact)
     return _summed(V.ctx, acc, V.scale)
 

@@ -1,28 +1,171 @@
-"""Form operations that only the tests use: a covector walk for d_H, the
-per-J derivative chain of the interior Euler operator, a grid of random
-forms over every bidegree, the wedge of several factors, the
-(s+1)!-ordering antisymmetrization of a chi family, and the form-level
-three-way split that the morphism-level split-like decomposition is
-checked against.
+"""Form operations that only the tests use: the decode of a form's masks
+into covector tuples in printed order and a tuple-keyed oracle of the
+mask operations, a covector walk for d_H, the per-J derivative chain of
+the interior Euler operator, a grid of random forms over every bidegree,
+the wedge of several factors, the (s+1)!-ordering antisymmetrization of a
+chi family, and the form-level three-way split that the morphism-level
+split-like decomposition is checked against.
 
-The d_H walk differentiates each coefficient and each contact covector in
-place, and the I chain takes d_J of each contraction one index at a time
-and adds the results form by form.  Neither goes through the sum over i of
-dx^i ^ d_i of the library's ``d_H`` or the trie sum
-(``total_derivative_sum``) of its ``interior_euler``.
+The tuple oracle keys each term by its covectors in printed order and
+takes every sign from ``sort_with_sign``; it reads no mask.
+``bit_order`` gives the covectors their bits in a chosen order, so that
+bit order can be made to disagree with printed order.  The d_H walk
+differentiates each coefficient and each contact covector in place, and
+the I chain takes d_J of each contraction one index at a time and adds the
+results form by form.  Neither goes through the sum over i of dx^i ^ d_i
+of the library's ``d_H`` or the trie sum (``total_derivative_sum``) of its
+``interior_euler``.
 """
 
+import contextlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
+from jetform import forms
 from jetform import interior_euler as ie
+from jetform import printers
 from jetform import symexpr
 from jetform.forms import (Context, Form, contract_omega, d_H, ds_block, omega,
                            p_k, total_derivative_form_multi, wedge)
+from jetform.multiindex import sort_with_sign
+from jetform.printers import _cov_key
 from jetform.randomgen import rand_form
+from jetform.symexpr import Scalar
 from splitting_oracles import signed_permutations
+
+
+def tuple_terms(rho: Form) -> dict:
+    """{covectors in printed order: coefficient} for the terms of rho.
+
+    Each mask is read bit by bit off the covector table, and its covectors,
+    stored in ascending bit order, are sorted into printed order with the
+    sign of that sort.
+    """
+    out = {}
+    for w, c in rho.terms.items():
+        covs = [forms._COVS[k] for k in range(w.bit_length()) if w >> k & 1]
+        covs, sign = sort_with_sign(covs, _cov_key)
+        out[covs] = c if sign == 1 else -c
+    return out
+
+
+@contextlib.contextmanager
+def bit_order(covs):
+    """A fresh covector table in which covs take the first bits, in their
+    order; the process's table comes back on exit, so a form built inside
+    means nothing outside.  The caches keyed by masks are emptied at both
+    ends."""
+    def reset(bits, table, contact, raised):
+        forms._BITS.clear()
+        forms._BITS.update(bits)
+        forms._COVS[:] = table
+        forms._CONTACT = contact
+        forms._RAISED.clear()
+        forms._RAISED.update(raised)
+        forms._ds_wedge.cache_clear()
+        printers._printed_wedge.cache_clear()
+
+    saved = dict(forms._BITS), list(forms._COVS), forms._CONTACT, dict(forms._RAISED)
+    reset({}, [], 0, {})
+    try:
+        for cov in covs:
+            forms._bit(cov)
+        yield
+    finally:
+        reset(*saved)
+
+
+# -- the tuple-keyed oracle: {covectors in printed order: Scalar} ---------------
+
+
+def _add_sorted(out: dict, covs: tuple, c: Scalar) -> None:
+    """out += c times the wedge of covs, sorted into printed order."""
+    w, sign = sort_with_sign(covs, _cov_key)
+    if sign:
+        out[w] = out.get(w, Scalar.zero()) + (c if sign == 1 else -c)
+
+
+def _nonzero(out: dict) -> dict:
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+def t_from_pairs(pairs) -> dict:
+    out = {}
+    for covs, c in pairs:
+        _add_sorted(out, tuple(covs), c)
+    return _nonzero(out)
+
+
+def t_wedge(a: dict, b: dict) -> dict:
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            _add_sorted(out, wa + wb, ca * cb)
+    return _nonzero(out)
+
+
+def t_total_derivative(a: dict, i: int) -> dict:
+    """d_i: the coefficient differentiated, and each omega raised in its slot."""
+    out = {}
+    for w, c in a.items():
+        _add_sorted(out, w, symexpr.total_derivative(c, i))
+        for t, cov in enumerate(w):
+            if cov[0] == 'w':
+                raised = ('w', cov[1], tuple(sorted(cov[2] + (i,))))
+                _add_sorted(out, w[:t] + (raised,) + w[t + 1:], c)
+    return _nonzero(out)
+
+
+def t_d_H(a: dict, n: int) -> dict:
+    """The sum over i of dx^i ^ d_i."""
+    out = {}
+    for i in range(1, n + 1):
+        for w, c in t_total_derivative(a, i).items():
+            _add_sorted(out, (('dx', i),) + w, c)
+    return _nonzero(out)
+
+
+def t_d_C(a: dict) -> dict:
+    """The sum of dc/dy^sigma_J omega^sigma_J ^ w over the terms c w."""
+    out = {}
+    for w, c in a.items():
+        for (_, sigma, J), dc in symexpr.gradient(c).items():
+            _add_sorted(out, (('w', sigma, J),) + w, dc)
+    return _nonzero(out)
+
+
+def t_contract(a: dict, cov) -> dict:
+    """The contraction with the vector dual to cov, (-1)^t at slot t."""
+    out = {}
+    for w, c in a.items():
+        if cov in w:
+            t = w.index(cov)
+            out[w[:t] + w[t + 1:]] = c if t % 2 == 0 else -c
+    return out
+
+
+def t_p_k(a: dict, k: int) -> dict:
+    return {w: c for w, c in a.items() if sum(cov[0] == 'w' for cov in w) == k}
+
+
+def t_degrees(a: dict) -> set:
+    return {(sum(cov[0] == 'dx' for cov in w), sum(cov[0] == 'w' for cov in w)) for w in a}
+
+
+def t_ds_parts(a: dict, n: int) -> dict:
+    """{block: contact part}: c dx_H ^ omega_C is (-1)^(|H| |C|) c omega_C ^
+    dx_H, and dx_H is ds_block of the complement of H times the sign that
+    sorts block + H."""
+    parts = {}
+    for w, c in a.items():
+        H = tuple(cov[1] for cov in w if cov[0] == 'dx')
+        C = tuple(cov for cov in w if cov[0] == 'w')
+        block = tuple(i for i in range(1, n + 1) if i not in H)
+        sign = sort_with_sign(block + H)[1] * (-1) ** (len(H) * len(C))
+        parts.setdefault(block, {})[C] = c if sign == 1 else -c
+    return parts
 
 
 def wedge_all(*forms: Form) -> Form:
@@ -38,7 +181,7 @@ def d_H_walk(rho: Form) -> Form:
     omega^sigma_J."""
     n = rho.ctx.n
     pairs = []
-    for w, c in rho.terms.items():
+    for w, c in tuple_terms(rho).items():
         for i in range(1, n + 1):
             pairs.append(((('dx', i),) + w, symexpr.total_derivative(c, i)))
         for t, cov in enumerate(w):
@@ -56,7 +199,7 @@ def interior_euler_chain(rho: Form, k: int) -> Form:
     (dy^sigma_J _| p_k rho), each d_J a chain of single total derivatives."""
     ctx = rho.ctx
     part = p_k(rho, k)
-    keys = {(cov[1], cov[2]) for w in part.terms for cov in w if cov[0] == 'w'}
+    keys = {(cov[1], cov[2]) for w in tuple_terms(part) for cov in w if cov[0] == 'w'}
     out = Form.zero(ctx)
     for sigma in sorted({sig for sig, _ in keys}):
         acc = Form.zero(ctx)

@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from jetform import symexpr as se
-from jetform.forms import (Context, Form, GradingMismatch, _contract, codegree,
+from jetform.forms import (Context, Form, GradingMismatch, _bit, _contract, _insert, codegree,
                            contract_prolonged, d_C, d_H, dx, ds_block,
                            ds_parts, exterior_d, omega, p_k,
                            total_derivative_form, total_derivative_form_multi,
@@ -13,7 +15,9 @@ from jetform.parser import parse_form
 from jetform.printers import scalar_text
 from jetform.randomgen import rand_form, rand_scalar
 from jetform.symexpr import Scalar
-from form_oracles import d_H_walk, degree_grid
+from form_oracles import (bit_order, d_H_walk, degree_grid, t_contract, t_d_C, t_d_H,
+                          t_degrees, t_ds_parts, t_from_pairs, t_p_k, t_total_derivative,
+                          t_wedge, tuple_terms)
 
 CTX2 = Context(n=2, m=2)
 CTX1 = Context(n=1, m=1)
@@ -70,8 +74,8 @@ def test_wedge_graded_anticommutative_randomized():
 
 def test_ds_blocks():
     ctx3 = Context(n=3, m=1)
-    assert ds_block(ctx3, (1, 2)) == Form(ctx3, {(('dx', 3),): Scalar.one()})
-    assert ds_block(ctx3, (2, 1)) == Form(ctx3, {(('dx', 3),): -Scalar.one()})
+    assert tuple_terms(ds_block(ctx3, (1, 2))) == {(('dx', 3),): Scalar.one()}
+    assert tuple_terms(ds_block(ctx3, (2, 1))) == {(('dx', 3),): -Scalar.one()}
     assert ds_block(ctx3, (1, 1)).is_zero()
     assert ds_block(ctx3, ()) == volume(ctx3)
     # degenerate mechanics regime: ds_1 at n=1 is the scalar 1
@@ -80,16 +84,17 @@ def test_ds_blocks():
 
 
 def _ds_by_contraction(ctx, block):
-    """ds_block by contracting one index of the block at a time out of vol."""
+    """ds_block by contracting one index of the block at a time out of vol,
+    keyed by its covectors in printed order."""
     covs = list(range(1, ctx.n + 1))
     sign = 1
     for idx in block:
         if idx not in covs:
-            return Form.zero(ctx)
+            return {}
         pos = covs.index(idx)
         sign *= (-1) ** pos
         covs.remove(idx)
-    return Form(ctx, {tuple(('dx', i) for i in covs): Scalar.from_fraction(sign)})
+    return {tuple(('dx', i) for i in covs): Scalar.from_fraction(sign)}
 
 
 def test_ds_block_sign_is_that_of_the_iterated_contraction():
@@ -98,7 +103,7 @@ def test_ds_block_sign_is_that_of_the_iterated_contraction():
         # 0 and n+1 are out of range; repeats and blocks longer than n vanish
         for length in range(n + 2):
             for block in itertools.product(range(n + 2), repeat=length):
-                assert ds_block(ctx, block) == _ds_by_contraction(ctx, block)
+                assert tuple_terms(ds_block(ctx, block)) == _ds_by_contraction(ctx, block)
 
 
 def test_ds_parts_roundtrip():
@@ -130,6 +135,53 @@ def test_iota_a_extends_the_ds_block_past_a_pure_contact_factor():
                     for a in range(1, n + 1):
                         iota = _contract(wedge(chi, ds_block(ctx, b)), ('dx', a))
                         assert wedge(chi, ds_block(ctx, b + (a,))) == iota.scale((-1) ** k)
+
+
+# -- masks against the tuple-keyed oracle -------------------------------------------
+
+_N3M2 = Context(n=3, m=2)
+_COVECTORS = [('dx', i) for i in range(1, 4)] + [
+    ('w', sigma, J) for sigma in (1, 2) for J in se.jet_keys(3, 2)]
+
+
+def _rand_pairs(rng, count):
+    """(covectors, coefficient) pairs: up to four covectors in any order, a
+    repeat now and then, and polynomial coefficients of jet order 2."""
+    return [(tuple(rng.choice(_COVECTORS) for _ in range(rng.randint(0, 4))),
+             rand_scalar(rng, _N3M2, 2)) for _ in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(_COVECTORS), st.integers(0, 2 ** 32))
+def test_mask_operations_match_the_tuple_oracle_in_any_bit_order(order, seed):
+    # the covectors take their bits in a drawn order, which disagrees with
+    # printed order; every operation is decoded and compared with the
+    # oracle's, which sorts covector tuples by sort_with_sign
+    rng = random.Random(seed)
+    with bit_order(order):
+        pa, pb = _rand_pairs(rng, 6), _rand_pairs(rng, 3)
+        a, b = Form.from_terms(_N3M2, pa), Form.from_terms(_N3M2, pb)
+        ta, tb = tuple_terms(a), tuple_terms(b)
+        assert ta == t_from_pairs(pa) and tb == t_from_pairs(pb)
+        assert tuple_terms(wedge(a, b)) == t_wedge(ta, tb)
+        for cov in rng.sample(_COVECTORS, 4):
+            one = {(cov,): Scalar.one()}
+            single = Form.from_terms(_N3M2, [((cov,), Scalar.one())])
+            assert tuple_terms(wedge(single, a)) == t_wedge(one, ta)
+            assert tuple_terms(_contract(a, cov)) == t_contract(ta, cov)
+            for w, c in a.terms.items():
+                got, sign = _insert(_bit(cov), w)
+                want = t_wedge(one, tuple_terms(Form(_N3M2, {w: c})))
+                assert tuple_terms(Form(_N3M2, {got: c * sign} if sign else {})) == want
+        for i in range(1, 4):
+            assert tuple_terms(total_derivative_form(a, i)) == t_total_derivative(ta, i)
+        assert tuple_terms(d_H(a)) == t_d_H(ta, 3)
+        assert tuple_terms(d_C(a)) == t_d_C(ta)
+        for k in range(5):
+            assert tuple_terms(p_k(a, k)) == t_p_k(ta, k)
+        assert a.degrees() == t_degrees(ta)
+        assert {block: tuple_terms(part) for block, part in ds_parts(a).items()} == \
+            t_ds_parts(ta, 3)
 
 
 # -- contact basis and grading ------------------------------------------------------

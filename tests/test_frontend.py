@@ -417,8 +417,8 @@ def _perturb_theta(monkeypatch, s):
 def _perturb_rebuild(monkeypatch, s):
     # the exactness rebuild and the residual's trie sum both gain s w(u) /\ ds
     real = interior_euler.total_derivative_sum
-    monkeypatch.setattr(interior_euler, "total_derivative_sum", lambda ctx, parts: real(
-        ctx, parts) + wedge(omega(ctx, 1), volume(ctx)).scale(s))
+    monkeypatch.setattr(interior_euler, "total_derivative_sum", lambda ctx, parts, *D: real(
+        ctx, parts, *D) + wedge(omega(ctx, 1), volume(ctx)).scale(s))
 
 
 @pytest.mark.parametrize("perturb,message", [

@@ -6,8 +6,11 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given
 
-from jetform.forms import _cov_key, _insert
+from jetform.forms import Context, Form, _bit, _insert
 from jetform.multiindex import signed_get, sort_with_sign, tuple_multiplicity
+from jetform.printers import _cov_key
+from jetform.symexpr import Scalar
+from form_oracles import tuple_terms
 from splitting_oracles import signed_permutations
 
 
@@ -60,21 +63,28 @@ def test_sort_with_sign_repeated_covector_is_zero(covs, at):
     assert sort_with_sign(covs, _cov_key)[1] == 0
 
 
+_N3M2 = Context(n=3, m=2)
+
+
 @given(st.lists(_COVECTOR, unique=True, max_size=6), _COVECTOR)
 def test_insert_is_sort_with_sign_of_the_prepended_covector(covs, cov):
+    # the wedge w in printed order, as a mask: its decode is w itself
     w = tuple(sorted(covs, key=_cov_key))
-    got, sign = _insert(cov, w)
+    [(mask, c)] = Form.from_terms(_N3M2, [(w, Scalar.one())]).terms.items()
+    assert tuple_terms(Form(_N3M2, {mask: c})) == {w: Scalar.one()}
+    got, sign = _insert(_bit(cov), mask)
     want, want_sign = sort_with_sign((cov,) + w, _cov_key)
-    assert sign == want_sign
+    assert (sign == 0) == (want_sign == 0)
     if sign:
-        assert got == want
+        assert tuple_terms(Form(_N3M2, {got: c * sign})) == {want: Scalar.from_fraction(want_sign)}
 
 
 @given(st.lists(_COVECTOR, unique=True, min_size=1, max_size=6), st.integers(0, 5))
 def test_insert_of_a_repeated_covector_is_zero(covs, at):
     w = tuple(sorted(covs, key=_cov_key))
     cov = w[min(at, len(w) - 1)]
-    assert _insert(cov, w)[1] == sort_with_sign((cov,) + w, _cov_key)[1] == 0
+    mask = sum(map(_bit, w))
+    assert _insert(_bit(cov), mask)[1] == sort_with_sign((cov,) + w, _cov_key)[1] == 0
 
 
 @given(st.lists(st.integers(1, 4), max_size=5))

@@ -71,3 +71,25 @@ def test_ab_lepage_takes_any_lepage_case_and_keeps_the_default_grid():
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[1].split()[0] == "n1m1r2"
+
+
+def test_ab_lepage_runs_each_side_against_its_own_modules():
+    # the two sides number their covectors differently, so a call-time
+    # import that reached the other side's printers would misread a mask:
+    # Form.__repr__ imports form_text when it runs
+    ab = _ab_lepage()
+    saved = {k: v for k, v in sys.modules.items() if k == "jetform" or k.startswith("jetform.")}
+    try:
+        sides = [ab.load(str(ROOT / "src")), ab.load(str(ROOT / "src"))]
+        ctx_a, ctx_b = (side["forms"].Context(n=2, m=1) for side in sides)
+        rho = sides[0]["forms"].omega(ctx_a, 1, 2)
+        sides[1]["forms"].dx(ctx_b, 1)
+        assert sides[0]["forms"]._COVS[0] != sides[1]["forms"]._COVS[0]
+        for side in (sides[0], sides[1], sides[0]):
+            ab.run_case(side, "n1m1r1", "L0")
+            if side is sides[0]:
+                assert repr(rho) == "Form(w(u,2))"
+    finally:
+        for k in [k for k in sys.modules if k == "jetform" or k.startswith("jetform.")]:
+            del sys.modules[k]
+        sys.modules.update(saved)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 
 from jetform import symexpr as se
+from jetform.forms import Context, volume
+from jetform.printers import scalar_latex, scalar_text
 from jetform.symexpr import Scalar
 
 
@@ -288,6 +290,22 @@ def test_partials_of_formal_atoms_commute_with_expand(n, m):
         assert all(any(a.kind == 'g' for a in d.atoms()) for d in totals)
         for i, d in enumerate(totals, start=1):
             assert se.expand(d) == se.total_derivative(E, i)
+
+
+def test_formal_atoms_print_as_total_derivatives_of_their_symbol():
+    # D_I f prints as D<I>(<f>) and in LaTeX as D_{I}(f), so repr works on
+    # formal scalars and forms; the partials inside f print as they do on f
+    f = se.opaque("L", n=2, m=1, order=1)
+    ctx = Context(n=2, m=1)
+    with se._formal_scope():
+        d1 = se.total_derivative(f, 1)
+        assert repr(d1) == "Scalar(D1(L))"
+        assert scalar_text(se.total_derivative(d1, 2)) == "D12(L)"
+        got = se.partial(d1, ('y', 1, (1,)))
+        assert scalar_text(got) == "L'u + D1(L'u_1)"
+        assert scalar_latex(got) == r"\partial_{u}L + D_{1}\left(\partial_{u_{1}}L\right)"
+        rho = volume(ctx).scale(d1)
+        assert repr(rho) == "Form((D1(L)) * ds)"
 
 
 def test_partial_of_a_formal_atom_is_its_commutator_expansion():
