@@ -24,10 +24,12 @@ for seeds 0-3.  A case ``cli/<cmd>/nNmM`` times the short request
 ``jetform <cmd> -n N -m M -r 1 --format json -- <expr>`` through
 ``cli.main`` for seeds 0-3: parse, compute, print.  For ``el``, ``pc``
 and ``kb``, ``<expr>`` is the seeded random first-order density of
-``randomgen.rand_density``; for ``split``, ``splitlike`` and ``alpha`` it
-is the contact form of the seeded random morphism of
-``randomgen.rand_morphism`` of rank 2 and codegree 1 (codegree 0 at
-N = 1).  Each repetition runs every case on both sides back to back, A
+``randomgen.rand_density``, and ``cli/<el|pc|kb>/nNmMrR``, R in {1, 2},
+takes an order-R density and ``-r R`` (``kb`` at order 2 runs the plain
+variant, the one cross-checked against the recurrence); for ``split``,
+``splitlike`` and ``alpha`` it is the contact form of the seeded random
+morphism of ``randomgen.rand_morphism`` of rank 2 and codegree 1
+(codegree 0 at N = 1).  Each repetition runs every case on both sides back to back, A
 first on even repetitions and B first on odd ones; the two runs of a pair
 share a density name that no earlier pair used, so every run starts cold.
 The host's speed drifts over minutes, so only runs made this close
@@ -60,17 +62,21 @@ GRID = [f"n{n}m{m}r{r}" for n in (2, 3, 4) for m in (1, 2) for r in (1, 2)
 LEPAGE = re.compile(r"n([1-9][0-9]*)m([1-9][0-9]*)r([12])")
 ALPHA = [f"alpha/n{n}m{m}" for n in (2, 3, 4) for m in (1, 2)]
 VERIFY = re.compile(r"verify/([a-z0-9-]+)/n([1-9])m([1-9])")
-CLI = re.compile(r"cli/(el|pc|kb|split|splitlike|alpha)/n([1-9])m([1-9])")
+CLI = re.compile(r"cli/(el|pc|kb|split|splitlike|alpha)/n([1-9])m([1-9])(?:r([12]))?")
 MORPHISM_COMMANDS = ("split", "splitlike", "alpha")
 SEEDS = range(4)
 
 
 def case_name(text: str) -> str:
-    if any(p.fullmatch(text) for p in (LEPAGE, VERIFY, CLI)) or text in ALPHA:
+    cli = CLI.fullmatch(text)
+    if cli and not (cli[1] in MORPHISM_COMMANDS and cli[4]):
+        return text
+    if any(p.fullmatch(text) for p in (LEPAGE, VERIFY)) or text in ALPHA:
         return text
     raise argparse.ArgumentTypeError(
         f"{text!r} is none of nNmMr1, nNmMr2 (N, M >= 1), {', '.join(ALPHA)}, "
-        "verify/<identity>/nNmM or cli/<el|pc|kb|split|splitlike|alpha>/nNmM")
+        "verify/<identity>/nNmM, cli/<el|pc|kb>/nNmM[r1|r2] "
+        "or cli/<split|splitlike|alpha>/nNmM")
 
 
 def _package_modules() -> dict:
@@ -129,7 +135,7 @@ def run_verify(side, slot: str):
 
 
 def run_cli(side, slot: str):
-    cmd, n, m = CLI.fullmatch(slot).groups()
+    cmd, n, m, r = CLI.fullmatch(slot).groups(default="1")
     ctx = side["forms"].Context(n=int(n), m=int(m))
     printers, randomgen = side["printers"], side["randomgen"]
     if cmd in MORPHISM_COMMANDS:
@@ -137,9 +143,9 @@ def run_cli(side, slot: str):
         exprs = [printers.form_text(side["varmorph"].to_contact_form(
             randomgen.rand_morphism(random.Random(seed), ctx, s, 2))) for seed in SEEDS]
     else:
-        exprs = [printers.scalar_text(randomgen.rand_density(random.Random(seed), ctx, 1))
+        exprs = [printers.scalar_text(randomgen.rand_density(random.Random(seed), ctx, int(r)))
                  for seed in SEEDS]
-    return run_main(side, [[cmd, "-n", n, "-m", m, "-r", "1", "--format", "json", "--", expr]
+    return run_main(side, [[cmd, "-n", n, "-m", m, "-r", r, "--format", "json", "--", expr]
                            for expr in exprs])
 
 

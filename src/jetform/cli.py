@@ -19,9 +19,8 @@ import json
 import sys
 
 from .forms import Context, GradingMismatch, codegree, p_k
-from .interior_euler import _smallest_difference, interior_euler, residual
-from .lepage import (euler_lagrange, kb_second_order, krupka_betounes_first,
-                     poincare_cartan, rossi_recurrence)
+from .interior_euler import interior_euler, residual
+from .lepage import _kb, euler_lagrange, poincare_cartan
 from .parser import default_fields, parse_form, parse_lagrangian
 from .printers import form_json, form_json_doc, form_latex, form_text
 from .symexpr import _memo_scope
@@ -146,23 +145,12 @@ def _run(args) -> int:
     if cmd in ("pc", "kb", "el"):
         lam = parse_lagrangian(text, ctx, args.order, fields)
         if cmd == "pc":
-            print(_emit_form(poincare_cartan(lam), args, fields))
+            rho = poincare_cartan(lam)
         elif cmd == "el":
-            print(_emit_form(euler_lagrange(lam), args, fields))
+            rho = euler_lagrange(lam)
         else:
-            if lam.order == 1:
-                rho = krupka_betounes_first(lam)
-            else:
-                rho = kb_second_order(lam, args.variant)
-            # the generalized variant is not the recurrence's terminal, so the
-            # recurrence is run only to cross-check the other two
-            if lam.order == 1 or args.variant == "plain":
-                terminal = rossi_recurrence(lam).terminal
-                if terminal != rho:
-                    raise AssertionError(
-                        "recurrence and closed form disagree; "
-                        f"{_smallest_difference(terminal, rho)}")
-            print(_emit_form(rho, args, fields))
+            rho = _kb(lam, args.variant)
+        print(_emit_form(rho, args, fields))
         return 0
 
     rho = parse_form(text, ctx, args.order, fields)
@@ -213,8 +201,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
-        # a runtime self-check failed: eta recomposition, xi rebuild, the
-        # Poincare-Cartan cross-check or kb's recurrence cross-check
+        # a runtime self-check of interior_euler or lepage failed: eta
+        # recomposition, xi rebuild, the Poincare-Cartan cross-check or
+        # kb's recurrence cross-check
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

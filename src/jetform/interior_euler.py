@@ -22,9 +22,9 @@ The pipeline shared by every operator here:
    The telescope and the rebuild run in a ``symexpr._formal_scope``: each
    d_I of an opaque atom f stays one formal atom D_I f, so the stored
    family is formal.  The rebuilt form is compared with D p_k rho by
-   ``_mismatch``, the one decision rule of every self-check on formal
-   data: a literal equality passes, and otherwise the difference is
-   expanded to the chain-rule normal form and compared with zero;
+   ``_mismatch``, the one decision rule of every self-check and every
+   ``verify`` report: a literal equality passes, and otherwise the
+   difference is expanded to the chain-rule normal form and compared with zero;
 3. assemble the residual operator from the xi family by the contraction
    iota_a dual to dx^a (``_residual``), its total derivatives again summed
    over a trie, formally; ``residual`` expands it once, and the Lepage
@@ -36,8 +36,8 @@ sorted key (the basis coefficient), and mult(J) = ``tuple_multiplicity(J)``
 converts between the two.  The eta decomposition is not unique for
 k >= 2; the default is the 1/k-weighted formal contraction, and every
 consumer validates recomposition instead of relying on uniqueness.  The
-Lepage recurrence hands ``residual`` its own eta family, built from term
-provenance, as a dict; ``eta_decompose`` validates it like any other.
+Lepage recurrence hands ``_formal_residual`` its own eta family, built from
+term provenance, as a dict; ``eta_decompose`` validates it like any other.
 """
 
 from __future__ import annotations
@@ -66,42 +66,37 @@ class ExpansionMismatch(AssertionError):
     """The telescoped xi family does not rebuild p_k rho (a multiplicity bug)."""
 
 
-def _smallest_difference(got: Form, want: Form) -> str:
-    """The smallest term in which two forms differ, printed from both.
-
-    Terms are ranked by wedge length, then monomial degree, then the
-    printed text of the difference.
-    """
-    from .printers import form_text  # only a failing check prints
-    ctx = got.ctx
-
-    def term(form, w, mono):
-        c = form.terms.get(w, Scalar.zero()).terms.get(mono, 0)
-        return form_text(Form(ctx, {w: Scalar({mono: c})} if c else {}))
-
-    diff = got - want
-    w, mono = min(((w, mono) for w, s in diff.terms.items() for mono in s.terms),
-                  key=lambda wm: (wm[0].bit_count(), sum(k for _, k in wm[1]),
-                                 term(diff, *wm)))
-    return (f"smallest differing term: rebuilt {term(got, w, mono)}, "
-            f"expected {term(want, w, mono)}")
-
-
 def _mismatch(got: Form, want: Form, D: int = 1) -> str | None:
     """None when got == D want, else the smallest term of the expanded
-    difference (``_smallest_difference``): the decision of every self-check.
+    difference printed from both sides: the decision of every self-check
+    and every ``verify`` report.
 
     A literal equality holds; so does a difference that expands to zero.
     Formal and chain-rule atoms are not algebraically independent, so a
     formal nonzero proves nothing, but expansion is a ring homomorphism
     that commutes with d_i and with every partial, so the expanded
-    difference decides the same equality as expanding both sides.
+    difference decides the same equality as expanding both sides.  Terms
+    are ranked by wedge length, monomial degree, then printed text.
     """
     if got == want if D == 1 else _is_multiple(got, want, D):
         return None
-    if _expanded(got - want.scale(D)).is_zero():
+    diff = _expanded(got - want.scale(D))
+    if diff.is_zero():
         return None
-    return _smallest_difference(_expanded(got).scale(Fraction(1, D)), _expanded(want))
+    from .printers import form_text  # only a failing check prints
+    ctx = got.ctx
+    got, want = _expanded(got).scale(Fraction(1, D)), _expanded(want)
+    diff = diff.scale(Fraction(1, D))
+
+    def term(form, w, mono):
+        c = form.terms.get(w, Scalar.zero()).terms.get(mono, 0)
+        return form_text(Form(ctx, {w: Scalar({mono: c})} if c else {}))
+
+    w, mono = min(((w, mono) for w, s in diff.terms.items() for mono in s.terms),
+                  key=lambda wm: (wm[0].bit_count(), sum(k for _, k in wm[1]),
+                                 term(diff, *wm)))
+    return (f"smallest differing term: rebuilt {term(got, w, mono)}, "
+            f"expected {term(want, w, mono)}")
 
 
 @dataclass
@@ -300,7 +295,7 @@ def interior_euler(rho: Form, k: int) -> Form:
     return _summed(ctx, acc).scale(Fraction(1, k))
 
 
-def residual(rho: Form, k: int, etas: dict | None = None) -> Form:
+def residual(rho: Form, k: int) -> Form:
     """Residual operator for (n-s)-horizontal k-contact (n-s+k)-forms.
 
     With the codegree s read off p_k rho, sums over ordered M and b,
@@ -309,13 +304,13 @@ def residual(rho: Form, k: int, etas: dict | None = None) -> Form:
     (the proof is at ``_residual``).  At s = 0 this is the top-form
     residual: for k = 1 the single minus sign of the top-form construction,
     and what p_k rho = I(rho) + p_k d p_k R(rho) requires for k >= 2.
-    ``etas`` is the eta family handed to ``ibp_expand``.
     """
-    return _expanded(_formal_residual(rho, k, etas))
+    return _expanded(_formal_residual(rho, k))
 
 
 def _formal_residual(rho: Form, k: int, etas: dict | None = None, N: int = 1) -> Form:
-    """``residual`` before its expansion: R(rho) / N in the formal ring."""
+    """``residual`` before its expansion: R(rho) / N in the formal ring, with
+    ``etas`` the eta family handed to ``ibp_expand``."""
     if k < 1:
         raise ValueError("residual operator needs contact degree k >= 1")
     return _residual(ibp_expand(rho, k, etas), N)

@@ -18,11 +18,12 @@ The recurrence runs in the formal ring (``symexpr._formal_scope``): each
 d_I of an opaque atom stays one formal atom D_I f, the gradients of the
 q >= 2 steps take partials of those atoms by the commutator rule of
 ``symexpr``, and theta is cross-checked against the chart form built
-formally too.  The three self-checks of each run (eta recomposition, the
-xi rebuild and that cross-check) are decided by ``interior_euler._mismatch``,
+formally too, and ``_kb`` (``jetform kb``) compares the formal closed tower
+with the formal terminal.  The four self-checks (eta recomposition, the xi
+rebuild and these two cross-checks) are decided by ``interior_euler._mismatch``,
 which expands only a difference that is not literally zero.
-``poincare_cartan`` and ``rossi_recurrence`` expand each member once, as
-they return it, so no formal atom leaves the module.
+``poincare_cartan``, ``rossi_recurrence`` and ``_kb`` expand each form once,
+as they return it, so no formal atom leaves the module.
 
 The eta decomposition feeding R is not unique for q >= 2 and the choice
 matters.  At first order the canonical 1/k-contraction eta is the right
@@ -195,18 +196,23 @@ def _step(lam: Lagrangian, prev: Form, q: int) -> Form:
         return prev - p_k(_formal_residual(diff, q, etas, N), q)
 
 
+def _chain(lam: Lagrangian) -> list:
+    """The formal members rho_1 .. rho_n: theta, then one ``_step`` each."""
+    chain = [_theta(lam)]
+    for q in range(2, lam.ctx.n + 1):
+        chain.append(_step(lam, chain[-1], q))
+    return chain
+
+
 @symexpr._memo_scope()
 def rossi_recurrence(lam: Lagrangian) -> LepageChain:
     """The full chain rho_1 .. rho_n of residual-operator corrections.
 
     rho_1 is the Poincare-Cartan form, and each later member is one
-    ``_step`` from the one before.  The chain is built formally, and each
-    member is expanded once, as it is returned.
+    ``_step`` from the one before.  The chain is built formally
+    (``_chain``), and each member is expanded once, as it is returned.
     """
-    chain = [_theta(lam)]
-    for q in range(2, lam.ctx.n + 1):
-        chain.append(_step(lam, chain[-1], q))
-    return LepageChain([_expanded(rho) for rho in chain])
+    return LepageChain([_expanded(rho) for rho in _chain(lam)])
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -284,6 +290,18 @@ def kb_second_order(lam: Lagrangian, variant: str = "plain") -> Form:
         raise ValueError(f"unknown variant {variant!r}")
     n = lam.ctx.n
     return _closed_equivalent(lam, (n if variant == "generalized" else 1, n))
+
+
+@symexpr._memo_scope()
+def _kb(lam: Lagrangian, variant: str = "plain") -> Form:
+    """The closed equivalent, built formally, checked by ``_mismatch`` against
+    the formal terminal rho_n where it is one (first order, or the plain
+    variant), and expanded once, as it is returned."""
+    with symexpr._formal_scope():
+        tower = krupka_betounes_first(lam) if lam.order == 1 else kb_second_order(lam, variant)
+    if (lam.order == 1 or variant == "plain") and (failure := _mismatch(_chain(lam)[-1], tower)):
+        raise AssertionError(f"recurrence and closed form disagree; {failure}")
+    return _expanded(tower)
 
 
 # -- source forms -----------------------------------------------------------------

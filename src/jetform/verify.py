@@ -2,8 +2,11 @@
 
 Each check returns (ok, detail); when a check fails, detail names each
 failing instance with the smallest term of its difference, and when it
-passes, a short summary.  The same routines are exercised with fixed seeds
-by the acceptance suite.
+passes, a short summary.  ``interior_euler._mismatch``, the rule of the
+runtime self-checks, decides every item, so kb-first, kb-second and
+rossi-rho2 compare formal chain members (``lepage._chain``) with formal
+closed forms.  The same routines are exercised with fixed seeds by the
+acceptance suite.
 
 The identities that compare pairings of morphisms (prop-volume, prop-r1,
 prop-da) run the splittings on the morphism as it is stored, on integers,
@@ -21,20 +24,20 @@ from fractions import Fraction
 from . import randomgen, symexpr, varmorph
 from .forms import (Context, Form, _add_into, _summed, contract_prolonged, d_H,
                     ds_block, omega, p_k, total_derivative_form_multi, wedge)
-from .interior_euler import (_expanded, _residual, _smallest_difference,
-                             ibp_expand, interior_euler, residual)
-from .lepage import (Lagrangian, generic_lagrangian, kb_second_order,
-                     krupka_betounes_first, lepage_check, rossi_recurrence)
+from .interior_euler import (_expanded, _mismatch, _residual, ibp_expand,
+                             interior_euler, residual)
+from .lepage import (Lagrangian, _chain, generic_lagrangian, kb_second_order,
+                     krupka_betounes_first, lepage_check)
 from .symexpr import Scalar, _merge
 from .varmorph import _pairing_sum
 
 
-def _report(diffs) -> tuple:
-    bad = [(label, d) for label, d in diffs if not d.is_zero()]
-    if not bad:
-        return True, f"{len(diffs)} instance(s) verified"
-    lines = [f"{label}: {_smallest_difference(d, Form.zero(d.ctx))}"
-             for label, d in bad]
+def _report(items) -> tuple:
+    """Decide each (label, got, want), or (label, difference) against zero."""
+    lines = [f"{label}: {failure}" for label, got, *want in items
+             if (failure := _mismatch(got, want[0] if want else Form.zero(got.ctx)))]
+    if not lines:
+        return True, f"{len(items)} instance(s) verified"
     return False, "nonzero difference\n" + "\n".join(lines)
 
 
@@ -116,7 +119,7 @@ def check_prop_div(seed: int, n: int = 3, m: int = 2) -> tuple:
             continue
         fam = ibp_expand(rho, k)
         acc: dict = {}  # the left side minus the right
-        _add_into(acc, d_H(_expanded(_residual(fam))), -1)
+        _add_into(acc, d_H(_residual(fam)), -1)
         for block in itertools.combinations(range(1, nn + 1), s):
             for lm in range(1, fam.r + 1):
                 for M in itertools.product(range(1, nn + 1), repeat=lm):
@@ -196,13 +199,12 @@ def check_kb_first(seed: int, n: int = 2, m: int = 2) -> tuple:
     rng = random.Random(seed)
     ctx = Context(n=n, m=m)
     lam = Lagrangian(ctx, 1, randomgen.rand_density(rng, ctx, 1))
-    chain = rossi_recurrence(lam)
-    kb = krupka_betounes_first(lam)
-    diffs = [("terminal", chain.terminal - kb)]
-    rep = lepage_check(kb, lam)
-    diffs.append(("lepage horizontal", rep.horizontal_diff))
-    diffs.append(("lepage source", rep.source_diff))
-    return _report(diffs)
+    with symexpr._formal_scope():
+        tower = krupka_betounes_first(lam)
+    rep = lepage_check(_expanded(tower), lam)
+    return _report([("terminal", _chain(lam)[-1], tower),
+                    ("lepage horizontal", rep.horizontal_diff),
+                    ("lepage source", rep.source_diff)])
 
 
 def check_kb_second(seed: int, n: int = 2, m: int = 2) -> tuple:
@@ -210,47 +212,41 @@ def check_kb_second(seed: int, n: int = 2, m: int = 2) -> tuple:
     rng = random.Random(seed)
     ctx = Context(n=n, m=m)
     lam = Lagrangian(ctx, 2, randomgen.rand_density(rng, ctx, 2))
-    diffs = [("plain terminal",
-              rossi_recurrence(lam).terminal - kb_second_order(lam, "plain"))]
+    with symexpr._formal_scope():
+        items = [("plain terminal", _chain(lam)[-1], kb_second_order(lam, "plain"))]
     d1 = randomgen.rand_density(rng, ctx, 1)
     lam2 = Lagrangian(ctx, 2, d1)
     lam1 = Lagrangian(ctx, 1, d1)
-    diffs.append(("generalized reduction",
-                  kb_second_order(lam2, "generalized") - krupka_betounes_first(lam1)))
-    return _report(diffs)
+    items.append(("generalized reduction", kb_second_order(lam2, "generalized"),
+                  krupka_betounes_first(lam1)))
+    return _report(items)
 
 
 def check_rossi_rho2(seed: int, n: int = 2, m: int = 1) -> tuple:
     """The second chain member matches the displayed second-order form."""
     n = max(n, 2)  # the chain has a second member from n = 2 on
     ctx = Context(n=n, m=m)
-    diffs = []
+    fibers, bases = range(1, m + 1), range(1, n + 1)
+    items = []
     rng = random.Random(seed)
     for label, lam in [("generic", generic_lagrangian(ctx, 2)),
                        ("random", Lagrangian(ctx, 2, randomgen.rand_density(rng, ctx, 2)))]:
-        chain = rossi_recurrence(lam)
-        acc: dict = {}  # rho_2 minus the displayed form
-        _add_into(acc, chain.forms[1])
-        _add_into(acc, lam.form(), -1)
-        for sig in range(1, m + 1):
-            for i in range(1, n + 1):
-                _add_into(acc, wedge(omega(ctx, sig),
-                                     ds_block(ctx, (i,))).scale(lam.momentum(sig, (i,))), -1)
-                for j in range(1, n + 1):
-                    _add_into(acc, wedge(omega(ctx, sig, j),
-                                         ds_block(ctx, (i,))).scale(lam.momentum(sig, (i, j))),
-                              -1)
-        for s1 in range(1, m + 1):
-            for i1 in range(1, n + 1):
-                for s2 in range(1, m + 1):
-                    for i2 in range(1, n + 1):
-                        for j2 in range(1, n + 1):
-                            c = symexpr.partial(lam.momentum(s2, (i2, j2)), ('y', s1, (i1,)))
-                            term = wedge(omega(ctx, s1),
-                                         wedge(omega(ctx, s2, j2), ds_block(ctx, (i1, i2))))
-                            _add_into(acc, term.scale(c * Fraction(1, 2)), -1)
-        diffs.append((label, _summed(ctx, acc)))
-    return _report(diffs)
+        with symexpr._formal_scope():  # the displayed form is built formally too
+            rho2 = _chain(lam)[1]
+            acc: dict = {}  # the displayed form
+            _add_into(acc, lam.form())
+            for sig, i in itertools.product(fibers, bases):
+                ds_i = ds_block(ctx, (i,))
+                _add_into(acc, wedge(omega(ctx, sig), ds_i).scale(lam.momentum(sig, (i,))))
+                for j in bases:
+                    _add_into(acc, wedge(omega(ctx, sig, j), ds_i)
+                              .scale(lam.momentum(sig, (i, j))))
+            for s1, i1, s2, i2, j2 in itertools.product(fibers, bases, fibers, bases, bases):
+                c = symexpr.partial(lam.momentum(s2, (i2, j2)), ('y', s1, (i1,)))
+                term = wedge(omega(ctx, s1), wedge(omega(ctx, s2, j2), ds_block(ctx, (i1, i2))))
+                _add_into(acc, term.scale(c * Fraction(1, 2)))
+        items.append((label, rho2, _summed(ctx, acc)))
+    return _report(items)
 
 
 CHECKS = {

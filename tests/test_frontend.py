@@ -232,6 +232,13 @@ def test_cli_verify_fail_names_the_smallest_differing_term(monkeypatch):
     assert out.startswith("FAIL prop-da")
     assert re.search(r"^\w+ volume: smallest differing term: rebuilt .+, expected 0$",
                      out, re.M)
+    # a compared pair prints the term from both sides
+    chain = lepage._chain
+    monkeypatch.setattr(verify, "_chain", lambda lam: [rho.scale(2) for rho in chain(lam)])
+    code, out, _ = run_cli(["verify", "--identity", "kb-first"])
+    assert (code, out) == (1, "FAIL kb-first (seed 0): nonzero difference\nterminal: "
+                           "smallest differing term: rebuilt (3) * dx1 /\\ w(u), "
+                           "expected (3/2) * dx1 /\\ w(u)\n")
 
 
 def test_cli_verify_prop_div_fails_when_the_chi_gather_is_negated(monkeypatch):
@@ -421,39 +428,50 @@ def _perturb_rebuild(monkeypatch, s):
         ctx, parts, *D) + wedge(omega(ctx, 1), volume(ctx)).scale(s))
 
 
+def _perturb_tower(monkeypatch, s):
+    # the first-order closed tower of kb's cross-check gains s ds
+    real = lepage.krupka_betounes_first
+    monkeypatch.setattr(lepage, "krupka_betounes_first",
+                        lambda lam: real(lam) + volume(lam.ctx).scale(s))
+
+
 @pytest.mark.parametrize("perturb,message", [
     (_perturb_theta, "residual route disagrees with the chart Poincare-Cartan form; "
      "decomposition bug; smallest differing term: rebuilt (G'x2*u_1) * ds, expected 0"),
     (_perturb_rebuild, "xi telescoping does not rebuild p_k rho (k=1, s=0, D=1); "
      "smallest differing term: rebuilt (G'x2*u_1) * w(u) /\\ ds, expected 0"),
+    (_perturb_tower, "recurrence and closed form disagree; "
+     "smallest differing term: rebuilt 0, expected (G'x2*u_1) * ds"),
 ])
 def test_self_checks_decide_formal_differences_by_their_expansion(monkeypatch, perturb,
                                                                    message):
     # a formal difference is expanded before it is read: one that expands to
-    # a nonzero term fails and names it, one that expands to zero passes
-    argv = ["pc", "--base-dim", "2", "--fiber-dim", "1", "--order", "1",
+    # a nonzero term fails and names it, one that expands to zero passes;
+    # only kb reads the closed tower
+    cmd, build = (("kb", lepage._kb) if perturb is _perturb_tower
+                  else ("pc", lepage.poincare_cartan))
+    argv = [cmd, "--base-dim", "2", "--fiber-dim", "1", "--order", "1",
             "1/2*(u_x^2+u_y^2)"]
     expected = run_cli(argv)
     nonzero, zero = _formal_perturbations()
     lam = lepage.Lagrangian(Context(n=2, m=1), 1, se.y(1, 1) ** 2 * se.rational(1, 2))
-    theta = lepage.poincare_cartan(lam)
+    rho = build(lam)
     with monkeypatch.context() as patch:
         perturb(patch, nonzero)
         assert run_cli(argv) == (3, "", f"internal error: {message}\n")
         with pytest.raises(AssertionError, match=re.escape(message)):
-            lepage.poincare_cartan(lam)
+            build(lam)
     with monkeypatch.context() as patch:
         perturb(patch, zero)
         assert run_cli(argv) == expected
-        assert lepage.poincare_cartan(lam) == theta
+        assert build(lam) == rho
 
 
 @pytest.mark.parametrize("flags", [["--order", "1", "u_x*v_y^2"],
                                    ["--order", "2", "--variant", "plain", "u_xx*v_y^2"]])
 def test_cli_kb_failed_cross_check_is_internal_error_3(monkeypatch, flags):
     # a terminal without the contact corrections disagrees with the closed form
-    monkeypatch.setattr(cli, "rossi_recurrence",
-                        lambda lam: lepage.LepageChain([lam.form()]))
+    monkeypatch.setattr(lepage, "_chain", lambda lam: [lam.form()])
     code, out, err = run_cli(["kb", "--base-dim", "2", "--fiber-dim", "2"] + flags)
     assert code == 3
     assert out == ""
@@ -463,9 +481,8 @@ def test_cli_kb_failed_cross_check_is_internal_error_3(monkeypatch, flags):
 
 def test_cli_kb_runs_the_recurrence_only_to_cross_check(monkeypatch):
     calls = []
-    real = cli.rossi_recurrence
-    monkeypatch.setattr(cli, "rossi_recurrence",
-                        lambda lam: calls.append(lam.order) or real(lam))
+    real = lepage._chain
+    monkeypatch.setattr(lepage, "_chain", lambda lam: calls.append(lam.order) or real(lam))
     base = ["kb", "--base-dim", "2", "--fiber-dim", "1"]
     expr = "u_xx*u_y^2 + u_x*u_xy"
     for flags in (["--order", "1", "u_x*u_y^2"],
@@ -474,6 +491,38 @@ def test_cli_kb_runs_the_recurrence_only_to_cross_check(monkeypatch):
         code, out, err = run_cli(base + flags)
         assert code == 0 and out and err == ""
     assert calls == [1, 2]
+
+
+def test_kb_and_the_lepage_identities_never_expand_a_chain_member(monkeypatch):
+    # the chain is compared formally: neither command builds the expanded
+    # chain, and no member of the formal one is expanded
+    members, expanded, recurrences = [], [], []
+    real_chain, real_expanded = lepage._chain, interior_euler._expanded
+
+    def chain(lam):
+        forms = real_chain(lam)
+        members.extend(forms)
+        return forms
+
+    def spy(rho):
+        expanded.append(rho)
+        return real_expanded(rho)
+
+    for module in (lepage, verify):
+        monkeypatch.setattr(module, "_chain", chain)
+    for module in (interior_euler, lepage, verify):
+        monkeypatch.setattr(module, "_expanded", spy)
+    monkeypatch.setattr(lepage, "rossi_recurrence", recurrences.append)
+    dims = ["--base-dim", "2", "--fiber-dim", "2"]
+    for argv in (["kb"] + dims + ["--order", "1", "u_x*v_y^2"],
+                 ["kb"] + dims + ["--order", "2", "u_xx*v_y^2 + u_x*v_xy"],
+                 ["verify", "--identity", "kb-first"] + dims,
+                 ["verify", "--identity", "kb-second"] + dims,
+                 ["verify", "--identity", "rossi-rho2", "--base-dim", "2", "--fiber-dim", "1"]):
+        code, out, err = run_cli(argv)
+        assert code == 0 and out and err == "", argv
+    assert members and expanded and recurrences == []
+    assert not {id(rho) for rho in members} & {id(rho) for rho in expanded}
 
 
 def test_cli_command_shares_one_chain_rule_memo(monkeypatch):

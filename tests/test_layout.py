@@ -47,3 +47,36 @@ def test_the_parser_has_no_recursion():
                 reached.add(name)
                 todo += calls[name]
         assert start not in reached, start
+
+
+def _binds_mismatch(test) -> bool:
+    """Whether an ``if`` test binds the result of a _mismatch(...) call."""
+    return any(isinstance(n, ast.NamedExpr) and isinstance(n.value, ast.Call)
+               and isinstance(n.value.func, ast.Name) and n.value.func.id == "_mismatch"
+               for n in ast.walk(test))
+
+
+def test_every_failed_self_check_is_decided_by_mismatch():
+    # one decision rule: an AssertionError, or a class derived from it, is
+    # raised only in an ``if`` whose test binds the result of _mismatch(...)
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    classes = [d for t in trees.values() for d in ast.walk(t) if isinstance(d, ast.ClassDef)]
+    checks = {"AssertionError"}
+    while derived := {d.name for d in classes if d.name not in checks and any(
+            isinstance(b, ast.Name) and b.id in checks for b in d.bases)}:
+        checks |= derived
+    undecided = []
+    for module, tree in trees.items():
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and node.exc is not None):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in checks):
+                continue
+            guard = parents.get(node)
+            while guard is not None and not isinstance(guard, ast.If):
+                guard = parents.get(guard)
+            if guard is None or not _binds_mismatch(guard.test):
+                undecided.append(f"{module}:{node.lineno}")
+    assert undecided == []

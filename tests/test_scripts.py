@@ -5,6 +5,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,29 @@ def test_ab_lepage_runs_each_side_against_its_own_modules():
         for k in [k for k in sys.modules if k == "jetform" or k.startswith("jetform.")]:
             del sys.modules[k]
         sys.modules.update(saved)
+
+
+def test_ab_lepage_cli_density_cases_take_an_order():
+    ab = _ab_lepage()
+    for case in ("cli/kb/n2m1r2", "cli/el/n3m2r1", "cli/pc/n2m2", "cli/split/n2m1"):
+        assert ab.case_name(case) == case
+    for case in ("cli/kb/n2m1r3", "cli/kb/n2m1r0", "cli/split/n2m1r2", "cli/alpha/n2m1r1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            ab.case_name(case)
+    # an order-2 kb request runs the plain variant, whose closed form is
+    # cross-checked against the recurrence, at -r 2
+    argvs = []
+    side = {name: importlib.import_module(f"jetform.{name}")
+            for name in ("forms", "printers", "randomgen")}
+    side["cli"] = types.SimpleNamespace(main=lambda argv: argvs.append(argv) or 0)
+    ab.run_cli(side, "cli/kb/n2m1r2")
+    assert len(argvs) == len(ab.SEEDS)
+    assert all(argv[:7] == ["kb", "-n", "2", "-m", "1", "-r", "2"] for argv in argvs)
+    assert any("u_11" in argv[-1] or "u_12" in argv[-1] or "u_22" in argv[-1] for argv in argvs)
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run([sys.executable, "scripts/ab_lepage.py", "src", "src",
+                           "--cases", "cli/kb/n2m1r2", "--reps", "1"],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[1].split()[0] == "cli/kb/n2m1r2"
