@@ -8,7 +8,9 @@ expression argument reads stdin when given as "-".
 
 main(argv) may be called repeatedly in one process.  The argparse tree is
 built on the first call and kept; every call parses into a fresh
-Namespace, reads its own stdin and streams, and opens a fresh memo scope.
+Namespace, reads its own stdin and streams, and opens a fresh memo scope,
+which also pauses the cyclic garbage collector for the call
+(``symexpr._memo_scope``).
 """
 
 from __future__ import annotations

@@ -222,21 +222,26 @@ def _telescope(acc: dict, sigma: int, K: tuple, eta: Form) -> None:
     The J are walked index by index, so each d_J is one total derivative of
     the d_J' before it, and only the derivatives on the current path live.
     """
-    counts = sorted(Counter(K).items())
+    _walk(acc, sigma, sorted(Counter(K).items()), 0, eta, (), 1)
 
-    def walk(t, form, I, weight):
-        if t == len(counts):
-            _add_into(acc.setdefault((sigma, I), {}), form, weight)
-            return
-        a, ka = counts[t]
-        for j in range(ka + 1):
-            if j:
-                form = total_derivative_form(form, a)
-                if form.is_zero():
-                    return
-            walk(t + 1, form, I + (a,) * (ka - j), (-1) ** j * comb(ka, j) * weight)
 
-    walk(0, eta, (), 1)
+def _walk(acc: dict, sigma: int, counts: list, t: int, form: Form, I: tuple,
+          weight: int) -> None:
+    # module-level, not a closure of _telescope: a nested function that
+    # calls itself holds itself through its closure cell, a reference cycle
+    # that only the cyclic collector frees, and the library makes none
+    # (``symexpr._memo_scope``)
+    if t == len(counts):
+        _add_into(acc.setdefault((sigma, I), {}), form, weight)
+        return
+    a, ka = counts[t]
+    for j in range(ka + 1):
+        if j:
+            form = total_derivative_form(form, a)
+            if form.is_zero():
+                return
+        _walk(acc, sigma, counts, t + 1, form, I + (a,) * (ka - j),
+              (-1) ** j * comb(ka, j) * weight)
 
 
 def ibp_expand(rho: Form, k: int, etas: dict | None = None) -> XiFamily:

@@ -54,7 +54,13 @@ shape.  An entry is a pure function of its key, since an atom's key
 carries name, indices, n, m, order and partials, and scalars are never
 mutated, so every call inside the scope may share it.  ``_memo_scope``
 opens the memo, nested scopes reuse it, and the outermost scope drops it
-in ``finally``: nothing is carried from one input to the next.
+in ``finally``: nothing is carried from one input to the next.  The
+library makes no reference cycles (a nested function that calls itself
+would be one), so reference counting frees everything a call drops, and
+the outermost scope also pauses the cyclic garbage collector: its full
+collections would walk the call's live heap, which grows with n, m and
+the jet order, and free nothing.  The scope restores the collector state
+it found on any exit.
 
 Inside a ``_formal_scope`` the formal atoms stay formal.  The
 integration-by-parts telescope, the residual in ``interior_euler`` and the
@@ -78,6 +84,7 @@ d_i and with every partial, so it gives exactly the chain-rule result.
 
 from __future__ import annotations
 
+import gc
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
@@ -372,16 +379,28 @@ _formal = False               # d_i of an opaque atom stays one formal atom
 @contextmanager
 def _memo_scope():
     """Keep everything derived from atoms for the rest of the outermost open
-    scope."""
+    scope, and pause the cyclic garbage collector until it closes.
+
+    The library makes no reference cycles, so reference counting frees
+    everything a call drops, and a collection during the call would only
+    walk its live heap to free nothing.  The outermost scope restores the
+    collector state it found on any exit: nested scopes leave it paused,
+    and a caller that turned it off finds it off.  The memo is one module
+    global, so the library is single-threaded.
+    """
     global _derived
     if _derived is not None:
         yield
         return
-    _derived = {}
+    collecting = gc.isenabled()
     try:
+        gc.disable()
+        _derived = {}
         yield
     finally:
         _derived = None
+        if collecting:
+            gc.enable()
 
 
 @contextmanager

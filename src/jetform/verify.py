@@ -233,16 +233,19 @@ def check_rossi_rho2(seed: int, n: int = 2, m: int = 1) -> tuple:
                        ("random", Lagrangian(ctx, 2, randomgen.rand_density(rng, ctx, 2)))]:
         with symexpr._formal_scope():  # the displayed form is built formally too
             rho2 = _chain(lam)[1]
+            # f^J_sigma depends on the sorted J only: each is built once
+            f = {(sig, J): lam.momentum(sig, J)
+                 for sig in fibers for J in symexpr.jet_keys(n, 2) if J}
             acc: dict = {}  # the displayed form
             _add_into(acc, lam.form())
             for sig, i in itertools.product(fibers, bases):
                 ds_i = ds_block(ctx, (i,))
-                _add_into(acc, wedge(omega(ctx, sig), ds_i).scale(lam.momentum(sig, (i,))))
+                _add_into(acc, wedge(omega(ctx, sig), ds_i).scale(f[sig, (i,)]))
                 for j in bases:
                     _add_into(acc, wedge(omega(ctx, sig, j), ds_i)
-                              .scale(lam.momentum(sig, (i, j))))
+                              .scale(f[sig, (min(i, j), max(i, j))]))
             for s1, i1, s2, i2, j2 in itertools.product(fibers, bases, fibers, bases, bases):
-                c = symexpr.partial(lam.momentum(s2, (i2, j2)), ('y', s1, (i1,)))
+                c = symexpr.partial(f[s2, (min(i2, j2), max(i2, j2))], ('y', s1, (i1,)))
                 term = wedge(omega(ctx, s1), wedge(omega(ctx, s2, j2), ds_block(ctx, (i1, i2))))
                 _add_into(acc, term.scale(c * Fraction(1, 2)))
         items.append((label, rho2, _summed(ctx, acc)))

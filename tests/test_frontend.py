@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import random
 import re
@@ -550,6 +551,100 @@ def test_cli_command_shares_one_chain_rule_memo(monkeypatch):
                           "--order", "1", "1/2*(u_x^2+u_y^2)"])
     assert code == 3
     assert se._derived is None
+
+
+# -- the cyclic garbage collector ---------------------------------------------------
+
+ACYCLIC_COMMANDS = [
+    ["el", "-n", "2", "-m", "1", "-r", "1", "1/2*(u_x^2+u_y^2)"],
+    ["pc", "-n", "2", "-m", "1", "-r", "1", "1/2*(u_x^2+u_y^2) + u*u_x*u_y"],
+    ["kb", "-n", "2", "-m", "1", "-r", "2", "--variant", "plain", "u_xx*u_y^2 + u_x*u_xy"],
+    ["kb", "-n", "2", "-m", "1", "-r", "2", "--variant", "generalized",
+     "u_xx*u_y^2 + u_x*u_xy"],
+    ["split", "-n", "2", "-m", "1", "-r", "1", "u_1 * w(u,1) /\\ dx2 + u^2 * w(u) /\\ dx1"],
+    ["splitlike", "-n", "2", "-m", "1", "-r", "1", "u_1 * w(u,1) /\\ dx2"],
+    ["alpha", "-n", "2", "-m", "1", "-r", "2", "u_1 * w(u,11) /\\ dx2 + u_2 * w(u,12) /\\ dx1"],
+    ["ieuler", "-n", "2", "-m", "1", "-r", "1", "u_1 * w(u,1) /\\ w(u) /\\ ds"],
+    ["residual", "-n", "2", "-m", "1", "-r", "1", "u_1 * w(u,1) /\\ dx2"],
+    ["residual", "-n", "2", "-m", "1", "-r", "2",
+     "u_1*u_12 * w(u,12) /\\ ds + u^2 * w(u,1) /\\ ds"],
+    ["decompose", "-n", "2", "-m", "1", "-r", "1", "u_1 * w(u,1) /\\ dx2 + u*dx1"],
+    ["verify", "-n", "2", "-m", "1", "--identity", "all"],
+]
+
+
+def test_the_library_makes_no_cyclic_garbage():
+    # reference counting alone frees what a call drops, which is why the
+    # outermost memo scope may pause the cyclic collector; argparse's own
+    # formatters make cycles, once, while the kept tree is built
+    cli.build_parser()
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in ACYCLIC_COMMANDS:
+            code, out, err = run_cli(argv)
+            assert code == 0 and out and err == "", argv
+        for ctx, order in [(CTX21, 2), (Context(n=3, m=2), 1)]:
+            lam = lepage.generic_lagrangian(ctx, order)
+            lepage.poincare_cartan(lam)
+            lepage.rossi_recurrence(lam)
+            lepage.euler_lagrange(lam)
+            if order == 1:
+                lepage.krupka_betounes_first(lam)
+            else:
+                lepage.kb_second_order(lam, "plain")
+                lepage.kb_second_order(lam, "generalized")
+        gc.collect()
+        assert not gc.garbage, sorted({getattr(o, "__qualname__", type(o).__qualname__)
+                                        for o in gc.garbage})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def test_the_outermost_scope_pauses_the_collector_on_every_exit(monkeypatch):
+    assert gc.isenabled()
+    states = []
+    real = lepage._step
+
+    def step(lam, prev, q):
+        states.append(gc.isenabled())
+        return real(lam, prev, q)
+
+    monkeypatch.setattr(lepage, "_step", step)
+    lam = lepage.generic_lagrangian(CTX21, 1)
+    lepage.rossi_recurrence(lam)
+    assert states and not any(states)
+    assert gc.isenabled()
+    # nested scopes leave it paused; the outermost one turns it back on
+    with se._memo_scope():
+        lepage.rossi_recurrence(lam)
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    # a caller that turned it off finds it off
+    gc.disable()
+    try:
+        lepage.rossi_recurrence(lam)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    def interrupted(lam, prev, q):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(lepage, "_step", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        lepage.rossi_recurrence(lam)
+    assert gc.isenabled()
+    monkeypatch.setattr(lepage, "_step", real)
+    code, _, err = run_cli(["el", "-n", "2", "-m", "1", "-r", "1", "u/0"])
+    assert code == 2 and err.startswith("error: ")
+    assert gc.isenabled()
+    monkeypatch.setattr(lepage, "poincare_cartan_closed", lambda lam: volume(lam.ctx))
+    code, _, err = run_cli(["pc", "-n", "2", "-m", "1", "-r", "1", "1/2*(u_x^2+u_y^2)"])
+    assert code == 3 and err.startswith("internal error: ")
+    assert gc.isenabled()
 
 
 def test_cli_stdin():

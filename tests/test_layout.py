@@ -80,3 +80,15 @@ def test_every_failed_self_check_is_decided_by_mismatch():
             if guard is None or not _binds_mismatch(guard.test):
                 undecided.append(f"{module}:{node.lineno}")
     assert undecided == []
+
+
+def test_only_symexpr_touches_the_garbage_collector():
+    # one collector policy: the outermost symexpr._memo_scope pauses it
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "gc" in names:
+                importers.append(path.name)
+    assert importers == ["symexpr.py"]
