@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time two jetform source trees against each other in one process.
 
-Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 alpha/n4m2 verify/prop-da/n3m2
-                                                     cli/el/n2m1 cli/split/n3m2] [--reps 12]
+Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 lepage-check/n3m2r2 alpha/n4m2
+                                      verify/prop-da/n3m2 cli/el/n2m1 cli/split/n3m2] [--reps 12]
 
 A_SRC and B_SRC are ``src`` directories (a checkout of the parent commit
 and the working tree, say).  Both are imported into this interpreter under
@@ -13,9 +13,11 @@ running, whose covector table its forms were built with.  A case ``nNmMrR`` is t
 closed Krupka-Betounes equivalent, the Rossi recurrence and the
 Euler-Lagrange form of a generic opaque Lagrangian at (n, m, order), for
 any N, M >= 1 and R in {1, 2}; the default cases are the benchmark's grid,
-which leaves out n4m2r2.  A
-case ``alpha/nNmM`` times ``alpha_discrepancy``, both splittings of a
-morphism, and the contact forms of alpha and Dalpha, where their
+which leaves out n4m2r2.  A case ``lepage-check/nNmMrR`` times
+``lepage_check`` on the closed equivalent of the same generic Lagrangian,
+the benchmark's deep check; the closed form is built before the clock
+starts.  A case ``alpha/nNmM`` times ``alpha_discrepancy``, both
+splittings of a morphism, and the contact forms of alpha and Dalpha, where their
 coefficients are divided, on a generic opaque and a seeded random
 polynomial morphism of codegree 1 and rank 2.  A case
 ``verify/<identity>/nNmM`` times
@@ -42,7 +44,8 @@ host's speed of the moment, so the median of their ratios drifts less
 than the ratio of the medians; the total line takes it over the per-pair
 sums of all cases.  The first repetition also checks that both sides print
 the same forms, or for a verify or cli case the same stdout and exit
-codes; a difference exits 1.
+codes, or for a lepage-check case the same ``ok`` (the one field of the
+report that every tree has); a difference exits 1.
 """
 
 import argparse
@@ -60,6 +63,7 @@ from itertools import count
 GRID = [f"n{n}m{m}r{r}" for n in (2, 3, 4) for m in (1, 2) for r in (1, 2)
         if (n, m, r) != (4, 2, 2)]
 LEPAGE = re.compile(r"n([1-9][0-9]*)m([1-9][0-9]*)r([12])")
+CHECK = re.compile(r"lepage-check/(n[1-9][0-9]*m[1-9][0-9]*r[12])")
 ALPHA = [f"alpha/n{n}m{m}" for n in (2, 3, 4) for m in (1, 2)]
 VERIFY = re.compile(r"verify/([a-z0-9-]+)/n([1-9])m([1-9])")
 CLI = re.compile(r"cli/(el|pc|kb|split|splitlike|alpha)/n([1-9])m([1-9])(?:r([12]))?")
@@ -71,10 +75,11 @@ def case_name(text: str) -> str:
     cli = CLI.fullmatch(text)
     if cli and not (cli[1] in MORPHISM_COMMANDS and cli[4]):
         return text
-    if any(p.fullmatch(text) for p in (LEPAGE, VERIFY)) or text in ALPHA:
+    if any(p.fullmatch(text) for p in (LEPAGE, CHECK, VERIFY)) or text in ALPHA:
         return text
     raise argparse.ArgumentTypeError(
-        f"{text!r} is none of nNmMr1, nNmMr2 (N, M >= 1), {', '.join(ALPHA)}, "
+        f"{text!r} is none of [lepage-check/]nNmMr1, [lepage-check/]nNmMr2 (N, M >= 1), "
+        f"{', '.join(ALPHA)}, "
         "verify/<identity>/nNmM, cli/<el|pc|kb>/nNmM[r1|r2] "
         "or cli/<split|splitlike|alpha>/nNmM")
 
@@ -160,17 +165,29 @@ def run_case(side, slot: str, name: str):
     if slot.startswith("cli/"):
         return run_cli(side, slot)
     forms, lepage = side["forms"], side["lepage"]
-    n, m, r = map(int, LEPAGE.fullmatch(slot).groups())
+    check = CHECK.fullmatch(slot)
+    n, m, r = map(int, LEPAGE.fullmatch(check[1] if check else slot).groups())
     lam = lepage.generic_lagrangian(forms.Context(n=n, m=m), r, name=name)
+    if check:
+        closed = _closed(lepage, lam)
+        gc.collect()
+        t0 = time.perf_counter()
+        ok = lepage.lepage_check(closed, lam).ok
+        return time.perf_counter() - t0, [ok]
     gc.collect()
     t0 = time.perf_counter()
-    if r == 1:
-        closed = lepage.krupka_betounes_first(lam)
-    else:
-        closed = lepage.kb_second_order(lam, "plain")
-    out = (closed, lepage.rossi_recurrence(lam).terminal, lepage.euler_lagrange(lam))
+    out = (_closed(lepage, lam), lepage.rossi_recurrence(lam).terminal,
+           lepage.euler_lagrange(lam))
     elapsed = time.perf_counter() - t0
     return elapsed, [side["printers"].form_text(f) for f in out]
+
+
+def _closed(lepage, lam):
+    """The closed Krupka-Betounes equivalent the benchmark checks: the
+    first-order one, or the plain second-order variant."""
+    if lam.order == 1:
+        return lepage.krupka_betounes_first(lam)
+    return lepage.kb_second_order(lam, "plain")
 
 
 def main():

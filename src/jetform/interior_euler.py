@@ -14,17 +14,20 @@ The pipeline shared by every operator here:
 
    where K_a counts the index a in K.  This equals the sum over ordered J
    of (-1)^|J| C(|K|, |J|) d_J eta^K / mult(K), the ordered-convention
-   xi^I, so every stored coefficient is an int and no division happens
-   until the residual.  D and the cleared etas come from ``forms._cleared``.
-   The exactness self-check rebuilds D p_k rho as the sum over sorted I of
+   xi^I, so every stored coefficient is an int; only the rebuild and the
+   residual divide, each once, at its trie root.  D and the cleared etas
+   come from ``forms._cleared``.
+   The exactness self-check rebuilds p_k rho as the sum over sorted I of
    d_I(omega ^ D mult(I) xi^I) by Horner's rule over the trie of the I
-   (``forms.total_derivative_sum``), one form total derivative per node.
+   (``forms.total_derivative_sum``), one form total derivative per node,
+   divided by D once, at the trie root.
    The telescope and the rebuild run in a ``symexpr._formal_scope``: each
    d_I of an opaque atom f stays one formal atom D_I f, so the stored
-   family is formal.  The rebuilt form is compared with D p_k rho by
-   ``_mismatch``, the one decision rule of every self-check and every
-   ``verify`` report: a literal equality passes, and otherwise the
-   difference is expanded to the chain-rule normal form and compared with zero;
+   family is formal.  The rebuilt form is compared with p_k rho by
+   ``_mismatch``, the one comparison of two forms in the library: it
+   decides every self-check, the Lepage check and every ``verify`` report.
+   A literal equality passes, and otherwise the difference is expanded to
+   the chain-rule normal form and compared with zero;
 3. assemble the residual operator from the xi family by the contraction
    iota_a dual to dx^a (``_residual``), its total derivatives again summed
    over a trie, formally; ``residual`` expands it once, and the Lepage
@@ -51,10 +54,9 @@ from math import comb
 
 # GradingMismatch is re-exported for callers that import it from here
 from .forms import (Form, GradingMismatch, _add_into, _cleared, _contract,
-                    _covectors, _summed, codegree, contract_omega, ds_parts,
-                    omega, p_k, total_derivative_form, total_derivative_sum,
-                    wedge)
-from .multiindex import signed_get, tuple_multiplicity
+                    _covectors, _summed, codegree, contract_omega, omega, p_k,
+                    total_derivative_form, total_derivative_sum, wedge)
+from .multiindex import tuple_multiplicity
 from .symexpr import Scalar, _formal_scope, _memo_scope, expand
 
 
@@ -66,10 +68,10 @@ class ExpansionMismatch(AssertionError):
     """The telescoped xi family does not rebuild p_k rho (a multiplicity bug)."""
 
 
-def _mismatch(got: Form, want: Form, D: int = 1) -> str | None:
-    """None when got == D want, else the smallest term of the expanded
-    difference printed from both sides: the decision of every self-check
-    and every ``verify`` report.
+def _mismatch(got: Form, want: Form) -> str | None:
+    """None when got == want, else the smallest term of the expanded
+    difference printed from both sides: the one decision of every
+    self-check, of ``lepage.lepage_check`` and of every ``verify`` report.
 
     A literal equality holds; so does a difference that expands to zero.
     Formal and chain-rule atoms are not algebraically independent, so a
@@ -78,15 +80,14 @@ def _mismatch(got: Form, want: Form, D: int = 1) -> str | None:
     difference decides the same equality as expanding both sides.  Terms
     are ranked by wedge length, monomial degree, then printed text.
     """
-    if got == want if D == 1 else _is_multiple(got, want, D):
+    if got == want:
         return None
-    diff = _expanded(got - want.scale(D))
+    diff = _expanded(got - want)
     if diff.is_zero():
         return None
     from .printers import form_text  # only a failing check prints
     ctx = got.ctx
-    got, want = _expanded(got).scale(Fraction(1, D)), _expanded(want)
-    diff = diff.scale(Fraction(1, D))
+    got, want = _expanded(got), _expanded(want)
 
     def term(form, w, mono):
         c = form.terms.get(w, Scalar.zero()).terms.get(mono, 0)
@@ -152,7 +153,7 @@ def eta_decompose(rho: Form, k: int, etas: dict | None = None) -> EtaDecompositi
 
 @dataclass
 class XiFamily:
-    """The telescoped family on integers, and views of it.
+    """The telescoped family on integers, and its expanded view.
 
     ``int_xi`` is the formal integer family: it maps (sigma, I sorted) to
     D mult(I) xi^I_sigma, every coefficient an int, with D =
@@ -160,11 +161,8 @@ class XiFamily:
     (``symexpr``), so a form in it may expand to zero.  Only the residual
     reads it.  Built on first read and expanded, with the entries that
     expand to zero dropped, ``xi`` is the family in the ordered convention
-    of the module docstring and ``chi`` maps (block strictly increasing,
-    I sorted) to the k-contact k-forms with omega^sigma ^ xi^I_sigma = sum
-    of chi^{block, I} ^ ds_block (``forms.ds_parts``).  ``chi_at`` is signed
-    in its block, so an antisymmetrization over the block plus one index is
-    s+1 lookups (``verify.check_prop_div``).
+    of the module docstring; ``verify.check_prop_div`` reads its chi table
+    off it (``forms.ds_parts``).
     """
 
     ctx: object
@@ -181,38 +179,11 @@ class XiFamily:
         return {key: f.scale(Fraction(1, self.denominator * tuple_multiplicity(key[1])))
                 for key, f in expanded.items() if not f.is_zero()}
 
-    @cached_property
-    def chi(self) -> dict:
-        acc: dict = {}
-        for (sigma, I), x in self.xi.items():
-            if I:
-                for block, part in ds_parts(wedge(omega(self.ctx, sigma), x)).items():
-                    _add_into(acc.setdefault((block, I), {}), part)
-        return {key: f for key, v in acc.items() if not (f := _summed(self.ctx, v)).is_zero()}
-
-    def chi_at(self, block, M_sorted) -> Form:
-        """Signed chi lookup for an arbitrarily ordered block."""
-        return signed_get(self.chi, block, (M_sorted,), Form.zero(self.ctx))
-
 
 def _expanded(rho: Form) -> Form:
     """rho with every formal atom expanded (``symexpr.expand``)."""
     return Form(rho.ctx, {w: c for w, s in rho.terms.items()
                           if not (c := expand(s)).is_zero()})
-
-
-def _is_multiple(got: Form, want: Form, D: int) -> bool:
-    """got == D want, compared in integers without building D want."""
-    if got.terms.keys() != want.terms.keys():
-        return False
-    for w, c in want.terms.items():
-        g = got.terms[w].terms
-        if g.keys() != c.terms.keys():
-            return False
-        for m, v in c.terms.items():
-            if g[m] * v.denominator != D * v.numerator:
-                return False
-    return True
 
 
 def _telescope(acc: dict, sigma: int, K: tuple, eta: Form) -> None:
@@ -266,12 +237,12 @@ def ibp_expand(rho: Form, k: int, etas: dict | None = None) -> XiFamily:
                 int_xi[key] = x
 
         # exactness on the stored family: sum over sorted I of
-        # d_I(omega ^ D mult(I) xi^I) rebuilds D p_k rho
+        # d_I(omega ^ D mult(I) xi^I), divided by D at the root, rebuilds p_k rho
         parts: dict = {}
         for (sigma, I), x in int_xi.items():
             _add_into(parts.setdefault(I, {}), wedge(omega(ctx, sigma), x))
-        got = total_derivative_sum(ctx, parts)
-    if failure := _mismatch(got, p_k(rho, k), D):
+        got = total_derivative_sum(ctx, parts, D)
+    if failure := _mismatch(got, p_k(rho, k)):
         raise ExpansionMismatch(
             f"xi telescoping does not rebuild p_k rho (k={k}, s={dec.s}, D={D}); {failure}")
     return XiFamily(ctx, k, dec.s, dec.r, D, int_xi)

@@ -20,8 +20,11 @@ q >= 2 steps take partials of those atoms by the commutator rule of
 ``symexpr``, and theta is cross-checked against the chart form built
 formally too, and ``_kb`` (``jetform kb``) compares the formal closed tower
 with the formal terminal.  The four self-checks (eta recomposition, the xi
-rebuild and these two cross-checks) are decided by ``interior_euler._mismatch``,
-which expands only a difference that is not literally zero.
+rebuild and these two cross-checks) and ``lepage_check`` are decided by
+``interior_euler._mismatch``, the one comparison of two forms, which
+expands only a difference that is not literally zero.  ``_lepage_pairs``
+holds the two pairs of the Lepage check, built in the caller's ring, so a
+formal chain member is checked formally (``verify kb-first``).
 ``poincare_cartan``, ``rossi_recurrence`` and ``_kb`` expand each form once,
 as they return it, so no formal atom leaves the module.
 
@@ -315,24 +318,32 @@ def euler_lagrange(lam: Lagrangian) -> Form:
 
 @dataclass
 class LepageReport:
-    horizontal_ok: bool
-    source_ok: bool
-    horizontal_diff: Form
-    source_diff: Form
+    """Each field is None when its pair of ``_lepage_pairs`` holds, else
+    ``_mismatch``'s text naming the smallest differing term."""
+
+    horizontal: str | None
+    source: str | None
 
     @property
     def ok(self) -> bool:
-        return self.horizontal_ok and self.source_ok
+        return self.horizontal is None and self.source is None
+
+
+def _lepage_pairs(rho: Form, lam: Lagrangian) -> list:
+    """(label, got, want) for p_0 rho = lambda and p_1 d rho = E(lambda).
+
+    d = d_H + d_C, d_H keeps the contact degree and d_C raises it by one, so
+    p_1 d rho = d_C p_0 rho + d_H p_1 rho: only those two halves are built.
+    Both sides are built in the caller's ring: under ``_formal_scope`` a
+    formal rho is compared with the formal lambda and E(lambda).
+    """
+    rho0 = p_k(rho, 0)
+    return [("lepage horizontal", rho0, lam.form()),
+            ("lepage source", d_C(rho0) + d_H(p_k(rho, 1)), euler_lagrange(lam))]
 
 
 @symexpr._memo_scope()
 def lepage_check(rho: Form, lam: Lagrangian) -> LepageReport:
-    """Whether p_0(rho) is the Lagrangian and p_1(d rho) its source form.
-
-    d = d_H + d_C, d_H keeps the contact degree and d_C raises it by one, so
-    p_1 d rho = d_C p_0 rho + d_H p_1 rho: only those two halves are built.
-    """
-    rho0 = p_k(rho, 0)
-    hdiff = rho0 - lam.form()
-    sdiff = d_C(rho0) + d_H(p_k(rho, 1)) - euler_lagrange(lam)
-    return LepageReport(hdiff.is_zero(), sdiff.is_zero(), hdiff, sdiff)
+    """Whether p_0(rho) is the Lagrangian and p_1(d rho) its source form,
+    each pair of ``_lepage_pairs`` decided by ``_mismatch``."""
+    return LepageReport(*(_mismatch(got, want) for _, got, want in _lepage_pairs(rho, lam)))

@@ -7,8 +7,8 @@ of base indices.  Internally symmetric data is keyed by the sorted tuple;
 Every permutation sign in the library that sorts a sequence comes from
 ``sort_with_sign``: a covector sequence put in bit order (``forms._mask``),
 a decoded wedge put in printed order (``printers``), the sign of
-``forms.ds_block``, and the signed lookup of coefficients stored per
-strictly increasing block (``signed_get``).  A single move is signed by
+``forms.ds_block``, and the lookup of a chi form stored per strictly
+increasing block (``verify._gathered_chi``).  A single move is signed by
 the parity of its distance, with no sort: an index moved into or out of a
 block by ``varmorph``, and a covector joining a wedge stored as a bitmask
 (``forms._insert``), where the distance is the count of the wedge's bits
@@ -54,18 +54,3 @@ def sort_with_sign(items, key=None):
             break
     return tuple(items[t] for t in order), sign
 
-
-def signed_get(table: dict, block, rest: tuple, default):
-    """``table[(sorted block,) + rest]`` times the sign that sorts ``block``.
-
-    Tables keyed by a strictly increasing block answer lookups for any
-    ordering of it; ``default`` comes back when the block repeats an index
-    or the key is absent.
-    """
-    sblock, sign = sort_with_sign(block)
-    if sign == 0:
-        return default
-    val = table.get((sblock,) + rest)
-    if val is None:
-        return default
-    return val if sign == 1 else -val

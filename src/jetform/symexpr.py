@@ -44,13 +44,15 @@ d_{I[-1]} of the expansion of D_{I[:-1]} f for more.  Which jet
 coordinates an opaque atom depends on is read off the shape in its key by
 ``_coords``.
 
-While an outermost library call runs (the Lepage builders in ``lepage``
-and one CLI command), one memo holds everything derived from atoms, by
-identity: d_i of each atom in the formal ring (``_formal_total``), the
-labelled partial for (atom, coordinate), the partial of each formal atom
-in each coordinate, the nonzero partials that ``gradient`` reads per atom,
-the expansion of each formal atom and the jet coordinates of an opaque
-shape.  An entry is a pure function of its key, since an atom's key
+While an outermost library call runs (the Lepage builders and
+``lepage_check`` in ``lepage``, the splittings ``split_like``,
+``split_canonical_codegree_s`` and ``alpha_discrepancy`` in ``varmorph``,
+``verify.run_identity`` and one CLI command), one memo holds everything
+derived from atoms, by identity: d_i of each atom in the formal ring
+(``_formal_total``), the labelled partial for (atom, coordinate), the
+partial of each formal atom in each coordinate, the nonzero partials that
+``gradient`` reads per atom, the expansion of each formal atom and the jet
+coordinates of an opaque shape.  An entry is a pure function of its key, since an atom's key
 carries name, indices, n, m, order and partials, and scalars are never
 mutated, so every call inside the scope may share it.  ``_memo_scope``
 opens the memo, nested scopes reuse it, and the outermost scope drops it

@@ -2,9 +2,10 @@
 into covector tuples in printed order and a tuple-keyed oracle of the
 mask operations, a covector walk for d_H, the per-J derivative chain of
 the interior Euler operator, a grid of random forms over every bidegree,
-the wedge of several factors, the (s+1)!-ordering antisymmetrization of a
-chi family, and the form-level three-way split that the morphism-level
-split-like decomposition is checked against.
+the wedge of several factors, the chi table of a xi family with its signed
+lookup and (s+1)!-ordering antisymmetrization, and the form-level
+three-way split that the morphism-level split-like decomposition is
+checked against.
 
 The tuple oracle keys each term by its covectors in printed order and
 takes every sign from ``sort_with_sign``; it reads no mask.
@@ -27,8 +28,8 @@ from jetform import forms
 from jetform import interior_euler as ie
 from jetform import printers
 from jetform import symexpr
-from jetform.forms import (Context, Form, contract_omega, d_H, ds_block, omega,
-                           p_k, total_derivative_form_multi, wedge)
+from jetform.forms import (Context, Form, contract_omega, d_H, ds_block, ds_parts,
+                           omega, p_k, total_derivative_form_multi, wedge)
 from jetform.multiindex import sort_with_sign
 from jetform.printers import _cov_key
 from jetform.randomgen import rand_form
@@ -235,13 +236,37 @@ def formal_atoms(forms) -> set:
             if a.kind == 'g'}
 
 
-def chi_antisym(fam: ie.XiFamily, block, i: int, I_sorted) -> Form:
-    """chi^{[block i] I}: normalized antisymmetrization over block + i."""
+def chi_table(fam: ie.XiFamily) -> dict:
+    """(block strictly increasing, I sorted) -> chi^{block, I}, the k-contact
+    k-forms with omega^sigma ^ xi^I_sigma = sum of chi^{block, I} ^ ds_block,
+    read off the expanded xi family (``forms.ds_parts``); zeros dropped."""
+    chi: dict = {}
+    for (sigma, I), x in fam.xi.items():
+        if I:
+            for block, part in ds_parts(wedge(omega(fam.ctx, sigma), x)).items():
+                chi[block, I] = chi[block, I] + part if (block, I) in chi else part
+    return {key: f for key, f in chi.items() if not f.is_zero()}
+
+
+def signed_lookup(table: dict, block, rest: tuple, default):
+    """``table[(sorted block,) + rest]`` times the sign that sorts ``block``;
+    ``default`` when the block repeats an index or the key is absent."""
+    sblock, sign = sort_with_sign(block)
+    val = table.get((sblock,) + rest) if sign else None
+    if val is None:
+        return default
+    return val if sign == 1 else -val
+
+
+def chi_antisym(ctx: Context, chi: dict, block, i: int, I_sorted) -> Form:
+    """chi^{[block i] I}: normalized antisymmetrization over block + i, for
+    ``chi`` a table of ``chi_table``."""
     idxs = tuple(block) + (i,)
     p = len(idxs)
-    out = Form.zero(fam.ctx)
+    out = Form.zero(ctx)
     for arranged, sign in signed_permutations(idxs):
-        val = fam.chi_at(arranged[:-1], tuple(sorted((arranged[-1],) + I_sorted)))
+        val = signed_lookup(chi, arranged[:-1], (tuple(sorted((arranged[-1],) + I_sorted)),),
+                            Form.zero(ctx))
         if not val.is_zero():
             out = out + val.scale(Fraction(sign, math.factorial(p)))
     return out
@@ -259,6 +284,7 @@ def split_lower(rho: Form):
     """
     ctx = rho.ctx
     fam = ie.ibp_expand(rho, 1)
+    chi = chi_table(fam)
     source = Form.zero(ctx)
     for (sigma, I), x in fam.xi.items():
         if len(I) == 0:
@@ -272,8 +298,8 @@ def split_lower(rho: Form):
     for block in itertools.combinations(range(1, n + 1), fam.s):
         for lm in range(1, fam.r + 1):
             for M in itertools.product(range(1, n + 1), repeat=lm):
-                exact = fam.chi_at(block, tuple(sorted(M)))
-                anti = chi_antisym(fam, block, M[0], tuple(sorted(M[1:])))
+                exact = signed_lookup(chi, block, (tuple(sorted(M)),), Form.zero(ctx))
+                anti = chi_antisym(ctx, chi, block, M[0], tuple(sorted(M[1:])))
                 diff = exact - anti
                 if diff.is_zero():
                     continue

@@ -30,7 +30,7 @@ from jetform.varmorph import (alpha_discrepancy, formal_field,
                               split_canonical_codegree_s, split_like,
                               to_contact_form, vertical_field)
 from jetform.verify import CHECKS, run_identity
-from form_oracles import chi_antisym, d_H_walk, wedge_all
+from form_oracles import chi_antisym, chi_table, d_H_walk, wedge_all
 from splitting_oracles import antisym_value, is_reduced
 
 
@@ -128,11 +128,12 @@ def test_criterion_04_prop_div():
         if p_k(rho, k).is_zero():
             continue
         fam = ibp_expand(rho, k)
+        chi = chi_table(fam)
         lhs = Form.zero(ctx)
         for block in itertools.combinations(range(1, n + 1), s):
             for lm in range(1, fam.r + 1):
                 for M in itertools.product(range(1, n + 1), repeat=lm):
-                    anti = chi_antisym(fam, block, M[0], tuple(sorted(M[1:])))
+                    anti = chi_antisym(ctx, chi, block, M[0], tuple(sorted(M[1:])))
                     if anti.is_zero():
                         continue
                     lhs = lhs + wedge(total_derivative_form_multi(anti, M),

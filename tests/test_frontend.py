@@ -244,7 +244,7 @@ def test_cli_verify_fail_names_the_smallest_differing_term(monkeypatch):
 
 def test_cli_verify_prop_div_fails_when_the_chi_gather_is_negated(monkeypatch):
     gather = verify._gathered_chi
-    monkeypatch.setattr(verify, "_gathered_chi", lambda fam, *args: -gather(fam, *args))
+    monkeypatch.setattr(verify, "_gathered_chi", lambda *args: -gather(*args))
     code, out, _ = run_cli(["verify", "--identity", "prop-div"])
     assert code == 1
     assert out.startswith("FAIL prop-div")
@@ -376,9 +376,9 @@ def _recompose_nothing(self):
     return Form.zero(self.ctx)
 
 
-def _drop_derivatives(ctx, parts):
-    # the sum over J of d_J parts[J] with every nonempty J dropped
-    return _summed(ctx, parts.get((), {}))
+def _drop_derivatives(ctx, parts, D=1):
+    # the sum over J of d_J parts[J], divided by D, with every nonempty J dropped
+    return _summed(ctx, parts.get((), {}), D)
 
 
 @pytest.mark.parametrize("module,name,broken,message", [
@@ -511,7 +511,9 @@ def test_kb_and_the_lepage_identities_never_expand_a_chain_member(monkeypatch):
 
     for module in (lepage, verify):
         monkeypatch.setattr(module, "_chain", chain)
-    for module in (interior_euler, lepage, verify):
+    # verify expands nothing itself: every expansion is lepage's or interior_euler's
+    assert not hasattr(verify, "_expanded")
+    for module in (interior_euler, lepage):
         monkeypatch.setattr(module, "_expanded", spy)
     monkeypatch.setattr(lepage, "rossi_recurrence", recurrences.append)
     dims = ["--base-dim", "2", "--fiber-dim", "2"]

@@ -16,7 +16,7 @@ from jetform.interior_euler import (ExpansionMismatch, RecompositionFailure,
 from jetform.randomgen import rand_form
 from jetform.verify import _gathered_chi
 from jetform.symexpr import Scalar
-from form_oracles import (chi_antisym, degree_grid, interior_euler_chain,
+from form_oracles import (chi_antisym, chi_table, degree_grid, interior_euler_chain,
                           split_lower, wedge_all)
 
 CTX1 = Context(n=1, m=1)
@@ -90,7 +90,7 @@ def test_stored_family_is_int_when_eta_has_denominators_2_and_3():
     fam = ibp_expand(rho, 1)
     assert fam.denominator == 6
     assert {I for _, I in fam.int_xi} == {(), (1,), (2,), (1, 2)}
-    assert {I for _, I in fam.chi} == {(1,), (2,), (1, 2)}
+    assert {I for _, I in chi_table(fam)} == {(1,), (2,), (1, 2)}
     coeffs = [v for f in fam.int_xi.values() for c in f.terms.values() for v in c.terms.values()]
     assert coeffs and all(type(v) is int for v in coeffs)
     # the views divide back by D mult(I): eta^{12} is stored per sorted key
@@ -287,11 +287,12 @@ def test_prop_div_identity_randomized():
         if p_k(rho, k).is_zero():
             continue
         fam = ibp_expand(rho, k)
+        chi = chi_table(fam)
         lhs = Form.zero(ctx)
         for block in itertools.combinations(range(1, n + 1), s):
             for lm in range(1, fam.r + 1):
                 for M in itertools.product(range(1, n + 1), repeat=lm):
-                    anti = chi_antisym(fam, block, M[0], tuple(sorted(M[1:])))
+                    anti = chi_antisym(ctx, chi, block, M[0], tuple(sorted(M[1:])))
                     if anti.is_zero():
                         continue
                     lhs = lhs + wedge(total_derivative_form_multi(anti, M),
@@ -308,13 +309,13 @@ def test_chi_gather_over_s_plus_1_lookups_is_the_ordering_walk(s):
     ctx = Context(n=n, m=2)
     nonzero = 0
     for k in (1, 2):
-        fam = ibp_expand(rand_form(rng, ctx, n - s, k, 2, terms=4), k)
+        chi = chi_table(ibp_expand(rand_form(rng, ctx, n - s, k, 2, terms=4), k))
         # unsorted blocks too: the gather and the walk both sign the lookup
         for block in itertools.permutations(range(1, n + 1), s):
             for i in range(1, n + 1):
                 for I in [()] + [(a,) for a in range(1, n + 1)]:
-                    got = _gathered_chi(fam, block, i, I)
-                    assert got == chi_antisym(fam, block, i, I)
+                    got = _gathered_chi(ctx, chi, block, i, I)
+                    assert got == chi_antisym(ctx, chi, block, i, I)
                     nonzero += not got.is_zero()
     assert nonzero
 

@@ -92,3 +92,34 @@ def test_only_symexpr_touches_the_garbage_collector():
             if "gc" in names:
                 importers.append(path.name)
     assert importers == ["symexpr.py"]
+
+
+def _is_subtraction(node) -> bool:
+    if isinstance(node, ast.NamedExpr):
+        node = node.value
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+
+
+def _zero_tested_differences(func) -> set:
+    """The lines in func that call .is_zero() on a subtraction, written
+    inline or through a name assigned from one."""
+    names = {t.id for n in ast.walk(func) if isinstance(n, ast.Assign) and _is_subtraction(n.value)
+             for t in n.targets if isinstance(t, ast.Name)}
+    names |= {n.target.id for n in ast.walk(func)
+              if isinstance(n, ast.NamedExpr) and _is_subtraction(n.value)}
+    return {n.lineno for n in ast.walk(func)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "is_zero"
+            and (_is_subtraction(n.func.value)
+                 or isinstance(n.func.value, ast.Name) and n.func.value.id in names)}
+
+
+def test_only_mismatch_decides_an_equality_of_two_forms():
+    # one comparison: outside _mismatch no function decides whether two
+    # things are equal by whether their difference is zero
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and func.name != "_mismatch":
+                found |= {f"{path.name}:{line}" for line in _zero_tested_differences(func)}
+    assert sorted(found) == []

@@ -15,7 +15,7 @@ from jetform.lepage import (Lagrangian, UnsupportedOrder, euler_lagrange,
                             poincare_cartan, rossi_recurrence)
 from jetform.randomgen import rand_density
 from jetform.symexpr import Scalar
-from form_oracles import formal_atoms, wedge_all
+from form_oracles import chi_table, formal_atoms, wedge_all
 
 CTX21 = Context(n=2, m=1)
 CTX22 = Context(n=2, m=2)
@@ -329,9 +329,12 @@ def test_lepage_check_passes_for_equivalents():
 def test_lepage_check_fails_for_bare_lambda():
     lam = dirichlet()
     rep = lepage_check(lam.form(), lam)
-    assert rep.horizontal_ok
-    assert not rep.source_ok
-    assert not rep.source_diff.is_zero()
+    assert rep.horizontal is None
+    assert not rep.ok
+    # lambda has no 1-contact part, so the source side is d_C lambda alone,
+    # against E(lambda) = -(u_11 + u_22) w(u) ^ ds
+    assert rep.source == ("smallest differing term: rebuilt (u_1) * w(u,1) /\\ ds, "
+                          "expected 0")
 
 
 # -- the memo lives for one outermost call -------------------------------------------
@@ -415,7 +418,7 @@ def test_no_formal_atom_leaves_the_integration_by_parts():
     assert formal_atoms(fam.int_xi.values())
     assert not formal_atoms(chain.forms)
     assert not formal_atoms([ie.residual(rho, 1)])
-    assert not formal_atoms([*fam.xi.values(), *fam.chi.values()])
+    assert not formal_atoms([*fam.xi.values(), *chi_table(fam).values()])
     del fam
     gc.collect()
     assert not [key for key in se._interned if key[0] == 'g']
@@ -475,9 +478,9 @@ def test_recurrence_self_checks_hold_in_the_formal_ring(monkeypatch, n, m, order
     literal = []
     mismatch = ie._mismatch
 
-    def spy(got, want, D=1):
-        literal.append(got == want if D == 1 else ie._is_multiple(got, want, D))
-        return mismatch(got, want, D)
+    def spy(got, want):
+        literal.append(got == want)
+        return mismatch(got, want)
 
     for module in (ie, lepage):
         monkeypatch.setattr(module, "_mismatch", spy)
@@ -488,6 +491,31 @@ def test_recurrence_self_checks_hold_in_the_formal_ring(monkeypatch, n, m, order
     theta = poincare_cartan(lam)
     assert theta == chain.forms[0]
     assert not formal_atoms([theta, *chain.forms])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_lepage_pairs_of_the_formal_chain_hold_literally(monkeypatch, order):
+    # the Lepage check of the formal terminal and of the formal theta needs
+    # no expansion: in the formal ring both pairs are literally equal
+    literal = []
+    mismatch = ie._mismatch
+
+    def spy(got, want):
+        literal.append(got == want)
+        return mismatch(got, want)
+
+    for module in (ie, lepage):
+        monkeypatch.setattr(module, "_mismatch", spy)
+    n = 3
+    lam = generic_lagrangian(Context(n=n, m=2), order)
+    with se._formal_scope():
+        for rho in (lepage._chain(lam)[-1], lepage._theta(lam)):
+            pairs = lepage._lepage_pairs(rho, lam)
+            assert [label for label, _, _ in pairs] == ["lepage horizontal", "lepage source"]
+            for label, got, want in pairs:
+                assert lepage._mismatch(got, want) is None, label
+    # the chain's 2n + 1 self-checks, theta's three again, then two pairs each
+    assert len(literal) == (2 * n + 1) + 3 + 2 * 2 and all(literal)
 
 
 def test_closed_tower_takes_one_momentum_per_sorted_index(monkeypatch):

@@ -7,10 +7,10 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from jetform.forms import Context, Form, _bit, _insert
-from jetform.multiindex import signed_get, sort_with_sign, tuple_multiplicity
+from jetform.multiindex import sort_with_sign, tuple_multiplicity
 from jetform.printers import _cov_key
 from jetform.symexpr import Scalar
-from form_oracles import tuple_terms
+from form_oracles import signed_lookup, tuple_terms
 from splitting_oracles import signed_permutations
 
 
@@ -182,7 +182,7 @@ def test_signed_lookup_convention_via_sort():
     assert (block, sign) == ((1, 3), -1)
     assert sort_with_sign((1, 0, 2))[1] == -1
     table = {((1, 3), 'a'): 5}
-    assert signed_get(table, (3, 1), ('a',), 0) == -5
-    assert signed_get(table, (1, 3), ('a',), 0) == 5
-    assert signed_get(table, (1, 1), ('a',), 0) == 0
-    assert signed_get(table, (1, 2), ('a',), 0) == 0
+    assert signed_lookup(table, (3, 1), ('a',), 0) == -5
+    assert signed_lookup(table, (1, 3), ('a',), 0) == 5
+    assert signed_lookup(table, (1, 1), ('a',), 0) == 0
+    assert signed_lookup(table, (1, 2), ('a',), 0) == 0

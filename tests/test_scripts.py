@@ -28,17 +28,17 @@ def test_ab_lepage_times_a_tree_against_itself():
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, "scripts/ab_lepage.py", "src", "src",
-                           "--cases", "n2m1r1", "alpha/n2m1", "verify/prop-da/n2m1",
-                           "cli/el/n2m1", "cli/split/n2m1", "cli/alpha/n1m1",
-                           "--reps", "1"],
+                           "--cases", "n2m1r1", "lepage-check/n2m1r2", "alpha/n2m1",
+                           "verify/prop-da/n2m1", "cli/el/n2m1", "cli/split/n2m1",
+                           "cli/alpha/n1m1", "--reps", "1"],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, *rows, total = proc.stdout.splitlines()
     assert header.split() == ["case", "a_median_s", "b_median_s", "b/a",
                               "pair_b/a", "b_wins"]
-    assert [row.split()[0] for row in rows] == ["n2m1r1", "alpha/n2m1", "verify/prop-da/n2m1",
-                                                  "cli/el/n2m1", "cli/split/n2m1",
-                                                  "cli/alpha/n1m1"]
+    assert [row.split()[0] for row in rows] == ["n2m1r1", "lepage-check/n2m1r2", "alpha/n2m1",
+                                                  "verify/prop-da/n2m1", "cli/el/n2m1",
+                                                  "cli/split/n2m1", "cli/alpha/n1m1"]
     assert all(row.split()[-1] in ("0/1", "1/1") for row in rows)
     assert total.split()[0] == "total"
     # one repetition: the median of the per-pair ratios is that pair's
@@ -60,6 +60,11 @@ def test_ab_lepage_takes_any_lepage_case_and_keeps_the_default_grid():
     for case in ("n4m2r2", "n1m1r1", "n12m3r2", "n2m1r1"):
         assert ab.case_name(case) == case
     for case in ("n0m1r1", "n2m0r2", "n2m1r3", "n2m1r0", "n02m1r1", "n2m1", "n2m1r1x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            ab.case_name(case)
+    for case in ("lepage-check/n3m2r2", "lepage-check/n4m2r1"):
+        assert ab.case_name(case) == case
+    for case in ("lepage-check/n2m1r3", "lepage-check/n2m1", "lepage-check/alpha/n2m1"):
         with pytest.raises(argparse.ArgumentTypeError):
             ab.case_name(case)
     assert ab.GRID == [f"n{n}m{m}r{r}" for n in (2, 3, 4) for m in (1, 2) for r in (1, 2)
@@ -120,3 +125,24 @@ def test_ab_lepage_cli_density_cases_take_an_order():
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[1].split()[0] == "cli/kb/n2m1r2"
+
+
+def test_ab_lepage_check_case_times_only_the_lepage_check(monkeypatch):
+    # the closed form is built before the clock starts; the case reports
+    # the check's ok, which both report layouts have
+    ab = _ab_lepage()
+    side = {name: importlib.import_module(f"jetform.{name}") for name in ("forms", "lepage")}
+    side["modules"] = {}
+    events = []
+    lepage = side["lepage"]
+    closed, check = lepage.krupka_betounes_first, lepage.lepage_check
+    monkeypatch.setattr(lepage, "krupka_betounes_first",
+                        lambda lam: events.append("closed") or closed(lam))
+    monkeypatch.setattr(lepage, "lepage_check",
+                        lambda rho, lam: events.append("check") or check(rho, lam))
+    monkeypatch.setattr(ab, "time", types.SimpleNamespace(
+        perf_counter=lambda: events.append("clock") or float(len(events))))
+    elapsed, out = ab.run_case(side, "lepage-check/n2m1r1", "Lcheck")
+    assert out == [True]
+    assert events == ["closed", "clock", "check", "clock"]
+    assert elapsed == 2.0
