@@ -35,17 +35,22 @@ Form stays in its process: nothing pickles one.
 The builders write into one running sum, a {wedge: {monomial: coefficient}}
 map (``_add_terms``, ``_add_into``), and make a Form of it once at the end
 (``_summed``); no builder chains Form additions, each of which copies its
-left operand.  ``total_derivative_form`` is the one place a contact
+left operand.  A product of coefficients (``wedge``, ``contract_prolonged``)
+and a total derivative of one go straight into their bucket, through the
+kernels ``symexpr._mul_into`` and ``symexpr._derive_into``, with no Scalar
+made in between.  ``_derive_form_into`` is the one place a contact
 covector is raised, omega^sigma_J to omega^sigma_Ji, its bit taken from a
-map keyed by (bit, i); ``d_H`` = sum over i of dx^i ^ d_i and every trie
-sum go through it.  ``_cleared_terms`` clears the denominators of a family
+map keyed by (bit, i): it adds d_i of a form to a running sum, and
+``total_derivative_form``, ``d_H`` = sum over i of dx^i ^ d_i and every
+trie sum go through it.  ``_cleared_terms`` clears the denominators of a family
 of {key: Scalar} maps into integer running sums, and ``_cleared`` does so
 for a family of forms, for the integer pipelines of ``interior_euler`` and
 ``lepage``, which divide once at the end (``_divided``, or ``_summed`` with
 a divisor), and for ``varmorph``, whose morphisms are stored as such
 integer sums over a scale and divided where they are read;
 ``total_derivative_sum`` sums the d_J of a family of forms over the trie of
-the sorted J, and divides the sum once.
+the sorted J, each node's d_j going straight into its parent's running sum,
+and divides the sum once.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from fractions import Fraction
 
 from . import symexpr
 from .multiindex import sort_with_sign
-from .symexpr import Scalar, _merge
+from .symexpr import Scalar, _merge, _mul_into
 
 
 @dataclass(frozen=True)
@@ -342,7 +347,7 @@ def wedge(a: Form, b: Form) -> Form:
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
             if not wa & wb:
-                _add_terms(acc, wa | wb, (ca * cb).terms, _wedge_sign(wa, wb))
+                _mul_into(acc.setdefault(wa | wb, {}), ca.terms, cb.terms, _wedge_sign(wa, wb))
     return _summed(a.ctx, acc)
 
 
@@ -352,8 +357,10 @@ def wedge(a: Form, b: Form) -> Form:
 def _add_terms(acc: dict, w: int, terms: dict, c: int = 1) -> None:
     """acc[w] += c times the scalar with these terms, w a mask.
 
-    An emptied bucket stays in acc as {}.
+    An emptied bucket stays in acc as {}; a zero weight adds nothing.
     """
+    if not c:
+        return
     bucket = acc.get(w)
     if bucket is None:
         acc[w] = dict(terms) if c == 1 else {m: v * c for m, v in terms.items()}
@@ -430,16 +437,27 @@ def exterior_d(rho: Form) -> Form:
 
 
 def total_derivative_form(rho: Form, i: int) -> Form:
-    """d_i on forms: a degree-0 derivation with d_i dx^j = 0, d_i w^s_J = w^s_Ji.
-
-    The raised omega, bit r, takes the slot of omega^s_J, bit b, and moves
-    to its place among the rest: the sign is -1 to the bits of w below b
-    plus the bits of w - b below r.
-    """
+    """d_i on forms: a degree-0 derivation with d_i dx^j = 0, d_i w^s_J = w^s_Ji."""
     acc: dict = {}
+    _derive_form_into(acc, ((w, c.terms) for w, c in rho.terms.items()), i)
+    return _summed(rho.ctx, acc)
+
+
+def _derive_form_into(acc: dict, items, i: int) -> None:
+    """acc += d_i of the form with these (wedge, terms) items, acc a
+    {wedge: {monomial: coefficient}} running sum.
+
+    Each coefficient's d_i goes straight into its bucket
+    (``symexpr._derive_into``).  The raised omega, bit r, takes the slot of
+    omega^s_J, bit b, and moves to its place among the rest: the sign is -1
+    to the bits of w below b plus the bits of w - b below r.
+    """
+    rule = symexpr._d_rule(i)
     contact = _CONTACT
-    for w, c in rho.terms.items():
-        _add_terms(acc, w, symexpr.total_derivative(c, i).terms)
+    for w, t in items:
+        if not t:
+            continue
+        symexpr._derive_into(acc.setdefault(w, {}), t, rule)
         bits = w & contact
         while bits:
             b = bits & -bits
@@ -448,8 +466,7 @@ def total_derivative_form(rho: Form, i: int) -> Form:
             rest = w ^ b
             if not rest & r:
                 odd = (w & (b - 1)).bit_count() + (rest & (r - 1)).bit_count()
-                _add_terms(acc, rest | r, c.terms, -1 if odd & 1 else 1)
-    return _summed(rho.ctx, acc)
+                _add_terms(acc, rest | r, t, -1 if odd & 1 else 1)
 
 
 def total_derivative_form_multi(rho: Form, J) -> Form:
@@ -465,14 +482,14 @@ def total_derivative_sum(ctx: Context, parts: dict, D: int = 1) -> Form:
 
     Horner's rule over the trie of the J: Y(p) = X_p + sum over j >= last(p)
     of d_j Y(p + j), so each trie node takes one form total derivative, of
-    the sum of its subtree.  The deepest nodes go first, and each node's sum
-    is popped as soon as its derivative has gone to its parent.  d_j is
-    linear, so the root's sum alone is divided.
+    the sum of its subtree, which goes straight into its parent's running
+    sum (``_derive_form_into``).  The deepest nodes go first, and each
+    node's sum is popped as soon as its derivative has gone to its parent.
+    d_j is linear, so the root's sum alone is divided.
     """
     for depth in range(max(map(len, parts), default=0), 0, -1):
         for J in [J for J in parts if len(J) == depth]:
-            y = _summed(ctx, parts.pop(J))
-            _add_into(parts.setdefault(J[:-1], {}), total_derivative_form(y, J[-1]))
+            _derive_form_into(parts.setdefault(J[:-1], {}), parts.pop(J).items(), J[-1])
     return _summed(ctx, parts.pop((), {}), D)
 
 
@@ -491,10 +508,11 @@ def d_H(rho: Form) -> Form:
     acc: dict = {}
     for i in range(1, ctx.n + 1):
         b = _bit(('dx', i))
-        part = Form(ctx, {w: c for w, c in rho.terms.items() if not w & b})
-        for w, c in total_derivative_form(part, i).terms.items():
+        part: dict = {}
+        _derive_form_into(part, ((w, c.terms) for w, c in rho.terms.items() if not w & b), i)
+        for w, t in part.items():
             w1, sign = _insert(b, w)
-            _add_terms(acc, w1, c.terms, sign)
+            _add_terms(acc, w1, t, sign)
     return _summed(ctx, acc)
 
 
@@ -556,7 +574,7 @@ def contract_prolonged(rho: Form, xi: dict) -> Form:
                 continue
             key = (sigma, J)
             if key not in cache:
-                cache[key] = symexpr.total_derivative_multi(xi[sigma], J)
-            _add_terms(acc, w ^ b, (c * cache[key]).terms,
-                       -1 if (w & (b - 1)).bit_count() & 1 else 1)
+                cache[key] = symexpr.total_derivative_multi(xi[sigma], J).terms
+            _mul_into(acc.setdefault(w ^ b, {}), c.terms, cache[key],
+                      -1 if (w & (b - 1)).bit_count() & 1 else 1)
     return _summed(rho.ctx, acc)

@@ -25,6 +25,18 @@ ranks and its order stay fixed.  Printers order by ``key`` instead, so no
 output depends on the order in which atoms were created.  Copies and
 pickles of an atom are the interned atom of its key.
 
+Two kernels build every term: ``_mul_into`` adds w a b to a {monomial:
+coefficient} bucket, and ``_derive_into`` adds w D(e) to one, by the
+Leibniz rule, for D a derivation given on atoms.  ``Scalar.__mul__``,
+``partial``, ``total_derivative`` and ``expand`` wrap them, and a caller
+with a running sum (``forms``, ``varmorph``, ``verify``) has each product
+and derivative written straight into it, as sparse polynomial arithmetic
+accumulates each product into its result (Johnson, SIGSAM Bull. 8, 1974),
+instead of building it whole and merging it in a second pass.  A zero
+weight adds nothing, so no bucket ever holds a zero.  ``gradient``, which
+writes the partial in each coordinate into a bucket of its own, is the
+one other pass over the factors of a monomial.
+
 Jet coordinates are keyed by the sorted multi-index only (y_{12} and y_{21}
 are the same stored coordinate); any multiplicity bookkeeping for sums over
 unordered index tuples lives with the caller.
@@ -173,7 +185,9 @@ def rational(p: int, q: int = 1) -> "Scalar":
 
 def _merge(out: dict, terms: dict, c=1) -> None:
     """out += c terms in place, both {monomial: coefficient}; a monomial
-    that cancels is dropped."""
+    that cancels is dropped, and a zero weight adds nothing."""
+    if not c:
+        return
     for m, v in terms.items():
         if c != 1:
             v = v * c
@@ -209,6 +223,40 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
+
+
+def _mul_into(out: dict, a: dict, b: dict, w=1) -> None:
+    """out += w a b in place, for {monomial: coefficient} maps: the one
+    product loop of the library.
+
+    Each product goes straight into out, and a monomial that cancels is
+    dropped.  The shorter factor is the outer loop, so w multiplies its
+    coefficients only; a coefficient 1 takes the other one as it is, so a
+    constant factor makes no product of coefficients with the monomials
+    whose coefficient is 1.  A zero weight adds nothing.
+    """
+    if not w:
+        return
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for ma, ca in a.items():
+        if w != 1:
+            ca = ca * w
+        one = ca == 1
+        for mb, cb in b.items():
+            m = _mul_monomials(ma, mb)
+            c = cb if one else ca if cb == 1 else ca * cb
+            old = get(m)
+            if old is None:
+                out[m] = c
+            elif s := old + c:
+                out[m] = s
+            else:
+                del out[m]
+
+
+_ONE = {(): 1}  # the terms of the constant 1
 
 
 class Scalar:
@@ -276,27 +324,12 @@ class Scalar:
 
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
-        if not self.terms or not other.terms:
-            return Scalar({})
-        if len(self.terms) == 1 and () in self.terms:
-            self, other = other, self
-        if len(other.terms) == 1 and () in other.terms:
-            # a constant factor only rescales; no monomial products to merge
-            c = other.terms[()]
-            if c == 1:
-                return self
-            return Scalar({m: a * c for m, a in self.terms.items()})
+        if other.terms == _ONE:
+            return self
+        if self.terms == _ONE:
+            return other
         out: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mul_monomials(ma, mb)
-                old = out.get(m)
-                if old is None:
-                    out[m] = ca * cb
-                elif s := old + ca * cb:
-                    out[m] = s
-                else:
-                    del out[m]
+        _mul_into(out, self.terms, other.terms)
         return Scalar(out)
 
     __rmul__ = __mul__
@@ -497,32 +530,43 @@ def _formal_partial(g: Atom, c: Atom, derived: dict) -> Scalar:
     return dg
 
 
-def _derive_monomials(e: Scalar, atom_rule) -> Scalar:
-    """Extend a derivation on atoms to the whole ring by the Leibniz rule.
+def _derive_into(out: dict, terms: dict, atom_rule, w=1) -> None:
+    """out += w D(terms) in place, for {monomial: coefficient} maps, D the
+    derivation that is ``atom_rule`` on atoms, by the Leibniz rule: the one
+    Leibniz loop of the library.
 
     Each term of D(atom) is multiplied by the rest of the monomial straight
-    into the result; for a fixed rest these products are distinct monomials.
+    into out; for a fixed rest these products are distinct monomials.  A
+    zero weight adds nothing.
     """
-    total: dict = {}
-    get = total.get
-    for mono, coeff in e.terms.items():
+    if not w:
+        return
+    get = out.get
+    for mono, coeff in terms.items():
         for t, (a, k) in enumerate(mono):
             da = atom_rule(a).terms
             if not da:
                 continue
             rest = mono[:t] + ((a, k - 1),) * (k > 1) + mono[t + 1:]
-            ck = coeff if k == 1 else coeff * k
+            kw = k * w
+            ck = coeff if kw == 1 else coeff * kw
             for mb, cb in da.items():
                 m = _mul_monomials(rest, mb)
                 c = ck if cb == 1 else ck * cb
                 old = get(m)
                 if old is None:
-                    total[m] = c
+                    out[m] = c
                 elif s := old + c:
-                    total[m] = s
+                    out[m] = s
                 else:
-                    del total[m]
-    return Scalar(total)
+                    del out[m]
+
+
+def _derive_monomials(e: Scalar, atom_rule) -> Scalar:
+    """The derivation that is ``atom_rule`` on atoms, applied to e."""
+    out: dict = {}
+    _derive_into(out, e.terms, atom_rule)
+    return Scalar(out)
 
 
 def partial(e: Scalar, coord: tuple) -> Scalar:
@@ -556,13 +600,20 @@ def _total_rule(i: int, formal: bool, derived: dict):
     return rule
 
 
+def _d_rule(i: int):
+    """d_i on atoms in the scope that is open: formal inside a
+    ``_formal_scope``, sharing the open memo.  ``_derive_into`` with it adds
+    a total derivative straight into a running sum."""
+    return _total_rule(i, _formal, {} if _derived is None else _derived)
+
+
 def total_derivative(e: Scalar, i: int) -> Scalar:
     """The i-th formal derivative d_i, raising the jet order by one.
 
     Inside a ``_formal_scope`` an opaque atom's d_i is the formal atom
     D_i f, and d_i D_I f is D_{I+i} f; ``expand`` reads them back.
     """
-    return _derive_monomials(e, _total_rule(i, _formal, {} if _derived is None else _derived))
+    return _derive_monomials(e, _d_rule(i))
 
 
 def total_derivative_multi(e: Scalar, J: Iterable[int]) -> Scalar:
@@ -607,7 +658,8 @@ def expand(e: Scalar) -> Scalar:
     Expansion is a ring homomorphism that commutes with d_i, so expanding
     a formally derived expression gives exactly the chain-rule derivative.
     The monomials are grouped by their formal factors, so each group takes
-    one product with the expansions.
+    one product with the expansions, the last of which goes straight into
+    the result (``_mul_into``).
     """
     groups: dict = {}
     for mono, coeff in e.terms.items():
@@ -618,11 +670,16 @@ def expand(e: Scalar) -> Scalar:
         return e
     derived = {} if _derived is None else _derived
     out: dict = {}
-    for formal, rests in groups.items():
-        part = Scalar(rests)
-        for g, k in formal:
-            part = part * _expansion(g, derived) ** k
-        _merge(out, part.terms)
+    for formal, part in groups.items():
+        if not formal:
+            _merge(out, part)
+            continue
+        *inner, (g, k) = formal
+        for h, j in inner:
+            prod: dict = {}
+            _mul_into(prod, part, (_expansion(h, derived) ** j).terms)
+            part = prod
+        _mul_into(out, part, (_expansion(g, derived) ** k).terms)
     return Scalar(out)
 
 

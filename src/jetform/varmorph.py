@@ -41,7 +41,10 @@ lcm of the scales.  A coefficient is divided only where it is read
 and the pairing, through ``forms._summed``): a coefficient that is whole
 stays an int, and the only Fractions made are the ones read.  Sums of
 pairings, which the ``verify`` identities compare, are one integer running
-sum (``_pairing_sum``): a sum that cancels makes no Fraction at all.
+sum (``_pairing_sum``), paired once by linearity: the weighted buckets of
+all the morphisms are summed before any product with d_J Xi, so a sum
+that cancels takes no product at all.  Derivatives of buckets go straight
+into the running sums of the splittings (``symexpr._derive_into``).
 
 The fibered connection is fixed to the zero-coefficient one of the working
 chart, so covariant derivatives are total derivatives throughout.
@@ -59,7 +62,7 @@ from .forms import (Context, Form, _add_terms, _bit, _cleared, _cleared_terms,
                     _covectors, _divided, _ds_wedge, _insert, _summed, codegree,
                     ds_parts, p_k)
 from .multiindex import sort_with_sign, tuple_multiplicity
-from .symexpr import Scalar, _merge
+from .symexpr import Scalar, _d_rule, _derive_into, _merge, _mul_into
 
 
 class NotOneContact(ValueError):
@@ -167,10 +170,12 @@ def _pairing_sum(xi: dict, terms) -> Form:
 
     Each rho is cleared on its own; all are written into one integer
     running sum over the lcm S of the scales, which is divided by S at the
-    end, so a sum that cancels makes no Fraction.  d_J Xi^sigma is
-    symmetric in J, since total derivatives commute: it is taken once per
-    sorted J, and the buckets at the orderings of each (block, sigma,
-    sorted J) are summed first and multiplied by it once.
+    end.  d_J Xi^sigma is symmetric in J, since total derivatives commute,
+    and the pairing is linear in V: the buckets of every morphism at every
+    ordering of each (block, sigma, sorted J), each times its weight
+    c (S/N) s!, are summed first, and each sum that is still nonzero is
+    multiplied once by d_J Xi^sigma, taken once per (sigma, sorted J).  So
+    a difference of morphisms that cancels takes no product and no d_J.
     """
     parts = []
     for F, c in terms:
@@ -178,29 +183,30 @@ def _pairing_sum(xi: dict, terms) -> Form:
             N, [acc] = _cleared_terms([F.terms])
             parts.append((None, N, acc, c))
         else:
-            parts.append((F, F.scale, F.acc, c))
+            parts.append((F.s, F.scale, F.acc, c))
     S = math.lcm(*(N for _, N, _, _ in parts))
-    cache: dict = {}
     out: dict = {}
-    for F, N, acc, c in parts:
+    merged: dict = {}  # (block, sigma, sorted J) -> the weighted sum of its buckets
+    for s, N, acc, c in parts:
         k = c * (S // N)
-        if F is None:
+        if s is None:
             for w, t in acc.items():
                 _add_terms(out, w, t, k)
             continue
-        n, k = F.ctx.n, k * math.factorial(F.s)
-        merged: dict = {}
+        k *= math.factorial(s)
         for (block, sigma, J), t in acc.items():
-            _merge(merged.setdefault((block, sigma, tuple(sorted(J))), {}), t)
-        for (block, sigma, J), t in merged.items():
-            w, sign = _ds_wedge(n, block)
-            if not (t and sign):
-                continue
-            d = cache.get((sigma, J))
-            if d is None:
-                d = cache[sigma, J] = symexpr.total_derivative_multi(xi[sigma], J)
-            _add_terms(out, w, (Scalar(t) * d).terms, sign * k)
-    return _summed(terms[0][0].ctx, out, S)
+            _merge(merged.setdefault((block, sigma, tuple(sorted(J))), {}), t, k)
+    ctx = terms[0][0].ctx
+    cache: dict = {}
+    for (block, sigma, J), t in merged.items():
+        w, sign = _ds_wedge(ctx.n, block)
+        if not (t and sign):
+            continue
+        d = cache.get((sigma, J))
+        if d is None:
+            d = cache[sigma, J] = symexpr.total_derivative_multi(xi[sigma], J).terms
+        _mul_into(out.setdefault(w, {}), t, d, sign)
+    return _summed(ctx, out, S)
 
 
 # -- conversions with contact forms ------------------------------------------
@@ -286,8 +292,7 @@ def _scatter_divergence(out: dict, acc: dict, s: int, weight: dict) -> None:
         for p, i in enumerate(bp):
             b = bp[:p] + bp[p + 1:]
             e = -k if (s - p) % 2 else k
-            _add_terms(out, (b, sigma, K), symexpr.total_derivative(Scalar(c), i).terms,
-                       e * (h + 1))
+            _derive_into(out.setdefault((b, sigma, K), {}), c, _d_rule(i), e * (h + 1))
             for t in range(h + 1):
                 _add_terms(out, (b, sigma, K[:t] + (i,) + K[t:]), c, e)
 
@@ -347,8 +352,7 @@ def split_like(V: VariationalMorphism) -> SplitResult:
     for h in range(V.rank, 0, -1):
         acc = _antisymmetrized(V.acc, s, h)
         for (bp, sigma, L), c in layer.items():
-            _add_terms(acc, (bp, sigma, L[:-1]),
-                       symexpr.total_derivative(Scalar(c), L[-1]).terms, -1)
+            _derive_into(acc.setdefault((bp, sigma, L[:-1]), {}), c, _d_rule(L[-1]), -1)
         layer = {key: t for key, t in acc.items() if t}
         that.update(layer)
 
@@ -357,7 +361,7 @@ def split_like(V: VariationalMorphism) -> SplitResult:
         for p, i in enumerate(bp):
             b = bp[:p] + bp[p + 1:]
             eps = -1 if (s - p) % 2 else 1
-            _add_terms(acc, (b, sigma, K), symexpr.total_derivative(Scalar(c), i).terms, -eps)
+            _derive_into(acc.setdefault((b, sigma, K), {}), c, _d_rule(i), -eps)
             _add_terms(acc, (b, sigma, (i,) + K), c, -eps)
     scale = V.scale * (s + 1)
     return SplitResult(VariationalMorphism(V.ctx, s, scale, acc),

@@ -12,8 +12,9 @@ with fixed seeds by the acceptance suite.
 The identities that compare pairings of morphisms (prop-volume, prop-r1,
 prop-da) run the splittings on the morphism as it is stored, on integers,
 and write each difference of pairings into one integer running sum over
-the lcm of the scales (``varmorph._pairing_sum``), so a difference that
-cancels makes no Fraction.
+the lcm of the scales (``varmorph._pairing_sum``).  The pairing is linear,
+so the morphisms of a difference are summed before they are paired: a
+difference that cancels takes no product and no d_J Xi.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .interior_euler import _mismatch, _residual, ibp_expand, interior_euler, re
 from .lepage import (Lagrangian, _chain, _lepage_pairs, generic_lagrangian,
                      kb_second_order, krupka_betounes_first)
 from .multiindex import sort_with_sign
-from .symexpr import Scalar, _merge
+from .symexpr import _d_rule, _derive_into, _merge
 from .varmorph import _pairing_sum
 
 
@@ -182,7 +183,7 @@ def _alpha_display(V: varmorph.VariationalMorphism) -> varmorph.VariationalMorph
                 _merge(t, V.acc.get(((j,), sigma, (i, a)), {}))
                 _merge(t, V.acc.get(((i,), sigma, (j, a)), {}), -1)
                 acc[((i, j), sigma, (a,))] = t
-                _merge(rank0, symexpr.total_derivative(Scalar(t), a).terms)
+                _derive_into(rank0, t, _d_rule(a))
             acc[((i, j), sigma, ())] = rank0
     return varmorph.VariationalMorphism(ctx, 2, 12 * V.scale, acc)
 

@@ -123,3 +123,28 @@ def test_only_mismatch_decides_an_equality_of_two_forms():
             if isinstance(func, ast.FunctionDef) and func.name != "_mismatch":
                 found |= {f"{path.name}:{line}" for line in _zero_tested_differences(func)}
     assert sorted(found) == []
+
+
+def _fresh_terms(node) -> bool:
+    """Whether node is the .terms of a product or of a total derivative
+    made on the spot: ``(a * b).terms`` or ``total_derivative(...).terms``."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "terms"):
+        return False
+    made = node.value
+    if isinstance(made, ast.BinOp):
+        return isinstance(made.op, ast.Mult)
+    return isinstance(made, ast.Call) and any(
+        _reads(made.func, name) for name in ("total_derivative", "total_derivative_multi"))
+
+
+def test_no_fresh_product_or_derivative_goes_through_a_merge():
+    # one product loop and one Leibniz loop: a product or derivative that only
+    # goes into a running sum is written there by _mul_into or _derive_into,
+    # not built whole and merged in a second pass
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and any(map(_fresh_terms, node.args)) \
+                    and (_reads(node.func, "_add_terms") or _reads(node.func, "_merge")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -556,11 +556,11 @@ def test_lepage_check_builds_each_chain_rule_once(monkeypatch):
 def test_recurrence_telescope_takes_each_derivative_once(monkeypatch):
     counted = [0]
     inside = [False]
-    derive, expand = forms.total_derivative_form, ie.ibp_expand
+    derive, expand = forms._derive_form_into, ie.ibp_expand
 
-    def spy_derive(rho, i):
+    def spy_derive(acc, items, i):
         counted[0] += inside[0]
-        return derive(rho, i)
+        return derive(acc, items, i)
 
     def spy_expand(*args, **kwargs):
         inside[0] = True
@@ -569,8 +569,9 @@ def test_recurrence_telescope_takes_each_derivative_once(monkeypatch):
         finally:
             inside[0] = False
 
-    for module in (forms, ie):
-        monkeypatch.setattr(module, "total_derivative_form", spy_derive)
+    # every form total derivative, of a Form or of a trie node's running
+    # sum, is one _derive_form_into
+    monkeypatch.setattr(forms, "_derive_form_into", spy_derive)
     monkeypatch.setattr(ie, "ibp_expand", spy_expand)
     lam = generic_lagrangian(Context(n=3, m=2), 2)
     terminal = rossi_recurrence(lam).terminal

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jetform import symexpr as se
+from jetform import varmorph
 from jetform.forms import (Context, contract_prolonged, d_H, ds_block, dx,
                            omega, p_k, volume, wedge)
 from jetform.interior_euler import interior_euler, residual
@@ -13,7 +14,8 @@ from jetform.symexpr import Scalar
 from jetform.varmorph import (NotOneContact, VariationalMorphism,
                               alpha_discrepancy, divergence, formal_field,
                               from_contact_form, split_canonical_codegree_s,
-                              split_like, to_contact_form, vertical_field)
+                              _pairing_sum, split_like, to_contact_form,
+                              vertical_field)
 from jetform.verify import _alpha_display, run_identity
 from form_oracles import split_lower
 from fraction_ops import fraction_ops
@@ -612,6 +614,20 @@ def test_alpha_display_runs_on_integers():
     assert display == alpha_discrepancy(V)[0]
 
 
+def _count_products(monkeypatch) -> list:
+    """A list that gains one entry per call of the product kernel."""
+    products = []
+    mul_into = se._mul_into
+
+    def counted(*args):
+        products.append(1)
+        return mul_into(*args)
+
+    for module in (se, varmorph):
+        monkeypatch.setattr(module, "_mul_into", counted)
+    return products
+
+
 def test_pairing_multiplies_once_per_sorted_rank_string(monkeypatch):
     # d_J Xi is symmetric in J, so the orderings of a rank string are summed
     # first: one product per (block, sigma, sorted J), 10 per block and
@@ -620,14 +636,20 @@ def test_pairing_multiplies_once_per_sorted_rank_string(monkeypatch):
     V = generic_morphism(ctx, 1, 2)
     xi = formal_field(ctx)
     expected = V.evaluate(xi)
-    products = []
-    mul = Scalar.__mul__
-
-    def counted(a, b):
-        products.append(1)
-        return mul(a, b)
-
-    monkeypatch.setattr(Scalar, "__mul__", counted)
+    products = _count_products(monkeypatch)
     assert V.evaluate(xi) == expected
     sorted_keys = {(block, sigma, tuple(sorted(J))) for block, sigma, J in V.coeffs}
     assert len(products) == len(sorted_keys) == 3 * 10
+
+
+def test_a_cancelling_sum_of_pairings_takes_no_product(monkeypatch):
+    # the pairing is linear in the morphism: the buckets of a difference are
+    # summed before any product with d_J Xi, so one that cancels takes none
+    ctx = Context(n=3, m=2)
+    V = generic_morphism(ctx, 1, 2)
+    like, canon = split_like(V), split_canonical_codegree_s(V)
+    alpha = like.boundary - canon.boundary
+    xi = formal_field(ctx)
+    products = _count_products(monkeypatch)
+    assert _pairing_sum(xi, [(like.boundary, 1), (canon.boundary, -1), (alpha, -1)]).is_zero()
+    assert products == []
