@@ -2,7 +2,8 @@
 """Time two jetform source trees against each other in one process.
 
 Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 lepage-check/n3m2r2 alpha/n4m2
-                                      verify/prop-da/n3m2 cli/el/n2m1 cli/split/n3m2] [--reps 12]
+                                      verify/prop-da/n3m2 cli/el/n2m1 cli/split/n3m2
+                                      parse/alpha/n4m2] [--reps 12]
 
 A_SRC and B_SRC are ``src`` directories (a checkout of the parent commit
 and the working tree, say).  Both are imported into this interpreter under
@@ -31,7 +32,11 @@ takes an order-R density and ``-r R`` (``kb`` at order 2 runs the plain
 variant, the one cross-checked against the recurrence); for ``split``,
 ``splitlike`` and ``alpha`` it is the contact form of the seeded random
 morphism of ``randomgen.rand_morphism`` of rank 2 and codegree 1
-(codegree 0 at N = 1).  Each repetition runs every case on both sides back to back, A
+(codegree 0 at N = 1).  A case ``parse/<cmd>/nNmM[rR]`` times the parser
+alone on the four inputs its ``cli/<cmd>/nNmM[rR]`` case builds:
+``parse_lagrangian`` for ``el``, ``pc`` and ``kb``, ``parse_form`` for the
+morphism commands, with the cyclic garbage collector paused, as a CLI
+call pauses it.  Each repetition runs every case on both sides back to back, A
 first on even repetitions and B first on odd ones; the two runs of a pair
 share a density name that no earlier pair used, so every run starts cold.
 The host's speed drifts over minutes, so only runs made this close
@@ -44,8 +49,9 @@ host's speed of the moment, so the median of their ratios drifts less
 than the ratio of the medians; the total line takes it over the per-pair
 sums of all cases.  The first repetition also checks that both sides print
 the same forms, or for a verify or cli case the same stdout and exit
-codes, or for a lepage-check case the same ``ok`` (the one field of the
-report that every tree has); a difference exits 1.
+codes, or for a parse case the same parsed values, or for a lepage-check
+case the same ``ok`` (the one field of the report that every tree has); a
+difference exits 1.
 """
 
 import argparse
@@ -66,22 +72,22 @@ LEPAGE = re.compile(r"n([1-9][0-9]*)m([1-9][0-9]*)r([12])")
 CHECK = re.compile(r"lepage-check/(n[1-9][0-9]*m[1-9][0-9]*r[12])")
 ALPHA = [f"alpha/n{n}m{m}" for n in (2, 3, 4) for m in (1, 2)]
 VERIFY = re.compile(r"verify/([a-z0-9-]+)/n([1-9])m([1-9])")
-CLI = re.compile(r"cli/(el|pc|kb|split|splitlike|alpha)/n([1-9])m([1-9])(?:r([12]))?")
+CLI = re.compile(r"(cli|parse)/(el|pc|kb|split|splitlike|alpha)/n([1-9])m([1-9])(?:r([12]))?")
 MORPHISM_COMMANDS = ("split", "splitlike", "alpha")
 SEEDS = range(4)
 
 
 def case_name(text: str) -> str:
     cli = CLI.fullmatch(text)
-    if cli and not (cli[1] in MORPHISM_COMMANDS and cli[4]):
+    if cli and not (cli[2] in MORPHISM_COMMANDS and cli[5]):
         return text
     if any(p.fullmatch(text) for p in (LEPAGE, CHECK, VERIFY)) or text in ALPHA:
         return text
     raise argparse.ArgumentTypeError(
         f"{text!r} is none of [lepage-check/]nNmMr1, [lepage-check/]nNmMr2 (N, M >= 1), "
         f"{', '.join(ALPHA)}, "
-        "verify/<identity>/nNmM, cli/<el|pc|kb>/nNmM[r1|r2] "
-        "or cli/<split|splitlike|alpha>/nNmM")
+        "verify/<identity>/nNmM, <cli|parse>/<el|pc|kb>/nNmM[r1|r2] "
+        "or <cli|parse>/<split|splitlike|alpha>/nNmM")
 
 
 def _package_modules() -> dict:
@@ -99,7 +105,7 @@ def load(src: str):
     sys.path.insert(0, src)
     try:
         mods = {name: importlib.import_module(f"jetform.{name}")
-                for name in ("cli", "forms", "lepage", "printers", "randomgen",
+                for name in ("cli", "forms", "lepage", "parser", "printers", "randomgen",
                              "varmorph", "verify")}
     finally:
         sys.path.remove(src)
@@ -139,8 +145,9 @@ def run_verify(side, slot: str):
                             "-n", n, "-m", m] for seed in SEEDS])
 
 
-def run_cli(side, slot: str):
-    cmd, n, m, r = CLI.fullmatch(slot).groups(default="1")
+def cli_inputs(side, slot: str):
+    """(command, n, m, r, the expression of each seed) of a cli or parse case."""
+    _, cmd, n, m, r = CLI.fullmatch(slot).groups(default="1")
     ctx = side["forms"].Context(n=int(n), m=int(m))
     printers, randomgen = side["printers"], side["randomgen"]
     if cmd in MORPHISM_COMMANDS:
@@ -150,8 +157,34 @@ def run_cli(side, slot: str):
     else:
         exprs = [printers.scalar_text(randomgen.rand_density(random.Random(seed), ctx, int(r)))
                  for seed in SEEDS]
+    return cmd, n, m, r, exprs
+
+
+def run_cli(side, slot: str):
+    cmd, n, m, r, exprs = cli_inputs(side, slot)
     return run_main(side, [[cmd, "-n", n, "-m", m, "-r", r, "--format", "json", "--", expr]
                            for expr in exprs])
+
+
+def run_parse(side, slot: str):
+    """Seconds to parse the inputs of the slot's cli case, as the CLI
+    parses them, and the printed values."""
+    cmd, n, m, r, exprs = cli_inputs(side, slot)
+    parser, printers = side["parser"], side["printers"]
+    ctx = side["forms"].Context(n=int(n), m=int(m), r=int(r))
+    if cmd in MORPHISM_COMMANDS:
+        parse, show = parser.parse_form, printers.form_text
+    else:
+        parse, show = parser.parse_lagrangian, lambda lam: printers.scalar_text(lam.density)
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        values = [parse(expr, ctx, int(r)) for expr in exprs]
+        elapsed = time.perf_counter() - t0
+    finally:
+        gc.enable()
+    return elapsed, [show(value) for value in values]
 
 
 def run_case(side, slot: str, name: str):
@@ -164,6 +197,8 @@ def run_case(side, slot: str, name: str):
         return run_verify(side, slot)
     if slot.startswith("cli/"):
         return run_cli(side, slot)
+    if slot.startswith("parse/"):
+        return run_parse(side, slot)
     forms, lepage = side["forms"], side["lepage"]
     check = CHECK.fullmatch(slot)
     n, m, r = map(int, LEPAGE.fullmatch(check[1] if check else slot).groups())

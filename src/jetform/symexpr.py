@@ -231,9 +231,10 @@ def _mul_into(out: dict, a: dict, b: dict, w=1) -> None:
 
     Each product goes straight into out, and a monomial that cancels is
     dropped.  The shorter factor is the outer loop, so w multiplies its
-    coefficients only; a coefficient 1 takes the other one as it is, so a
-    constant factor makes no product of coefficients with the monomials
-    whose coefficient is 1.  A zero weight adds nothing.
+    coefficients only; a coefficient 1 takes the other one as it is, and
+    so does the constant monomial (), so a constant factor makes no
+    product of monomials, nor of coefficients with the monomials whose
+    coefficient is 1.  A zero weight adds nothing.
     """
     if not w:
         return
@@ -245,7 +246,7 @@ def _mul_into(out: dict, a: dict, b: dict, w=1) -> None:
             ca = ca * w
         one = ca == 1
         for mb, cb in b.items():
-            m = _mul_monomials(ma, mb)
+            m = _mul_monomials(ma, mb) if ma else mb
             c = cb if one else ca if cb == 1 else ca * cb
             old = get(m)
             if old is None:

@@ -20,6 +20,7 @@ from jetform.parser import (InputSyntaxError, OrderViolation,
                             parse_scalar)
 from jetform.printers import form_json, form_latex, form_text
 from jetform.randomgen import rand_form
+from expressions import EXPRESSION, FUZZ_ORDER
 from fraction_ops import fraction_ops
 
 CTX21 = Context(n=2, m=1)
@@ -862,26 +863,6 @@ def test_cli_main_on_drawn_argv_exits_0_or_2(argv):
 
 
 # -- expression fuzzing -------------------------------------------------------------
-
-FUZZ_ORDER = 2
-# atoms of the grammar at n = 2, m = 2, with a few out of range or order
-LEAVES = (st.integers(0, 12).map(str)
-          | st.sampled_from(["x1", "x2", "x3", "u", "v", "u_1", "v_2", "u_12", "v_21",
-                             "u_x", "v_y", "u_xy", "u_122", "dx1", "dx2", "w(u)",
-                             "w(v,1)", "w(u,12)", "w(u,xy)", "dy(u)", "dy(v,2)",
-                             "dy(u,11)", "ds", "ds(1)", "ds(2)", "ds(1,2)"]))
-
-
-def _expressions(children):
-    return (children.map("({})".format)
-            | st.tuples(st.sampled_from(["-", "+", "- ", "--"]), children).map("".join)
-            | st.tuples(children, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}")
-            | st.tuples(children, st.sampled_from(["+", " - ", "*", "/", " /\\ "]),
-                        children).map("".join))
-
-
-EXPRESSION = st.recursive(LEAVES, _expressions, max_leaves=10)
-
 
 @settings(max_examples=200, deadline=None)
 @given(text=EXPRESSION, depth=st.integers(0, 2000))

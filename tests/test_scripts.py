@@ -30,7 +30,8 @@ def test_ab_lepage_times_a_tree_against_itself():
     proc = subprocess.run([sys.executable, "scripts/ab_lepage.py", "src", "src",
                            "--cases", "n2m1r1", "lepage-check/n2m1r2", "alpha/n2m1",
                            "verify/prop-da/n2m1", "cli/el/n2m1", "cli/split/n2m1",
-                           "cli/alpha/n1m1", "--reps", "1"],
+                           "cli/alpha/n1m1", "parse/el/n2m1", "parse/alpha/n2m1",
+                           "--reps", "1"],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, *rows, total = proc.stdout.splitlines()
@@ -38,7 +39,8 @@ def test_ab_lepage_times_a_tree_against_itself():
                               "pair_b/a", "b_wins"]
     assert [row.split()[0] for row in rows] == ["n2m1r1", "lepage-check/n2m1r2", "alpha/n2m1",
                                                   "verify/prop-da/n2m1", "cli/el/n2m1",
-                                                  "cli/split/n2m1", "cli/alpha/n1m1"]
+                                                  "cli/split/n2m1", "cli/alpha/n1m1",
+                                                  "parse/el/n2m1", "parse/alpha/n2m1"]
     assert all(row.split()[-1] in ("0/1", "1/1") for row in rows)
     assert total.split()[0] == "total"
     # one repetition: the median of the per-pair ratios is that pair's
@@ -146,3 +148,35 @@ def test_ab_lepage_check_case_times_only_the_lepage_check(monkeypatch):
     assert out == [True]
     assert events == ["closed", "clock", "check", "clock"]
     assert elapsed == 2.0
+
+
+def test_ab_lepage_parse_cases_time_the_parser_on_the_cli_inputs(monkeypatch):
+    # parse/<cmd>/... takes the inputs cli/<cmd>/... builds and times only
+    # the parser the CLI calls for that command
+    ab = _ab_lepage()
+    for case in ("parse/el/n2m1", "parse/kb/n2m1r2", "parse/alpha/n4m2", "parse/split/n3m2"):
+        assert ab.case_name(case) == case
+    for case in ("parse/split/n2m1r2", "parse/el/n2m1r3", "parse/decompose/n2m1",
+                 "parse/n2m1r1", "parse/cli/el/n2m1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            ab.case_name(case)
+    side = {name: importlib.import_module(f"jetform.{name}")
+            for name in ("forms", "parser", "printers", "randomgen", "varmorph")}
+    parser = side["parser"]
+    for slot, called in (("parse/kb/n2m1r2", "parse_lagrangian"),
+                         ("parse/alpha/n2m1", "parse_form")):
+        calls, events = [], []
+        real = getattr(parser, called)
+        monkeypatch.setattr(parser, called, lambda text, ctx, order, real=real:
+                            calls.append((text, ctx, order)) or events.append("parse")
+                            or real(text, ctx, order))
+        monkeypatch.setattr(ab, "time", types.SimpleNamespace(
+            perf_counter=lambda: events.append("clock") or float(len(events))))
+        elapsed, shown = ab.run_parse(side, slot)
+        cmd, n, m, r, exprs = ab.cli_inputs(side, slot.replace("parse/", "cli/"))
+        assert [text for text, _, _ in calls] == exprs and len(exprs) == len(ab.SEEDS)
+        assert {(ctx.n, ctx.m, ctx.r, order) for _, ctx, order in calls} \
+            == {(int(n), int(m), int(r), int(r))}
+        assert events == ["clock", *["parse"] * len(exprs), "clock"] and elapsed == 5.0
+        assert len(shown) == len(exprs) and all(shown)
+        monkeypatch.undo()
