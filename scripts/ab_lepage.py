@@ -3,7 +3,7 @@
 
 Run:  python scripts/ab_lepage.py A_SRC B_SRC [--cases n3m2r2 lepage-check/n3m2r2 alpha/n4m2
                                       verify/prop-da/n3m2 cli/el/n2m1 cli/split/n3m2
-                                      parse/alpha/n4m2] [--reps 12]
+                                      parse/alpha/n4m2 tower/n4m2r2/generalized] [--reps 12]
 
 A_SRC and B_SRC are ``src`` directories (a checkout of the parent commit
 and the working tree, say).  Both are imported into this interpreter under
@@ -17,7 +17,10 @@ any N, M >= 1 and R in {1, 2}; the default cases are the benchmark's grid,
 which leaves out n4m2r2.  A case ``lepage-check/nNmMrR`` times
 ``lepage_check`` on the closed equivalent of the same generic Lagrangian,
 the benchmark's deep check; the closed form is built before the clock
-starts.  A case ``alpha/nNmM`` times ``alpha_discrepancy``, both
+starts.  A case ``tower/nNmMrR[/plain|generalized]`` times the closed
+tower alone on the same generic Lagrangian: ``krupka_betounes_first`` at
+R = 1, ``kb_second_order`` in the variant named (plain by default) at
+R = 2.  A case ``alpha/nNmM`` times ``alpha_discrepancy``, both
 splittings of a morphism, and the contact forms of alpha and Dalpha, where their
 coefficients are divided, on a generic opaque and a seeded random
 polynomial morphism of codegree 1 and rank 2.  A case
@@ -48,10 +51,10 @@ and in how many repetitions B was faster.  A pair's two runs share the
 host's speed of the moment, so the median of their ratios drifts less
 than the ratio of the medians; the total line takes it over the per-pair
 sums of all cases.  The first repetition also checks that both sides print
-the same forms, or for a verify or cli case the same stdout and exit
-codes, or for a parse case the same parsed values, or for a lepage-check
-case the same ``ok`` (the one field of the report that every tree has); a
-difference exits 1.
+the same forms (for a tower case, its one closed form), or for a verify or
+cli case the same stdout and exit codes, or for a parse case the same
+parsed values, or for a lepage-check case the same ``ok`` (the one field
+of the report that every tree has); a difference exits 1.
 """
 
 import argparse
@@ -70,6 +73,7 @@ GRID = [f"n{n}m{m}r{r}" for n in (2, 3, 4) for m in (1, 2) for r in (1, 2)
         if (n, m, r) != (4, 2, 2)]
 LEPAGE = re.compile(r"n([1-9][0-9]*)m([1-9][0-9]*)r([12])")
 CHECK = re.compile(r"lepage-check/(n[1-9][0-9]*m[1-9][0-9]*r[12])")
+TOWER = re.compile(r"tower/n[1-9][0-9]*m[1-9][0-9]*r(?:1|2(?:/(plain|generalized))?)")
 ALPHA = [f"alpha/n{n}m{m}" for n in (2, 3, 4) for m in (1, 2)]
 VERIFY = re.compile(r"verify/([a-z0-9-]+)/n([1-9])m([1-9])")
 CLI = re.compile(r"(cli|parse)/(el|pc|kb|split|splitlike|alpha)/n([1-9])m([1-9])(?:r([12]))?")
@@ -81,10 +85,11 @@ def case_name(text: str) -> str:
     cli = CLI.fullmatch(text)
     if cli and not (cli[2] in MORPHISM_COMMANDS and cli[5]):
         return text
-    if any(p.fullmatch(text) for p in (LEPAGE, CHECK, VERIFY)) or text in ALPHA:
+    if any(p.fullmatch(text) for p in (LEPAGE, CHECK, TOWER, VERIFY)) or text in ALPHA:
         return text
     raise argparse.ArgumentTypeError(
         f"{text!r} is none of [lepage-check/]nNmMr1, [lepage-check/]nNmMr2 (N, M >= 1), "
+        "tower/nNmMr1, tower/nNmMr2[/plain|/generalized], "
         f"{', '.join(ALPHA)}, "
         "verify/<identity>/nNmM, <cli|parse>/<el|pc|kb>/nNmM[r1|r2] "
         "or <cli|parse>/<split|splitlike|alpha>/nNmM")
@@ -200,9 +205,17 @@ def run_case(side, slot: str, name: str):
     if slot.startswith("parse/"):
         return run_parse(side, slot)
     forms, lepage = side["forms"], side["lepage"]
-    check = CHECK.fullmatch(slot)
-    n, m, r = map(int, LEPAGE.fullmatch(check[1] if check else slot).groups())
+    check, tower = CHECK.fullmatch(slot), TOWER.fullmatch(slot)
+    n, m, r = map(int, LEPAGE.match(slot.split("/")[1] if check or tower else slot).groups())
     lam = lepage.generic_lagrangian(forms.Context(n=n, m=m), r, name=name)
+    if tower:
+        gc.collect()
+        t0 = time.perf_counter()
+        if r == 1:
+            closed = lepage.krupka_betounes_first(lam)
+        else:
+            closed = lepage.kb_second_order(lam, tower[1] or "plain")
+        return time.perf_counter() - t0, [side["printers"].form_text(closed)]
     if check:
         closed = _closed(lepage, lam)
         gc.collect()

@@ -42,15 +42,20 @@ there is one, keeps it out of the residual.  At q = 1 the new factor is the
 only one, so the provenance eta is the canonical one.
 
 The closed formulas are truncations of one pure-contact tower, built by
-``_closed_equivalent(lam, slots)`` from one momentum family
-``Lagrangian.momentum``: ``slots[h]`` counts the slots of the tower led by
-omega^sigma_{J'} with |J'| = h.  The Poincare-Cartan form is (1,) * r, the
-first-order Krupka-Betounes equivalent (n,), and the second-order plain and
-generalized variants (1, n) and (n, n).  Sums there run over fully ordered
-slot tuples.  A q-fold pure-contact correction built from a slot-symmetric
-coefficient collapses q! equal orderings, so the familiar 1/q! (taken per
-sorted slot tuple) becomes 1/(q!)^2 in the fully ordered sum; mixed sums
-whose slots are distinguishable keep their literal weight.
+``_closed_equivalent(lam, slots)`` from one momentum family f^J_sigma
+(``_momentum``, public as ``Lagrangian.momentum``): ``slots[h]`` counts the
+slots of the tower led by omega^sigma_{J'} with |J'| = h.  The
+Poincare-Cartan form is (1,) * r, the first-order Krupka-Betounes
+equivalent (n,), and the second-order plain and generalized variants (1, n)
+and (n, n).  Over fully ordered slot tuples, a q-fold pure-contact
+correction built from a slot-symmetric coefficient collapses q! equal
+orderings, so the familiar 1/q! (taken per sorted slot tuple) becomes
+1/(q!)^2 in the ordered sum; mixed sums whose slots are distinguishable keep
+their literal weight.  The builder sums over sorted sets of the q - 1 plain
+slots instead, each standing for its (q-1)! orderings, which add equal
+terms.  Every momentum comes from one gradient of the density, each partial
+chain extends the chain of its slot set's prefix, and the tower is one
+integer running sum, divided once.
 """
 
 from __future__ import annotations
@@ -62,10 +67,11 @@ from fractions import Fraction
 
 from . import symexpr
 from .forms import (Context, Form, _add_terms, _bit, _cleared, _covectors, _ds_wedge,
-                    _insert, _summed, d_C, d_H, p_k, volume, wedge_gradients)
+                    _insert, _mask, _summed, _wedge_sign, d_C, d_H, p_k, volume,
+                    wedge_gradients)
 from .interior_euler import _expanded, _formal_residual, _mismatch, interior_euler
 from .multiindex import tuple_multiplicity
-from .symexpr import Scalar
+from .symexpr import Scalar, _derive_into, _merge
 
 
 class UnsupportedOrder(ValueError):
@@ -90,20 +96,37 @@ class Lagrangian:
         return volume(self.ctx).scale(self.density)
 
     def momentum(self, sigma: int, J: tuple) -> Scalar:
-        """f^J_sigma: sum over ordered K, |J|+|K| <= r, of (-1)^|K| d_K p^{JK}_sigma.
+        """f^J_sigma, the sum over ordered K of (-1)^|K| d_K p^{JK}_sigma
+        (``_momentum``), from a gradient of the density taken for this call;
+        a caller after many momenta takes one gradient for all of them."""
+        return _momentum(self, symexpr.gradient(self.density), sigma, J)
 
-        p^{JK}_sigma is dL/dy^sigma_{JK} over the tuple multiplicity of the
-        sorted key.  J = () gives E_sigma(L); at order 2, (i,) is p^i - d_k p^{ik}.
-        d_K and the key depend only on sorted K, so the sum runs over sorted
-        K, each weighted by its multiplicity.
-        """
-        out = Scalar.zero()
-        for K in symexpr.jet_keys(self.ctx.n, self.order - len(J)):
-            key = tuple(sorted(J + K))
-            base = symexpr.partial(self.density, ('y', sigma, key))
-            weight = Fraction((-1) ** len(K) * tuple_multiplicity(K), tuple_multiplicity(key))
-            out = out + symexpr.total_derivative_multi(base * weight, K)
-        return out
+
+def _momentum(lam: Lagrangian, grad: dict, sigma: int, J: tuple) -> Scalar:
+    """f^J_sigma: sum over ordered K, |J|+|K| <= r, of (-1)^|K| d_K p^{JK}_sigma.
+
+    p^{JK}_sigma is dL/dy^sigma_{JK} over the tuple multiplicity of the
+    sorted key, read off ``grad``, the ``symexpr.gradient`` of the density.
+    J = () gives E_sigma(L); at order 2, (i,) is p^i - d_k p^{ik}.  d_K and
+    the key depend only on sorted K, so the sum runs over sorted K, each
+    weighted by its multiplicity.  The sum is one running sum, and the last
+    d_k of each term goes straight into it with the weight.
+    """
+    out: dict = {}
+    for K in symexpr.jet_keys(lam.ctx.n, lam.order - len(J)):
+        key = tuple(sorted(J + K))
+        base = grad.get(('y', sigma, key))
+        if base is None:
+            continue
+        weight = Fraction((-1) ** len(K) * tuple_multiplicity(K), tuple_multiplicity(key))
+        if weight.denominator == 1:
+            weight = weight.numerator
+        if K:
+            inner = symexpr.total_derivative_multi(base, K[:-1])
+            _derive_into(out, inner.terms, symexpr._d_rule(K[-1]), weight)
+        else:
+            _merge(out, base.terms, weight)
+    return Scalar(out)
 
 
 @dataclass
@@ -227,49 +250,78 @@ def _closed_equivalent(lam: Lagrangian, slots: tuple) -> Form:
 
     ``slots[h]`` is the slot count of the tower whose lead is
     omega^sigma_{J'} with |J'| = h.  For Q = 1 .. slots[h] that tower adds,
-    over ordered slot pairs (sigma_1, i_1) .. (sigma_Q, i_Q) and ordered J',
+    over sorted sets of Q - 1 plain slot pairs (sigma_1, i_1) ..
+    (sigma_{Q-1}, i_{Q-1}) with distinct sigma and distinct i, and over a
+    lead (sigma_Q, i_Q) with ordered J',
 
-        w_h(Q) [d/dy^{sigma_1}_{i_1} .. d/dy^{sigma_{Q-1}}_{i_{Q-1}} f^{i_Q J'}_{sigma_Q}]
+        (Q-1)! w_h(Q) [d/dy^{sigma_1}_{i_1} .. d/dy^{sigma_{Q-1}}_{i_{Q-1}} f^{i_Q J'}_{sigma_Q}]
                omega^{sigma_1} ^ .. ^ omega^{sigma_{Q-1}} ^ omega^{sigma_Q}_{J'}
                ^ ds_{i_1 .. i_Q},
 
-    with f = ``Lagrangian.momentum``, w_0(Q) = (Q!)^-2 and w_h(Q) = (Q!)^-1
-    for h >= 1: a raised lead is distinguishable, so it keeps the literal
-    weight.  The chain member rho_q is the tower at (q,) (order 1), (1, q)
-    (order 2).
+    with f = ``_momentum``, w_0(Q) = (Q!)^-2 and w_h(Q) = (Q!)^-1 for
+    h >= 1: a raised lead is distinguishable, so it keeps the literal
+    weight.  The (Q-1)! orderings of a slot set add equal terms: a
+    permutation of the plain slots permutes their omegas and their ds
+    indices alike, so its sign enters twice, and the partials commute.  A
+    slot set that repeats a sigma or an i adds zero.  The chain member
+    rho_q is the tower at (q,) (order 1), (1, q) (order 2).
+
+    One gradient of the density gives every momentum, and each partial
+    chain extends the chain of its slot set's prefix, so one partial is
+    taken per (momentum, slot set).  The sum runs on integers: every
+    weight is cleared by L, the lcm of their denominators, each term goes
+    into one running sum, and the sum is divided by L once.
     """
     ctx = lam.ctx
     n = ctx.n
     slot_pairs = list(itertools.product(range(1, ctx.m + 1), range(1, n + 1)))
-    momenta: dict = {}  # f^J_sigma depends on the sorted J only
-    terms = []
+    weights = {(h, q): Fraction(math.factorial(q - 1), math.factorial(q) ** (2 if h == 0 else 1))
+               for h, top in enumerate(slots) for q in range(1, top + 1)}
+    L = math.lcm(*(w.denominator for w in weights.values()))
+    acc: dict = {}
+    vol, vol_sign = _ds_wedge(n, ())
+    _add_terms(acc, vol, lam.density.terms, vol_sign * L)
+    grad = symexpr.gradient(lam.density)
+    # (sigma, J, slot set) -> the partials of f^J_sigma in the slots; the
+    # empty set holds f^J_sigma itself, which depends on the sorted J only
+    chains: dict = {}
     for h, top in enumerate(slots):
         leads = []
         for sigma, i in slot_pairs:
             for Jp in itertools.product(range(1, n + 1), repeat=h):
                 key = (sigma, tuple(sorted((i,) + Jp)))
-                base = momenta.get(key)
+                base = chains.get(key + ((),))
                 if base is None:
-                    base = momenta[key] = lam.momentum(*key)
-                if not base.is_zero():
-                    leads.append((i, ('w', sigma, tuple(sorted(Jp))), base))
+                    base = chains[key + ((),)] = _momentum(lam, grad, *key)
+                if base.terms:
+                    leads.append((i, _bit(('w', sigma, tuple(sorted(Jp)))), key))
         for q in range(1, top + 1):
-            weight = Fraction(1, math.factorial(q) ** (2 if h == 0 else 1))
-            for pairs in itertools.product(slot_pairs, repeat=q - 1):
-                plain = tuple(('w', sigma, ()) for sigma, _ in pairs)
-                for i, lead, base in leads:
-                    if len({*plain, lead}) <= len(plain):
-                        continue  # a repeated omega wedges to zero: take no partial
-                    horiz, sign = _ds_wedge(n, tuple(k for _, k in pairs) + (i,))
-                    if not sign:
+            weight = (weights[h, q] * L).numerator
+            for pairs in itertools.combinations(slot_pairs, q - 1):
+                plain, plain_sign = _mask(('w', sigma, ()) for sigma, _ in pairs)
+                ks = tuple(i for _, i in pairs)
+                if not plain_sign or len(set(ks)) < len(ks):
+                    continue  # a repeated omega or ds index: the term is zero
+                if q % 2 == 0:
+                    plain_sign = -plain_sign  # plain ^ lead = -lead ^ plain
+                for i, lead, key in leads:
+                    if lead & plain or i in ks:
                         continue
-                    coeff = base
-                    for sigma, k in pairs:
-                        coeff = symexpr.partial(coeff, ('y', sigma, (k,)))
-                    if coeff.is_zero():
+                    # every prefix of a kept slot set was kept for this lead
+                    # one q earlier, so its chain is there
+                    coeff = chains.get(key + (pairs,))
+                    if coeff is None:
+                        prev = chains[key + (pairs[:-1],)]
+                        sigma, j = pairs[-1]
+                        coeff = chains[key + (pairs,)] = (
+                            symexpr.partial(prev, ('y', sigma, (j,))) if prev.terms else prev)
+                    if not coeff.terms:
                         continue
-                    terms.append((plain + (lead,) + _covectors(horiz), coeff * sign * weight))
-    return lam.form() + Form.from_terms(ctx, terms)
+                    horiz, sign = _ds_wedge(n, ks + (i,))
+                    w, lead_sign = _insert(lead, plain)
+                    sign *= plain_sign * lead_sign * _wedge_sign(w, horiz)
+                    _add_terms(acc, w | horiz, coeff.terms, sign * weight)
+    return _summed(ctx, acc, L)
 
 
 def krupka_betounes_first(lam: Lagrangian) -> Form:

@@ -34,6 +34,7 @@ sign; every other product goes through the library's product kernel.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from itertools import islice
@@ -112,19 +113,27 @@ def _is_dx(name: str) -> bool:
     return name[:2] == "dx" and name[2:].isdigit()
 
 
+@functools.lru_cache(maxsize=64)
+def _roster(fields: tuple, m: int) -> tuple:
+    """The field names, checked once per (names, m): m of them, each one
+    the grammar can tell apart from its own identifiers, none repeated.
+    A roster that fails is not cached, so it fails the same way again."""
+    if len(fields) != m:
+        raise ValueError(f"{m} field names needed, got {len(fields)}")
+    for name in fields:
+        if _FIELD.fullmatch(name) is None or _SHADOWED.fullmatch(name):
+            raise ValueError(f"field name {name!r} cannot be told apart "
+                             "from the grammar's own identifiers")
+    if len(set(fields)) != len(fields):
+        raise ValueError(f"field names repeat: {', '.join(fields)}")
+    return fields
+
+
 class _Parser:
     def __init__(self, text: str, ctx: Context, order: int, fields):
         self.ctx = ctx
         self.order = order
-        self.fields = tuple(fields) if fields else default_fields(ctx.m)
-        if len(self.fields) != ctx.m:
-            raise ValueError(f"{ctx.m} field names needed, got {len(self.fields)}")
-        for name in self.fields:
-            if _FIELD.fullmatch(name) is None or _SHADOWED.fullmatch(name):
-                raise ValueError(f"field name {name!r} cannot be told apart "
-                                 "from the grammar's own identifiers")
-        if len(set(self.fields)) != len(self.fields):
-            raise ValueError(f"field names repeat: {', '.join(self.fields)}")
+        self.fields = _roster(tuple(fields) if fields else default_fields(ctx.m), ctx.m)
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0

@@ -27,7 +27,7 @@ from . import randomgen, symexpr, varmorph
 from .forms import (Context, Form, _add_into, _summed, contract_prolonged, d_H,
                     ds_block, ds_parts, omega, p_k, total_derivative_form_multi, wedge)
 from .interior_euler import _mismatch, _residual, ibp_expand, interior_euler, residual
-from .lepage import (Lagrangian, _chain, _lepage_pairs, generic_lagrangian,
+from .lepage import (Lagrangian, _chain, _lepage_pairs, _momentum, generic_lagrangian,
                      kb_second_order, krupka_betounes_first)
 from .multiindex import sort_with_sign
 from .symexpr import _d_rule, _derive_into, _merge
@@ -243,8 +243,10 @@ def check_rossi_rho2(seed: int, n: int = 2, m: int = 1) -> tuple:
                        ("random", Lagrangian(ctx, 2, randomgen.rand_density(rng, ctx, 2)))]:
         with symexpr._formal_scope():  # the displayed form is built formally too
             rho2 = _chain(lam)[1]
-            # f^J_sigma depends on the sorted J only: each is built once
-            f = {(sig, J): lam.momentum(sig, J)
+            # f^J_sigma depends on the sorted J only: each is built once,
+            # all from one gradient of the density
+            grad = symexpr.gradient(lam.density)
+            f = {(sig, J): _momentum(lam, grad, sig, J)
                  for sig in fibers for J in symexpr.jet_keys(n, 2) if J}
             acc: dict = {}  # the displayed form
             _add_into(acc, lam.form())

@@ -5,7 +5,9 @@ the interior Euler operator, a grid of random forms over every bidegree,
 the wedge of several factors, the chi table of a xi family with its signed
 lookup and (s+1)!-ordering antisymmetrization, and the form-level
 three-way split that the morphism-level split-like decomposition is
-checked against.
+checked against, and the closed Lepage tower summed over fully ordered
+slot tuples, with one partial per momentum index and one chain of
+partials per ordered tuple.
 
 The tuple oracle keys each term by its covectors in printed order and
 takes every sign from ``sort_with_sign``; it reads no mask.
@@ -28,9 +30,9 @@ from jetform import forms
 from jetform import interior_euler as ie
 from jetform import printers
 from jetform import symexpr
-from jetform.forms import (Context, Form, contract_omega, d_H, ds_block, ds_parts,
-                           omega, p_k, total_derivative_form_multi, wedge)
-from jetform.multiindex import sort_with_sign
+from jetform.forms import (Context, Form, _covectors, _ds_wedge, contract_omega, d_H, ds_block,
+                           ds_parts, omega, p_k, total_derivative_form_multi, wedge)
+from jetform.multiindex import sort_with_sign, tuple_multiplicity
 from jetform.printers import _cov_key
 from jetform.randomgen import rand_form
 from jetform.symexpr import Scalar
@@ -306,3 +308,73 @@ def split_lower(rho: Form):
                 piece = total_derivative_form_multi(diff, M)
                 middle = middle + wedge(piece, ds_block(ctx, block))
     return source, middle, boundary
+
+
+# -- the closed tower over ordered slot tuples -------------------------------------
+
+
+def momentum_ordered(lam, sigma: int, J: tuple) -> Scalar:
+    """f^J_sigma: sum over ordered K, |J|+|K| <= r, of (-1)^|K| d_K p^{JK}_sigma.
+
+    p^{JK}_sigma is dL/dy^sigma_{JK} over the tuple multiplicity of the
+    sorted key.  J = () gives E_sigma(L); at order 2, (i,) is p^i - d_k p^{ik}.
+    d_K and the key depend only on sorted K, so the sum runs over sorted
+    K, each weighted by its multiplicity.
+    """
+    out = Scalar.zero()
+    for K in symexpr.jet_keys(lam.ctx.n, lam.order - len(J)):
+        key = tuple(sorted(J + K))
+        base = symexpr.partial(lam.density, ('y', sigma, key))
+        weight = Fraction((-1) ** len(K) * tuple_multiplicity(K), tuple_multiplicity(key))
+        out = out + symexpr.total_derivative_multi(base * weight, K)
+    return out
+
+
+@symexpr._memo_scope()
+def closed_equivalent_ordered(lam, slots: tuple) -> Form:
+    """L plus the pure-contact tower truncated at the given slot counts.
+
+    ``slots[h]`` is the slot count of the tower whose lead is
+    omega^sigma_{J'} with |J'| = h.  For Q = 1 .. slots[h] that tower adds,
+    over ordered slot pairs (sigma_1, i_1) .. (sigma_Q, i_Q) and ordered J',
+
+        w_h(Q) [d/dy^{sigma_1}_{i_1} .. d/dy^{sigma_{Q-1}}_{i_{Q-1}} f^{i_Q J'}_{sigma_Q}]
+               omega^{sigma_1} ^ .. ^ omega^{sigma_{Q-1}} ^ omega^{sigma_Q}_{J'}
+               ^ ds_{i_1 .. i_Q},
+
+    with f = ``momentum_ordered``, w_0(Q) = (Q!)^-2 and w_h(Q) = (Q!)^-1
+    for h >= 1: a raised lead is distinguishable, so it keeps the literal
+    weight.
+    """
+    ctx = lam.ctx
+    n = ctx.n
+    slot_pairs = list(itertools.product(range(1, ctx.m + 1), range(1, n + 1)))
+    momenta: dict = {}  # f^J_sigma depends on the sorted J only
+    terms = []
+    for h, top in enumerate(slots):
+        leads = []
+        for sigma, i in slot_pairs:
+            for Jp in itertools.product(range(1, n + 1), repeat=h):
+                key = (sigma, tuple(sorted((i,) + Jp)))
+                base = momenta.get(key)
+                if base is None:
+                    base = momenta[key] = momentum_ordered(lam, *key)
+                if not base.is_zero():
+                    leads.append((i, ('w', sigma, tuple(sorted(Jp))), base))
+        for q in range(1, top + 1):
+            weight = Fraction(1, math.factorial(q) ** (2 if h == 0 else 1))
+            for pairs in itertools.product(slot_pairs, repeat=q - 1):
+                plain = tuple(('w', sigma, ()) for sigma, _ in pairs)
+                for i, lead, base in leads:
+                    if len({*plain, lead}) <= len(plain):
+                        continue  # a repeated omega wedges to zero: take no partial
+                    horiz, sign = _ds_wedge(n, tuple(k for _, k in pairs) + (i,))
+                    if not sign:
+                        continue
+                    coeff = base
+                    for sigma, k in pairs:
+                        coeff = symexpr.partial(coeff, ('y', sigma, (k,)))
+                    if coeff.is_zero():
+                        continue
+                    terms.append((plain + (lead,) + _covectors(horiz), coeff * sign * weight))
+    return lam.form() + Form.from_terms(ctx, terms)

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from jetform import cli, interior_euler, lepage, varmorph, verify
+from jetform import cli, interior_euler, lepage, parser, varmorph, verify
 from jetform import symexpr as se
 from jetform.cli import main
 from jetform.forms import (Context, Form, _summed, ds_block, dx, omega,
@@ -108,6 +108,15 @@ def test_custom_field_names():
 def test_field_names_the_parser_cannot_tell_apart_are_rejected(fields):
     with pytest.raises(ValueError, match="field name"):
         parse_lagrangian("u_1", CTX22, 1, fields=fields)
+
+
+def test_field_roster_is_checked_once_per_names_and_m():
+    parser._roster.cache_clear()
+    for _ in range(3):
+        parse_lagrangian("phi_x^2", CTX21, 1, fields=("phi",))
+        parse_lagrangian("phi_x^2", CTX21, 1, fields=["phi"])
+    info = parser._roster.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_nesting_depth_costs_no_recursion():
@@ -320,6 +329,16 @@ def test_cli_indistinguishable_fields_are_2(fields):
     assert code == 2
     assert out == ""
     assert err.startswith("error: field name") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fields", ["a,a", "ds,u", "u", "u,v,w"])
+def test_cli_bad_fields_fail_alike_on_every_call(fields):
+    # the roster check is cached, but a failed check is not: the second
+    # call checks again and fails with the same message
+    argv = ["el", "-n", "2", "-m", "2", "--fields", fields, "u_1"]
+    first = run_cli(argv)
+    assert first[0] == 2 and first[1] == "" and first[2].startswith("error: ")
+    assert run_cli(argv) == first
 
 
 @pytest.mark.parametrize("flag", [["--format", "json"], ["--fields", "a"],

@@ -2,7 +2,9 @@ import gc
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from jetform import forms, lepage
 from jetform import interior_euler as ie
@@ -15,7 +17,8 @@ from jetform.lepage import (Lagrangian, UnsupportedOrder, euler_lagrange,
                             poincare_cartan, rossi_recurrence)
 from jetform.randomgen import rand_density
 from jetform.symexpr import Scalar
-from form_oracles import chi_table, formal_atoms, wedge_all
+from form_oracles import (chi_table, closed_equivalent_ordered, formal_atoms,
+                          momentum_ordered, wedge_all)
 
 CTX21 = Context(n=2, m=1)
 CTX22 = Context(n=2, m=2)
@@ -520,9 +523,10 @@ def test_lepage_pairs_of_the_formal_chain_hold_literally(monkeypatch, order):
 
 def test_closed_tower_takes_one_momentum_per_sorted_index(monkeypatch):
     calls = []
-    momentum = Lagrangian.momentum
-    monkeypatch.setattr(Lagrangian, "momentum",
-                        lambda self, sigma, J: calls.append((sigma, J)) or momentum(self, sigma, J))
+    momentum = lepage._momentum
+    monkeypatch.setattr(lepage, "_momentum",
+                        lambda lam, grad, sigma, J: calls.append((sigma, J))
+                        or momentum(lam, grad, sigma, J))
     lam = generic_lagrangian(Context(n=3, m=2), 2)
     for build in (kb_second_order, poincare_cartan):
         calls.clear()
@@ -614,3 +618,61 @@ def test_integer_chain_matches_the_uncleared_step(n, m, order):
     assert max(denominators) > 1
     closed = krupka_betounes_first(lam) if order == 1 else kb_second_order(lam)
     assert chain[-1] == closed
+
+
+# -- the closed tower over sorted slot sets, against the ordered-tuple oracle --------------
+
+# the public profiles (1,) * r, (n,), (1, n) and (n, n), and two that no
+# public builder asks for
+PROFILES = ["pc", "n", "1n", "nn", (2, 2), (0, 2)]
+
+
+def _profile(name, n, order):
+    return {"pc": (1,) * order, "n": (n,), "1n": (1, n), "nn": (n, n)}.get(name, name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 3), order=st.integers(1, 2),
+       profile=st.sampled_from(PROFILES), kind=st.sampled_from(["random", "generic", "mixed"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4, m=3, order=2, profile="1n", kind="generic", seed=0)
+@example(n=4, m=2, order=2, profile="nn", kind="mixed", seed=0)
+@example(n=3, m=3, order=1, profile="n", kind="random", seed=1)
+def test_closed_tower_matches_the_ordered_oracle(n, m, order, profile, kind, seed):
+    ctx = Context(n=n, m=m)
+    density = {"random": lambda: rand_density(random.Random(seed), ctx, order),
+               "generic": lambda: se.opaque(f"L{seed}", n=n, m=m, order=order),
+               "mixed": lambda: _rational_density(ctx, order)}[kind]()
+    lam = Lagrangian(ctx, order, density)
+    slots = _profile(profile, n, order)
+    keys = [(sigma, J) for sigma in range(1, m + 1) for J in se.jet_keys(n, order)]
+    assert lepage._closed_equivalent(lam, slots) == closed_equivalent_ordered(lam, slots)
+    assert all(lam.momentum(*key) == momentum_ordered(lam, *key) for key in keys)
+    with se._formal_scope():
+        assert lepage._closed_equivalent(lam, slots) == closed_equivalent_ordered(lam, slots)
+        assert all(lam.momentum(*key) == momentum_ordered(lam, *key) for key in keys)
+
+
+@pytest.mark.parametrize("n,m,order,build,partials", [
+    # 8 leads f^i_sigma, each with the 3 slots (sigma', k), sigma' != sigma,
+    # k != i: m = 2 allows no second plain slot
+    (4, 2, 1, krupka_betounes_first, 24),
+    # no plain slot beside an f^i lead; for f^{ij}_sigma, 6 slot sets avoid
+    # i (4 single, 2 pairs) and as many avoid j: 6 chains for each of the 6
+    # f^{ii}, and 6 + 4 for each of the 6 f^{ij}, i < j, which share the
+    # 6 single slots
+    (3, 2, 2, kb_second_order, 96),
+])
+def test_closed_tower_takes_one_gradient_and_one_partial_per_slot_set(
+        monkeypatch, n, m, order, build, partials):
+    grads, calls = [], []
+    gradient, partial = se.gradient, se.partial
+    monkeypatch.setattr(se, "gradient", lambda e: grads.append(e) or gradient(e))
+    monkeypatch.setattr(se, "partial", lambda e, c: calls.append((e, c)) or partial(e, c))
+    lam = generic_lagrangian(Context(n=n, m=m), order)
+    build(lam)
+    # every momentum comes from one gradient of the density, and each
+    # partial extends the chain of its momentum and its slot set's prefix
+    # (the ordered tuples took 32 and 252 partials, 150 of them distinct)
+    assert len(grads) == 1 and grads[0] is lam.density
+    assert len(calls) == len(set(calls)) == partials

@@ -31,7 +31,7 @@ def test_ab_lepage_times_a_tree_against_itself():
                            "--cases", "n2m1r1", "lepage-check/n2m1r2", "alpha/n2m1",
                            "verify/prop-da/n2m1", "cli/el/n2m1", "cli/split/n2m1",
                            "cli/alpha/n1m1", "parse/el/n2m1", "parse/alpha/n2m1",
-                           "--reps", "1"],
+                           "tower/n2m1r2/generalized", "--reps", "1"],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, *rows, total = proc.stdout.splitlines()
@@ -40,7 +40,8 @@ def test_ab_lepage_times_a_tree_against_itself():
     assert [row.split()[0] for row in rows] == ["n2m1r1", "lepage-check/n2m1r2", "alpha/n2m1",
                                                   "verify/prop-da/n2m1", "cli/el/n2m1",
                                                   "cli/split/n2m1", "cli/alpha/n1m1",
-                                                  "parse/el/n2m1", "parse/alpha/n2m1"]
+                                                  "parse/el/n2m1", "parse/alpha/n2m1",
+                                                  "tower/n2m1r2/generalized"]
     assert all(row.split()[-1] in ("0/1", "1/1") for row in rows)
     assert total.split()[0] == "total"
     # one repetition: the median of the per-pair ratios is that pair's
@@ -179,4 +180,40 @@ def test_ab_lepage_parse_cases_time_the_parser_on_the_cli_inputs(monkeypatch):
             == {(int(n), int(m), int(r), int(r))}
         assert events == ["clock", *["parse"] * len(exprs), "clock"] and elapsed == 5.0
         assert len(shown) == len(exprs) and all(shown)
+        monkeypatch.undo()
+
+
+def test_ab_lepage_tower_case_times_the_closed_tower_alone(monkeypatch):
+    # tower/nNmMr1 times krupka_betounes_first, tower/nNmMr2[/variant]
+    # kb_second_order in that variant, plain by default; the case prints
+    # the closed form, and nothing else runs on the clock
+    ab = _ab_lepage()
+    for case in ("tower/n4m2r1", "tower/n4m2r2", "tower/n3m2r2/plain",
+                 "tower/n2m2r2/generalized"):
+        assert ab.case_name(case) == case
+    for case in ("tower/n4m2r1/plain", "tower/n4m2r3", "tower/n4m2", "tower/n4m2r2/other",
+                 "tower/lepage-check/n2m1r1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            ab.case_name(case)
+    side = {name: importlib.import_module(f"jetform.{name}")
+            for name in ("forms", "lepage", "printers")}
+    side["modules"] = {}
+    lepage = side["lepage"]
+    first, second = lepage.krupka_betounes_first, lepage.kb_second_order
+    for slot, want in (("tower/n2m1r1", ("first", None)), ("tower/n2m1r2", ("second", "plain")),
+                       ("tower/n2m1r2/generalized", ("second", "generalized"))):
+        events = []
+        monkeypatch.setattr(lepage, "krupka_betounes_first",
+                            lambda lam: events.append(("first", None)) or first(lam))
+        monkeypatch.setattr(lepage, "kb_second_order",
+                            lambda lam, variant: events.append(("second", variant))
+                            or second(lam, variant))
+        monkeypatch.setattr(ab, "time", types.SimpleNamespace(
+            perf_counter=lambda: events.append("clock") or float(len(events))))
+        elapsed, out = ab.run_case(side, slot, "Ltower")
+        assert events == ["clock", want, "clock"] and elapsed == 2.0
+        lam = lepage.generic_lagrangian(side["forms"].Context(n=2, m=1), int(slot[11]),
+                                        name="Ltower")
+        closed = first(lam) if want[0] == "first" else second(lam, want[1])
+        assert out == [side["printers"].form_text(closed)]
         monkeypatch.undo()
